@@ -64,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--current", choices=["closed", "poisson"])
     runp.add_argument("--model", choices=["epstein", "dbb", "both"])
     runp.add_argument("--out", type=str, help="output directory (default run_<scenario>)")
-    runp.add_argument("--threads", type=int, default=1, help="worker cap (scenario jobs)")
     runp.add_argument("--a", type=float, help="packet shift")
     runp.add_argument("--sigma", type=float, help="packet width")
     runp.add_argument("--dpe", type=float, help="environment momentum separation")

@@ -1,9 +1,10 @@
 """Ensemble sampling and the statistical verification suite.
 
-Initial momenta are drawn from the grid momentum density: inverse-CDF
-sampling on the piecewise-constant cell density in 1d, Walker alias sampling
-over cells with in-cell uniform jitter in 2d. Sampling is reproducible
-bit-for-bit for a fixed (seed, state, N).
+Initial momenta (or guidance-model positions) are drawn from the grid
+density by one inverse-CDF sampler for any dof: a uniform u picks a cell from
+the cumulative cell masses in row-major order, and the point is placed
+uniformly inside that cell. Sampling is reproducible bit-for-bit for a fixed
+(seed, state, N).
 
 The suite checks, per frame:
 * the position expectation identity  mean(x_i) ~ <x_hat>  within 4 sigma_hat/sqrt(N),
@@ -18,6 +19,8 @@ The suite checks, per frame:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from math import prod
 
 import numpy as np
 
@@ -42,46 +45,6 @@ def _check_normalized(fld: ComplexField) -> None:
         raise NormalizationError(f"state norm {fld.norm():.9f} deviates from 1 beyond 1e-6")
 
 
-def _sample_density_1d(density: np.ndarray, edges: np.ndarray, n: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    w = np.clip(density, 0.0, None)
-    widths = np.diff(edges)
-    masses = w * widths
-    cdf = np.cumsum(masses)
-    cdf /= cdf[-1]
-    u = rng.random(n)
-    cells = np.searchsorted(cdf, u, side="right")
-    cells = np.clip(cells, 0, len(w) - 1)
-    lo = np.concatenate([[0.0], cdf])[cells]
-    span = cdf[cells] - lo
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(span > 0, (u - lo) / span, 0.5)
-    return edges[cells] + frac * widths[cells]
-
-
-def _alias_tables(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Walker alias tables built with deterministic ordering."""
-    m = len(weights)
-    prob = weights * m / weights.sum()
-    alias = np.zeros(m, dtype=np.intp)
-    small = [i for i in range(m) if prob[i] < 1.0]
-    large = [i for i in range(m) if prob[i] >= 1.0]
-    while small and large:
-        s = small.pop()
-        l = large.pop()
-        alias[s] = l
-        prob[l] = prob[l] - (1.0 - prob[s])
-        if prob[l] < 1.0:
-            small.append(l)
-        else:
-            large.append(l)
-    for i in large:
-        prob[i] = 1.0
-    for i in small:
-        prob[i] = 1.0
-    return prob, alias
-
-
 def sample_momenta(psi_p: ComplexField, n: int, seed: int) -> np.ndarray:
     """Draw n momenta from |psi~|^2; returns shape (n, dof)."""
     if psi_p.rep is not Representation.MOMENTUM:
@@ -99,24 +62,28 @@ def sample_positions(psi_x: ComplexField, n: int, seed: int) -> np.ndarray:
 
 
 def _sample_grid_density(fld: ComplexField, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF draw over the raveled cell masses of |fld|^2.
+
+    The last axis places each point inside its cell by where u falls within
+    the cell's step of the CDF; every other axis takes a fresh uniform jitter.
+    """
     grid = fld.grid
-    rho = fld.density()
-    if grid.dof == 1:
-        edges = _cell_edges(grid, fld.rep, 0)
-        return _sample_density_1d(rho, edges, n, rng)[:, None]
-    weights = np.clip(rho, 0.0, None).ravel()
-    prob, alias = _alias_tables(weights)
-    m = len(weights)
-    u1 = rng.random(n)
-    u2 = rng.random(n)
-    k = np.minimum((u1 * m).astype(np.intp), m - 1)
-    k = np.where(u2 < prob[k], k, alias[k])
-    i0, i1 = np.unravel_index(k, grid.shape)
-    out = np.empty((n, 2))
-    for a, idx in ((0, i0), (1, i1)):
-        pts = grid.axis_points(fld.rep, a)
-        step = grid.step(fld.rep, a)
-        out[:, a] = pts[idx] - step / 2.0 + rng.random(n) * step
+    edges = [_cell_edges(grid, fld.rep, a) for a in range(grid.dof)]
+    widths = [np.diff(e) for e in edges]
+    masses = (np.clip(fld.density(), 0.0, None) * reduce(np.multiply.outer, widths)).ravel()
+    cdf = np.cumsum(masses)
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    cells = np.clip(np.searchsorted(cdf, u, side="right"), 0, len(cdf) - 1)
+    lo = np.concatenate([[0.0], cdf])[cells]
+    span = cdf[cells] - lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(span > 0, (u - lo) / span, 0.5)
+    idx = np.unravel_index(cells, grid.shape)
+    out = np.empty((n, grid.dof))
+    for a in range(grid.dof):
+        f = frac if a == grid.dof - 1 else rng.random(n)
+        out[:, a] = edges[a][idx[a]] + f * widths[a][idx[a]]
     return out
 
 
@@ -317,32 +284,23 @@ def moment_checks(
 def rho_histogram(
     x_samples: np.ndarray,
     bins: int,
-    bounds: tuple[float, float] | list[tuple[float, float]],
+    bounds: list[tuple[float, float]],
     active: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[np.ndarray], np.ndarray]:
     """Normalized histogram density of the ensemble positions.
 
-    Returns (centers, density): 1d arrays in 1d; in 2d centers is a tuple-like
-    (centers0, centers1) pair stacked along axis 0 of a ragged object is
-    avoided by returning the meshless per-axis centers.
+    `bounds` holds one (lo, hi) range per axis. Returns (edges, density):
+    the bin edges of each axis and the density, with one array dimension per
+    axis, that integrates to 1 over the bounds (all zero when no sample falls
+    inside them).
     """
     xs = np.atleast_2d(x_samples)
     if active is not None:
         xs = xs[active]
-    if xs.shape[1] == 1:
-        lo, hi = bounds if isinstance(bounds, tuple) else bounds[0]
-        counts, edges = np.histogram(xs[:, 0], bins=bins, range=(lo, hi))
-        width = edges[1] - edges[0]
-        density = counts / (counts.sum() * width) if counts.sum() else counts.astype(float)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        return centers, density
-    bl = bounds if isinstance(bounds, list) else [bounds, bounds]
-    counts, e0, e1 = np.histogram2d(xs[:, 0], xs[:, 1], bins=bins, range=bl)
-    area = (e0[1] - e0[0]) * (e1[1] - e1[0])
-    density = counts / (counts.sum() * area) if counts.sum() else counts
-    c0 = 0.5 * (e0[:-1] + e0[1:])
-    c1 = 0.5 * (e1[:-1] + e1[1:])
-    return np.stack(np.meshgrid(c0, c1, indexing="ij")), density
+    counts, edges = np.histogramdd(xs, bins=bins, range=bounds)
+    cell = prod(e[1] - e[0] for e in edges)
+    density = counts / (counts.sum() * cell) if counts.sum() else counts
+    return edges, density
 
 
 @dataclass(frozen=True)

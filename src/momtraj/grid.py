@@ -288,7 +288,6 @@ def spectral_gradient(values: np.ndarray, grid: GridSpec, rep: Representation) -
 
 def spectral_divergence(components: np.ndarray, grid: GridSpec, rep: Representation) -> np.ndarray:
     out = np.zeros(grid.shape, dtype=np.complex128)
-    fhat = None
     for a in range(grid.dof):
         fhat = np.fft.fftn(components[a])
         out += np.fft.ifftn(_axis_multiplier(grid, rep, a) * fhat)
@@ -382,11 +381,3 @@ def boundary_mass_fraction(field: ComplexField, cells: int = 3) -> float:
         frac = (rho[tuple(sl_lo)].sum() + rho[tuple(sl_hi)].sum()) / total
         worst = max(worst, float(frac))
     return worst
-
-
-def quadrature_inner(a: ComplexField, b: ComplexField) -> complex:
-    if a.grid is not b.grid and a.grid != b.grid:
-        raise ConfigurationError("inner product requires matching grids")
-    if a.rep is not b.rep:
-        raise ConfigurationError("inner product requires matching representations")
-    return complex(np.sum(np.conj(a.values) * b.values) * a.grid.cell_volume(a.rep))

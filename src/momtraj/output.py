@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .currents import CurrentField, current_for
+from .ensemble import rho_histogram
 from .errors import ConfigurationError
 from .grid import ComplexField, Representation
-from .potentials import Free, Harmonic, Linear, Potential
 from .scenarios import CURRENTS, RunResult, ScenarioConfig
 from .trajectories import TrajStatus
 
@@ -106,21 +106,17 @@ def write_trajectories_csv(ensemble, path: str | Path, limit: int = 200) -> Path
     return path
 
 
-def write_histogram_csv(centers, density, path: str | Path) -> Path:
-    """`bin_center[,bin_center1],density` rows."""
+def write_histogram_csv(edges, density, path: str | Path) -> Path:
+    """`bin_center[,bin_center1],density` rows in row-major bin order."""
     path = Path(path)
-    dens = np.asarray(density)
+    mesh = np.meshgrid(*[0.5 * (e[:-1] + e[1:]) for e in edges], indexing="ij")
+    centers = [m.ravel() for m in mesh]
+    dens = np.asarray(density).ravel()
+    header = ["bin_center"] + [f"bin_center{a}" for a in range(1, len(edges))] + ["density"]
     with path.open("w") as fh:
-        if dens.ndim == 1:
-            fh.write("bin_center,density\n")
-            for c, d in zip(np.asarray(centers), dens):
-                fh.write(f"{fmt(c)},{fmt(d)}\n")
-        else:
-            fh.write("bin_center,bin_center1,density\n")
-            c0, c1 = centers
-            for i in range(dens.shape[0]):
-                for j in range(dens.shape[1]):
-                    fh.write(f"{fmt(c0[i, j])},{fmt(c1[i, j])},{fmt(dens[i, j])}\n")
+        fh.write(",".join(header) + "\n")
+        for i in range(dens.size):
+            fh.write(",".join([fmt(c[i]) for c in centers] + [fmt(dens[i])]) + "\n")
     return path
 
 
@@ -205,20 +201,36 @@ def sha256_of(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def potential_for(config: ScenarioConfig) -> Potential:
-    """The potential each built-in scenario runs under."""
-    if config.name in ("collapse", "harmonic-coherent"):
-        return Harmonic(config.mass, config.omega)
-    if config.name == "linear-drift":
-        return Linear(config.linear_coeff)
-    return Free()
+# Bins per axis of the 2-dof histogram artifact; `histogram_bins` sets the
+# 1-dof binning only.
+HISTOGRAM_BINS_2D = 50
+
+
+def _remove_listed_outputs(out: Path) -> None:
+    """Delete the outputs listed by a manifest.json already in `out`."""
+    mpath = out / "manifest.json"
+    if not mpath.is_file():
+        return
+    try:
+        listed = json.loads(mpath.read_text())["outputs"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigurationError(f"unreadable manifest in output directory: {mpath}") from exc
+    for name in listed:
+        # a manifest names files inside its own directory; skip anything else
+        if Path(name).name == name and (out / name).is_file():
+            (out / name).unlink()
 
 
 def write_run_outputs(result: RunResult, out_dir: str | Path, tool_version: str,
                       started: str, finished: str) -> Path:
-    """Write the full artifact set for a run and its digest manifest."""
+    """Write the full artifact set for a run and its digest manifest.
+
+    The files an earlier run's manifest lists in `out_dir` are deleted first,
+    so that none of them outlives the run; other files there are left alone.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    _remove_listed_outputs(out)
     files: list[Path] = []
     files.append(write_config_ini(result.config, out / "config.ini"))
     files.append(write_stats_json(result, out / "stats.json"))
@@ -226,36 +238,20 @@ def write_run_outputs(result: RunResult, out_dir: str | Path, tool_version: str,
     final = result.frames[-1]
     files.append(write_field_csv(final.psi_x, out / "field_final_position.csv"))
     files.append(write_field_csv(final.psi_p, out / "field_final_momentum.csv"))
-    pot = potential_for(result.config)
-    cur = current_for(pot, final.psi_x, final.psi_p, CURRENTS[result.config.current])
+    cur = current_for(result.potential, final.psi_x, final.psi_p, CURRENTS[result.config.current])
     files.append(write_current_csv(cur, out / "current_final.csv"))
 
+    grid = final.psi_x.grid
+    bins = result.config.histogram_bins if grid.dof == 1 else HISTOGRAM_BINS_2D
+    bounds = [(grid.positions(a)[0], grid.positions(a)[-1]) for a in range(grid.dof)]
     for model, ens in result.ensembles.items():
         files.append(
             write_trajectories_csv(ens, out / f"trajectories_{model}.csv",
                                    result.config.traj_csv_limit)
         )
-        hist = ens.history
-        act = hist.status[-1] == TrajStatus.ACTIVE
-        xs = hist.x[-1][act]
-        grid = final.psi_x.grid
-        if grid.dof == 1:
-            lo, hi = grid.positions(0)[0], grid.positions(0)[-1]
-            counts, edges = np.histogram(xs[:, 0], bins=result.config.histogram_bins,
-                                         range=(lo, hi))
-            width = edges[1] - edges[0]
-            dens = counts / (counts.sum() * width) if counts.sum() else counts.astype(float)
-            centers = 0.5 * (edges[:-1] + edges[1:])
-            files.append(write_histogram_csv(centers, dens, out / f"histogram_{model}.csv"))
-        else:
-            rng = [(grid.positions(a)[0], grid.positions(a)[-1]) for a in range(2)]
-            counts, e0, e1 = np.histogram2d(xs[:, 0], xs[:, 1], bins=50, range=rng)
-            area = (e0[1] - e0[0]) * (e1[1] - e1[0])
-            dens = counts / (counts.sum() * area) if counts.sum() else counts
-            c0 = 0.5 * (e0[:-1] + e0[1:])
-            c1 = 0.5 * (e1[:-1] + e1[1:])
-            files.append(write_histogram_csv(np.meshgrid(c0, c1, indexing="ij"), dens,
-                                             out / f"histogram_{model}.csv"))
+        act = ens.history.status[-1] == TrajStatus.ACTIVE
+        edges, dens = rho_histogram(ens.history.x[-1], bins, bounds, act)
+        files.append(write_histogram_csv(edges, dens, out / f"histogram_{model}.csv"))
 
     manifest = {
         "tool": f"momtraj {tool_version}",

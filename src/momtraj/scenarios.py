@@ -32,6 +32,7 @@ from .ensemble import (
     macrostate_frequencies,
     moment_checks,
     region_1d,
+    rho_histogram,
     sample_momenta,
     sample_positions,
 )
@@ -103,6 +104,12 @@ class ScenarioConfig:
             raise ConfigurationError("n_samples must be >= 1")
         if self.t_final <= 0 or self.dt <= 0:
             raise ConfigurationError("t_final and dt must be positive")
+        if self.steps_per_frame < 1:
+            raise ConfigurationError("steps_per_frame must be >= 1")
+        if not (self.sigma > 0 and self.sigma_env > 0):
+            raise ConfigurationError("packet widths sigma and sigma_env must be positive")
+        if not 0.0 <= self.c1_sq <= 1.0:
+            raise ConfigurationError(f"c1_sq must lie in [0, 1], got {self.c1_sq}")
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -120,6 +127,10 @@ class ScenarioConfig:
         if abs(steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
             raise ConfigurationError("t_final must be an integer multiple of dt")
         return steps
+
+    def n_frames(self) -> int:
+        """Frames a run emits: the initial one plus one per started frame interval."""
+        return 1 + -(-self.n_steps() // self.steps_per_frame)
 
 
 @dataclass(frozen=True)
@@ -140,6 +151,7 @@ class Verdict:
 @dataclass
 class RunResult:
     config: ScenarioConfig
+    potential: Potential
     frames: list[Frame]
     ensembles: dict[str, Ensemble]
     stats_rows: list[dict]
@@ -360,11 +372,9 @@ def _run_free_particle(config: ScenarioConfig) -> RunResult:
 
     # final-frame position histogram against the transported momentum density
     t_end = times[-1]
-    xs = hist.x[-1][active_always][:, 0]
-    lo, hi = grid.positions(0)[0], grid.positions(0)[-1]
-    counts, edges = np.histogram(xs, bins=config.histogram_bins, range=(lo, hi))
+    (edges,), emp = rho_histogram(hist.x[-1], config.histogram_bins,
+                                  [(grid.positions(0)[0], grid.positions(0)[-1])], active_always)
     width = edges[1] - edges[0]
-    emp = counts / (counts.sum() * width)
     centers = 0.5 * (edges[:-1] + edges[1:])
     rho_p = frames[-1].psi_p.density()
     pgrid = grid.momenta(0)
@@ -385,7 +395,7 @@ def _run_free_particle(config: ScenarioConfig) -> RunResult:
                 "L1 distance at the final frame"),
     ]
     verdicts += _suite_verdicts(suite, config.n_samples, continuity=True, cross=False)
-    return RunResult(config, frames, {"epstein": ens}, suite.rows, verdicts,
+    return RunResult(config, pot, frames, {"epstein": ens}, suite.rows, verdicts,
                      {"final_histogram": {"centers": centers.tolist(), "density": emp.tolist()}})
 
 
@@ -449,7 +459,7 @@ def _run_superposition(config: ScenarioConfig) -> RunResult:
                     "max deviation of the +-a region frequencies from 1/2 at t=0")
         )
     verdicts += _suite_verdicts(suite, config.n_samples, continuity=True, cross=False)
-    return RunResult(config, frames, ensembles, suite.rows, verdicts,
+    return RunResult(config, pot, frames, ensembles, suite.rows, verdicts,
                      {"norm_factor": sup.norm_factor, "packet_overlap": sup.overlap})
 
 
@@ -483,17 +493,16 @@ def _run_macroscopic(config: ScenarioConfig) -> RunResult:
     ref_state = gaussian_state(grid, sigma=config.sigma)
     ref_frames = collect_frames(ref_state, pot, _propagator(config), config.n_steps(), config.mass)
     ref_ens = _run_epstein(ref_frames, pot, ref_cfg)
-    lo, hi = grid.positions(0)[0], grid.positions(0)[-1]
-    bins = config.histogram_bins
+    bounds = [(grid.positions(0)[0], grid.positions(0)[-1])]
     n = config.n_samples
 
-    def hist_of(e: Ensemble, fidx: int) -> np.ndarray:
-        act = e.history.status[fidx] == TrajStatus.ACTIVE
-        counts, _ = np.histogram(e.history.x[fidx][act][:, 0], bins=bins, range=(lo, hi))
-        return counts / counts.sum()
+    def bin_fractions(e: Ensemble) -> np.ndarray:
+        (edges,), density = rho_histogram(e.history.x[-1], config.histogram_bins, bounds,
+                                          e.active_at(-1))
+        return density * (edges[1] - edges[0])
 
-    f_sup = hist_of(ens, len(frames) - 1)
-    f_ref = hist_of(ref_ens, len(frames) - 1)
+    f_sup = bin_fractions(ens)
+    f_ref = bin_fractions(ref_ens)
     bound_scale = 2.0 * sup.norm_factor**2
     se = np.sqrt(f_sup * (1 - f_sup) / n) + bound_scale * np.sqrt(f_ref * (1 - f_ref) / n)
     slack = 3.0 * np.maximum(se, 1.0 / n)
@@ -504,7 +513,7 @@ def _run_macroscopic(config: ScenarioConfig) -> RunResult:
                 "max bin-wise excess over 2 N^2 rho_ref + 3 binomial sigma at the final frame")
     )
     verdicts += _suite_verdicts(suite, config.n_samples, continuity=True, cross=False)
-    return RunResult(config, frames, {"epstein": ens, "reference": ref_ens}, suite.rows,
+    return RunResult(config, pot, frames, {"epstein": ens, "reference": ref_ens}, suite.rows,
                      verdicts, {"norm_factor": sup.norm_factor})
 
 
@@ -575,7 +584,7 @@ def _run_measurement(config: ScenarioConfig) -> RunResult:
                 "summed occupancy of the two outcome regions at t=0 (pass: >= 0.999)"),
     ]
     verdicts += _suite_verdicts(suite, config.n_samples, continuity=True, cross=False)
-    return RunResult(config, frames, {"epstein": ens}, suite.rows, verdicts,
+    return RunResult(config, pot, frames, {"epstein": ens}, suite.rows, verdicts,
                      {"env_overlap": ms.env_overlap, "weights": list(ms.weights),
                       "pointer_region_transitions": transitions})
 
@@ -683,7 +692,7 @@ def _run_collapse(config: ScenarioConfig) -> RunResult:
     leak_poisson = leak_of(pairs_poisson)
     verdicts += _suite_verdicts(suite, config.n_samples, continuity=True, cross=True)
     return RunResult(
-        config, frames, {"epstein": ens}, suite.rows, verdicts,
+        config, pot, frames, {"epstein": ens}, suite.rows, verdicts,
         {
             "norm_factor": state.norm_factor,
             "gap_current_leakage": {"closed": leak_closed, "poisson": leak_poisson},
@@ -695,15 +704,20 @@ def _run_collapse(config: ScenarioConfig) -> RunResult:
 # -- scenario: harmonic coherent / ground state ------------------------------------------
 
 
+def _central_dpdt(times: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """dp/dt at the interior frames by central differences; frames run along axis 0.
+
+    Needs at least 3 frames, which run_scenario checks against
+    ScenarioDef.min_frames before the run starts.
+    """
+    return (p[2:] - p[:-2]) / (2.0 * float(times[1] - times[0]))
+
+
 def _classical_force_verdicts(hist: EnsembleHistory, config: ScenarioConfig) -> list[Verdict]:
-    times = hist.times
-    if len(times) < 3:
-        return []
-    dtf = float(times[1] - times[0])
     always = hist.status[-1] == TrajStatus.ACTIVE
     p = hist.p[:, always, 0]
     x = hist.x[:, always, 0]
-    dpdt = (p[2:] - p[:-2]) / (2.0 * dtf)
+    dpdt = _central_dpdt(hist.times, p)
     resid = float(np.abs(dpdt + config.mass * config.omega**2 * x[1:-1]).max())
     out = [
         Verdict("classical-force-relation", resid <= 1e-4, resid, 1e-4,
@@ -744,7 +758,7 @@ def _run_harmonic(config: ScenarioConfig) -> RunResult:
     ]
     verdicts += _classical_force_verdicts(ens.history, config)
     verdicts += _suite_verdicts(suite, config.n_samples, continuity=True, cross=True)
-    return RunResult(config, frames, {"epstein": ens}, suite.rows, verdicts, {})
+    return RunResult(config, pot, frames, {"epstein": ens}, suite.rows, verdicts, {})
 
 
 # -- scenario: linear drift ----------------------------------------------------------------
@@ -764,11 +778,8 @@ def _run_linear(config: ScenarioConfig) -> RunResult:
         act = hist.status[f] == TrajStatus.ACTIVE
         expected = hist.p[0][act] - config.linear_coeff * t
         law = max(law, float(np.abs(hist.p[f][act] - expected).max()))
-    times = hist.times
-    dtf = float(times[1] - times[0])
     always = hist.status[-1] == TrajStatus.ACTIVE
-    p = hist.p[:, always, 0]
-    dpdt = (p[2:] - p[:-2]) / (2.0 * dtf)
+    dpdt = _central_dpdt(hist.times, hist.p[:, always, 0])
     force = float(np.abs(dpdt + config.linear_coeff).max())
 
     verdicts = [
@@ -780,7 +791,7 @@ def _run_linear(config: ScenarioConfig) -> RunResult:
                 "max |dp/dt + c| by central differences"),
     ]
     verdicts += _suite_verdicts(suite, config.n_samples, continuity=True, cross=True)
-    return RunResult(config, frames, {"epstein": ens}, suite.rows, verdicts, {})
+    return RunResult(config, pot, frames, {"epstein": ens}, suite.rows, verdicts, {})
 
 
 # -- registry ---------------------------------------------------------------------------
@@ -794,6 +805,8 @@ class ScenarioDef:
     summary: str
     claims: tuple[str, ...]
     params: tuple[tuple[str, str], ...] = ()
+    models: tuple[str, ...] = ("epstein",)  # the `model` values the runner reads
+    min_frames: int = 2
 
 
 SCENARIOS: dict[str, ScenarioDef] = {
@@ -815,6 +828,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
          "guidance-bimodality", "moment-identity", "equivariance"),
         (("a", "packet shift (warn when below 3 sigma)"), ("sigma", "packet width"),
          ("model", "epstein, dbb, or both")),
+        models=MODELS,
     ),
     "macroscopic": ScenarioDef(
         "macroscopic", _run_macroscopic,
@@ -855,6 +869,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
         ("classical-force", "equivariance", "continuity", "current-cross-validation"),
         (("displacement", "initial offset (0 freezes the ground state)"),
          ("omega", "oscillator frequency")),
+        min_frames=3,  # central-difference dp/dt
     ),
     "linear-drift": ScenarioDef(
         "linear-drift", _run_linear,
@@ -864,6 +879,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
         ("constant-force-momentum-law", "equivariance", "continuity",
          "current-cross-validation"),
         (("linear_coeff", "potential slope c"),),
+        min_frames=3,  # central-difference dp/dt
     ),
 }
 
@@ -885,7 +901,19 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         raise ConfigurationError(
             f"unknown scenario {config.name!r}; available: {', '.join(sorted(SCENARIOS))}"
         )
-    return SCENARIOS[config.name].runner(config)
+    sdef = SCENARIOS[config.name]
+    if config.model not in sdef.models:
+        raise ConfigurationError(
+            f"scenario {config.name!r} runs model {' or '.join(sdef.models)}, "
+            f"not {config.model!r}"
+        )
+    if config.n_frames() < sdef.min_frames:
+        raise ConfigurationError(
+            f"scenario {config.name!r} needs at least {sdef.min_frames} frames, got "
+            f"{config.n_frames()} from t_final={config.t_final}, dt={config.dt}, "
+            f"steps_per_frame={config.steps_per_frame}"
+        )
+    return sdef.runner(config)
 
 
 def coverage_manifest() -> dict[str, dict]:

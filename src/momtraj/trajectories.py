@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import reduce
+from math import prod
 
 import numpy as np
 
@@ -83,49 +85,36 @@ def interpolate_masked(
     grid = fld.grid
     q = np.atleast_2d(np.asarray(query, dtype=float))
     n_pts = q.shape[0]
-    idx = np.empty((grid.dof, n_pts), dtype=np.intp)
-    frac = np.empty((grid.dof, n_pts))
     inside = np.ones(n_pts, dtype=bool)
+    weights = []  # per axis: (weight of the lower neighbour, of the upper)
     for a in range(grid.dof):
         pts = grid.axis_points(fld.rep, a)
-        step = grid.step(fld.rep, a)
-        u = (q[:, a] - pts[0]) / step
+        u = (q[:, a] - pts[0]) / grid.step(fld.rep, a)
         inside &= (u >= 0.0) & (u <= len(pts) - 1)
-        i = np.clip(np.floor(u).astype(np.intp), 0, len(pts) - 2)
-        idx[a] = i
-        frac[a] = np.clip(u - i, 0.0, 1.0)
+        # np.minimum/np.maximum rather than np.clip, whose Python-level
+        # dispatch costs microseconds per call on RK4's small batches
+        i = np.minimum(np.maximum(np.floor(u).astype(np.intp), 0), len(pts) - 2)
+        frac = np.minimum(np.maximum(u - i, 0.0), 1.0)
+        weights.append((1.0 - frac, frac))
+        base = i if a == 0 else base * len(pts) + i  # row-major flat index
+    strides = [prod(grid.shape[a + 1:]) for a in range(grid.dof)]
 
-    vals = np.zeros((n_pts, grid.dof))
+    # Sum over the 2^dof stencil corners; bit a of `corner` selects the upper
+    # neighbour on axis a. Starting from -0.0, the additive identity, keeps
+    # the sum equal bit for bit to the corner terms added in order.
+    valid = fld.valid.ravel()
+    comps = fld.components.reshape(grid.dof, -1)
+    vals = np.full((grid.dof, n_pts), -0.0)
     ok = np.ones(n_pts, dtype=bool)
-    if grid.dof == 1:
-        i0 = idx[0]
-        f0 = frac[0]
-        ok &= fld.valid[i0] & fld.valid[i0 + 1]
+    for corner in range(2**grid.dof):
+        upper = [(corner >> a) & 1 for a in range(grid.dof)]
+        offset = sum(u * s for u, s in zip(upper, strides))
+        flat = base + offset if offset else base
+        ok &= valid[flat]
+        weight = reduce(np.multiply, [weights[a][u] for a, u in enumerate(upper)])
         for c in range(grid.dof):
-            comp = fld.components[c]
-            vals[:, c] = comp[i0] * (1.0 - f0) + comp[i0 + 1] * f0
-    else:
-        i0, i1 = idx
-        f0, f1 = frac
-        ok &= (
-            fld.valid[i0, i1]
-            & fld.valid[i0 + 1, i1]
-            & fld.valid[i0, i1 + 1]
-            & fld.valid[i0 + 1, i1 + 1]
-        )
-        w00 = (1 - f0) * (1 - f1)
-        w10 = f0 * (1 - f1)
-        w01 = (1 - f0) * f1
-        w11 = f0 * f1
-        for c in range(grid.dof):
-            comp = fld.components[c]
-            vals[:, c] = (
-                comp[i0, i1] * w00
-                + comp[i0 + 1, i1] * w10
-                + comp[i0, i1 + 1] * w01
-                + comp[i0 + 1, i1 + 1] * w11
-            )
-    return vals, ok, inside
+            vals[c] += comps[c][flat] * weight
+    return vals.T, ok, inside
 
 
 # -- velocity fields --------------------------------------------------------------
@@ -220,23 +209,27 @@ def _rk4_batch(
 # -- single-trajectory operations (unit-level contracts) ---------------------------
 
 
-def step_epstein(
-    traj: PTrajectory, current: CurrentField, density: np.ndarray, dt: float
-) -> PTrajectory:
-    """One RK4 step of dp/dt = j/|psi~|^2 with the fields held fixed."""
-    if traj.status is not TrajStatus.ACTIVE:
-        return traj
-    w = velocity_from_current(current, density)
-    q = traj.p[None, :]
-    q_new, hit_node, left = _rk4_batch(
-        q, np.ones(1, bool), w, w, 0.0, 0.0, dt
-    )
+def _rk4_single(traj: PTrajectory | XTrajectory, q: np.ndarray, w: MaskedVectorField,
+                dt: float) -> np.ndarray:
+    """One RK4 step of the point q through the fixed field w.
+
+    Marks traj frozen or off the grid when the step fails; the returned
+    point is then q unchanged.
+    """
+    q_new, hit_node, left = _rk4_batch(q[None, :], np.ones(1, bool), w, w, 0.0, 0.0, dt)
     if left[0]:
         traj.status = TrajStatus.LEFT_GRID
     elif hit_node[0]:
         traj.status = TrajStatus.FROZEN_AT_NODE
-    else:
-        traj.p = q_new[0]
+    return q_new[0]
+
+
+def step_epstein(
+    traj: PTrajectory, current: CurrentField, density: np.ndarray, dt: float
+) -> PTrajectory:
+    """One RK4 step of dp/dt = j/|psi~|^2 with the fields held fixed."""
+    if traj.status is TrajStatus.ACTIVE:
+        traj.p = _rk4_single(traj, traj.p, velocity_from_current(current, density), dt)
     return traj
 
 
@@ -259,17 +252,8 @@ def step_dbb(
     masses: float | tuple[float, ...] = 1.0,
 ) -> XTrajectory:
     """One RK4 step of the guidance equation with the field held fixed."""
-    if traj.status is not TrajStatus.ACTIVE:
-        return traj
-    w = velocity_field_dbb(psi_x, masses)
-    q = traj.x[None, :]
-    q_new, hit_node, left = _rk4_batch(q, np.ones(1, bool), w, w, 0.0, 0.0, dt)
-    if left[0]:
-        traj.status = TrajStatus.LEFT_GRID
-    elif hit_node[0]:
-        traj.status = TrajStatus.FROZEN_AT_NODE
-    else:
-        traj.x = q_new[0]
+    if traj.status is TrajStatus.ACTIVE:
+        traj.x = _rk4_single(traj, traj.x, velocity_field_dbb(psi_x, masses), dt)
     return traj
 
 

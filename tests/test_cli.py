@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from momtraj.cli import main
 from momtraj.output import (
@@ -147,3 +148,39 @@ def test_current_csv_format(tmp_path):
     assert lines[0] == "p0,j0"
     rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert rows.shape[0] == 512
+
+
+def test_run_threads_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "linear-drift", "--threads", "2")
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("measurement", "--c1sq", "1.5"), "c1_sq"),
+    (("free-particle", "--sigma", "0"), "sigma"),
+    (("linear-drift", "--t-final", "0.01"), "frames"),
+    (("harmonic-coherent", "--frames", "1"), "frames"),
+    (("free-particle", "--model", "dbb"), "model"),
+])
+def test_bad_scenario_input_exits_two_before_running(tmp_path, capsys, argv, message):
+    code = run_cli("run", *argv, "--n", "50", "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_reused_out_dir_keeps_no_stale_artifacts(tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "notes.txt").write_text("not an artifact\n")
+    for model in ("both", "epstein"):
+        code = run_cli("run", "superposition", "--model", model, "--a", "5", "--n", "400",
+                       "--seed", "7", "--t-final", "0.1", "--out", str(out))
+        assert code == 0
+    assert not (out / "histogram_dbb.csv").exists()
+    assert not (out / "trajectories_dbb.csv").exists()
+    listed = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert {p.name for p in out.iterdir()} == set(listed) | {"manifest.json", "notes.txt"}
+    assert (out / "notes.txt").read_text() == "not an artifact\n"

@@ -40,6 +40,20 @@ def test_sampling_reproducible_bit_for_bit(grid512):
     assert not np.array_equal(a, c)
 
 
+def test_sampling_1d_matches_inverse_cdf_reference(grid512):
+    # one uniform per sample picks the cell and the place inside it
+    phi = to_momentum(gaussian_state(grid512, sigma=1.1, boost=0.4))
+    edges = _cell_edges(grid512, Representation.MOMENTUM, 0)
+    widths = np.diff(edges)
+    cdf = np.cumsum(np.clip(phi.density(), 0.0, None) * widths)
+    cdf /= cdf[-1]
+    u = np.random.default_rng(9).random(3000)
+    cells = np.clip(np.searchsorted(cdf, u, side="right"), 0, len(cdf) - 1)
+    lo = np.concatenate([[0.0], cdf])[cells]
+    expected = edges[cells] + (u - lo) / (cdf[cells] - lo) * widths[cells]
+    assert np.array_equal(sample_momenta(phi, 3000, seed=9)[:, 0], expected)
+
+
 def test_sampling_rejects_unnormalized(grid512):
     phi = to_momentum(gaussian_state(grid512))
     bad = ComplexField(grid512, Representation.MOMENTUM, 1.5 * phi.values)
@@ -129,8 +143,9 @@ def test_rho_histogram_free_t0_all_mass_at_origin(grid_wide):
     frames = collect_frames(psi, Free(), PropagatorConfig(dt=1e-3, steps_per_frame=1), 1)
     p0 = sample_momenta(frames[0].psi_p, 2000, 0)
     hist = integrate_epstein(frames, Free(), p0, substeps_per_frame=1)
-    centers, density = rho_histogram(hist.x[0], bins=200, bounds=(-40.0, 40.0))
-    width = centers[1] - centers[0]
+    (edges,), density = rho_histogram(hist.x[0], bins=200, bounds=[(-40.0, 40.0)])
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    width = edges[1] - edges[0]
     occupied = density > 0
     assert np.abs(centers[occupied]).max() <= width  # only the origin bin(s)
 
@@ -145,11 +160,12 @@ def test_rho_histogram_change_of_variables(grid_wide):
     p0 = sample_momenta(frames[0].psi_p, n, 1)
     hist = integrate_epstein(frames, Free(), p0, substeps_per_frame=10)
     bins = 100
-    centers, density = rho_histogram(hist.x[-1], bins=bins, bounds=(-40.0, 40.0))
+    (edges,), density = rho_histogram(hist.x[-1], bins=bins, bounds=[(-40.0, 40.0)])
+    centers = 0.5 * (edges[:-1] + edges[1:])
     rho_p = frames[-1].psi_p.density()
     p = grid_wide.momenta(0)
     mapped = np.interp(centers / t, p, rho_p) / t
-    width = centers[1] - centers[0]
+    width = edges[1] - edges[0]
     l1 = np.sum(np.abs(density - mapped)) * width
     assert l1 <= 2 * np.sqrt(bins / n)
 

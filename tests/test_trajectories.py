@@ -83,6 +83,33 @@ def test_interpolation_bilinear_2d():
     assert np.abs(vals[:, 0] - (q[:, 0] + 2 * q[:, 1])).max() <= 1e-12
     assert np.abs(vals[:, 1] - 5.0).max() <= 1e-12
 
+    # random masked field at random points, some off the grid, against a
+    # bilinear reference written out corner by corner
+    rng = np.random.default_rng(7)
+    comps = rng.normal(size=(2,) + grid.shape)
+    valid = rng.random(grid.shape) > 0.05
+    fld = MaskedVectorField(grid, Representation.MOMENTUM, comps, valid)
+    p = grid.momenta(0)
+    dp = grid.dual_spacing(0)
+    q = rng.uniform(p[0] - 2 * dp, p[-1] + 2 * dp, size=(3000, 2))
+    vals, ok, inside = interpolate_masked(fld, q)
+    u = (q - p[0]) / dp
+    expect_inside = np.all((u >= 0) & (u <= len(p) - 1), axis=1)
+    assert np.array_equal(inside, expect_inside)
+    assert 0 < expect_inside.sum() < len(q)
+    masked_stencils = 0
+    for k in np.flatnonzero(expect_inside):
+        i, j = np.minimum(np.floor(u[k]).astype(int), len(p) - 2)
+        fi, fj = u[k, 0] - i, u[k, 1] - j
+        corners = [((i, j), (1 - fi) * (1 - fj)), ((i + 1, j), fi * (1 - fj)),
+                   ((i, j + 1), (1 - fi) * fj), ((i + 1, j + 1), fi * fj)]
+        expected = sum(w * comps[:, a, b] for (a, b), w in corners)
+        assert np.abs(vals[k] - expected).max() <= 1e-12
+        stencil_ok = all(valid[a, b] for (a, b), _ in corners)
+        assert ok[k] == stencil_ok
+        masked_stencils += not stencil_ok
+    assert masked_stencils > 0
+
 
 # -- single-trajectory operations ------------------------------------------------------
 
