@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .errors import SimulationError
+from .errors import ConfigurationError, SimulationError
 from .output import read_config_ini, utc_now, write_run_outputs
 from .scenarios import (
     SCENARIOS,
@@ -58,11 +58,12 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--n", type=int, help="ensemble size")
     runp.add_argument("--seed", type=int, help="sampling seed (default 0)")
     runp.add_argument("--dt", type=float, help="propagator step")
-    runp.add_argument("--frames", type=int, help="number of output frames over the run")
+    runp.add_argument("--frames", type=int,
+                      help="frame intervals over the run; must divide the step count")
     runp.add_argument("--grid-points", type=int, dest="grid_points")
     runp.add_argument("--grid-extent", type=float, dest="grid_extent")
     runp.add_argument("--current", choices=["closed", "poisson"])
-    runp.add_argument("--model", choices=["epstein", "dbb", "both"])
+    runp.add_argument("--model", help="epstein, or both to add the guidance-law ensemble")
     runp.add_argument("--out", type=str, help="output directory (default run_<scenario>)")
     runp.add_argument("--a", type=float, help="packet shift")
     runp.add_argument("--sigma", type=float, help="packet width")
@@ -94,7 +95,12 @@ def _config_from_args(args) -> ScenarioConfig:
             setattr(config, fieldname, val)
     if args.frames is not None:
         steps = config.n_steps()
-        config.steps_per_frame = max(1, steps // max(1, args.frames))
+        if args.frames < 1 or steps % args.frames:
+            raise ConfigurationError(
+                f"--frames {args.frames} does not split the run's {steps} steps into "
+                "equal frame intervals"
+            )
+        config.steps_per_frame = steps // args.frames
     return config
 
 

@@ -189,41 +189,31 @@ def grid_position_moments(psi_x: ComplexField) -> tuple[np.ndarray, np.ndarray, 
     return mean, np.sqrt(var), mean2
 
 
-def modulus_gradient_sq_integral(psi_p: ComplexField) -> np.ndarray:
-    """int (d|psi~|/dp_k)^2 dp per axis, via the ratio form.
+def momentum_gradient_integrals(psi_p: ComplexField) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis integrals of the second-moment identity from one momentum gradient.
 
-    (d|psi~|/dp)^2 = [Re(psi~* d psi~/dp)]^2 / |psi~|^2 pointwise away from
-    nodes; node-flagged points fall back to |d psi~/dp|^2 (the correct limit
-    for states with a real profile, where the modulus kinks square away).
+    Returns (flow, modulus):
+    * flow = int |psi~|^2 (dS~/dp_k)^2 dp, <x^2> under the flow distribution;
+    * modulus = int (d|psi~|/dp_k)^2 dp, via the ratio form
+      [Re(psi~* d psi~/dp)]^2 / |psi~|^2 away from nodes. Node-flagged points
+      fall back to |d psi~/dp|^2 (the correct limit for states with a real
+      profile, where the modulus kinks square away).
     """
     grid = psi_p.grid
     rho = psi_p.density()
     valid = node_mask(rho)
     grad = spectral_gradient(psi_p.values, grid, Representation.MOMENTUM)
     vol = grid.cell_volume(Representation.MOMENTUM)
-    out = np.empty(grid.dof)
+    flow = np.empty(grid.dof)
+    modulus = np.empty(grid.dof)
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(grid.dof):
-            ratio = np.real(np.conj(psi_p.values) * grad[a]) ** 2 / rho
-            integrand = np.where(valid, ratio, np.abs(grad[a]) ** 2)
-            out[a] = np.sum(integrand) * vol
-    return out
-
-
-def flow_position_second_moment(psi_p: ComplexField) -> np.ndarray:
-    """int |psi~|^2 (dS~/dp_k)^2 dp per axis: <x^2> under the flow distribution."""
-    grid = psi_p.grid
-    rho = psi_p.density()
-    valid = node_mask(rho)
-    grad = spectral_gradient(psi_p.values, grid, Representation.MOMENTUM)
-    vol = grid.cell_volume(Representation.MOMENTUM)
-    hb = grid.hbar
-    out = np.empty(grid.dof)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for a in range(grid.dof):
-            num = (hb * np.imag(np.conj(psi_p.values) * grad[a])) ** 2 / rho
-            out[a] = np.sum(np.where(valid, num, 0.0)) * vol
-    return out
+            psi_grad = np.conj(psi_p.values) * grad[a]
+            num = (grid.hbar * np.imag(psi_grad)) ** 2 / rho
+            flow[a] = np.sum(np.where(valid, num, 0.0)) * vol
+            ratio = np.real(psi_grad) ** 2 / rho
+            modulus[a] = np.sum(np.where(valid, ratio, np.abs(grad[a]) ** 2)) * vol
+    return flow, modulus
 
 
 @dataclass(frozen=True)
@@ -267,8 +257,8 @@ def moment_checks(
     bound = std_grid * (1.0 + 4.0 / np.sqrt(n))
     std_ok = bool(np.all(std_s <= bound))
 
-    lhs = flow_position_second_moment(psi_p)
-    rhs = mean2_grid - psi_p.grid.hbar**2 * modulus_gradient_sq_integral(psi_p)
+    lhs, modulus = momentum_gradient_integrals(psi_p)
+    rhs = mean2_grid - psi_p.grid.hbar**2 * modulus
     scale = np.maximum(np.abs(mean2_grid), 1e-30)
     rel = float(np.max(np.abs(lhs - rhs) / scale))
     return MomentReport(

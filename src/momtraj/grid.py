@@ -171,9 +171,11 @@ class ComplexField:
 class MaskedVectorField:
     """Real vector field on a grid with a per-point validity mask.
 
-    ``components`` has shape (dof,) + grid.shape. Points where the underlying
-    density falls below the node threshold are marked invalid and must not be
-    used by interpolation stencils.
+    ``components`` has shape (k,) + grid.shape: k = dof for a velocity or
+    position field, 2 dof for a pair of such fields stacked so that one
+    interpolation stencil serves both. Points where the underlying density
+    falls below the node threshold are marked invalid and must not be used by
+    interpolation stencils.
     """
 
     grid: GridSpec

@@ -31,21 +31,39 @@ def fmt(x: float) -> str:
 
 # -- CSV writers ----------------------------------------------------------------------
 
+# Rows formatted per write, so that the text in memory stays small
+_CSV_BLOCK_ROWS = 4096
+
+
+def _write_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> Path:
+    """`header`, then one row per entry of the equal-length `columns`.
+
+    Float columns are written as `fmt` writes them, any other column with str.
+    """
+    path = Path(path)
+    formats = [repr if c.dtype.kind == "f" else str for c in columns]
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            cells = [map(f, c[lo:lo + _CSV_BLOCK_ROWS].tolist()) for f, c in zip(formats, columns)]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+    return path
+
+
+def _mesh_columns(*axes: np.ndarray) -> list[np.ndarray]:
+    """Coordinate columns of every point of a product grid, row-major."""
+    return [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
+
 
 def write_field_csv(field: ComplexField, path: str | Path) -> Path:
     """`axis0[,axis1],re,im` rows in row-major grid order."""
-    path = Path(path)
     grid = field.grid
-    mesh = np.meshgrid(*[grid.axis_points(field.rep, a) for a in range(grid.dof)], indexing="ij")
-    flat = [m.ravel() for m in mesh]
     vals = field.values.ravel()
-    header = ",".join([f"axis{a}" for a in range(grid.dof)] + ["re", "im"])
-    with path.open("w") as fh:
-        fh.write(header + "\n")
-        for i in range(vals.size):
-            coords = ",".join(fmt(f[i]) for f in flat)
-            fh.write(f"{coords},{fmt(vals[i].real)},{fmt(vals[i].imag)}\n")
-    return path
+    return _write_csv(
+        path, [f"axis{a}" for a in range(grid.dof)] + ["re", "im"],
+        _mesh_columns(*[grid.axis_points(field.rep, a) for a in range(grid.dof)])
+        + [vals.real, vals.imag],
+    )
 
 
 def read_field_csv(path: str | Path, grid, rep: Representation, time: float = 0.0) -> ComplexField:
@@ -58,25 +76,16 @@ def read_field_csv(path: str | Path, grid, rep: Representation, time: float = 0.
 
 def write_current_csv(current: CurrentField, path: str | Path) -> Path:
     """`p0[,p1],j0[,j1]` rows in row-major grid order."""
-    path = Path(path)
-    grid = current.grid
-    mesh = np.meshgrid(*[grid.momenta(a) for a in range(grid.dof)], indexing="ij")
-    flat = [m.ravel() for m in mesh]
-    comps = [current.components[a].ravel() for a in range(grid.dof)]
-    header = ",".join([f"p{a}" for a in range(grid.dof)] + [f"j{a}" for a in range(grid.dof)])
-    with path.open("w") as fh:
-        fh.write(header + "\n")
-        for i in range(flat[0].size):
-            row = [fmt(f[i]) for f in flat] + [fmt(c[i]) for c in comps]
-            fh.write(",".join(row) + "\n")
-    return path
+    dof = current.grid.dof
+    return _write_csv(
+        path, [f"p{a}" for a in range(dof)] + [f"j{a}" for a in range(dof)],
+        _mesh_columns(*[current.grid.momenta(a) for a in range(dof)])
+        + [current.components[a].ravel() for a in range(dof)],
+    )
 
 
-_STATUS_NAMES = {
-    TrajStatus.ACTIVE: "active",
-    TrajStatus.FROZEN_AT_NODE: "frozen_at_node",
-    TrajStatus.LEFT_GRID: "left_grid",
-}
+# the CSV name of each TrajStatus, indexed by its value
+_STATUS_NAMES = np.array([s.name.lower() for s in TrajStatus], dtype=object)
 
 
 def write_trajectories_csv(ensemble, path: str | Path, limit: int = 200) -> Path:
@@ -85,39 +94,26 @@ def write_trajectories_csv(ensemble, path: str | Path, limit: int = 200) -> Path
     Writes the first `limit` trajectories (0 = all); full histories stay in
     memory for the statistics either way.
     """
-    path = Path(path)
     hist = ensemble.history
     n = hist.n_trajectories if limit == 0 else min(limit, hist.n_trajectories)
     dof = hist.x.shape[2]
-    cols = ["traj_id", "t"]
-    if hist.p is not None:
-        cols += [f"p{a}" for a in range(dof)]
-    cols += [f"x{a}" for a in range(dof)] + ["status"]
-    with path.open("w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(n):
-            for f, t in enumerate(hist.times):
-                row = [str(i), fmt(t)]
-                if hist.p is not None:
-                    row += [fmt(v) for v in hist.p[f, i]]
-                row += [fmt(v) for v in hist.x[f, i]]
-                row.append(_STATUS_NAMES[TrajStatus(int(hist.status[f, i]))])
-                fh.write(",".join(row) + "\n")
-    return path
+    variables = {"x": hist.x} if hist.p is None else {"p": hist.p, "x": hist.x}
+    # one row per (trajectory, frame), trajectory-major
+    return _write_csv(
+        path,
+        ["traj_id", "t"] + [f"{v}{a}" for v in variables for a in range(dof)] + ["status"],
+        [np.repeat(np.arange(n), len(hist.times)), np.tile(hist.times, n)]
+        + [h[:, :n, a].T.ravel() for h in variables.values() for a in range(dof)]
+        + [_STATUS_NAMES[hist.status[:, :n].T.ravel()]],
+    )
 
 
 def write_histogram_csv(edges, density, path: str | Path) -> Path:
     """`bin_center[,bin_center1],density` rows in row-major bin order."""
-    path = Path(path)
-    mesh = np.meshgrid(*[0.5 * (e[:-1] + e[1:]) for e in edges], indexing="ij")
-    centers = [m.ravel() for m in mesh]
-    dens = np.asarray(density).ravel()
-    header = ["bin_center"] + [f"bin_center{a}" for a in range(1, len(edges))] + ["density"]
-    with path.open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(dens.size):
-            fh.write(",".join([fmt(c[i]) for c in centers] + [fmt(dens[i])]) + "\n")
-    return path
+    return _write_csv(
+        path, ["bin_center"] + [f"bin_center{a}" for a in range(1, len(edges))] + ["density"],
+        _mesh_columns(*[0.5 * (e[:-1] + e[1:]) for e in edges]) + [np.ravel(density)],
+    )
 
 
 # -- JSON / INI -----------------------------------------------------------------------

@@ -61,7 +61,7 @@ from .trajectories import (
     interpolate_masked,
 )
 
-MODELS = ("epstein", "dbb", "both")
+MODELS = ("epstein", "both")  # "both" adds the guidance-law ensemble
 CURRENTS = {"closed": CurrentMethod.CLOSED_FORM, "poisson": CurrentMethod.POISSON}
 
 
@@ -106,6 +106,11 @@ class ScenarioConfig:
             raise ConfigurationError("t_final and dt must be positive")
         if self.steps_per_frame < 1:
             raise ConfigurationError("steps_per_frame must be >= 1")
+        if self.n_steps() % self.steps_per_frame:
+            raise ConfigurationError(
+                f"frames must be evenly spaced: steps_per_frame={self.steps_per_frame} "
+                f"does not divide the run's {self.n_steps()} steps"
+            )
         if not (self.sigma > 0 and self.sigma_env > 0):
             raise ConfigurationError("packet widths sigma and sigma_env must be positive")
         if not 0.0 <= self.c1_sq <= 1.0:
@@ -129,8 +134,8 @@ class ScenarioConfig:
         return steps
 
     def n_frames(self) -> int:
-        """Frames a run emits: the initial one plus one per started frame interval."""
-        return 1 + -(-self.n_steps() // self.steps_per_frame)
+        """Frames a run emits: the initial one plus one per frame interval."""
+        return 1 + self.n_steps() // self.steps_per_frame
 
 
 @dataclass(frozen=True)
@@ -443,21 +448,22 @@ def _run_superposition(config: ScenarioConfig) -> RunResult:
                 f"max |x_i(0)| at a={config.a}"),
     ]
     ensembles = {"epstein": ens}
-    if config.model in ("dbb", "both") and config.a > 0:
+    if config.model == "both":
         dens = _run_dbb(frames, config)
         ensembles["dbb"] = dens
-        half = config.a / 2.0
-        regions = [region_1d("plus", half, 3 * config.a - half),
-                   region_1d("minus", -(3 * config.a - half), -half)]
-        freqs = macrostate_frequencies(dens.history.x[0], regions,
-                                       dens.history.status[0] == TrajStatus.ACTIVE)
-        band = 4.0 * np.sqrt(0.25 / config.n_samples)
-        dev = max(abs(freqs["plus"][0] - 0.5), abs(freqs["minus"][0] - 0.5))
-        verdicts.append(
-            Verdict("guidance-bimodality", dev <= band, dev, band,
-                    "guidance-model positions split between the shifted packets",
-                    "max deviation of the +-a region frequencies from 1/2 at t=0")
-        )
+        if config.a > 0:  # at a = 0 there are no two packets to split between
+            half = config.a / 2.0
+            regions = [region_1d("plus", half, 3 * config.a - half),
+                       region_1d("minus", -(3 * config.a - half), -half)]
+            freqs = macrostate_frequencies(dens.history.x[0], regions,
+                                           dens.history.status[0] == TrajStatus.ACTIVE)
+            band = 4.0 * np.sqrt(0.25 / config.n_samples)
+            dev = max(abs(freqs["plus"][0] - 0.5), abs(freqs["minus"][0] - 0.5))
+            verdicts.append(
+                Verdict("guidance-bimodality", dev <= band, dev, band,
+                        "guidance-model positions split between the shifted packets",
+                        "max deviation of the +-a region frequencies from 1/2 at t=0")
+            )
     verdicts += _suite_verdicts(suite, config.n_samples, continuity=True, cross=False)
     return RunResult(config, pot, frames, ensembles, suite.rows, verdicts,
                      {"norm_factor": sup.norm_factor, "packet_overlap": sup.overlap})
@@ -827,7 +833,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
         ("fringe-momentum-density", "origin-concentration-shift-independent",
          "guidance-bimodality", "moment-identity", "equivariance"),
         (("a", "packet shift (warn when below 3 sigma)"), ("sigma", "packet width"),
-         ("model", "epstein, dbb, or both")),
+         ("model", "epstein, or both for the guidance-law contrast")),
         models=MODELS,
     ),
     "macroscopic": ScenarioDef(

@@ -6,13 +6,16 @@ the state as the local expectation value x(p) = -grad S~(p), evaluated at the
 trajectory's p. The de Broglie-Bohm reference integrator evolves positions
 directly by dx/dt = grad S / m.
 
-Both integrators use fixed-step RK4 over velocity fields precomputed on the
-grid, multilinear interpolation in space, and linear interpolation in time
-between propagator frames. Stencils touching node-flagged grid points freeze
-the trajectory (conservative; freezes are counted and reported, never
-silently extrapolated). Trajectories that leave the grid are likewise
-retired. Trajectories are independent given the immutable frame fields, so
-per-trajectory results are deterministic regardless of batch composition.
+Both models run through one frame loop and one RK4 step over velocity fields
+precomputed on the grid, with multilinear interpolation in space and linear
+interpolation in time between propagator frames. The two endpoint fields of a
+frame interval are stacked into one masked field, so each RK4 stage builds a
+single interpolation stencil and lerps its two halves. Stencils touching
+node-flagged grid points freeze the trajectory (conservative; freezes are
+counted and reported, never silently extrapolated). Trajectories that leave
+the grid are likewise retired. Trajectories are independent given the
+immutable frame fields, so per-trajectory results are deterministic regardless
+of batch composition.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import reduce
 from math import prod
+from typing import Callable
 
 import numpy as np
 
@@ -77,9 +81,9 @@ class XTrajectory:
 def interpolate_masked(
     fld: MaskedVectorField, query: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate a masked vector grid at query points (N, dof).
+    """Evaluate a masked field of k components at query points (N, dof).
 
-    Returns (values (N, dof), stencil_ok (N,), inside (N,)). Values are only
+    Returns (values (N, k), stencil_ok (N,), inside (N,)). Values are only
     meaningful where stencil_ok & inside.
     """
     grid = fld.grid
@@ -103,8 +107,9 @@ def interpolate_masked(
     # neighbour on axis a. Starting from -0.0, the additive identity, keeps
     # the sum equal bit for bit to the corner terms added in order.
     valid = fld.valid.ravel()
-    comps = fld.components.reshape(grid.dof, -1)
-    vals = np.full((grid.dof, n_pts), -0.0)
+    k = len(fld.components)
+    comps = fld.components.reshape(k, -1)
+    vals = np.full((k, n_pts), -0.0)
     ok = np.ones(n_pts, dtype=bool)
     for corner in range(2**grid.dof):
         upper = [(corner >> a) & 1 for a in range(grid.dof)]
@@ -112,7 +117,7 @@ def interpolate_masked(
         flat = base + offset if offset else base
         ok &= valid[flat]
         weight = reduce(np.multiply, [weights[a][u] for a, u in enumerate(upper)])
-        for c in range(grid.dof):
+        for c in range(k):
             vals[c] += comps[c][flat] * weight
     return vals.T, ok, inside
 
@@ -152,58 +157,50 @@ def velocity_field_dbb(
 # -- RK4 over interpolated fields --------------------------------------------------
 
 
-def _rk4_batch(
-    q: np.ndarray,
-    active: np.ndarray,
-    w0: MaskedVectorField,
-    w1: MaskedVectorField,
-    theta0: float,
-    theta1: float,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One RK4 step for all active points, fields lerped in time.
+def _endpoints(w0: MaskedVectorField, w1: MaskedVectorField) -> MaskedVectorField:
+    """w0's components followed by w1's, valid where both are.
 
-    theta0/theta1 are the interval fractions of the step endpoints inside
-    [t(w0), t(w1)]. Returns (q_new, hit_node, left_grid) with the failure
-    masks referring to active points only (inactive rows are untouched).
+    One stencil over this field gives both endpoint values: each component's
+    corner sum is independent, and the AND of the corner masks equals the
+    AND of the two fields' stencil masks.
     """
-    thetas = (theta0, 0.5 * (theta0 + theta1), 0.5 * (theta0 + theta1), theta1)
-    qa = q[active]
-    if qa.shape[0] == 0:
-        return q, np.zeros(q.shape[0], bool), np.zeros(q.shape[0], bool)
+    return MaskedVectorField(w0.grid, w0.rep, np.concatenate([w0.components, w1.components]),
+                             w0.valid & w1.valid, w0.time)
 
-    def eval_w(points: np.ndarray, theta: float):
-        v0, ok0, in0 = interpolate_masked(w0, points)
-        v1, ok1, in1 = interpolate_masked(w1, points)
-        return (1.0 - theta) * v0 + theta * v1, ok0 & ok1, in0 & in1
 
-    bad_node = np.zeros(qa.shape[0], dtype=bool)
-    bad_grid = np.zeros(qa.shape[0], dtype=bool)
+def _retire(status: np.ndarray, rows: np.ndarray, ok: np.ndarray, inside: np.ndarray) -> None:
+    """Mark rows whose stencil left the grid LEFT_GRID, other failed ones FROZEN_AT_NODE."""
+    status[rows[~inside]] = TrajStatus.LEFT_GRID
+    status[rows[inside & ~ok]] = TrajStatus.FROZEN_AT_NODE
 
-    k1, ok, ins = eval_w(qa, thetas[0])
-    bad_node |= ~ok
-    bad_grid |= ~ins
-    k2, ok, ins = eval_w(qa + 0.5 * dt * k1, thetas[1])
-    bad_node |= ~ok
-    bad_grid |= ~ins
-    k3, ok, ins = eval_w(qa + 0.5 * dt * k2, thetas[2])
-    bad_node |= ~ok
-    bad_grid |= ~ins
-    k4, ok, ins = eval_w(qa + dt * k3, thetas[3])
-    bad_node |= ~ok
-    bad_grid |= ~ins
 
-    stepped = qa + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    moved = ~(bad_node | bad_grid)
-    qa_new = np.where(moved[:, None], stepped, qa)
+def _rk4_step(q: np.ndarray, status: np.ndarray, w: MaskedVectorField,
+              theta0: float, theta1: float, dt: float) -> None:
+    """One RK4 step of the active rows of q, in place, through an endpoint pair.
 
-    q_out = q.copy()
-    q_out[active] = qa_new
-    hit_node = np.zeros(q.shape[0], dtype=bool)
-    left = np.zeros(q.shape[0], dtype=bool)
-    hit_node[np.flatnonzero(active)[bad_node & ~bad_grid]] = True
-    left[np.flatnonzero(active)[bad_grid]] = True
-    return q_out, hit_node, left
+    w is an `_endpoints` pair; theta0/theta1 are the interval fractions of the
+    step's ends, and each stage lerps the pair at its own fraction. A row
+    whose stencil fails at any stage keeps its point and is retired.
+    """
+    rows = np.flatnonzero(status == TrajStatus.ACTIVE)
+    if rows.size == 0:
+        return
+    dof = q.shape[1]
+    qa = q[rows]
+    ok = np.ones(rows.size, dtype=bool)
+    inside = np.ones(rows.size, dtype=bool)
+    mid = 0.5 * (theta0 + theta1)
+    k = None
+    for h, theta, weight in ((0.0, theta0, 1.0), (0.5, mid, 2.0), (0.5, mid, 2.0),
+                             (1.0, theta1, 1.0)):
+        vals, ok_s, in_s = interpolate_masked(w, qa if k is None else qa + h * dt * k)
+        k = (1.0 - theta) * vals[:, :dof] + theta * vals[:, dof:]
+        ok &= ok_s
+        inside &= in_s
+        total = k if h == 0.0 else total + weight * k
+    moved = ok & inside
+    q[rows[moved]] = (qa + (dt / 6.0) * total)[moved]
+    _retire(status, rows, ok, inside)
 
 
 # -- single-trajectory operations (unit-level contracts) ---------------------------
@@ -216,11 +213,10 @@ def _rk4_single(traj: PTrajectory | XTrajectory, q: np.ndarray, w: MaskedVectorF
     Marks traj frozen or off the grid when the step fails; the returned
     point is then q unchanged.
     """
-    q_new, hit_node, left = _rk4_batch(q[None, :], np.ones(1, bool), w, w, 0.0, 0.0, dt)
-    if left[0]:
-        traj.status = TrajStatus.LEFT_GRID
-    elif hit_node[0]:
-        traj.status = TrajStatus.FROZEN_AT_NODE
+    q_new = np.array(q, dtype=float)[None, :]
+    status = np.array([traj.status], dtype=np.int8)
+    _rk4_step(q_new, status, _endpoints(w, w), 0.0, 0.0, dt)
+    traj.status = TrajStatus(int(status[0]))
     return q_new[0]
 
 
@@ -235,15 +231,11 @@ def step_epstein(
 
 def position_of(traj: PTrajectory, psi_p: ComplexField) -> np.ndarray:
     """Local position expectation at the trajectory's p; freezes at nodes."""
-    xf = local_position_field(psi_p)
-    vals, ok, inside = interpolate_masked(xf, traj.p[None, :])
-    if not inside[0]:
-        traj.status = TrajStatus.LEFT_GRID
-        return traj.x
-    if not ok[0]:
-        traj.status = TrajStatus.FROZEN_AT_NODE
-        return traj.x
-    traj.x = vals[0]
+    x = np.array(traj.x, dtype=float)[None, :]
+    status = np.array([traj.status], dtype=np.int8)
+    _readout_positions(x, status, psi_p, np.asarray(traj.p, dtype=float)[None, :])
+    traj.status = TrajStatus(int(status[0]))
+    traj.x = x[0]
     return traj.x
 
 
@@ -308,15 +300,51 @@ def _readout_positions(
     x_store: np.ndarray, status: np.ndarray, psi_p: ComplexField, p: np.ndarray
 ) -> None:
     """Update derived positions in place for active rows; freeze on bad stencils."""
-    active = status == TrajStatus.ACTIVE
-    if not active.any():
+    rows = np.flatnonzero(status == TrajStatus.ACTIVE)
+    if rows.size == 0:
         return
-    xf = local_position_field(psi_p)
-    vals, ok, inside = interpolate_masked(xf, p[active])
-    rows = np.flatnonzero(active)
+    vals, ok, inside = interpolate_masked(local_position_field(psi_p), p[rows])
     x_store[rows[ok & inside]] = vals[ok & inside]
-    status[rows[~inside]] = TrajStatus.LEFT_GRID
-    status[rows[inside & ~ok]] = TrajStatus.FROZEN_AT_NODE
+    _retire(status, rows, ok, inside)
+
+
+def _integrate(
+    frames: list[Frame],
+    q0: np.ndarray,
+    field_of: Callable[[Frame], MaskedVectorField],
+    substeps: int,
+    at_frame: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frame loop of both models: RK4 substeps through each frame interval.
+
+    field_of(frame) gives the velocity field at a frame; at_frame(f, q, status),
+    when given, runs at every frame before the frame's state is recorded and
+    may retire rows. Returns (times, q history, status history).
+    """
+    if len(frames) == 0:
+        raise ConfigurationError("no frames to integrate over")
+    q = np.atleast_2d(np.asarray(q0, dtype=float)).copy()
+    dof = frames[0].psi_p.grid.dof
+    if q.shape[1] != dof:
+        raise ConfigurationError(f"initial points must have shape (N, {dof})")
+    times = np.array([fr.time for fr in frames])
+    q_hist = np.empty((len(frames),) + q.shape)
+    status_hist = np.empty((len(frames), q.shape[0]), dtype=np.int8)
+    status = np.zeros(q.shape[0], dtype=np.int8)
+
+    w1 = field_of(frames[0])
+    for f in range(len(frames)):
+        if f:
+            w0, w1 = w1, field_of(frames[f])
+            pair = _endpoints(w0, w1)
+            dt = (times[f] - times[f - 1]) / substeps
+            for s in range(substeps):
+                _rk4_step(q, status, pair, s / substeps, (s + 1) / substeps, dt)
+        if at_frame is not None:
+            at_frame(f, q, status)
+        q_hist[f] = q
+        status_hist[f] = status
+    return times, q_hist, status_hist
 
 
 def integrate_epstein(
@@ -331,52 +359,22 @@ def integrate_epstein(
     Pass the propagator's steps_per_frame as substeps_per_frame to take one
     RK4 step per propagator step. Velocity fields at the interval endpoints
     come from the frame states; stage evaluations linearly interpolate
-    between them in time.
+    between them in time. Positions are read out at every frame; a row that
+    cannot be read out keeps its last position (NaN before the first).
     """
-    if len(frames) == 0:
-        raise ConfigurationError("no frames to integrate over")
-    p = np.atleast_2d(np.asarray(p_initial, dtype=float)).copy()
-    n = p.shape[0]
-    dof = frames[0].psi_p.grid.dof
-    if p.shape[1] != dof:
-        raise ConfigurationError(f"initial momenta must have shape (N, {dof})")
-
-    times = np.array([fr.time for fr in frames])
-    n_frames = len(frames)
-    x = np.full((n_frames, n, dof), np.nan)
-    ph = np.empty((n_frames, n, dof))
-    status_hist = np.empty((n_frames, n), dtype=np.int8)
-    status = np.zeros(n, dtype=np.int8)
+    x = np.full((len(frames),) + np.atleast_2d(p_initial).shape, np.nan)
 
     def w_of(fr: Frame) -> MaskedVectorField:
         cur = current_for(potential, fr.psi_x, fr.psi_p, method)
         return velocity_from_current(cur, fr.psi_p.density())
 
-    x_cur = np.full((n, dof), np.nan)
-    _readout_positions(x_cur, status, frames[0].psi_p, p)
-    ph[0] = p
-    x[0] = x_cur
-    status_hist[0] = status
+    def read_positions(f: int, p: np.ndarray, status: np.ndarray) -> None:
+        if f:
+            x[f] = x[f - 1]
+        _readout_positions(x[f], status, frames[f].psi_p, p)
 
-    w1 = w_of(frames[0])
-    for f in range(1, n_frames):
-        w0, w1 = w1, w_of(frames[f])
-        t0, t1 = times[f - 1], times[f]
-        nsub = substeps_per_frame
-        dt = (t1 - t0) / nsub
-        for s in range(nsub):
-            active = status == TrajStatus.ACTIVE
-            p, hit_node, left = _rk4_batch(
-                p, active, w0, w1, s / nsub, (s + 1) / nsub, dt
-            )
-            status[hit_node] = TrajStatus.FROZEN_AT_NODE
-            status[left] = TrajStatus.LEFT_GRID
-        _readout_positions(x_cur, status, frames[f].psi_p, p)
-        ph[f] = p
-        x[f] = x_cur
-        status_hist[f] = status
-
-    return EnsembleHistory("epstein", times, x.copy(), status_hist, ph)
+    times, p, status = _integrate(frames, p_initial, w_of, substeps_per_frame, read_positions)
+    return EnsembleHistory("epstein", times, x, status, p)
 
 
 def integrate_dbb(
@@ -386,31 +384,7 @@ def integrate_dbb(
     substeps_per_frame: int = 1,
 ) -> EnsembleHistory:
     """Advance guidance-law trajectories through a propagated frame sequence."""
-    if len(frames) == 0:
-        raise ConfigurationError("no frames to integrate over")
-    x = np.atleast_2d(np.asarray(x_initial, dtype=float)).copy()
-    n = x.shape[0]
-    dof = frames[0].psi_x.grid.dof
-    times = np.array([fr.time for fr in frames])
-    n_frames = len(frames)
-    xh = np.empty((n_frames, n, dof))
-    status_hist = np.empty((n_frames, n), dtype=np.int8)
-    status = np.zeros(n, dtype=np.int8)
-
-    xh[0] = x
-    status_hist[0] = status
-    w1 = velocity_field_dbb(frames[0].psi_x, masses)
-    for f in range(1, n_frames):
-        w0, w1 = w1, velocity_field_dbb(frames[f].psi_x, masses)
-        t0, t1 = times[f - 1], times[f]
-        nsub = substeps_per_frame
-        dt = (t1 - t0) / nsub
-        for s in range(nsub):
-            active = status == TrajStatus.ACTIVE
-            x, hit_node, left = _rk4_batch(x, active, w0, w1, s / nsub, (s + 1) / nsub, dt)
-            status[hit_node] = TrajStatus.FROZEN_AT_NODE
-            status[left] = TrajStatus.LEFT_GRID
-        xh[f] = x
-        status_hist[f] = status
-
-    return EnsembleHistory("dbb", times, xh, status_hist, None)
+    times, x, status = _integrate(
+        frames, x_initial, lambda fr: velocity_field_dbb(fr.psi_x, masses), substeps_per_frame
+    )
+    return EnsembleHistory("dbb", times, x, status, None)

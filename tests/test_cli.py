@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from momtraj.cli import main
+from momtraj.ensemble import Ensemble
 from momtraj.output import (
     fmt,
     read_config_ini,
     write_config_ini,
+    write_trajectories_csv,
 )
 from momtraj.scenarios import default_config
+from momtraj.trajectories import EnsembleHistory, TrajStatus
 
 
 def run_cli(*argv):
@@ -141,6 +144,28 @@ def test_float_formatting_round_trips():
         assert float(fmt(v)) == v
 
 
+@pytest.mark.parametrize("with_p", [True, False])
+def test_trajectories_csv_rows(tmp_path, with_p):
+    rng = np.random.default_rng(5)
+    times = np.array([0.0, 0.1, 0.2])
+    x = rng.normal(size=(3, 4, 1))
+    p = rng.normal(size=(3, 4, 1)) if with_p else None
+    status = np.zeros((3, 4), dtype=np.int8)
+    status[1:, 1] = TrajStatus.FROZEN_AT_NODE
+    status[2, 2] = TrajStatus.LEFT_GRID
+    model = "epstein" if with_p else "dbb"
+    ens = Ensemble(model, 4, 0, EnsembleHistory(model, times, x, status, p))
+    names = {0: "active", 1: "frozen_at_node", 2: "left_grid"}
+    expected = ["traj_id,t," + ("p0," if with_p else "") + "x0,status"]
+    for i in range(3):  # limit 3 leaves trajectory 3 out
+        for f, t in enumerate(times):
+            row = [str(i), fmt(t)] + ([fmt(p[f, i, 0])] if with_p else [])
+            expected.append(",".join(row + [fmt(x[f, i, 0]), names[status[f, i]]]))
+    path = write_trajectories_csv(ens, tmp_path / "t.csv", limit=3)
+    assert path.read_text() == "\n".join(expected) + "\n"
+    assert "left_grid" in path.read_text()
+
+
 def test_current_csv_format(tmp_path):
     run_cli("run", "linear-drift", "--n", "50", "--t-final", "0.1",
             "--out", str(tmp_path / "c"))
@@ -162,6 +187,9 @@ def test_run_threads_flag_is_gone():
     (("linear-drift", "--t-final", "0.01"), "frames"),
     (("harmonic-coherent", "--frames", "1"), "frames"),
     (("free-particle", "--model", "dbb"), "model"),
+    (("linear-drift", "--frames", "3"), "frames"),
+    (("linear-drift", "--frames", "600"), "frames"),
+    (("superposition", "--model", "dbb"), "model"),
 ])
 def test_bad_scenario_input_exits_two_before_running(tmp_path, capsys, argv, message):
     code = run_cli("run", *argv, "--n", "50", "--out", str(tmp_path / "o"))
@@ -184,3 +212,11 @@ def test_reused_out_dir_keeps_no_stale_artifacts(tmp_path):
     listed = json.loads((out / "manifest.json").read_text())["outputs"]
     assert {p.name for p in out.iterdir()} == set(listed) | {"manifest.json", "notes.txt"}
     assert (out / "notes.txt").read_text() == "not an artifact\n"
+
+
+def test_superposition_both_without_shift_keeps_the_guidance_ensemble(tmp_path):
+    code = run_cli("run", "superposition", "--a", "0", "--n", "200", "--t-final", "0.1",
+                   "--out", str(tmp_path / "o"))
+    assert code == 0
+    listed = json.loads((tmp_path / "o" / "manifest.json").read_text())["outputs"]
+    assert "trajectories_dbb.csv" in listed and "histogram_dbb.csv" in listed

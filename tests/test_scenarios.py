@@ -59,6 +59,14 @@ def test_bad_model_rejected():
         run_scenario(cfg)
 
 
+def test_uneven_frames_rejected():
+    # 1000 steps do not split into intervals of 333; the short last interval
+    # would break the central differences of the force verdicts
+    cfg = default_config("linear-drift", steps_per_frame=333)
+    with pytest.raises(ConfigurationError, match="frames"):
+        run_scenario(cfg)
+
+
 def test_config_dict_round_trip():
     cfg = default_config("collapse", n_samples=123, seed=7)
     back = ScenarioConfig.from_dict(cfg.as_dict())

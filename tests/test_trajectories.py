@@ -18,6 +18,7 @@ from momtraj.trajectories import (
     PTrajectory,
     TrajStatus,
     XTrajectory,
+    _endpoints,
     integrate_dbb,
     integrate_epstein,
     interpolate_masked,
@@ -38,6 +39,19 @@ def momentum_state(grid, sigma=1.0, x0=0.0, p0=0.0, time=0.0):
 
 
 # -- interpolation ------------------------------------------------------------------
+
+
+def assert_endpoint_pair_matches(w0, w1, q):
+    """One stencil over the stacked pair equals the two separate calls bit for bit."""
+    v0, ok0, in0 = interpolate_masked(w0, q)
+    v1, ok1, in1 = interpolate_masked(w1, q)
+    vals, ok, inside = interpolate_masked(_endpoints(w0, w1), q)
+    dof = w0.grid.dof
+    assert vals.shape == (len(q), 2 * dof)
+    assert vals[:, :dof].tobytes() == v0.tobytes()
+    assert vals[:, dof:].tobytes() == v1.tobytes()
+    assert np.array_equal(ok, ok0 & ok1) and np.array_equal(inside, in0 & in1)
+    assert not ok.all() and not inside.all()
 
 
 def test_interpolation_exact_on_linear_field(grid512):
@@ -67,6 +81,12 @@ def test_interpolation_respects_mask(grid512):
     mid = 0.5 * (p[299] + p[300])
     _, ok, _ = interpolate_masked(fld, np.array([[mid], [p[100]]]))
     assert not ok[0] and ok[1]
+
+    # a stacked endpoint pair of random masked fields, some points off the grid
+    rng = np.random.default_rng(3)
+    w0, w1 = (MaskedVectorField(grid512, Representation.MOMENTUM, rng.normal(size=(1, 512)),
+                                rng.random(512) > 0.05) for _ in range(2))
+    assert_endpoint_pair_matches(w0, w1, rng.uniform(p[0] - 1.0, p[-1] + 1.0, size=(2000, 1)))
 
 
 def test_interpolation_bilinear_2d():
@@ -109,6 +129,10 @@ def test_interpolation_bilinear_2d():
         assert ok[k] == stencil_ok
         masked_stencils += not stencil_ok
     assert masked_stencils > 0
+
+    w1 = MaskedVectorField(grid, Representation.MOMENTUM, rng.normal(size=(2,) + grid.shape),
+                           rng.random(grid.shape) > 0.05)
+    assert_endpoint_pair_matches(fld, w1, q)
 
 
 # -- single-trajectory operations ------------------------------------------------------
@@ -278,6 +302,33 @@ def test_node_freeze_counted_on_commensurate_fringes():
     active = hist.status[-1] == TrajStatus.ACTIVE
     assert np.isnan(hist.x[0][frozen]).sum() >= 0  # frozen-at-start carry no position
     assert not np.isnan(hist.x[-1][active]).any()
+
+
+def test_batch_momenta_leaving_the_grid_stay_retired():
+    # under Linear(c) every momentum falls at the rate c and the density moves
+    # with it, so the low momenta run off the lower edge of the grid (the
+    # boundary check, which would stop the propagation, is off on purpose)
+    grid = grid_1d(128, 40.0)
+    c, dt = 10.0, 1e-3
+    pot = Linear(c)
+    prop = PropagatorConfig(dt=dt, steps_per_frame=50, check_boundary=False)
+    frames = collect_frames(gaussian_state(grid, sigma=0.5), pot, prop, 500)
+    p0 = np.linspace(-9.5, 2.0, 24)[:, None]
+    hist = integrate_epstein(frames, pot, p0, substeps_per_frame=50)
+    left = hist.status == TrajStatus.LEFT_GRID
+    gone = left[-1]
+    assert 0 < gone.sum() < len(p0)
+    assert not (hist.status == TrajStatus.FROZEN_AT_NODE).any()
+    p_min = grid.momenta(0)[0]
+    for i in np.flatnonzero(gone):
+        first = int(np.argmax(left[:, i]))
+        assert first > 0 and left[first:, i].all()
+        assert np.all(hist.p[first:, i] == hist.p[first, i])
+        # retired in place on the grid, within one step of the edge
+        assert p_min <= hist.p[first, i, 0] <= p_min + c * dt + 1e-12
+    kept = ~gone
+    expected = p0[kept, 0] - c * hist.times[-1]
+    assert np.abs(hist.p[-1, kept, 0] - expected).max() <= 1e-8
 
 
 def test_harmonic_coherent_classical_force_small(grid512):
