@@ -130,6 +130,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    if args.threads < 1:
+        raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
     jobs = []
     for name in sorted(SCENARIOS):
         cfg = default_config(name, n_samples=args.n, seed=args.seed)

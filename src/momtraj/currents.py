@@ -62,8 +62,10 @@ class CurrentField:
         return spectral_divergence(self.components, self.grid, Representation.MOMENTUM)
 
 
-def current_closed_form(potential: Potential, psi_p: ComplexField) -> CurrentField:
-    """Closed-form current for Free, Linear, or Harmonic potentials."""
+def current_closed_form(potential: Potential, psi_p: ComplexField,
+                        grad: np.ndarray | None = None) -> CurrentField:
+    """Closed-form current for Free, Linear, or Harmonic potentials; `grad` as in
+    `local_position_field`."""
     if psi_p.rep is not Representation.MOMENTUM:
         raise ConfigurationError("current construction expects a momentum-representation field")
     grid = psi_p.grid
@@ -76,7 +78,8 @@ def current_closed_form(potential: Potential, psi_p: ComplexField) -> CurrentFie
     elif isinstance(potential, Harmonic):
         ms = _per_axis(potential.mass, grid.dof, "harmonic masses")
         ws = _per_axis(potential.omega, grid.dof, "harmonic frequencies")
-        grad = spectral_gradient(psi_p.values, grid, Representation.MOMENTUM)
+        if grad is None:
+            grad = spectral_gradient(psi_p.values, grid, Representation.MOMENTUM)
         comps = np.stack(
             [
                 ms[a] * ws[a] ** 2 * grid.hbar * np.imag(np.conj(psi_p.values) * grad[a])
@@ -113,10 +116,11 @@ def current_for(
     psi_x: ComplexField,
     psi_p: ComplexField,
     method: CurrentMethod,
+    grad: np.ndarray | None = None,
 ) -> CurrentField:
-    """Dispatch on the configured current construction."""
+    """Dispatch on the configured current construction; `grad` as in `local_position_field`."""
     if method is CurrentMethod.CLOSED_FORM:
-        return current_closed_form(potential, psi_p)
+        return current_closed_form(potential, psi_p, grad)
     src = interaction_source(potential, psi_x, psi_p)
     return current_poisson(src, psi_p.grid, psi_p.time)
 
@@ -126,17 +130,15 @@ def continuity_residual(
     psi_p_after: ComplexField,
     current_mid: CurrentField,
     dt: float,
-) -> float:
-    """Relative L2 residual of (rho_after - rho_before)/dt + div j.
+) -> tuple[float, float]:
+    """Relative L2 residual of (rho_after - rho_before)/dt + div j, and ||div j||.
 
-    Falls back to the absolute norm when ||div j|| < 1e-14 (free evolution).
+    The residual is absolute when ||div j|| < 1e-14 (free evolution).
     """
     grid = psi_p_before.grid
     vol = grid.cell_volume(Representation.MOMENTUM)
     drho = (psi_p_after.density() - psi_p_before.density()) / dt
     div = current_mid.divergence()
     num = np.sqrt(np.sum((drho + div) ** 2) * vol)
-    den = np.sqrt(np.sum(div**2) * vol)
-    if den < 1e-14:
-        return float(num)
-    return float(num / den)
+    den = float(np.sqrt(np.sum(div**2) * vol))
+    return float(num if den < 1e-14 else num / den), den

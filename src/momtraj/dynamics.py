@@ -187,13 +187,13 @@ def continuity_probe(
     potential: Potential,
     dt: float,
     masses: float | tuple[float, ...] = 1.0,
-) -> tuple[ComplexField, ComplexField, ComplexField]:
-    """Consecutive states (t, t + dt/2, t + dt) from a frame, for continuity checks.
+) -> tuple[ComplexField, Frame, ComplexField]:
+    """Momentum states at t and t + dt and the midpoint frame, for continuity checks.
 
     The two half-steps compose to the full step up to O(dt^3), far below the
     continuity tolerance; the midpoint state centers the finite difference.
     """
     half = PropagatorConfig(dt=dt / 2.0, steps_per_frame=1, check_boundary=False)
-    mid = propagate(frame.psi_p, potential, half, 1, masses).psi_p
-    after = propagate(mid, potential, half, 1, masses).psi_p
+    mid = propagate(frame.psi_p, potential, half, 1, masses)
+    after = propagate(mid.psi_p, potential, half, 1, masses).psi_p
     return frame.psi_p, mid, after

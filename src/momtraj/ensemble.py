@@ -189,8 +189,10 @@ def grid_position_moments(psi_x: ComplexField) -> tuple[np.ndarray, np.ndarray, 
     return mean, np.sqrt(var), mean2
 
 
-def momentum_gradient_integrals(psi_p: ComplexField) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis integrals of the second-moment identity from one momentum gradient.
+def momentum_gradient_integrals(psi_p: ComplexField, grad: np.ndarray | None = None
+                                ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis integrals of the second-moment identity from one momentum gradient
+    (`grad` as in `local_position_field`).
 
     Returns (flow, modulus):
     * flow = int |psi~|^2 (dS~/dp_k)^2 dp, <x^2> under the flow distribution;
@@ -202,7 +204,8 @@ def momentum_gradient_integrals(psi_p: ComplexField) -> tuple[np.ndarray, np.nda
     grid = psi_p.grid
     rho = psi_p.density()
     valid = node_mask(rho)
-    grad = spectral_gradient(psi_p.values, grid, Representation.MOMENTUM)
+    if grad is None:
+        grad = spectral_gradient(psi_p.values, grid, Representation.MOMENTUM)
     vol = grid.cell_volume(Representation.MOMENTUM)
     flow = np.empty(grid.dof)
     modulus = np.empty(grid.dof)
@@ -241,8 +244,10 @@ def moment_checks(
     psi_x: ComplexField,
     psi_p: ComplexField,
     active: np.ndarray | None = None,
+    grad: np.ndarray | None = None,
 ) -> MomentReport:
-    """Expectation identity, spread inequality, and the quadrature second-moment identity."""
+    """Expectation identity, spread inequality, and the quadrature second-moment identity
+    (`grad` as in `local_position_field`)."""
     xs = np.atleast_2d(x_samples)
     if active is not None:
         xs = xs[active]
@@ -257,7 +262,7 @@ def moment_checks(
     bound = std_grid * (1.0 + 4.0 / np.sqrt(n))
     std_ok = bool(np.all(std_s <= bound))
 
-    lhs, modulus = momentum_gradient_integrals(psi_p)
+    lhs, modulus = momentum_gradient_integrals(psi_p, grad)
     rhs = mean2_grid - psi_p.grid.hbar**2 * modulus
     scale = np.maximum(np.abs(mean2_grid), 1e-30)
     rel = float(np.max(np.abs(lhs - rhs) / scale))
@@ -370,11 +375,3 @@ class Ensemble:
 
     def active_at(self, frame: int) -> np.ndarray:
         return self.history.status[frame] == TrajStatus.ACTIVE
-
-    def positions_at(self, frame: int) -> np.ndarray:
-        return self.history.x[frame]
-
-    def momenta_at(self, frame: int) -> np.ndarray:
-        if self.history.p is None:
-            raise ConfigurationError("guidance-model ensembles carry no momentum variable")
-        return self.history.p[frame]

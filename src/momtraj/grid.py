@@ -345,18 +345,20 @@ def spectral_inverse_laplacian(
     return out.real if not np.iscomplexobj(values) else out
 
 
-def local_position_field(field: ComplexField) -> MaskedVectorField:
+def local_position_field(field: ComplexField, grad: np.ndarray | None = None) -> MaskedVectorField:
     """Position readout x(p) = Re(psi~* (i hbar grad) psi~) / |psi~|^2.
 
     Equals minus the momentum-space phase gradient, computed in ratio form
     (never by phase unwrapping, which is ill-defined at nodes). Grid points
-    with density below the node threshold are flagged invalid.
+    with density below the node threshold are flagged invalid. `grad` passes
+    in the field's `spectral_gradient` when the caller already has it.
     """
     if field.rep is not Representation.MOMENTUM:
         raise ConfigurationError("local_position_field expects a momentum-representation field")
     rho = field.density()
     valid = node_mask(rho)
-    grad = spectral_gradient(field.values, field.grid, field.rep)
+    if grad is None:
+        grad = spectral_gradient(field.values, field.grid, field.rep)
     comps = np.zeros((field.grid.dof,) + field.grid.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(field.grid.dof):

@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .currents import CurrentField, current_for
+from .currents import CurrentField
 from .ensemble import rho_histogram
 from .errors import ConfigurationError
 from .grid import ComplexField, Representation
-from .scenarios import CURRENTS, RunResult, ScenarioConfig
+from .scenarios import RunResult, ScenarioConfig
 from .trajectories import TrajStatus
 
 
@@ -98,11 +98,12 @@ def write_trajectories_csv(ensemble, path: str | Path, limit: int = 200) -> Path
     n = hist.n_trajectories if limit == 0 else min(limit, hist.n_trajectories)
     dof = hist.x.shape[2]
     variables = {"x": hist.x} if hist.p is None else {"p": hist.p, "x": hist.x}
+    times = np.array([fmt(t) for t in hist.times], dtype=object)  # formatted once per frame
     # one row per (trajectory, frame), trajectory-major
     return _write_csv(
         path,
         ["traj_id", "t"] + [f"{v}{a}" for v in variables for a in range(dof)] + ["status"],
-        [np.repeat(np.arange(n), len(hist.times)), np.tile(hist.times, n)]
+        [np.repeat(np.arange(n), len(hist.times)), np.tile(times, n)]
         + [h[:, :n, a].T.ravel() for h in variables.values() for a in range(dof)]
         + [_STATUS_NAMES[hist.status[:, :n].T.ravel()]],
     )
@@ -234,8 +235,7 @@ def write_run_outputs(result: RunResult, out_dir: str | Path, tool_version: str,
     final = result.frames[-1]
     files.append(write_field_csv(final.psi_x, out / "field_final_position.csv"))
     files.append(write_field_csv(final.psi_p, out / "field_final_momentum.csv"))
-    cur = current_for(result.potential, final.psi_x, final.psi_p, CURRENTS[result.config.current])
-    files.append(write_current_csv(cur, out / "current_final.csv"))
+    files.append(write_current_csv(result.current, out / "current_final.csv"))
 
     grid = final.psi_x.grid
     bins = result.config.histogram_bins if grid.dof == 1 else HISTOGRAM_BINS_2D

@@ -1,20 +1,22 @@
 """Built-in experiment catalog: configuration, runner, and verdicts.
 
 Each scenario propagates a prepared state, integrates trajectory ensembles
-over the emitted frames, evaluates the statistical suite at every frame, and
-returns machine-checkable verdicts. Verdicts are deterministic given
-(config, seed).
+over the emitted frames, evaluates the statistical suite at every frame as
+the trajectories reach it, and returns machine-checkable verdicts. Verdicts
+are deterministic given (config, seed).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .currents import (
+    CurrentField,
     CurrentMethod,
     continuity_residual,
     current_closed_form,
@@ -24,7 +26,6 @@ from .currents import (
 from .dynamics import Frame, PropagatorConfig, collect_frames, continuity_probe
 from .ensemble import (
     Ensemble,
-    KSResult,
     MomentReport,
     Region,
     equivariance_check,
@@ -39,12 +40,10 @@ from .ensemble import (
 from .errors import ConfigurationError
 from .grid import (
     GridSpec,
-    Representation,
     boundary_mass_fraction,
     grid_1d,
     grid_2d,
     local_position_field,
-    to_position,
 )
 from .potentials import Free, Harmonic, Linear, Potential, interaction_source
 from .states import (
@@ -55,6 +54,7 @@ from .states import (
 )
 from .trajectories import (
     EnsembleHistory,
+    FrameFields,
     TrajStatus,
     integrate_dbb,
     integrate_epstein,
@@ -96,14 +96,17 @@ class ScenarioConfig:
     traj_csv_limit: int = 200
 
     def validate(self) -> None:
+        for name, value in self.as_dict().items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.model not in MODELS:
             raise ConfigurationError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.current not in CURRENTS:
             raise ConfigurationError(f"current must be one of {tuple(CURRENTS)}, got {self.current!r}")
         if self.n_samples < 1:
             raise ConfigurationError("n_samples must be >= 1")
-        if self.t_final <= 0 or self.dt <= 0:
-            raise ConfigurationError("t_final and dt must be positive")
         if self.steps_per_frame < 1:
             raise ConfigurationError("steps_per_frame must be >= 1")
         if self.n_steps() % self.steps_per_frame:
@@ -128,6 +131,8 @@ class ScenarioConfig:
         return cls(**data)
 
     def n_steps(self) -> int:
+        if not (0 < self.t_final < math.inf and 0 < self.dt < math.inf):
+            raise ConfigurationError("t_final and dt must be positive and finite")
         steps = int(round(self.t_final / self.dt))
         if abs(steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
             raise ConfigurationError("t_final must be an integer multiple of dt")
@@ -156,7 +161,7 @@ class Verdict:
 @dataclass
 class RunResult:
     config: ScenarioConfig
-    potential: Potential
+    current: CurrentField  # the configured current at the last frame
     frames: list[Frame]
     ensembles: dict[str, Ensemble]
     stats_rows: list[dict]
@@ -188,12 +193,13 @@ def _propagator(config: ScenarioConfig) -> PropagatorConfig:
 
 
 def _run_epstein(
-    frames: list[Frame], potential: Potential, config: ScenarioConfig
+    frames: list[Frame], potential: Potential, config: ScenarioConfig,
+    suite: FrameSuite | None = None,
 ) -> Ensemble:
     p0 = sample_momenta(frames[0].psi_p, config.n_samples, config.seed)
     hist = integrate_epstein(
-        frames, potential, p0,
-        CURRENTS[config.current], config.steps_per_frame,
+        frames, potential, p0, CURRENTS[config.current], config.steps_per_frame,
+        None if suite is None else suite.add,
     )
     return Ensemble("epstein", config.n_samples, config.seed, hist)
 
@@ -202,13 +208,6 @@ def _run_dbb(frames: list[Frame], config: ScenarioConfig) -> Ensemble:
     x0 = sample_positions(frames[0].psi_x, config.n_samples, config.seed)
     hist = integrate_dbb(frames, x0, config.mass, config.steps_per_frame)
     return Ensemble("dbb", config.n_samples, config.seed, hist)
-
-
-def _ks_to_row(res: list[KSResult]) -> dict:
-    return {
-        r.label or "p0": {"statistic": r.statistic, "band": r.band, "passed": bool(r.passed)}
-        for r in res
-    }
 
 
 def _moments_to_row(rep: MomentReport) -> dict:
@@ -227,25 +226,12 @@ def _moments_to_row(rep: MomentReport) -> dict:
     }
 
 
-@dataclass
-class FrameSuite:
-    """Aggregated worst-case results of the per-frame statistical suite."""
-
-    rows: list[dict]
-    all_ks_ok: bool = True
-    worst_ks_margin: float = 0.0
-    all_moments_ok: bool = True
-    worst_identity: float = 0.0
-    max_continuity: float = 0.0
-    max_cross_method: float = 0.0
-    cross_pairs: list[tuple[float, float]] = field(default_factory=list)
-    continuity_pairs: list[tuple[float, float]] = field(default_factory=list)
-
-
 # Frames whose reference quantity has quadrature norm below this floor carry no
 # relative information (stationary states: currents and density rates vanish);
 # their residuals are measured against the floor or the run's own scale instead.
 VANISHING_SCALE_FLOOR = 1e-6
+
+CONTINUITY_DT = 1e-3  # step of the continuity residual's central difference
 
 
 def _robust_max_ratio(pairs: list[tuple[float, float]]) -> float:
@@ -259,97 +245,96 @@ def _robust_max_ratio(pairs: list[tuple[float, float]]) -> float:
     return worst
 
 
-def _frame_suite(
-    frames: list[Frame],
-    potential: Potential,
-    config: ScenarioConfig,
-    ens: Ensemble | None,
-    regions: list[Region] | None = None,
-    continuity: bool = True,
-    cross_method: bool = False,
-    continuity_dt: float = 1e-3,
-) -> FrameSuite:
-    """Evaluate the statistical suite at every frame."""
-    suite = FrameSuite(rows=[])
-    for f, fr in enumerate(frames):
+@dataclass
+class FrameSuite:
+    """The statistical suite, fed each frame by the integrator as the trajectories reach it.
+
+    `add` reads the frame's FrameFields and keeps one stats row per frame and
+    the worst cases for `verdicts`; `current` is the last frame's current.
+    """
+
+    potential: Potential
+    config: ScenarioConfig
+    regions: list[Region] | None = None
+    cross_method: bool = False
+    rows: list[dict] = field(default_factory=list)
+    all_ks_ok: bool = True
+    worst_ks_margin: float = 0.0
+    all_moments_ok: bool = True
+    worst_identity: float = 0.0
+    cross_pairs: list[tuple[float, float]] = field(default_factory=list)
+    continuity_pairs: list[tuple[float, float]] = field(default_factory=list)
+    current: CurrentField | None = None
+
+    def add(self, fields: FrameFields, p: np.ndarray, x: np.ndarray, status: np.ndarray) -> None:
+        fr = fields.frame
+        self.current = fields.current  # first, so that the previous current is freed early
+        active = status == TrajStatus.ACTIVE
         row: dict = {
             "time": fr.time,
             "boundary_mass_position": boundary_mass_fraction(fr.psi_x),
             "boundary_mass_momentum": boundary_mass_fraction(fr.psi_p),
+            "frozen_count": int(np.sum(status == TrajStatus.FROZEN_AT_NODE)),
+            "left_grid_count": int(np.sum(status == TrajStatus.LEFT_GRID)),
         }
-        if ens is not None:
-            active = ens.active_at(f)
-            row["frozen_count"] = int(np.sum(ens.history.status[f] == TrajStatus.FROZEN_AT_NODE))
-            row["left_grid_count"] = int(np.sum(ens.history.status[f] == TrajStatus.LEFT_GRID))
-            if active.any():
-                ks = equivariance_check(ens.momenta_at(f)[active], fr.psi_p)
-                row["ks"] = _ks_to_row(ks)
-                for r in ks:
-                    suite.all_ks_ok &= bool(r.passed)
-                    suite.worst_ks_margin = max(suite.worst_ks_margin, r.statistic / r.band)
-                rep = moment_checks(ens.positions_at(f), fr.psi_x, fr.psi_p, active)
-                row["moments"] = _moments_to_row(rep)
-                suite.all_moments_ok &= rep.mean_ok and rep.std_ok and rep.identity_ok
-                suite.worst_identity = max(suite.worst_identity, rep.identity_rel_err)
-                if regions:
-                    freqs = macrostate_frequencies(ens.positions_at(f), regions, active)
-                    row["macrostate_occupancy"] = {
-                        k: {"frequency": v[0], "stderr": v[1]} for k, v in freqs.items()
-                    }
-        if continuity:
-            before, mid, after = continuity_probe(fr, potential, continuity_dt, config.mass)
-            mid_x = to_position(mid)
-            cur = current_for(potential, mid_x, mid, CURRENTS[config.current])
-            resid = continuity_residual(before, after, cur, continuity_dt)
-            row["continuity_residual"] = resid
-            vol = fr.psi_p.grid.cell_volume(Representation.MOMENTUM)
-            den = float(np.sqrt(np.sum(cur.divergence() ** 2) * vol))
-            num = resid * den if den >= 1e-14 else resid
-            suite.continuity_pairs.append((num, den))
-        if cross_method and fr.psi_p.grid.dof == 1:
-            jc = current_closed_form(potential, fr.psi_p)
-            src = interaction_source(potential, fr.psi_x, fr.psi_p)
-            jp = current_poisson(src, fr.psi_p.grid, fr.time)
+        if active.any():
+            row["ks"] = {}
+            for r in equivariance_check(p[active], fr.psi_p):
+                row["ks"][r.label or "p0"] = {"statistic": r.statistic, "band": r.band,
+                                              "passed": bool(r.passed)}
+                self.all_ks_ok &= bool(r.passed)
+                self.worst_ks_margin = max(self.worst_ks_margin, r.statistic / r.band)
+            rep = moment_checks(x, fr.psi_x, fr.psi_p, active, fields.grad)
+            row["moments"] = _moments_to_row(rep)
+            self.all_moments_ok &= rep.mean_ok and rep.std_ok and rep.identity_ok
+            self.worst_identity = max(self.worst_identity, rep.identity_rel_err)
+            if self.regions:
+                freqs = macrostate_frequencies(x, self.regions, active)
+                row["macrostate_occupancy"] = {
+                    k: {"frequency": v[0], "stderr": v[1]} for k, v in freqs.items()
+                }
+
+        before, mid, after = continuity_probe(fr, self.potential, CONTINUITY_DT, self.config.mass)
+        cur = current_for(self.potential, mid.psi_x, mid.psi_p, fields.current.method)
+        resid, den = continuity_residual(before, after, cur, CONTINUITY_DT)
+        row["continuity_residual"] = resid
+        self.continuity_pairs.append((resid * den if den >= 1e-14 else resid, den))
+
+        if self.cross_method and fr.psi_p.grid.dof == 1:
+            # the run built one of the two currents already; build the other
+            if fields.current.method is CurrentMethod.CLOSED_FORM:
+                jc = fields.current
+                jp = current_poisson(interaction_source(self.potential, fr.psi_x, fr.psi_p),
+                                     fr.psi_p.grid, fr.time)
+            else:
+                jc = current_closed_form(self.potential, fr.psi_p, fields.grad)
+                jp = fields.current
             diff = float(np.linalg.norm(jp.components - jc.components))
             den = float(np.linalg.norm(jc.components))
-            suite.cross_pairs.append((diff, den))
+            self.cross_pairs.append((diff, den))
             row["current_cross_method_rel"] = diff / den if den > 0 else 0.0
-        suite.rows.append(row)
-    suite.max_continuity = _robust_max_ratio(suite.continuity_pairs)
-    suite.max_cross_method = _robust_max_ratio(suite.cross_pairs)
-    return suite
+        self.rows.append(row)
 
-
-def _suite_verdicts(suite: FrameSuite, n: int, continuity: bool, cross: bool) -> list[Verdict]:
-    out = [
-        Verdict(
-            "equivariance-all-frames", suite.all_ks_ok, suite.worst_ks_margin, 1.0,
-            "equivariance of the momentum ensemble",
-            f"worst KS statistic / 99% band over all frames (band {ks_band(n):.4f})",
-        ),
-        Verdict(
-            "moment-checks-all-frames", suite.all_moments_ok, suite.worst_identity, 1e-6,
-            "position expectation identity, spread inequality, second-moment identity",
-            "worst second-moment identity relative error; mean/std bands per frame",
-        ),
-    ]
-    if continuity:
-        out.append(
-            Verdict(
-                "continuity-residual", suite.max_continuity <= 1e-4, suite.max_continuity,
-                1e-4, "momentum-density continuity equation",
-                "max over frames of the central-difference residual at dt=1e-3",
-            )
-        )
-    if cross:
-        out.append(
-            Verdict(
-                "current-cross-method", suite.max_cross_method <= 1e-6, suite.max_cross_method,
-                1e-6, "1d Poisson current equals the closed form",
-                "max over frames of the L2-relative difference",
-            )
-        )
-    return out
+    def verdicts(self) -> list[Verdict]:
+        continuity = _robust_max_ratio(self.continuity_pairs)
+        out = [
+            Verdict("equivariance-all-frames", self.all_ks_ok, self.worst_ks_margin, 1.0,
+                    "equivariance of the momentum ensemble",
+                    "worst KS statistic / 99% band over all frames "
+                    f"(band {ks_band(self.config.n_samples):.4f})"),
+            Verdict("moment-checks-all-frames", self.all_moments_ok, self.worst_identity, 1e-6,
+                    "position expectation identity, spread inequality, second-moment identity",
+                    "worst second-moment identity relative error; mean/std bands per frame"),
+            Verdict("continuity-residual", continuity <= 1e-4, continuity, 1e-4,
+                    "momentum-density continuity equation",
+                    "max over frames of the central-difference residual at dt=1e-3"),
+        ]
+        if self.cross_method:
+            cross = _robust_max_ratio(self.cross_pairs)
+            out.append(Verdict("current-cross-method", cross <= 1e-6, cross, 1e-6,
+                               "1d Poisson current equals the closed form",
+                               "max over frames of the L2-relative difference"))
+        return out
 
 
 # -- scenario: free particle ---------------------------------------------------------
@@ -360,8 +345,8 @@ def _run_free_particle(config: ScenarioConfig) -> RunResult:
     psi = gaussian_state(grid, sigma=config.sigma)
     pot = Free()
     frames = collect_frames(psi, pot, _propagator(config), config.n_steps(), config.mass)
-    ens = _run_epstein(frames, pot, config)
-    suite = _frame_suite(frames, pot, config, ens, continuity=True)
+    suite = FrameSuite(pot, config)
+    ens = _run_epstein(frames, pot, config, suite)
 
     hist = ens.history
     active_always = hist.status[-1] == TrajStatus.ACTIVE
@@ -399,8 +384,8 @@ def _run_free_particle(config: ScenarioConfig) -> RunResult:
                 "position histogram is the transported momentum density",
                 "L1 distance at the final frame"),
     ]
-    verdicts += _suite_verdicts(suite, config.n_samples, continuity=True, cross=False)
-    return RunResult(config, pot, frames, {"epstein": ens}, suite.rows, verdicts,
+    verdicts += suite.verdicts()
+    return RunResult(config, suite.current, frames, {"epstein": ens}, suite.rows, verdicts,
                      {"final_histogram": {"centers": centers.tolist(), "density": emp.tolist()}})
 
 
@@ -436,8 +421,8 @@ def _fringe_density_verdict(grid: GridSpec, frame0: Frame, config: ScenarioConfi
 
 def _run_superposition(config: ScenarioConfig) -> RunResult:
     grid, sup, pot, frames = _superposition_common(config)
-    ens = _run_epstein(frames, pot, config)
-    suite = _frame_suite(frames, pot, config, ens, continuity=True)
+    suite = FrameSuite(pot, config)
+    ens = _run_epstein(frames, pot, config, suite)
     hist = ens.history
 
     origin = float(np.abs(hist.x[0][hist.status[0] == TrajStatus.ACTIVE]).max())
@@ -464,20 +449,20 @@ def _run_superposition(config: ScenarioConfig) -> RunResult:
                         "guidance-model positions split between the shifted packets",
                         "max deviation of the +-a region frequencies from 1/2 at t=0")
             )
-    verdicts += _suite_verdicts(suite, config.n_samples, continuity=True, cross=False)
-    return RunResult(config, pot, frames, ensembles, suite.rows, verdicts,
+    verdicts += suite.verdicts()
+    return RunResult(config, suite.current, frames, ensembles, suite.rows, verdicts,
                      {"norm_factor": sup.norm_factor, "packet_overlap": sup.overlap})
 
 
 def _run_macroscopic(config: ScenarioConfig) -> RunResult:
     grid, sup, pot, frames = _superposition_common(config)
-    ens = _run_epstein(frames, pot, config)
     regions = [
         region_1d("origin", -abs(config.a) / 2.0, abs(config.a) / 2.0),
         region_1d("plus", abs(config.a) / 2.0 + 1e-12, 3 * abs(config.a) / 2.0),
         region_1d("minus", -3 * abs(config.a) / 2.0, -abs(config.a) / 2.0 - 1e-12),
     ] if config.a != 0 else []
-    suite = _frame_suite(frames, pot, config, ens, regions=regions or None, continuity=True)
+    suite = FrameSuite(pot, config, regions)
+    ens = _run_epstein(frames, pot, config, suite)
 
     verdicts = [_fringe_density_verdict(grid, frames[0], config, sup.norm_factor)]
     act0 = ens.history.status[0] == TrajStatus.ACTIVE
@@ -518,8 +503,9 @@ def _run_macroscopic(config: ScenarioConfig) -> RunResult:
                 "superposed-pointer density bounded by twice the bare-pointer density",
                 "max bin-wise excess over 2 N^2 rho_ref + 3 binomial sigma at the final frame")
     )
-    verdicts += _suite_verdicts(suite, config.n_samples, continuity=True, cross=False)
-    return RunResult(config, pot, frames, {"epstein": ens, "reference": ref_ens}, suite.rows,
+    verdicts += suite.verdicts()
+    return RunResult(config, suite.current, frames, {"epstein": ens, "reference": ref_ens},
+                     suite.rows,
                      verdicts, {"norm_factor": sup.norm_factor})
 
 
@@ -534,14 +520,13 @@ def _run_measurement(config: ScenarioConfig) -> RunResult:
                            config.sigma, config.sigma_env)
     pot = Free()
     frames = collect_frames(ms.field, pot, _propagator(config), config.n_steps(), config.mass)
-    ens = _run_epstein(frames, pot, config)
-
     half = config.a / 2.0
     regions = [
         Region("plus", ((half, 3 * config.a - half), None)),
         Region("minus", ((-(3 * config.a - half), -half), None)),
     ]
-    suite = _frame_suite(frames, pot, config, ens, regions=regions, continuity=True)
+    suite = FrameSuite(pot, config, regions)
+    ens = _run_epstein(frames, pot, config, suite)
 
     # factorized momentum density against the analytic mixture
     p0g = grid.momenta(0)
@@ -589,8 +574,8 @@ def _run_measurement(config: ScenarioConfig) -> RunResult:
                 "pointer positions display exactly one outcome region",
                 "summed occupancy of the two outcome regions at t=0 (pass: >= 0.999)"),
     ]
-    verdicts += _suite_verdicts(suite, config.n_samples, continuity=True, cross=False)
-    return RunResult(config, pot, frames, {"epstein": ens}, suite.rows, verdicts,
+    verdicts += suite.verdicts()
+    return RunResult(config, suite.current, frames, {"epstein": ens}, suite.rows, verdicts,
                      {"env_overlap": ms.env_overlap, "weights": list(ms.weights),
                       "pointer_region_transitions": transitions})
 
@@ -612,39 +597,29 @@ def _run_collapse(config: ScenarioConfig) -> RunResult:
     frames = collect_frames(state.field, pot, prop, steps, config.mass)
     branch_frames = collect_frames(state.branches[0], pot, prop, steps, config.mass)
 
-    ens = _run_epstein(frames, pot, config)
-    suite = _frame_suite(frames, pot, config, ens, continuity=True, cross_method=True)
+    suite = FrameSuite(pot, config, cross_method=True)
+    ens = _run_epstein(frames, pot, config, suite)
 
-    # silent-gap maintenance between the branch supports
-    min_gap = None
-    for fr in frames:
-        amp = np.abs(fr.psi_p.values)
-        silent = amp < SILENT_AMPLITUDE * amp.max()
-        p = grid.momenta(0)
-        rho = fr.psi_p.density()
-        centroid = np.sum(p * rho) / rho.sum()
-        upper = p > centroid
-        lower = ~upper
-        hi_peak = p[upper][np.argmax(rho[upper])]
-        lo_peak = p[lower][np.argmax(rho[lower])]
-        gap_cells = int(np.sum(silent & (p > lo_peak) & (p < hi_peak)))
-        min_gap = gap_cells if min_gap is None else min(min_gap, gap_cells)
-    verdicts = [
-        Verdict("silent-gap-maintained", min_gap >= MIN_SILENT_CELLS, float(min_gap),
-                float(MIN_SILENT_CELLS),
-                "momentum supports stay separated for the whole run",
-                "min over frames of silent cells between the packets (pass: >= 10)"),
-    ]
-
-    # branch current decomposition and single-branch trajectory dependence
+    # one pass over the frames; decomposition and leakage share the closed-form current
+    p = grid.momenta(0)
     weight = state.branch_weights[0]
     scale = config.grid_extent / 2.0
-    decomp_worst = 0.0
-    track_worst = 0.0
     hist = ens.history
     pkt1 = hist.p[0][:, 0] > 0.0
-    for f, fr in enumerate(frames):
-        br = branch_frames[f]
+    gap_cells: list[int] = []
+    decomp_worst = 0.0
+    track_worst = 0.0
+    pairs_closed: list[tuple[float, float]] = []
+    pairs_poisson: list[tuple[float, float]] = []
+    for f, (fr, br) in enumerate(zip(frames, branch_frames)):
+        amp = np.abs(fr.psi_p.values)
+        silent = amp < SILENT_AMPLITUDE * amp.max()
+        rho = fr.psi_p.density()
+        upper = p > np.sum(p * rho) / rho.sum()
+        hi_peak = p[upper][np.argmax(rho[upper])]
+        lo_peak = p[~upper][np.argmax(rho[~upper])]
+        gap_cells.append(int(np.sum(silent & (p > lo_peak) & (p < hi_peak))))
+
         supp = np.abs(br.psi_p.values) >= SUPPORT_AMPLITUDE * np.abs(br.psi_p.values).max()
         j_full = current_closed_form(pot, fr.psi_p).components[0]
         j_br = weight * current_closed_form(pot, br.psi_p).components[0]
@@ -653,13 +628,25 @@ def _run_collapse(config: ScenarioConfig) -> RunResult:
             decomp_worst = max(decomp_worst, float(np.linalg.norm((j_full - j_br)[supp]) / den))
         act = (hist.status[f] == TrajStatus.ACTIVE) & pkt1
         if act.any():
-            xf_br = local_position_field(br.psi_p)
-            vals, ok, inside = interpolate_masked(xf_br, hist.p[f][act])
+            vals, ok, inside = interpolate_masked(local_position_field(br.psi_p), hist.p[f][act])
             good = ok & inside
             if good.any():
                 diff = np.abs(hist.x[f][act][good] - vals[good]).max()
                 track_worst = max(track_worst, float(diff))
-    verdicts += [
+
+        gap = silent & (np.abs(p) < config.delta_p / 2.0)
+        if gap.any():
+            src = interaction_source(pot, fr.psi_x, fr.psi_p)
+            jp = current_poisson(src, grid, fr.time).components[0]
+            pairs_closed.append((float(np.abs(j_full[gap]).max()), float(np.abs(j_full).max())))
+            pairs_poisson.append((float(np.abs(jp[gap]).max()), float(np.abs(jp).max())))
+
+    min_gap = min(gap_cells)
+    verdicts = [
+        Verdict("silent-gap-maintained", min_gap >= MIN_SILENT_CELLS, float(min_gap),
+                float(MIN_SILENT_CELLS),
+                "momentum supports stay separated for the whole run",
+                "min over frames of silent cells between the packets (pass: >= 10)"),
         Verdict("branch-current-decomposition", decomp_worst <= 1e-6, decomp_worst, 1e-6,
                 "the closed-form current decomposes branch by branch",
                 "max over frames of the support-restricted L2-relative residual"),
@@ -669,24 +656,9 @@ def _run_collapse(config: ScenarioConfig) -> RunResult:
                 f"max |x_i(t) - x_branch(p_i(t))|; scale = half extent = {scale:g}"),
     ]
 
-    # Poisson-route leakage, reported without a pass/fail threshold. Frames
-    # where the current itself (nearly) vanishes carry no information and are
-    # skipped relative to the run's peak current.
-    pairs_closed: list[tuple[float, float]] = []
-    pairs_poisson: list[tuple[float, float]] = []
-    for f, fr in enumerate(frames):
-        amp = np.abs(fr.psi_p.values)
-        silent = amp < SILENT_AMPLITUDE * amp.max()
-        p = grid.momenta(0)
-        gap = silent & (np.abs(p) < config.delta_p / 2.0)
-        if not gap.any():
-            continue
-        jc = current_closed_form(pot, fr.psi_p).components[0]
-        src = interaction_source(pot, fr.psi_x, fr.psi_p)
-        jp = current_poisson(src, grid, fr.time).components[0]
-        pairs_closed.append((float(np.abs(jc[gap]).max()), float(np.abs(jc).max())))
-        pairs_poisson.append((float(np.abs(jp[gap]).max()), float(np.abs(jp).max())))
-
+    # The leakage is reported without a pass/fail threshold. Frames where the
+    # current itself (nearly) vanishes carry no information and are skipped
+    # relative to the run's peak current.
     def leak_of(pairs: list[tuple[float, float]]) -> float:
         if not pairs:
             return 0.0
@@ -694,14 +666,13 @@ def _run_collapse(config: ScenarioConfig) -> RunResult:
         vals = [g / full for g, full in pairs if full >= 1e-3 * peak]
         return max(vals) if vals else 0.0
 
-    leak_closed = leak_of(pairs_closed)
-    leak_poisson = leak_of(pairs_poisson)
-    verdicts += _suite_verdicts(suite, config.n_samples, continuity=True, cross=True)
+    verdicts += suite.verdicts()
     return RunResult(
-        config, pot, frames, {"epstein": ens}, suite.rows, verdicts,
+        config, suite.current, frames, {"epstein": ens}, suite.rows, verdicts,
         {
             "norm_factor": state.norm_factor,
-            "gap_current_leakage": {"closed": leak_closed, "poisson": leak_poisson},
+            "gap_current_leakage": {"closed": leak_of(pairs_closed),
+                                    "poisson": leak_of(pairs_poisson)},
             "min_silent_gap_cells": min_gap,
         },
     )
@@ -748,23 +719,21 @@ def _run_harmonic(config: ScenarioConfig) -> RunResult:
     psi = gaussian_state(grid, sigma=sigma, center=config.displacement)
     pot = Harmonic(config.mass, config.omega)
     frames = collect_frames(psi, pot, _propagator(config), config.n_steps(), config.mass)
-    ens = _run_epstein(frames, pot, config)
-    suite = _frame_suite(frames, pot, config, ens, continuity=True, cross_method=True)
+    suite = FrameSuite(pot, config, cross_method=True)
+    ens = _run_epstein(frames, pot, config, suite)
 
-    # grid mean tracks the classical orbit
-    worst_mean = 0.0
-    for fr in frames:
-        xg = np.sum(grid.positions(0) * fr.psi_x.density()) * grid.cell_volume(Representation.POSITION)
-        oracle = config.displacement * np.cos(config.omega * fr.time)
-        worst_mean = max(worst_mean, abs(float(xg) - oracle))
+    # the grid mean, which the suite computed at every frame, tracks the classical orbit
+    worst_mean = max(abs(row["moments"]["mean_grid"][0]
+                         - config.displacement * np.cos(config.omega * row["time"]))
+                     for row in suite.rows)
     verdicts = [
         Verdict("mean-tracks-classical-orbit", worst_mean <= 1e-5, worst_mean, 1e-5,
                 "the position expectation follows the classical oscillation",
                 "max |<x>(t) - x0 cos(w t)| over frames"),
     ]
     verdicts += _classical_force_verdicts(ens.history, config)
-    verdicts += _suite_verdicts(suite, config.n_samples, continuity=True, cross=True)
-    return RunResult(config, pot, frames, {"epstein": ens}, suite.rows, verdicts, {})
+    verdicts += suite.verdicts()
+    return RunResult(config, suite.current, frames, {"epstein": ens}, suite.rows, verdicts, {})
 
 
 # -- scenario: linear drift ----------------------------------------------------------------
@@ -775,8 +744,8 @@ def _run_linear(config: ScenarioConfig) -> RunResult:
     psi = gaussian_state(grid, sigma=config.sigma)
     pot = Linear(config.linear_coeff)
     frames = collect_frames(psi, pot, _propagator(config), config.n_steps(), config.mass)
-    ens = _run_epstein(frames, pot, config)
-    suite = _frame_suite(frames, pot, config, ens, continuity=True, cross_method=True)
+    suite = FrameSuite(pot, config, cross_method=True)
+    ens = _run_epstein(frames, pot, config, suite)
 
     hist = ens.history
     law = 0.0
@@ -796,8 +765,8 @@ def _run_linear(config: ScenarioConfig) -> RunResult:
                 "dp/dt equals minus the potential slope",
                 "max |dp/dt + c| by central differences"),
     ]
-    verdicts += _suite_verdicts(suite, config.n_samples, continuity=True, cross=True)
-    return RunResult(config, pot, frames, {"epstein": ens}, suite.rows, verdicts, {})
+    verdicts += suite.verdicts()
+    return RunResult(config, suite.current, frames, {"epstein": ens}, suite.rows, verdicts, {})
 
 
 # -- registry ---------------------------------------------------------------------------

@@ -7,15 +7,16 @@ trajectory's p. The de Broglie-Bohm reference integrator evolves positions
 directly by dx/dt = grad S / m.
 
 Both models run through one frame loop and one RK4 step over velocity fields
-precomputed on the grid, with multilinear interpolation in space and linear
-interpolation in time between propagator frames. The two endpoint fields of a
-frame interval are stacked into one masked field, so each RK4 stage builds a
-single interpolation stencil and lerps its two halves. Stencils touching
-node-flagged grid points freeze the trajectory (conservative; freezes are
-counted and reported, never silently extrapolated). Trajectories that leave
-the grid are likewise retired. Trajectories are independent given the
-immutable frame fields, so per-trajectory results are deterministic regardless
-of batch composition.
+derived on the grid once per frame (for the momentum-flow model, with the
+other fields it shares, in a FrameFields), with multilinear interpolation in
+space and linear interpolation in time between propagator frames. The two
+endpoint fields of a frame interval are stacked into one masked field, so
+each RK4 stage builds a single interpolation stencil and lerps its two halves.
+Stencils touching node-flagged grid points freeze the trajectory
+(conservative; freezes are counted and reported, never silently
+extrapolated). Trajectories that leave the grid are likewise retired.
+Trajectories are independent given the immutable frame fields, so
+per-trajectory results are deterministic regardless of batch composition.
 """
 
 from __future__ import annotations
@@ -58,9 +59,6 @@ class PTrajectory:
     status: TrajStatus = TrajStatus.ACTIVE
     history: list[tuple[float, np.ndarray, np.ndarray]] = field(default_factory=list)
 
-    def record(self, t: float) -> None:
-        self.history.append((t, self.p.copy(), self.x.copy()))
-
 
 @dataclass
 class XTrajectory:
@@ -70,9 +68,6 @@ class XTrajectory:
     x: np.ndarray
     status: TrajStatus = TrajStatus.ACTIVE
     history: list[tuple[float, np.ndarray]] = field(default_factory=list)
-
-    def record(self, t: float) -> None:
-        self.history.append((t, self.x.copy()))
 
 
 # -- masked multilinear interpolation -------------------------------------------
@@ -233,7 +228,8 @@ def position_of(traj: PTrajectory, psi_p: ComplexField) -> np.ndarray:
     """Local position expectation at the trajectory's p; freezes at nodes."""
     x = np.array(traj.x, dtype=float)[None, :]
     status = np.array([traj.status], dtype=np.int8)
-    _readout_positions(x, status, psi_p, np.asarray(traj.p, dtype=float)[None, :])
+    _readout_positions(x, status, local_position_field(psi_p),
+                       np.asarray(traj.p, dtype=float)[None, :])
     traj.status = TrajStatus(int(status[0]))
     traj.x = x[0]
     return traj.x
@@ -297,15 +293,31 @@ class EnsembleHistory:
 
 
 def _readout_positions(
-    x_store: np.ndarray, status: np.ndarray, psi_p: ComplexField, p: np.ndarray
+    x_store: np.ndarray, status: np.ndarray, x_field: MaskedVectorField, p: np.ndarray
 ) -> None:
-    """Update derived positions in place for active rows; freeze on bad stencils."""
+    """Read x(p) off x_field in place for active rows; freeze on bad stencils."""
     rows = np.flatnonzero(status == TrajStatus.ACTIVE)
     if rows.size == 0:
         return
-    vals, ok, inside = interpolate_masked(local_position_field(psi_p), p[rows])
+    vals, ok, inside = interpolate_masked(x_field, p[rows])
     x_store[rows[ok & inside]] = vals[ok & inside]
     _retire(status, rows, ok, inside)
+
+
+class FrameFields:
+    """One frame's derived fields, built once by the frame loop and shared by its consumers.
+
+    Holds the frame, the momentum gradient of psi~, the readout field x(p),
+    the configured current and the velocity j/|psi~|^2.
+    """
+
+    def __init__(self, frame: Frame, potential: Potential, method: CurrentMethod):
+        psi_p = frame.psi_p
+        self.frame = frame
+        self.grad = spectral_gradient(psi_p.values, psi_p.grid, Representation.MOMENTUM)
+        self.position = local_position_field(psi_p, self.grad)
+        self.current = current_for(potential, frame.psi_x, psi_p, method, self.grad)
+        self.velocity = velocity_from_current(self.current, psi_p.density())
 
 
 def _integrate(
@@ -318,8 +330,8 @@ def _integrate(
     """The frame loop of both models: RK4 substeps through each frame interval.
 
     field_of(frame) gives the velocity field at a frame; at_frame(f, q, status),
-    when given, runs at every frame before the frame's state is recorded and
-    may retire rows. Returns (times, q history, status history).
+    when given, runs at every frame once q has reached it, before the frame's
+    state is recorded, and may retire rows. Returns (times, q, status histories).
     """
     if len(frames) == 0:
         raise ConfigurationError("no frames to integrate over")
@@ -335,11 +347,14 @@ def _integrate(
     w1 = field_of(frames[0])
     for f in range(len(frames)):
         if f:
-            w0, w1 = w1, field_of(frames[f])
-            pair = _endpoints(w0, w1)
+            # The pair copies both fields. Rebinding w1 in the call and deleting
+            # the pair after the step keep neither the older field nor the pair
+            # alive while at_frame runs (a 2d frame's fields take megabytes).
+            pair = _endpoints(w1, w1 := field_of(frames[f]))
             dt = (times[f] - times[f - 1]) / substeps
             for s in range(substeps):
                 _rk4_step(q, status, pair, s / substeps, (s + 1) / substeps, dt)
+            del pair
         if at_frame is not None:
             at_frame(f, q, status)
         q_hist[f] = q
@@ -353,6 +368,7 @@ def integrate_epstein(
     p_initial: np.ndarray,
     method: CurrentMethod = CurrentMethod.CLOSED_FORM,
     substeps_per_frame: int = 1,
+    on_frame: Callable[[FrameFields, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> EnsembleHistory:
     """Advance momentum-flow trajectories through a propagated frame sequence.
 
@@ -361,19 +377,26 @@ def integrate_epstein(
     come from the frame states; stage evaluations linearly interpolate
     between them in time. Positions are read out at every frame; a row that
     cannot be read out keeps its last position (NaN before the first).
+    on_frame(fields, p, x, status), when given, runs at every frame after the
+    readout and reads the frame's FrameFields and state without changing them.
     """
     x = np.full((len(frames),) + np.atleast_2d(p_initial).shape, np.nan)
+    fields: FrameFields | None = None  # the frame the trajectories are moving to
 
-    def w_of(fr: Frame) -> MaskedVectorField:
-        cur = current_for(potential, fr.psi_x, fr.psi_p, method)
-        return velocity_from_current(cur, fr.psi_p.density())
+    def velocity_of(fr: Frame) -> MaskedVectorField:
+        nonlocal fields
+        fields = None  # release the previous frame's fields before building the next
+        fields = FrameFields(fr, potential, method)
+        return fields.velocity
 
-    def read_positions(f: int, p: np.ndarray, status: np.ndarray) -> None:
+    def at_frame(f: int, p: np.ndarray, status: np.ndarray) -> None:
         if f:
             x[f] = x[f - 1]
-        _readout_positions(x[f], status, frames[f].psi_p, p)
+        _readout_positions(x[f], status, fields.position, p)
+        if on_frame is not None:
+            on_frame(fields, p, x[f], status)
 
-    times, p, status = _integrate(frames, p_initial, w_of, substeps_per_frame, read_positions)
+    times, p, status = _integrate(frames, p_initial, velocity_of, substeps_per_frame, at_frame)
     return EnsembleHistory("epstein", times, x, status, p)
 
 

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momtraj.cli import main
 from momtraj.ensemble import Ensemble
@@ -11,7 +15,7 @@ from momtraj.output import (
     write_config_ini,
     write_trajectories_csv,
 )
-from momtraj.scenarios import default_config
+from momtraj.scenarios import SCENARIOS, default_config
 from momtraj.trajectories import EnsembleHistory, TrajStatus
 
 
@@ -190,6 +194,14 @@ def test_run_threads_flag_is_gone():
     (("linear-drift", "--frames", "3"), "frames"),
     (("linear-drift", "--frames", "600"), "frames"),
     (("superposition", "--model", "dbb"), "model"),
+    (("linear-drift", "--dt", "nan"), "dt must be finite"),
+    (("linear-drift", "--t-final", "nan"), "t_final must be finite"),
+    (("superposition", "--a", "nan"), "a must be finite"),
+    (("linear-drift", "--linear-c", "nan"), "linear_coeff must be finite"),
+    (("harmonic-coherent", "--displacement", "nan"), "displacement must be finite"),
+    (("measurement", "--dpe", "nan"), "dpe must be finite"),
+    (("collapse", "--delta-p", "nan"), "delta_p must be finite"),
+    (("linear-drift", "--seed", "-1"), "seed"),
 ])
 def test_bad_scenario_input_exits_two_before_running(tmp_path, capsys, argv, message):
     code = run_cli("run", *argv, "--n", "50", "--out", str(tmp_path / "o"))
@@ -197,6 +209,17 @@ def test_bad_scenario_input_exits_two_before_running(tmp_path, capsys, argv, mes
     assert code == 2
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--seed", "-1"), "seed"),
+    (("--threads", "0"), "threads"),
+])
+def test_bad_validate_input_exits_two(capsys, argv, message):
+    code = run_cli("validate", "--n", "50", *argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
 
 
 def test_reused_out_dir_keeps_no_stale_artifacts(tmp_path):
@@ -220,3 +243,38 @@ def test_superposition_both_without_shift_keeps_the_guidance_ensemble(tmp_path):
     assert code == 0
     listed = json.loads((tmp_path / "o" / "manifest.json").read_text())["outputs"]
     assert "trajectories_dbb.csv" in listed and "histogram_dbb.csv" in listed
+
+
+# Flag values for the fuzz test: small, zero, negative, NaN and inf. Each
+# example starts from a tiny valid run and overrides up to three flags.
+_FUZZ_FLOATS = ("0.5", "2", "0", "-1", "nan", "inf", "-inf")
+_FUZZ_VALUES = {
+    "--n": ("50", "1", "0", "-1"),
+    "--t-final": ("0.05", "0.01", "0", "-0.05", "nan", "inf"),
+    "--seed": ("3", "-1"),
+    "--dt": ("0.005", "0.01", "0", "-0.001", "nan", "inf"),
+    "--frames": ("1", "5", "0", "-1"),
+    "--grid-extent": ("40", "10", "0", "-5", "nan", "inf"),
+    "--current": ("closed", "poisson"),
+    "--model": ("epstein", "both", "dbb"),
+    **{flag: _FUZZ_FLOATS for flag in ("--a", "--sigma", "--dpe", "--c1sq", "--delta-p",
+                                       "--displacement", "--linear-c")},
+}
+_FUZZ_PAIRS = [(flag, value) for flag, values in _FUZZ_VALUES.items() for value in values]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    scenario=st.sampled_from(sorted(SCENARIOS)),
+    grid_points=st.sampled_from(["64", "100", "128"]),
+    overrides=st.lists(st.sampled_from(_FUZZ_PAIRS), max_size=3),
+)
+def test_run_flags_fuzz_end_in_an_exit_code(scenario, grid_points, overrides):
+    base = {"--n": "50", "--t-final": "0.02", "--dt": "0.001", "--frames": "2",
+            "--grid-points": grid_points}
+    with tempfile.TemporaryDirectory() as tmp:
+        # --flag=value, so that argparse reads values such as -inf as values;
+        # a repeated flag takes its last value
+        argv = [f"{flag}={value}" for flag, value in [*base.items(), *overrides]]
+        code = run_cli("run", scenario, *argv, "--out", str(Path(tmp) / "o"))
+    assert code in (0, 1, 2)

@@ -148,8 +148,8 @@ def test_continuity_free_particle(grid512):
     cfg = PropagatorConfig(dt=1e-3, steps_per_frame=1, check_boundary=False)
     after = propagate(phi, Free(), cfg, 1).psi_p
     j = current_closed_form(Free(), phi)
-    resid = continuity_residual(phi, after, j, 1e-3)
-    assert resid <= 1e-10
+    resid, div_norm = continuity_residual(phi, after, j, 1e-3)
+    assert resid <= 1e-10 and div_norm == 0.0
 
 
 @pytest.mark.parametrize(
@@ -164,9 +164,9 @@ def test_continuity_residual_second_order(grid512, pot, state_kw):
     cfg = PropagatorConfig(dt=1e-3, steps_per_frame=100, check_boundary=False)
     frame = propagate(psi, pot, cfg, 300)
     before, mid, after = continuity_probe(frame, pot, 1e-3)
-    j = current_closed_form(pot, mid)
-    resid = continuity_residual(before, after, j, 1e-3)
-    assert resid <= 1e-4
+    j = current_closed_form(pot, mid.psi_p)
+    resid, div_norm = continuity_residual(before, after, j, 1e-3)
+    assert resid <= 1e-4 and div_norm > 0.0
 
 
 # -- branch decomposition ------------------------------------------------------------------

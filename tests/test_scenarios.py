@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
 
+import momtraj.currents
+import momtraj.ensemble
+import momtraj.grid
+import momtraj.potentials
+import momtraj.trajectories
 from momtraj import (
     SCENARIOS,
     ConfigurationError,
@@ -155,3 +160,25 @@ def test_measurement_reports_transitions():
     res = run_scenario(default_config("measurement", n_samples=500))
     assert "pointer_region_transitions" in res.diagnostics
     assert res.diagnostics["pointer_region_transitions"] == 0
+
+
+def test_each_frame_derives_its_momentum_gradients_once(monkeypatch):
+    # one gradient of psi~ shared by the readout, the moment identity and the
+    # closed-form cross-check, plus one per Poisson current (the run's and the
+    # continuity probe's)
+    calls = []
+    original = momtraj.grid.spectral_gradient
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (momtraj.grid, momtraj.currents, momtraj.ensemble, momtraj.potentials,
+                   momtraj.trajectories):
+        monkeypatch.setattr(module, "spectral_gradient", counted)
+    cfg = default_config("harmonic-coherent", n_samples=100, current="poisson",
+                         t_final=float(np.pi / 160.0), steps_per_frame=2)
+    res = run_scenario(cfg)
+    assert res.passed
+    assert len(res.frames) == 11
+    assert len(calls) <= 3 * len(res.frames)

@@ -10,11 +10,12 @@ from momtraj import (
     Representation,
     to_momentum,
 )
-from momtraj.currents import current_closed_form
+from momtraj.currents import current_closed_form, current_for
 from momtraj.dynamics import PropagatorConfig, collect_frames
 from momtraj.grid import MaskedVectorField, grid_1d, local_position_field
 from momtraj.states import coherent_state, gaussian_state, superposition_state
 from momtraj.trajectories import (
+    FrameFields,
     PTrajectory,
     TrajStatus,
     XTrajectory,
@@ -349,3 +350,36 @@ def test_velocity_from_current_masks_nodes(grid512):
     w = velocity_from_current(j, phi.density())
     assert w.valid.sum() < 512  # far tails flagged
     assert np.all(np.abs(w.components[0][w.valid] + 1.0) <= 1e-9)
+
+
+# -- shared per-frame fields ------------------------------------------------------------
+
+
+def _assert_frame_fields_exact(frame, pot, method):
+    """FrameFields equals, bit for bit, each field built on its own."""
+    fields = FrameFields(frame, pot, method)
+    xf = local_position_field(frame.psi_p)
+    cur = current_for(pot, frame.psi_x, frame.psi_p, method)
+    w = velocity_from_current(cur, frame.psi_p.density())
+    assert fields.frame is frame
+    assert fields.current.method is method
+    for got, want in ((fields.position, xf), (fields.velocity, w)):
+        assert got.components.tobytes() == want.components.tobytes()
+        assert np.array_equal(got.valid, want.valid)
+    assert fields.current.components.tobytes() == cur.components.tobytes()
+
+
+@pytest.mark.parametrize("method", list(CurrentMethod))
+@pytest.mark.parametrize("pot", [Free(), Linear(2.0), Harmonic(1.0, 1.0)])
+def test_frame_fields_equal_the_separate_constructions(grid512, pot, method):
+    prop = PropagatorConfig(dt=1e-3, steps_per_frame=50)
+    frames = collect_frames(coherent_state(grid512, 2.0), pot, prop, 100)
+    _assert_frame_fields_exact(frames[-1], pot, method)
+
+
+@pytest.mark.parametrize("method", list(CurrentMethod))
+def test_frame_fields_equal_the_separate_constructions_2d(grid2d, method):
+    pot = Harmonic(1.0, (1.0, 0.5))
+    psi = gaussian_state(grid2d, sigma=1.0, center=(1.0, -0.5))
+    frames = collect_frames(psi, pot, PropagatorConfig(dt=1e-3, steps_per_frame=20), 40)
+    _assert_frame_fields_exact(frames[-1], pot, method)
