@@ -80,6 +80,33 @@ def kinetic_energy_grid(grid, masses) -> np.ndarray:
     return out
 
 
+def _step_phases(grid, potential: Potential, masses, dt: float):
+    """Kinetic energy grid and the phase factors of one step of size dt.
+
+    Returns (kin, kin_half, pot_phase); the two phases are None for a Free
+    potential, whose steps are exact phase multiplications by kin alone.
+    """
+    kin = kinetic_energy_grid(grid, masses)
+    max_phase = float(kin.max()) * dt / grid.hbar
+    if max_phase >= np.pi:
+        raise ConfigurationError(
+            f"kinetic phase per step {max_phase:.3f} >= pi; reduce dt or the momentum extent"
+        )
+    if isinstance(potential, Free):
+        return kin, None, None
+    kin_half = np.exp(-0.5j * kin * dt / grid.hbar)
+    pot_phase = np.exp(-1j * evaluate_potential(potential, grid) * dt / grid.hbar)
+    return kin, kin_half, pot_phase
+
+
+def _strang_step(grid, vals: np.ndarray, kin_half: np.ndarray, pot_phase: np.ndarray) -> np.ndarray:
+    """One split step of momentum-representation values; two transforms."""
+    vals = kin_half * vals
+    pos = to_position(ComplexField(grid, Representation.MOMENTUM, vals))
+    back = to_momentum(pos.with_values(pot_phase * pos.values))
+    return kin_half * back.values
+
+
 def propagate(
     psi: ComplexField,
     potential: Potential,
@@ -98,17 +125,7 @@ def propagate(
     grid = psi.grid
     if abs(psi.norm() - 1.0) > NORM_TOL:
         raise NormalizationError(f"initial state norm {psi.norm():.9f} deviates from 1")
-    kin = kinetic_energy_grid(grid, masses)
-    max_phase = float(kin.max()) * config.dt / grid.hbar
-    if max_phase >= np.pi:
-        raise ConfigurationError(
-            f"kinetic phase per step {max_phase:.3f} >= pi; reduce dt or the momentum extent"
-        )
-    free = isinstance(potential, Free)
-    kin_half = np.exp(-0.5j * kin * config.dt / grid.hbar)
-    pot_phase = None
-    if not free:
-        pot_phase = np.exp(-1j * evaluate_potential(potential, grid) * config.dt / grid.hbar)
+    kin, kin_half, pot_phase = _step_phases(grid, potential, masses, config.dt)
 
     if psi.rep is Representation.POSITION:
         psi_p = to_momentum(psi)
@@ -138,7 +155,7 @@ def propagate(
     vals = psi_p.values.copy()
     frame = emit(0, 0, vals)
     findex = 1
-    if free:
+    if pot_phase is None:
         # exact phase multiplication from the initial state: no per-step
         # roundoff accumulation, modulus stable to machine precision
         frame_steps = list(range(config.steps_per_frame, n_steps + 1, config.steps_per_frame))
@@ -150,10 +167,7 @@ def propagate(
             findex += 1
         return frame
     for step in range(1, n_steps + 1):
-        vals = kin_half * vals
-        pos = to_position(ComplexField(grid, Representation.MOMENTUM, vals))
-        back = to_momentum(pos.with_values(pot_phase * pos.values))
-        vals = kin_half * back.values
+        vals = _strang_step(grid, vals, kin_half, pot_phase)
         if step % config.steps_per_frame == 0 or step == n_steps:
             frame = emit(findex, step, vals)
             findex += 1
@@ -190,10 +204,22 @@ def continuity_probe(
 ) -> tuple[ComplexField, Frame, ComplexField]:
     """Momentum states at t and t + dt and the midpoint frame, for continuity checks.
 
-    The two half-steps compose to the full step up to O(dt^3), far below the
+    Two steps of dt/2, the same as two one-step `propagate` calls, but the
+    only position-space state transformed is the midpoint's. The two
+    half-steps compose to the full step up to O(dt^3), far below the
     continuity tolerance; the midpoint state centers the finite difference.
     """
-    half = PropagatorConfig(dt=dt / 2.0, steps_per_frame=1, check_boundary=False)
-    mid = propagate(frame.psi_p, potential, half, 1, masses)
-    after = propagate(mid.psi_p, potential, half, 1, masses).psi_p
+    grid = frame.psi_p.grid
+    half = dt / 2.0
+    kin, kin_half, pot_phase = _step_phases(grid, potential, masses, half)
+
+    def step(vals: np.ndarray) -> np.ndarray:
+        if pot_phase is None:
+            return vals * np.exp(-1j * kin * half / grid.hbar)
+        return _strang_step(grid, vals, kin_half, pot_phase)
+
+    t_mid = frame.psi_p.time + half
+    mid_p = ComplexField(grid, Representation.MOMENTUM, step(frame.psi_p.values), t_mid)
+    mid = Frame(1, t_mid, to_position(mid_p), mid_p)
+    after = ComplexField(grid, Representation.MOMENTUM, step(mid_p.values), t_mid + half)
     return frame.psi_p, mid, after

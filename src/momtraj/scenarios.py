@@ -198,8 +198,8 @@ def _run_epstein(
 ) -> Ensemble:
     p0 = sample_momenta(frames[0].psi_p, config.n_samples, config.seed)
     hist = integrate_epstein(
-        frames, potential, p0, CURRENTS[config.current], config.steps_per_frame,
-        None if suite is None else suite.add,
+        frames, potential, p0, CURRENTS[config.current],
+        on_frame=None if suite is None else suite.add,
     )
     return Ensemble("epstein", config.n_samples, config.seed, hist)
 
@@ -888,7 +888,11 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             f"{config.n_frames()} from t_final={config.t_final}, dt={config.dt}, "
             f"steps_per_frame={config.steps_per_frame}"
         )
-    return sdef.runner(config)
+    result = sdef.runner(config)
+    result.diagnostics["rk4_step_doubling"] = {
+        model: ens.history.step_error for model, ens in result.ensembles.items()
+    }
+    return result
 
 
 def coverage_manifest() -> dict[str, dict]:

@@ -49,6 +49,20 @@ def test_same_seed_runs_are_digest_identical(tmp_path):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_step_doubling_estimate_is_in_stats_and_repeats(tmp_path):
+    estimates = []
+    for d in ("a", "b"):
+        code = run_cli("run", "superposition", "--model", "both", "--n", "300",
+                       "--seed", "7", "--t-final", "0.1", "--out", str(tmp_path / d))
+        assert code == 0
+        stats = json.loads((tmp_path / d / "stats.json").read_text())
+        estimates.append(stats["diagnostics"]["rk4_step_doubling"])
+    assert set(estimates[0]) == {"epstein", "dbb"}
+    assert all(np.isfinite(v) and v >= 0.0 for v in estimates[0].values())
+    assert estimates[0]["dbb"] > 0.0
+    assert estimates[0] == estimates[1]
+
+
 def test_measurement_zero_dpe_exits_two(tmp_path, capsys):
     code = run_cli("run", "measurement", "--dpe", "0", "--n", "200",
                    "--out", str(tmp_path / "m"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import momtraj.dynamics
 from momtraj import (
     BoundaryMassError,
     ComplexField,
@@ -13,7 +14,7 @@ from momtraj import (
     to_momentum,
     total_energy,
 )
-from momtraj.dynamics import PropagatorConfig, collect_frames, propagate
+from momtraj.dynamics import PropagatorConfig, collect_frames, continuity_probe, propagate
 from momtraj.grid import grid_1d
 from momtraj.states import coherent_state, gaussian_state
 
@@ -170,3 +171,26 @@ def test_masses_validation(grid2d):
     with pytest.raises(ConfigurationError):
         propagate(psi, Free(), PropagatorConfig(dt=1e-3, steps_per_frame=1), 1,
                   masses=(1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("pot", [Free(), Linear(2.0), Harmonic(1.0, 1.0)])
+def test_continuity_probe_equals_two_half_step_propagations(grid512, pot, monkeypatch):
+    frame = collect_frames(coherent_state(grid512, 2.0), pot,
+                           PropagatorConfig(dt=1e-3, steps_per_frame=5), 10)[-1]
+    half = PropagatorConfig(dt=1e-3 / 2.0, steps_per_frame=1, check_boundary=False)
+    mid_ref = propagate(frame.psi_p, pot, half, 1)
+    after_ref = propagate(mid_ref.psi_p, pot, half, 1).psi_p
+
+    calls = []
+    to_position = momtraj.dynamics.to_position
+    monkeypatch.setattr(momtraj.dynamics, "to_position",
+                        lambda fld: calls.append(1) or to_position(fld))
+    before, mid, after = continuity_probe(frame, pot, 1e-3)
+    assert before is frame.psi_p
+    assert (mid.index, mid.time) == (mid_ref.index, mid_ref.time)
+    for got, want in ((mid.psi_x, mid_ref.psi_x), (mid.psi_p, mid_ref.psi_p),
+                      (after, after_ref)):
+        assert got.rep is want.rep and got.time == want.time
+        assert got.values.tobytes() == want.values.tobytes()
+    # the midpoint's position state, plus one per split step (Free has none)
+    assert len(calls) == (1 if isinstance(pot, Free) else 3)

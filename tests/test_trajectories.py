@@ -12,6 +12,7 @@ from momtraj import (
 )
 from momtraj.currents import current_closed_form, current_for
 from momtraj.dynamics import PropagatorConfig, collect_frames
+from momtraj.ensemble import sample_momenta
 from momtraj.grid import MaskedVectorField, grid_1d, local_position_field
 from momtraj.states import coherent_state, gaussian_state, superposition_state
 from momtraj.trajectories import (
@@ -342,6 +343,57 @@ def test_harmonic_coherent_classical_force_small(grid512):
     dpdt = (hist.p[2:, :, 0] - hist.p[:-2, :, 0]) / (2 * dtf)
     resid = np.abs(dpdt + hist.x[1:-1, :, 0])
     assert resid.max() <= 1e-4
+
+
+# One RK4 step per frame interval: the velocity field is lerped linearly in time
+# between frames, so finer substeps only resolve its spatial variation.
+ONE_STEP_CASES = [
+    pytest.param(Harmonic(1.0, 1.0), lambda g: coherent_state(g, 2.0), id="harmonic"),
+    pytest.param(Linear(2.0), lambda g: gaussian_state(g, sigma=1.0), id="linear"),
+]
+
+
+@pytest.mark.parametrize("method", list(CurrentMethod))
+@pytest.mark.parametrize("pot, state", ONE_STEP_CASES)
+def test_one_step_per_frame_matches_a_finer_run(grid512, pot, state, method):
+    frames = collect_frames(state(grid512), pot, PropagatorConfig(dt=1e-3, steps_per_frame=10),
+                            300)
+    p0 = sample_momenta(frames[0].psi_p, 500, 3)
+    one = integrate_epstein(frames, pot, p0, method, substeps_per_frame=1)
+    fine = integrate_epstein(frames, pot, p0, method, substeps_per_frame=4)
+    assert np.array_equal(one.status, fine.status)
+    assert (one.status == TrajStatus.ACTIVE).all()
+    assert np.abs(one.p - fine.p).max() <= 1e-12
+    assert np.abs(one.x - fine.x).max() <= 1e-12
+
+
+def test_rows_do_not_depend_on_the_batch(grid512):
+    # the step-doubling rows ride in the batch's interpolation calls; they
+    # must not change any other row
+    pot = Harmonic(1.0, 1.0)
+    frames = collect_frames(coherent_state(grid512, 2.0), pot,
+                            PropagatorConfig(dt=1e-3, steps_per_frame=10), 100)
+    p0 = sample_momenta(frames[0].psi_p, 300, 5)
+    batch = integrate_epstein(frames, pot, p0)
+    for rows in (slice(0, 7), slice(150, 151)):
+        part = integrate_epstein(frames, pot, p0[rows])
+        assert part.p.tobytes() == batch.p[:, rows].tobytes()
+        assert part.x.tobytes() == batch.x[:, rows].tobytes()
+        assert np.array_equal(part.status, batch.status[:, rows])
+
+
+def test_step_doubling_estimate_shrinks_with_the_step(grid512):
+    sup = superposition_state(grid512, 5.0)
+    frames = collect_frames(sup.field, Free(), PropagatorConfig(dt=1e-3, steps_per_frame=20),
+                            200)
+    x0 = np.linspace(-3.0, 3.0, 200)[:, None]
+    errors = [integrate_dbb(frames, x0, substeps_per_frame=s).step_error for s in (1, 2, 4)]
+    # smooth fields give RK4 a local error of order five; the kinks of the
+    # multilinear interpolation between grid points lower the order
+    assert errors[0] > errors[1] > errors[2] > 0.0
+    # free momenta are constants of the motion, so both ways agree exactly
+    p0 = np.linspace(-2.0, 2.0, 50)[:, None]
+    assert integrate_epstein(frames, Free(), p0).step_error == 0.0
 
 
 def test_velocity_from_current_masks_nodes(grid512):
