@@ -1,7 +1,13 @@
 #!/usr/bin/env python3
-"""Run every built-in scenario and write full artifact sets under runs/."""
+"""Run every built-in scenario and write full artifact sets under runs/.
+
+Each scenario's wall time (its `run_scenario` call) goes to stderr; stdout
+carries the verdict lines only.
+"""
 
 import argparse
+import sys
+import time
 from pathlib import Path
 
 from momtraj import SCENARIOS, __version__, default_config, run_scenario
@@ -19,7 +25,9 @@ def main():
     all_ok = True
     for name in sorted(SCENARIOS):
         started = utc_now()
+        t0 = time.perf_counter()
         res = run_scenario(default_config(name, n_samples=args.n, seed=args.seed))
+        print(f"{name}: run_scenario {time.perf_counter() - t0:.2f} s", file=sys.stderr)
         write_run_outputs(res, base / name, __version__, started, utc_now())
         status = "PASS" if res.passed else "FAIL"
         all_ok &= res.passed

@@ -201,6 +201,7 @@ def continuity_probe(
     potential: Potential,
     dt: float,
     masses: float | tuple[float, ...] = 1.0,
+    phases: tuple | None = None,
 ) -> tuple[ComplexField, Frame, ComplexField]:
     """Momentum states at t and t + dt and the midpoint frame, for continuity checks.
 
@@ -208,10 +209,14 @@ def continuity_probe(
     only position-space state transformed is the midpoint's. The two
     half-steps compose to the full step up to O(dt^3), far below the
     continuity tolerance; the midpoint state centers the finite difference.
+    `phases`, when given, is `_step_phases(grid, potential, masses, dt / 2)`,
+    built once by a caller that probes many frames of one run.
     """
     grid = frame.psi_p.grid
     half = dt / 2.0
-    kin, kin_half, pot_phase = _step_phases(grid, potential, masses, half)
+    if phases is None:
+        phases = _step_phases(grid, potential, masses, half)
+    kin, kin_half, pot_phase = phases
 
     def step(vals: np.ndarray) -> np.ndarray:
         if pot_phase is None:

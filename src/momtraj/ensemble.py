@@ -19,7 +19,7 @@ The suite checks, per frame:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from math import prod
 
 import numpy as np
@@ -148,8 +148,12 @@ def equivariance_check(p_samples: np.ndarray, psi_p: ComplexField) -> list[KSRes
     return results
 
 
-def _radial_ks(q: np.ndarray, rho: np.ndarray, grid: GridSpec, band: float,
-               refine: int = 4) -> KSResult:
+@lru_cache(maxsize=8)
+def _radial_order(grid: GridSpec, refine: int) -> tuple[np.ndarray, np.ndarray]:
+    """The radial reference's sub-cell radii in ascending (stable) order, and
+    the flat grid cell each sub-cell belongs to, on a momentum grid refined
+    `refine` times per axis. Read-only: every frame on the grid shares them.
+    """
     pts0 = grid.axis_points(Representation.MOMENTUM, 0)
     pts1 = grid.axis_points(Representation.MOMENTUM, 1)
     s0 = grid.step(Representation.MOMENTUM, 0)
@@ -158,10 +162,19 @@ def _radial_ks(q: np.ndarray, rho: np.ndarray, grid: GridSpec, band: float,
     sub0 = (pts0[:, None] + off[None, :] * s0).ravel()
     sub1 = (pts1[:, None] + off[None, :] * s1).ravel()
     r_sub = np.sqrt(sub0[:, None] ** 2 + sub1[None, :] ** 2).ravel()
-    w_sub = np.repeat(np.repeat(rho, refine, 0), refine, 1).ravel() / refine**2
     order = np.argsort(r_sub, kind="stable")
-    r_sorted = r_sub[order]
-    cdf = np.cumsum(w_sub[order])
+    cells = np.repeat(np.repeat(np.arange(grid.size).reshape(grid.shape), refine, 0),
+                      refine, 1).ravel()
+    out = (r_sub[order], cells[order])
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _radial_ks(q: np.ndarray, rho: np.ndarray, grid: GridSpec, band: float,
+               refine: int = 4) -> KSResult:
+    r_sorted, cells = _radial_order(grid, refine)
+    cdf = np.cumsum(rho.ravel()[cells] / refine**2)  # each sub-cell weighs 1/refine^2 of its cell
     cdf /= cdf[-1]
     r_samples = np.sort(np.sqrt(q[:, 0] ** 2 + q[:, 1] ** 2))
     f = np.interp(r_samples, r_sorted, cdf)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -64,15 +64,18 @@ class GridSpec:
         if not self.hbar > 0:
             raise ConfigurationError("hbar must be positive")
 
-    @property
+    # Computed once per instance: cached_property stores into the instance
+    # dict, which a frozen dataclass without slots allows; equality and hash
+    # still come from the fields alone.
+    @cached_property
     def dof(self) -> int:
         return len(self.axes)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(ax.points for ax in self.axes)
 
-    @property
+    @cached_property
     def size(self) -> int:
         return int(np.prod(self.shape))
 

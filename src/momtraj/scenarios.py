@@ -23,7 +23,7 @@ from .currents import (
     current_for,
     current_poisson,
 )
-from .dynamics import Frame, PropagatorConfig, collect_frames, continuity_probe
+from .dynamics import Frame, PropagatorConfig, _step_phases, collect_frames, continuity_probe
 from .ensemble import (
     Ensemble,
     MomentReport,
@@ -251,6 +251,8 @@ class FrameSuite:
 
     `add` reads the frame's FrameFields and keeps one stats row per frame and
     the worst cases for `verdicts`; `current` is the last frame's current.
+    `probe_phases` holds the continuity probe's step phases, built on the
+    first frame.
     """
 
     potential: Potential
@@ -265,6 +267,7 @@ class FrameSuite:
     cross_pairs: list[tuple[float, float]] = field(default_factory=list)
     continuity_pairs: list[tuple[float, float]] = field(default_factory=list)
     current: CurrentField | None = None
+    probe_phases: tuple | None = field(default=None, init=False, repr=False)
 
     def add(self, fields: FrameFields, p: np.ndarray, x: np.ndarray, status: np.ndarray) -> None:
         fr = fields.frame
@@ -294,7 +297,11 @@ class FrameSuite:
                     k: {"frequency": v[0], "stderr": v[1]} for k, v in freqs.items()
                 }
 
-        before, mid, after = continuity_probe(fr, self.potential, CONTINUITY_DT, self.config.mass)
+        if self.probe_phases is None:  # one grid, potential and mass per run
+            self.probe_phases = _step_phases(fr.psi_p.grid, self.potential, self.config.mass,
+                                             CONTINUITY_DT / 2.0)
+        before, mid, after = continuity_probe(fr, self.potential, CONTINUITY_DT,
+                                              self.config.mass, self.probe_phases)
         cur = current_for(self.potential, mid.psi_x, mid.psi_p, fields.current.method)
         resid, den = continuity_residual(before, after, cur, CONTINUITY_DT)
         row["continuity_residual"] = resid

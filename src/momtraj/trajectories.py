@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import reduce
+from functools import lru_cache, reduce
 from math import prod
 from typing import Callable
 
@@ -36,6 +36,7 @@ from .dynamics import Frame, _masses
 from .errors import ConfigurationError
 from .grid import (
     ComplexField,
+    GridSpec,
     MaskedVectorField,
     Representation,
     local_position_field,
@@ -75,6 +76,25 @@ class XTrajectory:
 # -- masked multilinear interpolation -------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _stencil_geometry(grid: GridSpec, rep: Representation):
+    """The interpolation stencil's geometry on one grid representation.
+
+    Returns (axes, corners): per axis (first point, step, point count), and
+    per stencil corner (the upper-neighbour bit of each axis, the corner's
+    offset in the row-major flat index). Corner 0 is the all-lower one, at
+    offset 0.
+    """
+    axes = tuple((grid.axis_points(rep, a)[0], grid.step(rep, a), grid.axes[a].points)
+                 for a in range(grid.dof))
+    strides = [prod(grid.shape[a + 1:]) for a in range(grid.dof)]
+    corners = []
+    for corner in range(2**grid.dof):
+        upper = tuple((corner >> a) & 1 for a in range(grid.dof))
+        corners.append((upper, sum(u * s for u, s in zip(upper, strides))))
+    return axes, tuple(corners)
+
+
 def interpolate_masked(
     fld: MaskedVectorField, query: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -83,35 +103,35 @@ def interpolate_masked(
     Returns (values (N, k), stencil_ok (N,), inside (N,)). Values are only
     meaningful where stencil_ok & inside.
     """
-    grid = fld.grid
+    axes, corners = _stencil_geometry(fld.grid, fld.rep)
     q = np.atleast_2d(np.asarray(query, dtype=float))
-    n_pts = q.shape[0]
-    inside = np.ones(n_pts, dtype=bool)
     weights = []  # per axis: (weight of the lower neighbour, of the upper)
-    for a in range(grid.dof):
-        pts = grid.axis_points(fld.rep, a)
-        u = (q[:, a] - pts[0]) / grid.step(fld.rep, a)
-        inside &= (u >= 0.0) & (u <= len(pts) - 1)
+    for a, (p0, step, n) in enumerate(axes):
+        u = (q[:, a] - p0) / step
+        in_a = (u >= 0.0) & (u <= n - 1)
         # np.minimum/np.maximum rather than np.clip, whose Python-level
         # dispatch costs microseconds per call on RK4's small batches
-        i = np.minimum(np.maximum(np.floor(u).astype(np.intp), 0), len(pts) - 2)
+        i = np.minimum(np.maximum(np.floor(u).astype(np.intp), 0), n - 2)
         frac = np.minimum(np.maximum(u - i, 0.0), 1.0)
         weights.append((1.0 - frac, frac))
-        base = i if a == 0 else base * len(pts) + i  # row-major flat index
-    strides = [prod(grid.shape[a + 1:]) for a in range(grid.dof)]
+        if a == 0:
+            inside, base = in_a, i
+        else:
+            inside &= in_a
+            base = base * n + i  # row-major flat index
 
-    # Sum over the 2^dof stencil corners; bit a of `corner` selects the upper
-    # neighbour on axis a. Starting from -0.0, the additive identity, keeps
-    # the sum equal bit for bit to the corner terms added in order.
+    # Sum over the 2^dof stencil corners. Starting from -0.0, the additive
+    # identity, keeps the sum equal bit for bit to the corner terms added in
+    # order.
     valid = fld.valid.ravel()
     comps = fld.components.reshape(len(fld.components), -1)
-    vals = np.full((len(comps), n_pts), -0.0)
-    ok = np.ones(n_pts, dtype=bool)
-    for corner in range(2**grid.dof):
-        upper = [(corner >> a) & 1 for a in range(grid.dof)]
-        offset = sum(u * s for u, s in zip(upper, strides))
-        flat = base + offset if offset else base
-        ok &= valid[flat]
+    vals = np.full((len(comps), len(q)), -0.0)
+    ok = valid[base]  # corner 0's mask
+    for upper, offset in corners:
+        flat = base
+        if offset:
+            flat = base + offset
+            ok &= valid[flat]
         weight = reduce(np.multiply, [weights[a][u] for a, u in enumerate(upper)])
         vals += comps.take(flat, axis=1) * weight
     return vals.T, ok, inside
@@ -176,15 +196,25 @@ def _rk4_step(q: np.ndarray, status: np.ndarray, w: MaskedVectorField,
     w is an `_endpoints` pair; theta0/theta1 are the interval fractions of the
     step's ends, and each stage lerps the pair at its own fraction. theta1 and
     dt may also be (len(q), 1) columns, one end and step size per row. A row
-    whose stencil fails at any stage keeps its point and is retired.
+    whose stencil fails at any stage keeps its point and is retired. On a
+    field that is zero everywhere, one stencil at the start point stands in
+    for the four stages.
     """
     rows = np.flatnonzero(status == TrajStatus.ACTIVE)
     if rows.size == 0:
         return
+    qa = q[rows]
+    if not w.components.any():
+        # A zero field (a free particle's current): every stage reads +-0 at
+        # the start point, so the four stages leave q as it is (bar turning
+        # an exact -0.0 coordinate into +0.0) and one stencil gives the
+        # statuses.
+        _, ok, inside = interpolate_masked(w, qa)
+        _retire(status, rows, ok, inside)
+        return
     if np.ndim(dt):
         theta1, dt = theta1[rows], dt[rows]
     dof = q.shape[1]
-    qa = q[rows]
     ok = np.ones(rows.size, dtype=bool)
     inside = np.ones(rows.size, dtype=bool)
     mid = 0.5 * (theta0 + theta1)

@@ -22,8 +22,8 @@ from momtraj import (
     to_momentum,
 )
 from momtraj.dynamics import PropagatorConfig, collect_frames
-from momtraj.ensemble import grid_position_moments, ks_statistic, _cell_edges
-from momtraj.grid import grid_1d
+from momtraj.ensemble import _cell_edges, _radial_ks, grid_position_moments, ks_statistic
+from momtraj.grid import GridAxis, GridSpec, grid_1d
 from momtraj.states import gaussian_state, superposition_state
 from momtraj.trajectories import integrate_epstein
 
@@ -117,6 +117,37 @@ def test_equivariance_2d_self_consistency(grid2d):
     assert len(results) == 3  # two marginals plus the radial CDF
     for r in results:
         assert r.passed, (r.label, r.statistic, r.band)
+
+
+def radial_ks_reference(q, rho, grid, refine=4):
+    """The radial KS statistic with its sub-cell order sorted afresh."""
+    pts0, pts1 = (grid.axis_points(Representation.MOMENTUM, a) for a in range(2))
+    off = (np.arange(refine) + 0.5) / refine - 0.5
+    sub0 = (pts0[:, None] + off[None, :] * grid.step(Representation.MOMENTUM, 0)).ravel()
+    sub1 = (pts1[:, None] + off[None, :] * grid.step(Representation.MOMENTUM, 1)).ravel()
+    r_sub = np.sqrt(sub0[:, None] ** 2 + sub1[None, :] ** 2).ravel()
+    w_sub = np.repeat(np.repeat(rho, refine, 0), refine, 1).ravel() / refine**2
+    order = np.argsort(r_sub, kind="stable")
+    cdf = np.cumsum(w_sub[order])
+    cdf /= cdf[-1]
+    r_samples = np.sort(np.sqrt(q[:, 0] ** 2 + q[:, 1] ** 2))
+    f = np.interp(r_samples, r_sub[order], cdf)
+    i = np.arange(1, len(q) + 1)
+    return float(max(np.max(i / len(q) - f), np.max(f - (i - 1) / len(q))))
+
+
+def test_radial_ks_equals_a_fresh_sort_on_each_grid(grid2d):
+    # two grids in turn, so that a radial order cached for one and read for
+    # the other fails
+    other = GridSpec((GridAxis(64, 30.0), GridAxis(128, 20.0)))
+    cases = []
+    for grid, seed in ((grid2d, 1), (other, 2), (grid2d, 3)):
+        phi = to_momentum(gaussian_state(grid, sigma=1.0, boost=(1.0, -0.5)))
+        cases.append((sample_momenta(phi, 2_000, seed=seed), phi.density(), grid))
+    for q, rho, grid in cases + cases:
+        got = _radial_ks(q, rho, grid, ks_band(len(q)))
+        assert got.statistic == radial_ks_reference(q, rho, grid)
+        assert got.label == "radial" and got.passed
 
 
 @settings(max_examples=10, deadline=None)

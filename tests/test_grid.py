@@ -66,6 +66,14 @@ def test_rejects_three_dof():
         grid_2d(128, 10.0).__class__(axes=(GridAxis(64, 1.0),) * 3)
 
 
+def test_cached_grid_properties_keep_field_equality():
+    a, b = grid_2d(128, 10.0, points2=64), grid_2d(128, 10.0, points2=64)
+    assert (a.dof, a.shape, a.size) == (2, (128, 64), 128 * 64)
+    assert a.shape is a.shape  # computed once
+    assert a == b and hash(a) == hash(b)  # b has computed nothing yet
+    assert a != grid_2d(128, 10.0, points2=128)
+
+
 # -- transform pair ----------------------------------------------------------------
 
 

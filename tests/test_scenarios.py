@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import momtraj.currents
+import momtraj.dynamics
 import momtraj.ensemble
 import momtraj.grid
 import momtraj.potentials
+import momtraj.scenarios
 import momtraj.trajectories
 from momtraj import (
     SCENARIOS,
@@ -182,3 +184,23 @@ def test_each_frame_derives_its_momentum_gradients_once(monkeypatch):
     assert res.passed
     assert len(res.frames) == 11
     assert len(calls) <= 3 * len(res.frames)
+
+
+def test_step_phases_are_built_once_per_run(monkeypatch):
+    # one set for the propagator's step and one for the continuity probe's
+    # half step, however many frames the suite probes
+    calls = []
+    original = momtraj.dynamics._step_phases
+
+    def counted(grid, potential, masses, dt):
+        calls.append(dt)
+        return original(grid, potential, masses, dt)
+
+    for module in (momtraj.dynamics, momtraj.scenarios):
+        monkeypatch.setattr(module, "_step_phases", counted)
+    cfg = default_config("harmonic-coherent", n_samples=100,
+                         t_final=float(np.pi / 160.0), steps_per_frame=2)
+    res = run_scenario(cfg)
+    assert res.passed
+    assert len(res.frames) == 11
+    assert sorted(calls) == [5e-4, cfg.dt]

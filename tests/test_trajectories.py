@@ -1,6 +1,9 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
+import momtraj.trajectories
 from momtraj import (
     ComplexField,
     CurrentMethod,
@@ -13,14 +16,16 @@ from momtraj import (
 from momtraj.currents import current_closed_form, current_for
 from momtraj.dynamics import PropagatorConfig, collect_frames
 from momtraj.ensemble import sample_momenta
-from momtraj.grid import MaskedVectorField, grid_1d, local_position_field
+from momtraj.grid import GridAxis, GridSpec, MaskedVectorField, grid_1d, local_position_field
 from momtraj.states import coherent_state, gaussian_state, superposition_state
 from momtraj.trajectories import (
     FrameFields,
     PTrajectory,
     TrajStatus,
     XTrajectory,
+    _doubled_step,
     _endpoints,
+    _rk4_step,
     integrate_dbb,
     integrate_epstein,
     interpolate_masked,
@@ -135,6 +140,59 @@ def test_interpolation_bilinear_2d():
     w1 = MaskedVectorField(grid, Representation.MOMENTUM, rng.normal(size=(2,) + grid.shape),
                            rng.random(grid.shape) > 0.05)
     assert_endpoint_pair_matches(fld, w1, q)
+
+
+def interpolate_reference(fld, q):
+    """interpolate_masked's arithmetic with every axis rebuilt by grid.axis_points."""
+    grid = fld.grid
+    inside = np.ones(len(q), bool)
+    lower, weights = [], []
+    for a in range(grid.dof):
+        pts = grid.axis_points(fld.rep, a)
+        u = (q[:, a] - pts[0]) / grid.step(fld.rep, a)
+        inside &= (u >= 0.0) & (u <= len(pts) - 1)
+        i = np.clip(np.floor(u).astype(int), 0, len(pts) - 2)
+        frac = np.clip(u - i, 0.0, 1.0)
+        lower.append(i)
+        weights.append((1.0 - frac, frac))
+    vals = np.full((len(fld.components), len(q)), -0.0)
+    ok = np.ones(len(q), bool)
+    for corner in range(2**grid.dof):  # bit a: upper neighbour on axis a
+        upper = [(corner >> a) & 1 for a in range(grid.dof)]
+        node = tuple(i + u for i, u in zip(lower, upper))
+        ok &= fld.valid[node]
+        weight = reduce(np.multiply, [weights[a][u] for a, u in enumerate(upper)])
+        vals += fld.components[(slice(None),) + node] * weight
+    return vals.T, ok, inside
+
+
+def test_interpolation_equals_the_axis_points_reference():
+    # grids that differ only in their window center, and a second
+    # representation of each, called in turn: a stencil geometry cached under
+    # the wrong key reads another grid's origin
+    rng = np.random.default_rng(11)
+    grids = [grid_1d(128, 20.0), grid_1d(128, 20.0, center=1.7),
+             GridSpec((GridAxis(64, 12.0, 0.5), GridAxis(128, 16.0, -1.25))),
+             GridSpec((GridAxis(64, 12.0, -0.5), GridAxis(128, 16.0, 2.0)))]
+    cases = []
+    for grid in grids:
+        for rep in Representation:
+            fld = MaskedVectorField(grid, rep, rng.normal(size=(2 * grid.dof,) + grid.shape),
+                                    rng.random(grid.shape) > 0.05)
+            lo = np.array([grid.axis_points(rep, a)[0] for a in range(grid.dof)])
+            hi = np.array([grid.axis_points(rep, a)[-1] for a in range(grid.dof)])
+            pad = hi - lo
+            q = rng.uniform(lo - 0.05 * pad, hi + 0.05 * pad, size=(500, grid.dof))
+            q[:5] = lo  # the first node and the last, exactly
+            q[5:10] = hi
+            cases.append((fld, q))
+    for _ in range(2):
+        for fld, q in cases:
+            got = interpolate_masked(fld, q)
+            want = interpolate_reference(fld, q)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+            assert not got[1].all() and not got[2].all() and got[2].any()
 
 
 # -- single-trajectory operations ------------------------------------------------------
@@ -394,6 +452,45 @@ def test_step_doubling_estimate_shrinks_with_the_step(grid512):
     # free momenta are constants of the motion, so both ways agree exactly
     p0 = np.linspace(-2.0, 2.0, 50)[:, None]
     assert integrate_epstein(frames, Free(), p0).step_error == 0.0
+
+
+def test_zero_field_step_equals_the_four_stage_step(grid512, monkeypatch):
+    # a zero pair takes the one-stencil short circuit; the same pair with one
+    # node far from every row nudged takes the four stages, which read zero
+    # at every row, so both must agree bit for bit
+    p = grid512.momenta(0)
+    valid = np.ones(512, bool)
+    valid[300] = False
+    zero = _endpoints(*(MaskedVectorField(grid512, Representation.MOMENTUM,
+                                          np.zeros((1, 512)), valid) for _ in range(2)))
+    nudged_comps = zero.components.copy()
+    nudged_comps[1, 100] = 1.0
+    nudged = MaskedVectorField(grid512, Representation.MOMENTUM, nudged_comps, valid)
+    q0 = np.concatenate([
+        np.linspace(p[150], p[250], 40),               # on the grid
+        [p[0] - 1.0, p[-1] + 1.0, p[-1] + 1e-9],       # off the grid
+        0.5 * (p[299] + p[300]) + [-0.05, 0.0, 0.05],  # stencils touching node 300
+    ])[:, None]
+    calls = []
+    interp = momtraj.trajectories.interpolate_masked
+    monkeypatch.setattr(momtraj.trajectories, "interpolate_masked",
+                        lambda w, q: calls.append(w) or interp(w, q))
+    results = {}
+    for name, pair in (("zero", zero), ("nudged", nudged)):
+        calls.clear()
+        q = np.concatenate([q0, q0[::7]])
+        status = np.zeros(len(q), np.int8)
+        status[3] = TrajStatus.FROZEN_AT_NODE  # retired rows are left alone
+        err = _doubled_step(q, status, np.arange(len(q0))[::7], pair, 0.25, 0.5, 0.01)
+        _rk4_step(q, status, pair, 0.5, 0.75, 0.01)
+        results[name] = (q.tobytes(), status.tobytes(), err, len(calls))
+    assert results["zero"][:3] == results["nudged"][:3]
+    assert (results["zero"][3], results["nudged"][3]) == (3, 12)
+    assert results["zero"][2] == 0.0
+    status = np.frombuffer(results["zero"][1], np.int8)
+    assert (status[:40] == TrajStatus.ACTIVE).sum() == 39
+    assert (status[40:43] == TrajStatus.LEFT_GRID).all()
+    assert (status[43:46] == TrajStatus.FROZEN_AT_NODE).all()
 
 
 def test_velocity_from_current_masks_nodes(grid512):
