@@ -70,11 +70,6 @@ from .scenarios import (
     coverage_manifest,
     default_config,
     run_scenario,
-    scenario_effective_collapse,
-    scenario_free_particle,
-    scenario_macroscopic_no_env,
-    scenario_measurement_with_env,
-    scenario_superposition,
 )
 from .states import (
     coherent_state,
@@ -85,15 +80,10 @@ from .states import (
 )
 from .trajectories import (
     EnsembleHistory,
-    PTrajectory,
     TrajStatus,
-    XTrajectory,
     integrate_dbb,
     integrate_epstein,
     interpolate_masked,
-    position_of,
-    step_dbb,
-    step_epstein,
     velocity_field_dbb,
     velocity_from_current,
 )

@@ -18,7 +18,7 @@ The suite checks, per frame:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import prod
 
@@ -378,13 +378,9 @@ def macrostate_frequencies(
 
 @dataclass
 class Ensemble:
-    """Sampled trajectory batch with its provenance and frame histories."""
+    """Sampled trajectory batch with its frame histories."""
 
-    model: str
-    sample_count: int
-    seed: int
     history: EnsembleHistory
-    meta: dict = field(default_factory=dict)
 
     def active_at(self, frame: int) -> np.ndarray:
         return self.history.status[frame] == TrajStatus.ACTIVE

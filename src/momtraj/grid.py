@@ -268,6 +268,18 @@ def _wavenumbers(grid: GridSpec, rep: Representation):
     return ws
 
 
+@lru_cache(maxsize=64)
+def _k_squared(grid: GridSpec, rep: Representation) -> np.ndarray:
+    """|k|^2 on the grid, the Laplacian's symbol up to sign (read-only)."""
+    k2 = np.zeros(grid.shape)
+    for a, w in enumerate(_wavenumbers(grid, rep)):
+        shape = [1] * grid.dof
+        shape[a] = len(w)
+        k2 = k2 + (w**2).reshape(shape)
+    k2.setflags(write=False)
+    return k2
+
+
 def _axis_multiplier(grid: GridSpec, rep: Representation, axis: int) -> np.ndarray:
     w = _wavenumbers(grid, rep)[axis].copy()
     n = grid.axes[axis].points
@@ -302,13 +314,7 @@ def spectral_divergence(components: np.ndarray, grid: GridSpec, rep: Representat
 
 
 def spectral_laplacian(values: np.ndarray, grid: GridSpec, rep: Representation) -> np.ndarray:
-    ws = _wavenumbers(grid, rep)
-    k2 = np.zeros(grid.shape)
-    for a, w in enumerate(ws):
-        shape = [1] * grid.dof
-        shape[a] = len(w)
-        k2 = k2 + (w**2).reshape(shape)
-    out = np.fft.ifftn(-k2 * np.fft.fftn(values))
+    out = np.fft.ifftn(-_k_squared(grid, rep) * np.fft.fftn(values))
     return out.real if not np.iscomplexobj(values) else out
 
 
@@ -335,12 +341,7 @@ def spectral_inverse_laplacian(
         raise IllPosedSourceError(
             f"source integral {total:.3e} exceeds {INVERSE_LAPLACIAN_MEAN_TOL:.0e} * L1 ({l1:.3e})"
         )
-    ws = _wavenumbers(grid, rep)
-    k2 = np.zeros(grid.shape)
-    for a, w in enumerate(ws):
-        shape = [1] * grid.dof
-        shape[a] = len(w)
-        k2 = k2 + (w**2).reshape(shape)
+    k2 = _k_squared(grid, rep)
     fhat = np.fft.fftn(values)
     with np.errstate(divide="ignore", invalid="ignore"):
         out_hat = np.where(k2 > 0.0, -fhat / k2, 0.0)

@@ -171,6 +171,19 @@ def write_config_ini(config: ScenarioConfig, path: str | Path) -> Path:
     return path
 
 
+def _ini_number(key: str, text: str, kind: type) -> int | float:
+    """The value of a numeric config key; an int key takes whole numbers only."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigurationError(f"{key} must be a number, got {text!r}") from None
+    if kind is float:
+        return value
+    if not value.is_integer():
+        raise ConfigurationError(f"{key} must be a whole number, got {text!r}")
+    return int(value)
+
+
 def read_config_ini(path: str | Path) -> ScenarioConfig:
     cp = configparser.ConfigParser()
     read = cp.read(path)
@@ -182,8 +195,7 @@ def read_config_ini(path: str | Path) -> ScenarioConfig:
         for k, v in cp[section].items():
             if k not in types:
                 raise ConfigurationError(f"unknown config key {k!r} in [{section}]")
-            t = types[k]
-            flat[k] = v if t is str else t(float(v)) if t is int else t(v)
+            flat[k] = v if types[k] is str else _ini_number(k, v, types[k])
     return ScenarioConfig.from_dict(flat)
 
 

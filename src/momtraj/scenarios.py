@@ -15,14 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .currents import (
-    CurrentField,
-    CurrentMethod,
-    continuity_residual,
-    current_closed_form,
-    current_for,
-    current_poisson,
-)
+from .currents import CurrentField, CurrentMethod, continuity_residual, current_for
 from .dynamics import Frame, PropagatorConfig, _step_phases, collect_frames, continuity_probe
 from .ensemble import (
     Ensemble,
@@ -38,14 +31,8 @@ from .ensemble import (
     sample_positions,
 )
 from .errors import ConfigurationError
-from .grid import (
-    GridSpec,
-    boundary_mass_fraction,
-    grid_1d,
-    grid_2d,
-    local_position_field,
-)
-from .potentials import Free, Harmonic, Linear, Potential, interaction_source
+from .grid import GridSpec, boundary_mass_fraction, grid_1d, grid_2d
+from .potentials import Free, Harmonic, Linear, Potential
 from .states import (
     gaussian_state,
     measurement_state,
@@ -107,6 +94,10 @@ class ScenarioConfig:
             raise ConfigurationError(f"current must be one of {tuple(CURRENTS)}, got {self.current!r}")
         if self.n_samples < 1:
             raise ConfigurationError("n_samples must be >= 1")
+        if self.histogram_bins < 1:
+            raise ConfigurationError(f"histogram_bins must be >= 1, got {self.histogram_bins}")
+        if self.traj_csv_limit < 0:
+            raise ConfigurationError(f"traj_csv_limit must be >= 0, got {self.traj_csv_limit}")
         if self.steps_per_frame < 1:
             raise ConfigurationError("steps_per_frame must be >= 1")
         if self.n_steps() % self.steps_per_frame:
@@ -194,20 +185,16 @@ def _propagator(config: ScenarioConfig) -> PropagatorConfig:
 
 def _run_epstein(
     frames: list[Frame], potential: Potential, config: ScenarioConfig,
-    suite: FrameSuite | None = None,
+    on_frame: Callable[[FrameFields, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ) -> Ensemble:
     p0 = sample_momenta(frames[0].psi_p, config.n_samples, config.seed)
-    hist = integrate_epstein(
-        frames, potential, p0, CURRENTS[config.current],
-        on_frame=None if suite is None else suite.add,
-    )
-    return Ensemble("epstein", config.n_samples, config.seed, hist)
+    return Ensemble(integrate_epstein(frames, potential, p0, CURRENTS[config.current],
+                                      on_frame=on_frame))
 
 
 def _run_dbb(frames: list[Frame], config: ScenarioConfig) -> Ensemble:
     x0 = sample_positions(frames[0].psi_x, config.n_samples, config.seed)
-    hist = integrate_dbb(frames, x0, config.mass, config.steps_per_frame)
-    return Ensemble("dbb", config.n_samples, config.seed, hist)
+    return Ensemble(integrate_dbb(frames, x0, config.mass, config.steps_per_frame))
 
 
 def _moments_to_row(rep: MomentReport) -> dict:
@@ -308,14 +295,8 @@ class FrameSuite:
         self.continuity_pairs.append((resid * den if den >= 1e-14 else resid, den))
 
         if self.cross_method and fr.psi_p.grid.dof == 1:
-            # the run built one of the two currents already; build the other
-            if fields.current.method is CurrentMethod.CLOSED_FORM:
-                jc = fields.current
-                jp = current_poisson(interaction_source(self.potential, fr.psi_x, fr.psi_p),
-                                     fr.psi_p.grid, fr.time)
-            else:
-                jc = current_closed_form(self.potential, fr.psi_p, fields.grad)
-                jp = fields.current
+            jc = fields.current_of(CurrentMethod.CLOSED_FORM)
+            jp = fields.current_of(CurrentMethod.POISSON)
             diff = float(np.linalg.norm(jp.components - jc.components))
             den = float(np.linalg.norm(jc.components))
             self.cross_pairs.append((diff, den))
@@ -353,7 +334,7 @@ def _run_free_particle(config: ScenarioConfig) -> RunResult:
     pot = Free()
     frames = collect_frames(psi, pot, _propagator(config), config.n_steps(), config.mass)
     suite = FrameSuite(pot, config)
-    ens = _run_epstein(frames, pot, config, suite)
+    ens = _run_epstein(frames, pot, config, suite.add)
 
     hist = ens.history
     active_always = hist.status[-1] == TrajStatus.ACTIVE
@@ -429,7 +410,7 @@ def _fringe_density_verdict(grid: GridSpec, frame0: Frame, config: ScenarioConfi
 def _run_superposition(config: ScenarioConfig) -> RunResult:
     grid, sup, pot, frames = _superposition_common(config)
     suite = FrameSuite(pot, config)
-    ens = _run_epstein(frames, pot, config, suite)
+    ens = _run_epstein(frames, pot, config, suite.add)
     hist = ens.history
 
     origin = float(np.abs(hist.x[0][hist.status[0] == TrajStatus.ACTIVE]).max())
@@ -469,7 +450,7 @@ def _run_macroscopic(config: ScenarioConfig) -> RunResult:
         region_1d("minus", -3 * abs(config.a) / 2.0, -abs(config.a) / 2.0 - 1e-12),
     ] if config.a != 0 else []
     suite = FrameSuite(pot, config, regions)
-    ens = _run_epstein(frames, pot, config, suite)
+    ens = _run_epstein(frames, pot, config, suite.add)
 
     verdicts = [_fringe_density_verdict(grid, frames[0], config, sup.norm_factor)]
     act0 = ens.history.status[0] == TrajStatus.ACTIVE
@@ -533,7 +514,7 @@ def _run_measurement(config: ScenarioConfig) -> RunResult:
         Region("minus", ((-(3 * config.a - half), -half), None)),
     ]
     suite = FrameSuite(pot, config, regions)
-    ens = _run_epstein(frames, pot, config, suite)
+    ens = _run_epstein(frames, pot, config, suite.add)
 
     # factorized momentum density against the analytic mixture
     p0g = grid.momenta(0)
@@ -603,22 +584,27 @@ def _run_collapse(config: ScenarioConfig) -> RunResult:
     steps = config.n_steps()
     frames = collect_frames(state.field, pot, prop, steps, config.mass)
     branch_frames = collect_frames(state.branches[0], pot, prop, steps, config.mass)
-
     suite = FrameSuite(pot, config, cross_method=True)
-    ens = _run_epstein(frames, pot, config, suite)
 
-    # one pass over the frames; decomposition and leakage share the closed-form current
+    # Collapse's checks run in the integrator's frame loop after the suite and
+    # read the frame's fields; the branch frame of the same index gives the
+    # branch's x(p) and closed-form current, both from one FrameFields.
     p = grid.momenta(0)
     weight = state.branch_weights[0]
-    scale = config.grid_extent / 2.0
-    hist = ens.history
-    pkt1 = hist.p[0][:, 0] > 0.0
+    in_branch = None  # rows seeded in the branch, set at frame 0
     gap_cells: list[int] = []
     decomp_worst = 0.0
     track_worst = 0.0
     pairs_closed: list[tuple[float, float]] = []
     pairs_poisson: list[tuple[float, float]] = []
-    for f, (fr, br) in enumerate(zip(frames, branch_frames)):
+
+    def on_frame(fields: FrameFields, p_traj: np.ndarray, x: np.ndarray,
+                 status: np.ndarray) -> None:
+        nonlocal in_branch, decomp_worst, track_worst
+        suite.add(fields, p_traj, x, status)
+        fr = fields.frame
+        if fr.index == 0:
+            in_branch = p_traj[:, 0] > 0.0
         amp = np.abs(fr.psi_p.values)
         silent = amp < SILENT_AMPLITUDE * amp.max()
         rho = fr.psi_p.density()
@@ -627,27 +613,29 @@ def _run_collapse(config: ScenarioConfig) -> RunResult:
         lo_peak = p[~upper][np.argmax(rho[~upper])]
         gap_cells.append(int(np.sum(silent & (p > lo_peak) & (p < hi_peak))))
 
-        supp = np.abs(br.psi_p.values) >= SUPPORT_AMPLITUDE * np.abs(br.psi_p.values).max()
-        j_full = current_closed_form(pot, fr.psi_p).components[0]
-        j_br = weight * current_closed_form(pot, br.psi_p).components[0]
+        br = FrameFields(branch_frames[fr.index], pot, CurrentMethod.CLOSED_FORM)
+        br_amp = np.abs(br.frame.psi_p.values)
+        supp = br_amp >= SUPPORT_AMPLITUDE * br_amp.max()
+        j_full = fields.current_of(CurrentMethod.CLOSED_FORM).components[0]
+        j_br = weight * br.current.components[0]
         den = np.linalg.norm(j_br[supp])
         if den > 1e-12:
             decomp_worst = max(decomp_worst, float(np.linalg.norm((j_full - j_br)[supp]) / den))
-        act = (hist.status[f] == TrajStatus.ACTIVE) & pkt1
+        act = (status == TrajStatus.ACTIVE) & in_branch
         if act.any():
-            vals, ok, inside = interpolate_masked(local_position_field(br.psi_p), hist.p[f][act])
+            vals, ok, inside = interpolate_masked(br.position, p_traj[act])
             good = ok & inside
             if good.any():
-                diff = np.abs(hist.x[f][act][good] - vals[good]).max()
-                track_worst = max(track_worst, float(diff))
+                track_worst = max(track_worst, float(np.abs(x[act][good] - vals[good]).max()))
 
         gap = silent & (np.abs(p) < config.delta_p / 2.0)
         if gap.any():
-            src = interaction_source(pot, fr.psi_x, fr.psi_p)
-            jp = current_poisson(src, grid, fr.time).components[0]
+            jp = fields.current_of(CurrentMethod.POISSON).components[0]
             pairs_closed.append((float(np.abs(j_full[gap]).max()), float(np.abs(j_full).max())))
             pairs_poisson.append((float(np.abs(jp[gap]).max()), float(np.abs(jp).max())))
 
+    ens = _run_epstein(frames, pot, config, on_frame)
+    scale = config.grid_extent / 2.0
     min_gap = min(gap_cells)
     verdicts = [
         Verdict("silent-gap-maintained", min_gap >= MIN_SILENT_CELLS, float(min_gap),
@@ -727,7 +715,7 @@ def _run_harmonic(config: ScenarioConfig) -> RunResult:
     pot = Harmonic(config.mass, config.omega)
     frames = collect_frames(psi, pot, _propagator(config), config.n_steps(), config.mass)
     suite = FrameSuite(pot, config, cross_method=True)
-    ens = _run_epstein(frames, pot, config, suite)
+    ens = _run_epstein(frames, pot, config, suite.add)
 
     # the grid mean, which the suite computed at every frame, tracks the classical orbit
     worst_mean = max(abs(row["moments"]["mean_grid"][0]
@@ -752,7 +740,7 @@ def _run_linear(config: ScenarioConfig) -> RunResult:
     pot = Linear(config.linear_coeff)
     frames = collect_frames(psi, pot, _propagator(config), config.n_steps(), config.mass)
     suite = FrameSuite(pot, config, cross_method=True)
-    ens = _run_epstein(frames, pot, config, suite)
+    ens = _run_epstein(frames, pot, config, suite.add)
 
     hist = ens.history
     law = 0.0
@@ -908,41 +896,3 @@ def coverage_manifest() -> dict[str, dict]:
         name: {"summary": d.summary, "claims": list(d.claims)}
         for name, d in SCENARIOS.items()
     }
-
-
-# convenience wrappers mirroring the catalog's primary knobs
-
-
-def scenario_free_particle(sigma: float = 1.0, n_samples: int = 10_000, seed: int = 0,
-                           **overrides) -> RunResult:
-    return run_scenario(default_config("free-particle", sigma=sigma,
-                                       n_samples=n_samples, seed=seed, **overrides))
-
-
-def scenario_superposition(a: float = 5.0, sigma: float = 1.0, n_samples: int = 10_000,
-                           seed: int = 0, **overrides) -> RunResult:
-    return run_scenario(default_config("superposition", a=a, sigma=sigma,
-                                       n_samples=n_samples, seed=seed, **overrides))
-
-
-def scenario_macroscopic_no_env(a: float = 6.0, sigma: float = 1.0,
-                                n_samples: int = 10_000, seed: int = 0,
-                                **overrides) -> RunResult:
-    return run_scenario(default_config("macroscopic", a=a, sigma=sigma,
-                                       n_samples=n_samples, seed=seed, **overrides))
-
-
-def scenario_measurement_with_env(c1: float = 2**-0.5, c2: float = 2**-0.5,
-                                  a: float = 6.0, dpe: float = 12.0,
-                                  n_samples: int = 10_000, seed: int = 0,
-                                  **overrides) -> RunResult:
-    c1_sq = c1**2 / (c1**2 + c2**2)
-    return run_scenario(default_config("measurement", c1_sq=c1_sq, a=a, dpe=dpe,
-                                       n_samples=n_samples, seed=seed, **overrides))
-
-
-def scenario_effective_collapse(delta_p: float = 18.0, n_samples: int = 10_000,
-                                seed: int = 0, current: str = "closed",
-                                **overrides) -> RunResult:
-    return run_scenario(default_config("collapse", delta_p=delta_p, current=current,
-                                       n_samples=n_samples, seed=seed, **overrides))

@@ -23,7 +23,7 @@ per-trajectory results are deterministic regardless of batch composition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache, reduce
 from math import prod
@@ -50,27 +50,6 @@ class TrajStatus(IntEnum):
     ACTIVE = 0
     FROZEN_AT_NODE = 1
     LEFT_GRID = 2
-
-
-@dataclass
-class PTrajectory:
-    """Momentum-flow trajectory: auxiliary momentum p plus derived position x."""
-
-    id: int
-    p: np.ndarray
-    x: np.ndarray
-    status: TrajStatus = TrajStatus.ACTIVE
-    history: list[tuple[float, np.ndarray, np.ndarray]] = field(default_factory=list)
-
-
-@dataclass
-class XTrajectory:
-    """Guidance-law reference trajectory carrying the position only."""
-
-    id: int
-    x: np.ndarray
-    status: TrajStatus = TrajStatus.ACTIVE
-    history: list[tuple[float, np.ndarray]] = field(default_factory=list)
 
 
 # -- masked multilinear interpolation -------------------------------------------
@@ -251,53 +230,6 @@ def _doubled_step(q: np.ndarray, status: np.ndarray, probe: np.ndarray,
     return float(np.abs(q[probe[both]] - q[n:][both]).max()) if both.any() else 0.0
 
 
-# -- single-trajectory operations (unit-level contracts) ---------------------------
-
-
-def _rk4_single(traj: PTrajectory | XTrajectory, q: np.ndarray, w: MaskedVectorField,
-                dt: float) -> np.ndarray:
-    """One RK4 step of the point q through the fixed field w.
-
-    Marks traj frozen or off the grid when the step fails; the returned
-    point is then q unchanged.
-    """
-    q_new = np.array(q, dtype=float)[None, :]
-    status = np.array([traj.status], dtype=np.int8)
-    _rk4_step(q_new, status, _endpoints(w, w), 0.0, 0.0, dt)
-    traj.status = TrajStatus(int(status[0]))
-    return q_new[0]
-
-
-def step_epstein(
-    traj: PTrajectory, current: CurrentField, density: np.ndarray, dt: float
-) -> PTrajectory:
-    """One RK4 step of dp/dt = j/|psi~|^2 with the fields held fixed."""
-    if traj.status is TrajStatus.ACTIVE:
-        traj.p = _rk4_single(traj, traj.p, velocity_from_current(current, density), dt)
-    return traj
-
-
-def position_of(traj: PTrajectory, psi_p: ComplexField) -> np.ndarray:
-    """Local position expectation at the trajectory's p; freezes at nodes."""
-    x = np.array(traj.x, dtype=float)[None, :]
-    status = np.array([traj.status], dtype=np.int8)
-    _readout_positions(x, status, local_position_field(psi_p),
-                       np.asarray(traj.p, dtype=float)[None, :])
-    traj.status = TrajStatus(int(status[0]))
-    traj.x = x[0]
-    return traj.x
-
-
-def step_dbb(
-    traj: XTrajectory, psi_x: ComplexField, dt: float,
-    masses: float | tuple[float, ...] = 1.0,
-) -> XTrajectory:
-    """One RK4 step of the guidance equation with the field held fixed."""
-    if traj.status is TrajStatus.ACTIVE:
-        traj.x = _rk4_single(traj, traj.x, velocity_field_dbb(psi_x, masses), dt)
-    return traj
-
-
 # -- batch integration over a frame sequence ---------------------------------------
 
 
@@ -332,20 +264,6 @@ class EnsembleHistory:
     def left_grid_count(self) -> int:
         return int(np.sum(self.final_status() == TrajStatus.LEFT_GRID))
 
-    def trajectory(self, i: int) -> PTrajectory | XTrajectory:
-        """Materialize one trajectory view with its full history."""
-        if self.p is not None:
-            tr = PTrajectory(i, self.p[-1, i].copy(), self.x[-1, i].copy(),
-                             TrajStatus(int(self.status[-1, i])))
-            tr.history = [
-                (float(t), self.p[f, i].copy(), self.x[f, i].copy())
-                for f, t in enumerate(self.times)
-            ]
-            return tr
-        tr = XTrajectory(i, self.x[-1, i].copy(), TrajStatus(int(self.status[-1, i])))
-        tr.history = [(float(t), self.x[f, i].copy()) for f, t in enumerate(self.times)]
-        return tr
-
 
 def _readout_positions(
     x_store: np.ndarray, status: np.ndarray, x_field: MaskedVectorField, p: np.ndarray
@@ -363,16 +281,27 @@ class FrameFields:
     """One frame's derived fields, built once by the frame loop and shared by its consumers.
 
     Holds the frame, the momentum gradient of psi~, the readout field x(p),
-    the configured current and the velocity j/|psi~|^2.
+    the configured current and the velocity j/|psi~|^2. `current_of` gives
+    the current of either construction, each built at most once per frame.
     """
 
     def __init__(self, frame: Frame, potential: Potential, method: CurrentMethod):
         psi_p = frame.psi_p
         self.frame = frame
+        self.potential = potential
         self.grad = spectral_gradient(psi_p.values, psi_p.grid, Representation.MOMENTUM)
         self.position = local_position_field(psi_p, self.grad)
-        self.current = current_for(potential, frame.psi_x, psi_p, method, self.grad)
+        self._currents: dict[CurrentMethod, CurrentField] = {}
+        self.current = self.current_of(method)
         self.velocity = velocity_from_current(self.current, psi_p.density())
+
+    def current_of(self, method: CurrentMethod) -> CurrentField:
+        """The frame's current by `method`, built on first use."""
+        if method not in self._currents:
+            fr = self.frame
+            self._currents[method] = current_for(self.potential, fr.psi_x, fr.psi_p, method,
+                                                 self.grad)
+        return self._currents[method]
 
 
 ESTIMATE_ROWS = 64  # rows of the step-doubling error estimate, spread evenly over the batch

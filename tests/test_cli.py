@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -171,8 +172,7 @@ def test_trajectories_csv_rows(tmp_path, with_p):
     status = np.zeros((3, 4), dtype=np.int8)
     status[1:, 1] = TrajStatus.FROZEN_AT_NODE
     status[2, 2] = TrajStatus.LEFT_GRID
-    model = "epstein" if with_p else "dbb"
-    ens = Ensemble(model, 4, 0, EnsembleHistory(model, times, x, status, p))
+    ens = Ensemble(EnsembleHistory("epstein" if with_p else "dbb", times, x, status, p))
     names = {0: "active", 1: "frozen_at_node", 2: "left_grid"}
     expected = ["traj_id,t," + ("p0," if with_p else "") + "x0,status"]
     for i in range(3):  # limit 3 leaves trajectory 3 out
@@ -219,6 +219,26 @@ def test_run_threads_flag_is_gone():
 ])
 def test_bad_scenario_input_exits_two_before_running(tmp_path, capsys, argv, message):
     code = run_cli("run", *argv, "--n", "50", "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n_samples", "abc", "n_samples must be a number"),
+    ("seed", "1.5", "seed must be a whole number"),
+    ("dt", "fast", "dt must be a number"),
+    ("traj_csv_limit", "-3", "traj_csv_limit"),
+    ("histogram_bins", "0", "histogram_bins"),
+])
+def test_bad_config_file_value_exits_two(tmp_path, capsys, key, value, message):
+    cfg = default_config("linear-drift", n_samples=50)
+    text = write_config_ini(cfg, tmp_path / "run.ini").read_text()
+    bad, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    assert count == 1
+    (tmp_path / "run.ini").write_text(bad)
+    code = run_cli("run", str(tmp_path / "run.ini"), "--out", str(tmp_path / "o"))
     err = capsys.readouterr().err
     assert code == 2
     assert message in err and "Traceback" not in err

@@ -20,7 +20,7 @@ from momtraj import (
     to_momentum,
     to_position,
 )
-from momtraj.grid import spectral_laplacian
+from momtraj.grid import _k_squared, _wavenumbers, spectral_laplacian
 from momtraj.output import read_field_csv, write_field_csv
 from momtraj.states import gaussian_state
 
@@ -249,6 +249,32 @@ def test_inverse_laplacian_left_inverse(grid512):
     lap = spectral_laplacian(out, grid512, Representation.MOMENTUM)
     target = f - f.mean()
     assert np.abs(lap - target).max() <= 1e-9 * max(1.0, np.abs(f).max())
+
+
+def test_k_squared_equals_a_fresh_build_on_each_grid():
+    # grids that differ only in spacing, called in turn, each get their own
+    # read-only k^2; the spectral operators give the same bits as with a
+    # k^2 built on the spot
+    grids = [grid_1d(512, 40.0), grid_1d(512, 80.0), grid_2d(64, 20.0, 128, 10.0),
+             grid_1d(512, 40.0)]
+    rng = np.random.default_rng(3)
+    for grid in grids:
+        for rep in Representation:
+            want = np.zeros(grid.shape)
+            for a, w in enumerate(_wavenumbers(grid, rep)):
+                shape = [1] * grid.dof
+                shape[a] = len(w)
+                want = want + (w**2).reshape(shape)
+            k2 = _k_squared(grid, rep)
+            assert k2.tobytes() == want.tobytes()
+            assert not k2.flags.writeable
+            f = rng.normal(size=grid.shape)
+            f -= f.mean()
+            lap = np.fft.ifftn(-want * np.fft.fftn(f)).real
+            assert spectral_laplacian(f, grid, rep).tobytes() == lap.tobytes()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inv = np.fft.ifftn(np.where(want > 0.0, -np.fft.fftn(f) / want, 0.0)).real
+            assert spectral_inverse_laplacian(f, grid, rep).tobytes() == inv.tobytes()
 
 
 def test_gradient_of_constant_vanishes(grid512):

@@ -14,10 +14,6 @@ from momtraj import (
     coverage_manifest,
     default_config,
     run_scenario,
-    scenario_effective_collapse,
-    scenario_free_particle,
-    scenario_measurement_with_env,
-    scenario_superposition,
 )
 from momtraj.scenarios import ScenarioConfig
 
@@ -94,7 +90,7 @@ def test_measurement_zero_dpe_rejected():
 
 
 def test_measurement_unequal_weights():
-    res = scenario_measurement_with_env(c1=0.8, c2=0.6, n_samples=2000, seed=4)
+    res = run_scenario(default_config("measurement", c1_sq=0.64, n_samples=2000, seed=4))
     freqs = {
         name: entry["frequency"]
         for name, entry in res.stats_rows[0]["macrostate_occupancy"].items()
@@ -105,7 +101,7 @@ def test_measurement_unequal_weights():
 
 
 def test_collapse_poisson_route_reports_leakage():
-    res = scenario_effective_collapse(n_samples=400, current="poisson")
+    res = run_scenario(default_config("collapse", n_samples=400, current="poisson"))
     leak = res.diagnostics["gap_current_leakage"]
     assert leak["poisson"] >= 0.0
     assert "min_silent_gap_cells" in res.diagnostics
@@ -122,13 +118,13 @@ def test_collapse_insufficient_separation_fails_gap_verdict():
 
 
 def test_free_particle_wrapper_runs():
-    res = scenario_free_particle(n_samples=300, seed=1)
+    res = run_scenario(default_config("free-particle", n_samples=300, seed=1))
     assert res.passed
     assert res.config.grid_extent == 80.0
 
 
 def test_superposition_a_zero_degenerate():
-    res = scenario_superposition(a=0.0, n_samples=300, model="epstein")
+    res = run_scenario(default_config("superposition", a=0.0, n_samples=300, model="epstein"))
     assert res.passed
 
 
@@ -184,6 +180,30 @@ def test_each_frame_derives_its_momentum_gradients_once(monkeypatch):
     assert res.passed
     assert len(res.frames) == 11
     assert len(calls) <= 3 * len(res.frames)
+
+
+def test_collapse_builds_each_frames_currents_once(monkeypatch):
+    # closed-form currents: the frame's, the continuity probe's and the
+    # branch's; Poisson: the frame's, shared by the cross-method check and
+    # the gap leakage
+    calls = {"current_closed_form": 0, "current_poisson": 0}
+
+    def counter(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        counted = counter(name, getattr(momtraj.currents, name))
+        for module in (momtraj.currents, momtraj.scenarios, momtraj.trajectories):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    res = run_scenario(default_config("collapse", n_samples=100, t_final=0.1))
+    assert res.passed
+    assert len(res.frames) == 11
+    assert calls["current_closed_form"] <= 3 * len(res.frames)
+    assert calls["current_poisson"] <= len(res.frames)
 
 
 def test_step_phases_are_built_once_per_run(monkeypatch):

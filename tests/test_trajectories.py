@@ -14,24 +14,21 @@ from momtraj import (
     to_momentum,
 )
 from momtraj.currents import current_closed_form, current_for
-from momtraj.dynamics import PropagatorConfig, collect_frames
+from momtraj.dynamics import Frame, PropagatorConfig, collect_frames
 from momtraj.ensemble import sample_momenta
 from momtraj.grid import GridAxis, GridSpec, MaskedVectorField, grid_1d, local_position_field
+from momtraj.grid import to_position
 from momtraj.states import coherent_state, gaussian_state, superposition_state
 from momtraj.trajectories import (
     FrameFields,
-    PTrajectory,
     TrajStatus,
-    XTrajectory,
     _doubled_step,
     _endpoints,
+    _readout_positions,
     _rk4_step,
     integrate_dbb,
     integrate_epstein,
     interpolate_masked,
-    position_of,
-    step_dbb,
-    step_epstein,
     velocity_from_current,
 )
 
@@ -195,40 +192,47 @@ def test_interpolation_equals_the_axis_points_reference():
             assert not got[1].all() and not got[2].all() and got[2].any()
 
 
-# -- single-trajectory operations ------------------------------------------------------
+# -- trajectories through one fixed state ------------------------------------------------
+
+
+def fixed_frames(psi, t_end):
+    """Two frames, at t = 0 and t_end, of one state that does not change."""
+    psi_x = psi if psi.rep is Representation.POSITION else to_position(psi)
+    psi_p = psi if psi.rep is Representation.MOMENTUM else to_momentum(psi)
+    return [Frame(0, 0.0, psi_x, psi_p), Frame(1, t_end, psi_x, psi_p)]
+
+
+def read_x(phi, p, x_before=0.0):
+    """x(p) read off phi for one row, and the row's status after the readout."""
+    x = np.array([[x_before]])
+    status = np.zeros(1, dtype=np.int8)
+    _readout_positions(x, status, local_position_field(phi), np.array([[p]]))
+    return x[0], TrajStatus(int(status[0]))
 
 
 def test_step_epstein_free_is_exact(grid512):
     phi = momentum_state(grid512)
-    j = current_closed_form(Free(), phi)
-    traj = PTrajectory(0, np.array([1.25]), np.array([0.0]))
-    for _ in range(100):
-        step_epstein(traj, j, phi.density(), 1e-2)
-    assert traj.p[0] == 1.25
-    assert traj.status is TrajStatus.ACTIVE
+    hist = integrate_epstein(fixed_frames(phi, 1.0), Free(), np.array([[1.25]]),
+                             substeps_per_frame=100)
+    assert hist.p[-1, 0, 0] == 1.25
+    assert hist.final_status()[0] == TrajStatus.ACTIVE
 
 
 def test_step_epstein_linear_constant_force(grid512):
     # w = j / rho = -c everywhere: RK4 is exact for the constant field
     c = 2.0
     phi = momentum_state(grid512)
-    j = current_closed_form(Linear(c), phi)
-    traj = PTrajectory(0, np.array([0.5]), np.array([0.0]))
-    dt = 1e-3
-    for _ in range(1000):
-        step_epstein(traj, j, phi.density(), dt)
-    assert abs(traj.p[0] - (0.5 - c * 1.0)) <= 1e-8
+    hist = integrate_epstein(fixed_frames(phi, 1.0), Linear(c), np.array([[0.5]]),
+                             substeps_per_frame=1000)
+    assert abs(hist.p[-1, 0, 0] - (0.5 - c * 1.0)) <= 1e-8
 
 
 def test_step_epstein_harmonic_ground_frozen_momentum(grid512):
     phi = momentum_state(grid512)  # real profile
-    j = current_closed_form(Harmonic(1.0, 1.0), phi)
-    traj = PTrajectory(0, np.array([0.8]), np.array([0.0]))
-    for _ in range(100):
-        step_epstein(traj, j, phi.density(), 1e-2)
-    assert abs(traj.p[0] - 0.8) <= 1e-10
-    x = position_of(traj, phi)
-    assert abs(x[0]) <= 1e-9
+    hist = integrate_epstein(fixed_frames(phi, 1.0), Harmonic(1.0, 1.0), np.array([[0.8]]),
+                             substeps_per_frame=100)
+    assert abs(hist.p[-1, 0, 0] - 0.8) <= 1e-10
+    assert abs(hist.x[-1, 0, 0]) <= 1e-9
 
 
 def test_step_epstein_leaves_grid(grid512):
@@ -236,13 +240,12 @@ def test_step_epstein_leaves_grid(grid512):
     length = 512 * grid512.dual_spacing(0)
     flat = ComplexField(grid512, Representation.MOMENTUM,
                         np.full(512, length**-0.5, dtype=complex))
-    j = current_closed_form(Linear(-5.0), flat)  # w = +5: pushes p upward
     p_edge = grid512.momenta(0)[-1]
-    traj = PTrajectory(0, np.array([p_edge - 1e-3]), np.array([0.0]))
-    for _ in range(10):
-        step_epstein(traj, j, flat.density(), 1e-2)
-    assert traj.status is TrajStatus.LEFT_GRID
-    assert traj.p[0] <= p_edge  # retired in place, not extrapolated
+    # Linear(-5): w = +5 pushes p upward
+    hist = integrate_epstein(fixed_frames(flat, 0.1), Linear(-5.0),
+                             np.array([[p_edge - 1e-3]]), substeps_per_frame=10)
+    assert hist.final_status()[0] == TrajStatus.LEFT_GRID
+    assert hist.p[-1, 0, 0] <= p_edge  # retired in place, not extrapolated
 
 
 def test_position_of_free_drift(grid512):
@@ -252,8 +255,7 @@ def test_position_of_free_drift(grid512):
     base = momentum_state(grid).values
     phi_t = ComplexField(grid, Representation.MOMENTUM,
                          base * np.exp(-1j * p**2 * t / (2 * mass)), time=t)
-    traj = PTrajectory(0, np.array([1.0]), np.array([0.0]))
-    x = position_of(traj, phi_t)
+    x, _ = read_x(phi_t, 1.0)
     assert abs(x[0] - 5.0) <= 1e-8
 
 
@@ -262,16 +264,14 @@ def test_position_of_superposition_origin(grid512):
     sup = superposition_state(grid, 5.0)
     phi = to_momentum(sup.field)
     for pval in (-1.1, 0.3, 2.2):
-        traj = PTrajectory(0, np.array([pval]), np.array([np.nan]))
-        x = position_of(traj, phi)
+        x, _ = read_x(phi, pval, np.nan)
         assert abs(x[0]) <= 1e-8
 
 
 def test_position_of_boosted_packet(grid512):
     x0 = 3.0
     phi = momentum_state(grid512, x0=x0)
-    traj = PTrajectory(0, np.array([0.7]), np.array([0.0]))
-    x = position_of(traj, phi)
+    x, _ = read_x(phi, 0.7)
     assert abs(x[0] - x0) <= 1e-8
 
 
@@ -280,26 +280,22 @@ def test_position_of_freezes_at_node(grid512):
     vals[250:262] = 0.0
     phi = ComplexField(grid512, Representation.MOMENTUM, vals)
     p_in_hole = grid512.momenta(0)[255]
-    traj = PTrajectory(0, np.array([p_in_hole]), np.array([123.0]))
-    x = position_of(traj, phi)
-    assert traj.status is TrajStatus.FROZEN_AT_NODE
+    x, status = read_x(phi, p_in_hole, 123.0)
+    assert status is TrajStatus.FROZEN_AT_NODE
     assert x[0] == 123.0  # last valid position retained
 
 
 def test_step_dbb_plane_wave_velocity(grid512):
     p0 = 1.5
     psi = gaussian_state(grid512, sigma=4.0, boost=p0)
-    traj = XTrajectory(0, np.array([0.0]))
-    step_dbb(traj, psi, 1e-3)
-    assert traj.x[0] == pytest.approx(p0 * 1e-3, rel=1e-4)
+    hist = integrate_dbb(fixed_frames(psi, 1e-3), np.array([[0.0]]))
+    assert hist.x[-1, 0, 0] == pytest.approx(p0 * 1e-3, rel=1e-4)
 
 
 def test_step_dbb_symmetric_center_is_fixed(grid512):
     psi = gaussian_state(grid512, sigma=1.0)
-    traj = XTrajectory(0, np.array([0.0]))
-    for _ in range(50):
-        step_dbb(traj, psi, 1e-2)
-    assert abs(traj.x[0]) <= 1e-12
+    hist = integrate_dbb(fixed_frames(psi, 0.5), np.array([[0.0]]), substeps_per_frame=50)
+    assert abs(hist.x[-1, 0, 0]) <= 1e-12
 
 
 # -- batch integration ------------------------------------------------------------------
@@ -339,13 +335,10 @@ def test_trajectory_views_carry_history(grid_wide):
     psi = gaussian_state(grid_wide, sigma=1.0)
     frames = collect_frames(psi, Free(), PropagatorConfig(dt=1e-3, steps_per_frame=100), 300)
     hist = integrate_epstein(frames, Free(), np.array([[1.0]]), substeps_per_frame=100)
-    traj = hist.trajectory(0)
-    assert isinstance(traj, PTrajectory)
-    assert len(traj.history) == len(frames)
-    t, p, x = traj.history[-1]
-    assert t == pytest.approx(0.3)
-    assert p[0] == pytest.approx(1.0)
-    assert x[0] == pytest.approx(0.3, abs=1e-8)
+    assert len(hist.times) == len(hist.p) == len(hist.x) == len(frames)
+    assert hist.times[-1] == pytest.approx(0.3)
+    assert hist.p[-1, 0, 0] == pytest.approx(1.0)
+    assert hist.x[-1, 0, 0] == pytest.approx(0.3, abs=1e-8)
 
 
 def test_node_freeze_counted_on_commensurate_fringes():
@@ -516,6 +509,12 @@ def _assert_frame_fields_exact(frame, pot, method):
         assert got.components.tobytes() == want.components.tobytes()
         assert np.array_equal(got.valid, want.valid)
     assert fields.current.components.tobytes() == cur.components.tobytes()
+    assert fields.current_of(method) is fields.current
+    for other in CurrentMethod:  # either construction, built once per frame
+        want = current_for(pot, frame.psi_x, frame.psi_p, other)
+        got = fields.current_of(other)
+        assert got.method is other and fields.current_of(other) is got
+        assert got.components.tobytes() == want.components.tobytes()
 
 
 @pytest.mark.parametrize("method", list(CurrentMethod))
