@@ -57,10 +57,8 @@ from .potentials import (
     apply_potential,
     apply_potential_momentum_operator,
     evaluate_potential,
-    has_operator_form,
     interaction_source,
     interaction_source_operator,
-    load_tabulated_csv,
 )
 from .scenarios import (
     SCENARIOS,

@@ -12,6 +12,7 @@ error. Diagnostics go to stderr; the human-readable report goes to stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -20,6 +21,7 @@ from . import __version__
 from .errors import ConfigurationError, SimulationError
 from .output import read_config_ini, utc_now, write_run_outputs
 from .scenarios import (
+    COMMON_FIELDS,
     SCENARIOS,
     RunResult,
     ScenarioConfig,
@@ -27,25 +29,6 @@ from .scenarios import (
     default_config,
     run_scenario,
 )
-
-_FLAG_TO_FIELD = {
-    "n": "n_samples",
-    "seed": "seed",
-    "dt": "dt",
-    "grid_points": "grid_points",
-    "grid_extent": "grid_extent",
-    "current": "current",
-    "model": "model",
-    "a": "a",
-    "sigma": "sigma",
-    "dpe": "dpe",
-    "c1sq": "c1_sq",
-    "delta_p": "delta_p",
-    "displacement": "displacement",
-    "linear_c": "linear_coeff",
-    "t_final": "t_final",
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="momtraj",
@@ -55,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="run a built-in scenario or a config file")
     runp.add_argument("target", help="scenario name or path to a config .ini")
-    runp.add_argument("--n", type=int, help="ensemble size")
+    # each scenario flag's dest is the ScenarioConfig field it sets
+    runp.add_argument("--n", type=int, dest="n_samples", help="ensemble size")
     runp.add_argument("--seed", type=int, help="sampling seed (default 0)")
     runp.add_argument("--dt", type=float, help="propagator step")
     runp.add_argument("--frames", type=int,
@@ -68,10 +52,11 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--a", type=float, help="packet shift")
     runp.add_argument("--sigma", type=float, help="packet width")
     runp.add_argument("--dpe", type=float, help="environment momentum separation")
-    runp.add_argument("--c1sq", type=float, help="first outcome weight |c1|^2")
+    runp.add_argument("--c1sq", type=float, dest="c1_sq", help="first outcome weight |c1|^2")
     runp.add_argument("--delta-p", type=float, dest="delta_p", help="packet momentum separation")
     runp.add_argument("--displacement", type=float, help="coherent-state displacement")
-    runp.add_argument("--linear-c", type=float, dest="linear_c", help="linear potential slope")
+    runp.add_argument("--linear-c", type=float, dest="linear_coeff",
+                      help="linear potential slope")
     runp.add_argument("--t-final", type=float, dest="t_final", help="run end time")
 
     valp = sub.add_parser("validate", help="run the invariant suite at reduced size")
@@ -89,10 +74,10 @@ def _config_from_args(args) -> ScenarioConfig:
         config = read_config_ini(target)
     else:
         config = default_config(target)
-    for flag, fieldname in _FLAG_TO_FIELD.items():
-        val = getattr(args, flag, None)
+    for f in dataclasses.fields(ScenarioConfig):
+        val = getattr(args, f.name, None)
         if val is not None:
-            setattr(config, fieldname, val)
+            setattr(config, f.name, val)
     if args.frames is not None:
         steps = config.n_steps()
         if args.frames < 1 or steps % args.frames:
@@ -166,6 +151,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_list(_args) -> int:
     manifest = coverage_manifest()
+    print(f"every scenario reads: {', '.join(COMMON_FIELDS)}")
     for name in sorted(SCENARIOS):
         d = SCENARIOS[name]
         print(name)

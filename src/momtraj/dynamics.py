@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import BoundaryMassError, ConfigurationError, NormalizationError
 from .grid import (
+    BOUNDARY_MASS_TOL,
     ComplexField,
     Representation,
     boundary_mass_fraction,
@@ -35,8 +36,6 @@ NORM_TOL = 1e-6
 class PropagatorConfig:
     dt: float
     steps_per_frame: int = 10
-    boundary_cells: int = 3
-    boundary_tol: float = 1e-8
     check_boundary: bool = True
 
     def __post_init__(self) -> None:
@@ -141,11 +140,11 @@ def propagate(
         fx = to_position(fp)
         if config.check_boundary:
             for rep_field in (fx, fp):
-                frac = boundary_mass_fraction(rep_field, config.boundary_cells)
-                if frac > config.boundary_tol:
+                frac = boundary_mass_fraction(rep_field)
+                if frac > BOUNDARY_MASS_TOL:
                     raise BoundaryMassError(
                         f"boundary mass fraction {frac:.3e} in {rep_field.rep.value} "
-                        f"representation at t={t:.6f} exceeds {config.boundary_tol:.0e}"
+                        f"representation at t={t:.6f} exceeds {BOUNDARY_MASS_TOL:.0e}"
                     )
         fr = Frame(index, t, fx, fp)
         if on_frame is not None:

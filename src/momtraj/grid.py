@@ -374,8 +374,14 @@ def local_position_field(field: ComplexField, grad: np.ndarray | None = None) ->
 # -- diagnostics -----------------------------------------------------------------
 
 
-def boundary_mass_fraction(field: ComplexField, cells: int = 3) -> float:
-    """Largest per-axis probability fraction within `cells` of either edge."""
+# The edge band: the cells at either end of each axis, and the probability
+# fraction it may hold before propagation stops with BoundaryMassError.
+BOUNDARY_CELLS = 3
+BOUNDARY_MASS_TOL = 1e-8
+
+
+def boundary_mass_fraction(field: ComplexField) -> float:
+    """Largest per-axis probability fraction within BOUNDARY_CELLS of either edge."""
     rho = field.density()
     total = rho.sum()
     if total == 0.0:
@@ -384,8 +390,8 @@ def boundary_mass_fraction(field: ComplexField, cells: int = 3) -> float:
     for a in range(field.grid.dof):
         sl_lo = [slice(None)] * field.grid.dof
         sl_hi = [slice(None)] * field.grid.dof
-        sl_lo[a] = slice(0, cells)
-        sl_hi[a] = slice(-cells, None)
+        sl_lo[a] = slice(0, BOUNDARY_CELLS)
+        sl_hi[a] = slice(-BOUNDARY_CELLS, None)
         frac = (rho[tuple(sl_lo)].sum() + rho[tuple(sl_hi)].sum()) / total
         worst = max(worst, float(frac))
     return worst

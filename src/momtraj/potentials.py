@@ -21,7 +21,6 @@ because the transform is quadrature-unitary.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,10 +79,6 @@ class Tabulated:
 
 
 Potential = Free | Linear | Harmonic | Tabulated
-
-
-def has_operator_form(potential: Potential) -> bool:
-    return isinstance(potential, (Free, Linear, Harmonic))
 
 
 def _per_axis(values: tuple[float, ...], dof: int, name: str) -> tuple[float, ...]:
@@ -179,28 +174,3 @@ def interaction_source_operator(potential: Potential, psi_p: ComplexField) -> np
     fv = apply_potential_momentum_operator(potential, psi_p)
     hb = psi_p.grid.hbar
     return (2.0 / hb) * np.real(1j * np.conj(psi_p.values) * fv.values)
-
-
-def load_tabulated_csv(path, grid: GridSpec) -> Tabulated:
-    """Read `axis0[,axis1],value` rows into a Tabulated potential on `grid`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected = grid.dof + 1
-        if len(header) != expected:
-            raise ConfigurationError(
-                f"potential CSV must have {expected} columns, got {len(header)}"
-            )
-        rows = [[float(v) for v in row] for row in reader]
-    if len(rows) != grid.size:
-        raise ConfigurationError(
-            f"potential CSV has {len(rows)} rows, grid expects {grid.size}"
-        )
-    data = np.asarray(rows)
-    vals = data[:, -1].reshape(grid.shape)
-    # verify coordinates match the grid in row-major order
-    mesh = np.meshgrid(*[grid.positions(a) for a in range(grid.dof)], indexing="ij")
-    for a in range(grid.dof):
-        if not np.allclose(data[:, a].reshape(grid.shape), mesh[a], atol=1e-9):
-            raise ConfigurationError("potential CSV coordinates do not match the grid")
-    return Tabulated(vals)

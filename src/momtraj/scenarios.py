@@ -54,7 +54,12 @@ CURRENTS = {"closed": CurrentMethod.CLOSED_FORM, "poisson": CurrentMethod.POISSO
 
 @dataclass
 class ScenarioConfig:
-    """Flat configuration for every built-in scenario; unused fields are ignored."""
+    """Flat configuration for the built-in scenarios.
+
+    A scenario reads COMMON_FIELDS and the fields its ScenarioDef.params
+    names; run_scenario rejects a run that sets any other field away from the
+    scenario's default.
+    """
 
     name: str = "free-particle"
     n_samples: int = 10_000
@@ -767,6 +772,13 @@ def _run_linear(config: ScenarioConfig) -> RunResult:
 # -- registry ---------------------------------------------------------------------------
 
 
+# The fields every run reads; a scenario's params name the rest of its inputs.
+COMMON_FIELDS = ("name", "n_samples", "seed", "grid_points", "grid_extent", "dt",
+                 "steps_per_frame", "t_final", "mass", "hbar", "current", "traj_csv_limit")
+
+_BINS_DOC = "bins of the final position histogram"
+
+
 @dataclass(frozen=True)
 class ScenarioDef:
     name: str
@@ -774,8 +786,7 @@ class ScenarioDef:
     defaults: dict
     summary: str
     claims: tuple[str, ...]
-    params: tuple[tuple[str, str], ...] = ()
-    models: tuple[str, ...] = ("epstein",)  # the `model` values the runner reads
+    params: tuple[tuple[str, str], ...]  # (field, doc): every input beyond COMMON_FIELDS
     min_frames: int = 2
 
 
@@ -786,7 +797,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
         "Free Gaussian: straight-line trajectories x = p t / m through the origin.",
         ("free-trajectory-law", "origin-concentration", "transported-density",
          "moment-identity", "variance-bound", "equivariance", "continuity"),
-        (("sigma", "packet width"), ("t_final", "run end time")),
+        (("sigma", "packet width"), ("histogram_bins", _BINS_DOC)),
     ),
     "superposition": ScenarioDef(
         "superposition", _run_superposition,
@@ -797,8 +808,9 @@ SCENARIOS: dict[str, ScenarioDef] = {
         ("fringe-momentum-density", "origin-concentration-shift-independent",
          "guidance-bimodality", "moment-identity", "equivariance"),
         (("a", "packet shift (warn when below 3 sigma)"), ("sigma", "packet width"),
-         ("model", "epstein, or both for the guidance-law contrast")),
-        models=MODELS,
+         ("c1_sq", "weight |c1|^2 of the +a packet"),
+         ("model", "epstein, or both for the guidance-law contrast"),
+         ("histogram_bins", _BINS_DOC)),
     ),
     "macroscopic": ScenarioDef(
         "macroscopic", _run_macroscopic,
@@ -806,7 +818,8 @@ SCENARIOS: dict[str, ScenarioDef] = {
         "Superposed pointer without environment: occupancy concentrates at the "
         "origin and the density obeys the twice-bare-pointer bound.",
         ("origin-occupancy", "density-bound", "fringe-momentum-density"),
-        (("a", "pointer displacement"), ("sigma", "pointer packet width")),
+        (("a", "pointer displacement"), ("sigma", "pointer packet width"),
+         ("c1_sq", "weight |c1|^2 of the +a packet"), ("histogram_bins", _BINS_DOC)),
     ),
     "measurement": ScenarioDef(
         "measurement", _run_measurement,
@@ -816,8 +829,12 @@ SCENARIOS: dict[str, ScenarioDef] = {
         "and Born-weight outcome frequencies.",
         ("factorized-momentum-density", "born-weights", "pointer-confinement",
          "moment-identity", "equivariance"),
-        (("c1_sq", "first outcome weight |c1|^2"), ("a", "pointer displacement"),
-         ("dpe", "environment momentum separation (reject when packets overlap)")),
+        (("a", "pointer displacement"),
+         ("dpe", "environment momentum separation (reject when packets overlap)"),
+         ("c1_sq", "first outcome weight |c1|^2"), ("sigma", "pointer packet width"),
+         ("sigma_env", "environment packet width"),
+         ("grid_points2", "environment axis points (0: grid_points)"),
+         ("grid_extent2", "environment axis extent (0: grid_extent)")),
     ),
     "collapse": ScenarioDef(
         "collapse", _run_collapse,
@@ -827,8 +844,9 @@ SCENARIOS: dict[str, ScenarioDef] = {
         "Poisson-route leakage report.",
         ("branch-current-decomposition", "single-branch-tracking",
          "silent-gap-maintained", "poisson-leakage-report", "current-cross-validation"),
-        (("delta_p", "packet momentum separation"), ("current", "closed or poisson"),
-         ("t_final", "run length; supports must stay separated throughout")),
+        (("delta_p", "packet momentum separation; supports must stay separated to t_final"),
+         ("sigma", "width of each packet"), ("omega", "oscillator frequency"),
+         ("histogram_bins", _BINS_DOC)),
     ),
     "harmonic-coherent": ScenarioDef(
         "harmonic-coherent", _run_harmonic,
@@ -838,7 +856,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
         "continuity residual, and the 1d current cross-validation.",
         ("classical-force", "equivariance", "continuity", "current-cross-validation"),
         (("displacement", "initial offset (0 freezes the ground state)"),
-         ("omega", "oscillator frequency")),
+         ("omega", "oscillator frequency"), ("histogram_bins", _BINS_DOC)),
         min_frames=3,  # central-difference dp/dt
     ),
     "linear-drift": ScenarioDef(
@@ -848,7 +866,8 @@ SCENARIOS: dict[str, ScenarioDef] = {
         "continuity residual, and the 1d current cross-validation.",
         ("constant-force-momentum-law", "equivariance", "continuity",
          "current-cross-validation"),
-        (("linear_coeff", "potential slope c"),),
+        (("linear_coeff", "potential slope c"), ("sigma", "packet width"),
+         ("histogram_bins", _BINS_DOC)),
         min_frames=3,  # central-difference dp/dt
     ),
 }
@@ -872,11 +891,15 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             f"unknown scenario {config.name!r}; available: {', '.join(sorted(SCENARIOS))}"
         )
     sdef = SCENARIOS[config.name]
-    if config.model not in sdef.models:
-        raise ConfigurationError(
-            f"scenario {config.name!r} runs model {' or '.join(sdef.models)}, "
-            f"not {config.model!r}"
-        )
+    reads = set(COMMON_FIELDS).union(name for name, _ in sdef.params)
+    default = default_config(config.name)
+    for f in dataclasses.fields(config):
+        value, kept = getattr(config, f.name), getattr(default, f.name)
+        if f.name not in reads and value != kept:
+            raise ConfigurationError(
+                f"scenario {config.name!r} does not read {f.name} (list-scenarios shows "
+                f"what it reads); leave it at {kept!r}, got {value!r}"
+            )
     if config.n_frames() < sdef.min_frames:
         raise ConfigurationError(
             f"scenario {config.name!r} needs at least {sdef.min_frames} frames, got "

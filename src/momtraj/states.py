@@ -48,7 +48,6 @@ class SuperpositionState:
     field: ComplexField
     norm_factor: float
     overlap: float
-    coefficients: tuple[float, float]
 
 
 def superposition_state(
@@ -82,7 +81,7 @@ def superposition_state(
         np.real(np.sum(np.conj(plus.values) * minus.values))
         * grid.cell_volume(Representation.POSITION)
     )
-    return SuperpositionState(raw_field.normalized(), nf, ov, (float(c1), float(c2)))
+    return SuperpositionState(raw_field.normalized(), nf, ov)
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,6 @@ class MeasurementState:
     field: ComplexField
     weights: tuple[float, float]
     env_overlap: float
-    pointer_shift: float
 
 
 def measurement_state(
@@ -158,7 +156,7 @@ def measurement_state(
         )
     vals = c1 * np.outer(pointer_plus, env_plus) + c2 * np.outer(pointer_minus, env_minus)
     f = ComplexField(grid, Representation.POSITION, vals).normalized()
-    return MeasurementState(f, (float(c1**2), float(c2**2)), float(env_overlap), a)
+    return MeasurementState(f, (float(c1**2), float(c2**2)), float(env_overlap))
 
 
 def coherent_state(grid: GridSpec, displacement: float, mass: float = 1.0, omega: float = 1.0) -> ComplexField:

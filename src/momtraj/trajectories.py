@@ -244,7 +244,6 @@ class EnsembleHistory:
     the step-doubling estimate of the RK4 error (see `_integrate`).
     """
 
-    model: str
     times: np.ndarray
     x: np.ndarray
     status: np.ndarray
@@ -401,7 +400,7 @@ def integrate_epstein(
 
     times, p, status, step_error = _integrate(frames, p_initial, velocity_of,
                                               substeps_per_frame, at_frame)
-    return EnsembleHistory("epstein", times, x, status, p, step_error)
+    return EnsembleHistory(times, x, status, p, step_error)
 
 
 def integrate_dbb(
@@ -414,4 +413,4 @@ def integrate_dbb(
     times, x, status, step_error = _integrate(
         frames, x_initial, lambda fr: velocity_field_dbb(fr.psi_x, masses), substeps_per_frame
     )
-    return EnsembleHistory("dbb", times, x, status, None, step_error)
+    return EnsembleHistory(times, x, status, None, step_error)

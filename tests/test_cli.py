@@ -172,7 +172,7 @@ def test_trajectories_csv_rows(tmp_path, with_p):
     status = np.zeros((3, 4), dtype=np.int8)
     status[1:, 1] = TrajStatus.FROZEN_AT_NODE
     status[2, 2] = TrajStatus.LEFT_GRID
-    ens = Ensemble(EnsembleHistory("epstein" if with_p else "dbb", times, x, status, p))
+    ens = Ensemble(EnsembleHistory(times, x, status, p))
     names = {0: "active", 1: "frozen_at_node", 2: "left_grid"}
     expected = ["traj_id,t," + ("p0," if with_p else "") + "x0,status"]
     for i in range(3):  # limit 3 leaves trajectory 3 out
@@ -216,6 +216,9 @@ def test_run_threads_flag_is_gone():
     (("measurement", "--dpe", "nan"), "dpe must be finite"),
     (("collapse", "--delta-p", "nan"), "delta_p must be finite"),
     (("linear-drift", "--seed", "-1"), "seed"),
+    (("harmonic-coherent", "--sigma", "5"), "does not read sigma"),
+    (("free-particle", "--model", "both"), "does not read model"),
+    (("free-particle", "--delta-p", "1"), "does not read delta_p"),
 ])
 def test_bad_scenario_input_exits_two_before_running(tmp_path, capsys, argv, message):
     code = run_cli("run", *argv, "--n", "50", "--out", str(tmp_path / "o"))
@@ -242,6 +245,18 @@ def test_bad_config_file_value_exits_two(tmp_path, capsys, key, value, message):
     err = capsys.readouterr().err
     assert code == 2
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_file_key_the_scenario_ignores_exits_two(tmp_path, capsys):
+    # the measurement histogram artifact has fixed 2d bins, so histogram_bins
+    # would be recorded in config.ini and change nothing
+    cfg = default_config("measurement", n_samples=50, histogram_bins=100)
+    path = write_config_ini(cfg, tmp_path / "run.ini")
+    code = run_cli("run", str(path), "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "does not read histogram_bins" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

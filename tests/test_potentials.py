@@ -12,10 +12,8 @@ from momtraj import (
     apply_potential,
     apply_potential_momentum_operator,
     evaluate_potential,
-    has_operator_form,
     interaction_source,
     interaction_source_operator,
-    load_tabulated_csv,
     to_momentum,
     to_position,
 )
@@ -29,13 +27,6 @@ def kinetic_apply(psi_x, mass=1.0):
     phi = to_momentum(psi_x)
     p = phi.grid.momenta(0)
     return to_position(phi.with_values(p**2 / (2 * mass) * phi.values)).values
-
-
-def test_operator_form_flags():
-    assert has_operator_form(Free())
-    assert has_operator_form(Linear(1.0))
-    assert has_operator_form(Harmonic(1.0, 1.0))
-    assert not has_operator_form(Tabulated(np.zeros(64)))
 
 
 def test_harmonic_rejects_bad_parameters():
@@ -169,29 +160,3 @@ def test_source_continuity_finite_difference_oracle(grid512):
         resid = np.linalg.norm(fd + src) / np.linalg.norm(src)
         assert resid <= 1e-4
 
-
-# -- tabulated CSV -----------------------------------------------------------------------
-
-
-def test_tabulated_csv_round_trip(tmp_path):
-    grid = grid_1d(64, 8.0)
-    x = grid.positions(0)
-    vals = 0.5 * x**2
-    path = tmp_path / "pot.csv"
-    with path.open("w") as fh:
-        fh.write("axis0,value\n")
-        for xi, vi in zip(x, vals):
-            fh.write(f"{float(xi)!r},{float(vi)!r}\n")
-    tab = load_tabulated_csv(path, grid)
-    assert np.abs(tab.values - vals).max() <= 1e-12
-
-
-def test_tabulated_csv_rejects_wrong_coordinates(tmp_path):
-    grid = grid_1d(64, 8.0)
-    path = tmp_path / "pot.csv"
-    with path.open("w") as fh:
-        fh.write("axis0,value\n")
-        for i in range(64):
-            fh.write(f"{float(i)!r},{0.0!r}\n")
-    with pytest.raises(ConfigurationError):
-        load_tabulated_csv(path, grid)

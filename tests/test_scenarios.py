@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from momtraj import (
     default_config,
     run_scenario,
 )
-from momtraj.scenarios import ScenarioConfig
+from momtraj.scenarios import COMMON_FIELDS, ScenarioConfig
 
 SMALL_N = 600
 
@@ -76,6 +78,68 @@ def test_config_dict_round_trip():
     assert back == cfg
     with pytest.raises(ConfigurationError):
         ScenarioConfig.from_dict({"bogus_key": 1})
+
+
+# -- declared inputs ------------------------------------------------------------------
+
+
+def _reads(name: str) -> set[str]:
+    return set(COMMON_FIELDS) | {field for field, _ in SCENARIOS[name].params}
+
+
+_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)]
+_UNDECLARED = [(n, f) for n in sorted(SCENARIOS) for f in _FIELDS if f not in _reads(n)]
+_DECLARED = [(n, f) for n in sorted(SCENARIOS) for f, _ in SCENARIOS[n].params]
+
+
+def _off_default(value):
+    """A value other than `value` that ScenarioConfig.validate still accepts."""
+    if isinstance(value, str):  # `model` is the only such field outside COMMON_FIELDS
+        return "both" if value == "epstein" else "epstein"
+    return value + 1 if isinstance(value, int) else value + 0.25
+
+
+class _RunnerCalled(Exception):
+    pass
+
+
+def _stub_runner(monkeypatch, name):
+    def runner(config):
+        raise _RunnerCalled(config)
+    monkeypatch.setitem(SCENARIOS, name, dataclasses.replace(SCENARIOS[name], runner=runner))
+
+
+def test_every_field_is_read_by_some_scenario():
+    declared = {f for name in SCENARIOS for f, _ in SCENARIOS[name].params}
+    assert set(_FIELDS) == set(COMMON_FIELDS) | declared
+    for name, sdef in SCENARIOS.items():
+        params = [f for f, _ in sdef.params]
+        assert len(params) == len(set(params)), name
+        assert not set(params) & set(COMMON_FIELDS), name
+
+
+@pytest.mark.parametrize("name, field", _UNDECLARED)
+def test_undeclared_field_is_rejected_before_the_run(monkeypatch, name, field):
+    _stub_runner(monkeypatch, name)
+    cfg = default_config(name)
+    setattr(cfg, field, _off_default(getattr(cfg, field)))
+    with pytest.raises(ConfigurationError, match=rf"does not read {field} "):
+        run_scenario(cfg)
+
+
+@pytest.mark.parametrize("name, field", _DECLARED)
+def test_declared_field_reaches_the_runner(monkeypatch, name, field):
+    _stub_runner(monkeypatch, name)
+    cfg = default_config(name)
+    setattr(cfg, field, _off_default(getattr(cfg, field)))
+    with pytest.raises(_RunnerCalled):
+        run_scenario(cfg)
+
+
+def test_range_checks_come_before_the_declared_inputs():
+    cfg = default_config("harmonic-coherent", sigma=-1.0)
+    with pytest.raises(ConfigurationError, match="must be positive"):
+        run_scenario(cfg)
 
 
 def test_superposition_overlap_warning():
