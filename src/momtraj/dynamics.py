@@ -14,6 +14,7 @@ the transforms entirely in that case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -54,6 +55,11 @@ class Frame:
     psi_x: ComplexField
     psi_p: ComplexField
 
+    @cached_property
+    def boundary_mass(self) -> tuple[float, float]:
+        """Boundary mass fractions of psi_x and psi_p, computed on first use."""
+        return boundary_mass_fraction(self.psi_x), boundary_mass_fraction(self.psi_p)
+
 
 FrameCallback = Callable[[Frame], None]
 
@@ -79,11 +85,13 @@ def kinetic_energy_grid(grid, masses) -> np.ndarray:
     return out
 
 
-def _step_phases(grid, potential: Potential, masses, dt: float):
-    """Kinetic energy grid and the phase factors of one step of size dt.
+@lru_cache(maxsize=64)
+def _step_phases(grid, potential: Potential, masses: tuple[float, ...], dt: float):
+    """Kinetic energy grid and the phase factors of one step of size dt (read-only).
 
-    Returns (kin, kin_half, pot_phase); the two phases are None for a Free
-    potential, whose steps are exact phase multiplications by kin alone.
+    masses is `_masses`'s per-axis tuple. Returns (kin, kin_half, pot_phase);
+    the two phases are None for a Free potential, whose steps are exact phase
+    multiplications by kin alone.
     """
     kin = kinetic_energy_grid(grid, masses)
     max_phase = float(kin.max()) * dt / grid.hbar
@@ -91,10 +99,13 @@ def _step_phases(grid, potential: Potential, masses, dt: float):
         raise ConfigurationError(
             f"kinetic phase per step {max_phase:.3f} >= pi; reduce dt or the momentum extent"
         )
+    kin.setflags(write=False)
     if isinstance(potential, Free):
         return kin, None, None
     kin_half = np.exp(-0.5j * kin * dt / grid.hbar)
     pot_phase = np.exp(-1j * evaluate_potential(potential, grid) * dt / grid.hbar)
+    kin_half.setflags(write=False)
+    pot_phase.setflags(write=False)
     return kin, kin_half, pot_phase
 
 
@@ -124,7 +135,7 @@ def propagate(
     grid = psi.grid
     if abs(psi.norm() - 1.0) > NORM_TOL:
         raise NormalizationError(f"initial state norm {psi.norm():.9f} deviates from 1")
-    kin, kin_half, pot_phase = _step_phases(grid, potential, masses, config.dt)
+    kin, kin_half, pot_phase = _step_phases(grid, potential, _masses(masses, grid.dof), config.dt)
 
     if psi.rep is Representation.POSITION:
         psi_p = to_momentum(psi)
@@ -132,21 +143,19 @@ def propagate(
         psi_p = psi
 
     t0 = psi.time
-    frame = None
 
     def emit(index: int, step: int, values_p: np.ndarray) -> Frame:
         t = t0 + step * config.dt
         fp = ComplexField(grid, Representation.MOMENTUM, values_p, t)
         fx = to_position(fp)
+        fr = Frame(index, t, fx, fp)
         if config.check_boundary:
-            for rep_field in (fx, fp):
-                frac = boundary_mass_fraction(rep_field)
+            for rep_field, frac in zip((fx, fp), fr.boundary_mass):
                 if frac > BOUNDARY_MASS_TOL:
                     raise BoundaryMassError(
                         f"boundary mass fraction {frac:.3e} in {rep_field.rep.value} "
                         f"representation at t={t:.6f} exceeds {BOUNDARY_MASS_TOL:.0e}"
                     )
-        fr = Frame(index, t, fx, fp)
         if on_frame is not None:
             on_frame(fr)
         return fr
@@ -200,7 +209,6 @@ def continuity_probe(
     potential: Potential,
     dt: float,
     masses: float | tuple[float, ...] = 1.0,
-    phases: tuple | None = None,
 ) -> tuple[ComplexField, Frame, ComplexField]:
     """Momentum states at t and t + dt and the midpoint frame, for continuity checks.
 
@@ -208,14 +216,10 @@ def continuity_probe(
     only position-space state transformed is the midpoint's. The two
     half-steps compose to the full step up to O(dt^3), far below the
     continuity tolerance; the midpoint state centers the finite difference.
-    `phases`, when given, is `_step_phases(grid, potential, masses, dt / 2)`,
-    built once by a caller that probes many frames of one run.
     """
     grid = frame.psi_p.grid
     half = dt / 2.0
-    if phases is None:
-        phases = _step_phases(grid, potential, masses, half)
-    kin, kin_half, pot_phase = phases
+    kin, kin_half, pot_phase = _step_phases(grid, potential, _masses(masses, grid.dof), half)
 
     def step(vals: np.ndarray) -> np.ndarray:
         if pot_phase is None:

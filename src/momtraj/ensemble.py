@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NormalizationError
 from .grid import ComplexField, GridSpec, Representation, node_mask, spectral_gradient
-from .trajectories import EnsembleHistory, TrajStatus
+from .trajectories import EnsembleHistory
 
 KS_BAND_99 = 1.63  # asymptotic one-sample KS critical coefficient at 99%
 
@@ -381,6 +381,3 @@ class Ensemble:
     """Sampled trajectory batch with its frame histories."""
 
     history: EnsembleHistory
-
-    def active_at(self, frame: int) -> np.ndarray:
-        return self.history.status[frame] == TrajStatus.ACTIVE

@@ -66,9 +66,9 @@ class Harmonic:
         object.__setattr__(self, "omega", w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tabulated:
-    """Real potential values sampled on the scenario's position grid."""
+    """Real potential values on the scenario's position grid; hashed by identity."""
 
     values: np.ndarray
 

@@ -1,9 +1,10 @@
 """Built-in experiment catalog: configuration, runner, and verdicts.
 
-Each scenario propagates a prepared state, integrates trajectory ensembles
-over the emitted frames, evaluates the statistical suite at every frame as
-the trajectories reach it, and returns machine-checkable verdicts. Verdicts
-are deterministic given (config, seed).
+Each catalog entry declares its dof and potential; its runner prepares a
+state, and `_simulate` propagates it, integrates the momentum-flow ensemble
+over the emitted frames and evaluates the statistical suite at every frame as
+the trajectories reach it. The runner adds its own machine-checkable
+verdicts, which are deterministic given (config, seed).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .currents import CurrentField, CurrentMethod, continuity_residual, current_for
-from .dynamics import Frame, PropagatorConfig, _step_phases, collect_frames, continuity_probe
+from .dynamics import Frame, PropagatorConfig, collect_frames, continuity_probe
 from .ensemble import (
     Ensemble,
     MomentReport,
@@ -31,7 +32,7 @@ from .ensemble import (
     sample_positions,
 )
 from .errors import ConfigurationError
-from .grid import GridSpec, boundary_mass_fraction, grid_1d, grid_2d
+from .grid import ComplexField, GridSpec, grid_1d, grid_2d
 from .potentials import Free, Harmonic, Linear, Potential
 from .states import (
     gaussian_state,
@@ -184,24 +185,6 @@ def _grid_for(config: ScenarioConfig, dof: int) -> GridSpec:
     )
 
 
-def _propagator(config: ScenarioConfig) -> PropagatorConfig:
-    return PropagatorConfig(dt=config.dt, steps_per_frame=config.steps_per_frame)
-
-
-def _run_epstein(
-    frames: list[Frame], potential: Potential, config: ScenarioConfig,
-    on_frame: Callable[[FrameFields, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
-) -> Ensemble:
-    p0 = sample_momenta(frames[0].psi_p, config.n_samples, config.seed)
-    return Ensemble(integrate_epstein(frames, potential, p0, CURRENTS[config.current],
-                                      on_frame=on_frame))
-
-
-def _run_dbb(frames: list[Frame], config: ScenarioConfig) -> Ensemble:
-    x0 = sample_positions(frames[0].psi_x, config.n_samples, config.seed)
-    return Ensemble(integrate_dbb(frames, x0, config.mass, config.steps_per_frame))
-
-
 def _moments_to_row(rep: MomentReport) -> dict:
     return {
         "mean_sample": rep.mean_sample.tolist(),
@@ -243,14 +226,13 @@ class FrameSuite:
 
     `add` reads the frame's FrameFields and keeps one stats row per frame and
     the worst cases for `verdicts`; `current` is the last frame's current.
-    `probe_phases` holds the continuity probe's step phases, built on the
-    first frame.
+    `_simulate` sets `frames` and `ensemble`, and `result` builds the RunResult.
+    A Free potential's currents vanish, so it has no cross-method check.
     """
 
     potential: Potential
     config: ScenarioConfig
     regions: list[Region] | None = None
-    cross_method: bool = False
     rows: list[dict] = field(default_factory=list)
     all_ks_ok: bool = True
     worst_ks_margin: float = 0.0
@@ -259,16 +241,18 @@ class FrameSuite:
     cross_pairs: list[tuple[float, float]] = field(default_factory=list)
     continuity_pairs: list[tuple[float, float]] = field(default_factory=list)
     current: CurrentField | None = None
-    probe_phases: tuple | None = field(default=None, init=False, repr=False)
+    frames: list[Frame] = field(default_factory=list)
+    ensemble: Ensemble | None = None
 
     def add(self, fields: FrameFields, p: np.ndarray, x: np.ndarray, status: np.ndarray) -> None:
         fr = fields.frame
         self.current = fields.current  # first, so that the previous current is freed early
         active = status == TrajStatus.ACTIVE
+        x_mass, p_mass = fr.boundary_mass
         row: dict = {
             "time": fr.time,
-            "boundary_mass_position": boundary_mass_fraction(fr.psi_x),
-            "boundary_mass_momentum": boundary_mass_fraction(fr.psi_p),
+            "boundary_mass_position": x_mass,
+            "boundary_mass_momentum": p_mass,
             "frozen_count": int(np.sum(status == TrajStatus.FROZEN_AT_NODE)),
             "left_grid_count": int(np.sum(status == TrajStatus.LEFT_GRID)),
         }
@@ -289,17 +273,13 @@ class FrameSuite:
                     k: {"frequency": v[0], "stderr": v[1]} for k, v in freqs.items()
                 }
 
-        if self.probe_phases is None:  # one grid, potential and mass per run
-            self.probe_phases = _step_phases(fr.psi_p.grid, self.potential, self.config.mass,
-                                             CONTINUITY_DT / 2.0)
-        before, mid, after = continuity_probe(fr, self.potential, CONTINUITY_DT,
-                                              self.config.mass, self.probe_phases)
+        before, mid, after = continuity_probe(fr, self.potential, CONTINUITY_DT, self.config.mass)
         cur = current_for(self.potential, mid.psi_x, mid.psi_p, fields.current.method)
         resid, den = continuity_residual(before, after, cur, CONTINUITY_DT)
         row["continuity_residual"] = resid
         self.continuity_pairs.append((resid * den if den >= 1e-14 else resid, den))
 
-        if self.cross_method and fr.psi_p.grid.dof == 1:
+        if not isinstance(self.potential, Free) and fr.psi_p.grid.dof == 1:
             jc = fields.current_of(CurrentMethod.CLOSED_FORM)
             jp = fields.current_of(CurrentMethod.POISSON)
             diff = float(np.linalg.norm(jp.components - jc.components))
@@ -322,26 +302,59 @@ class FrameSuite:
                     "momentum-density continuity equation",
                     "max over frames of the central-difference residual at dt=1e-3"),
         ]
-        if self.cross_method:
+        if not isinstance(self.potential, Free):
             cross = _robust_max_ratio(self.cross_pairs)
             out.append(Verdict("current-cross-method", cross <= 1e-6, cross, 1e-6,
                                "1d Poisson current equals the closed form",
                                "max over frames of the L2-relative difference"))
         return out
 
+    def result(self, verdicts: list[Verdict], diagnostics: dict | None = None,
+               **ensembles: Ensemble) -> RunResult:
+        """The RunResult: verdicts before the suite's, `ensembles` after the momentum-flow one."""
+        return RunResult(self.config, self.current, self.frames,
+                         {"epstein": self.ensemble, **ensembles}, self.rows,
+                         verdicts + self.verdicts(), diagnostics or {})
+
+
+FrameHook = Callable[[FrameFields, np.ndarray, np.ndarray, np.ndarray], None]
+
+
+def _trajectories(config: ScenarioConfig, psi: ComplexField, potential: Potential,
+                  on_frame: FrameHook | None = None) -> tuple[list[Frame], Ensemble]:
+    """Propagate psi, sample momenta from its t=0 density and integrate them over the frames."""
+    frames = collect_frames(psi, potential, PropagatorConfig(config.dt, config.steps_per_frame),
+                            config.n_steps(), config.mass)
+    p0 = sample_momenta(frames[0].psi_p, config.n_samples, config.seed)
+    return frames, Ensemble(integrate_epstein(frames, potential, p0, CURRENTS[config.current],
+                                              on_frame=on_frame))
+
+
+def _simulate(config: ScenarioConfig, psi: ComplexField, potential: Potential,
+              regions: list[Region] | None = None,
+              on_frame: FrameHook | None = None) -> FrameSuite:
+    """Run psi through every scenario's pipeline, the suite fed at every frame.
+
+    At each frame `FrameSuite.add` reads the frame first, then on_frame, when
+    given, runs the scenario's own per-frame checks.
+    """
+    suite = FrameSuite(potential, config, regions)
+
+    def at_frame(fields: FrameFields, p: np.ndarray, x: np.ndarray, status: np.ndarray) -> None:
+        suite.add(fields, p, x, status)
+        if on_frame is not None:
+            on_frame(fields, p, x, status)
+
+    suite.frames, suite.ensemble = _trajectories(config, psi, potential, at_frame)
+    return suite
+
 
 # -- scenario: free particle ---------------------------------------------------------
 
 
-def _run_free_particle(config: ScenarioConfig) -> RunResult:
-    grid = _grid_for(config, 1)
-    psi = gaussian_state(grid, sigma=config.sigma)
-    pot = Free()
-    frames = collect_frames(psi, pot, _propagator(config), config.n_steps(), config.mass)
-    suite = FrameSuite(pot, config)
-    ens = _run_epstein(frames, pot, config, suite.add)
-
-    hist = ens.history
+def _run_free_particle(config: ScenarioConfig, grid: GridSpec, potential: Potential) -> RunResult:
+    suite = _simulate(config, gaussian_state(grid, sigma=config.sigma), potential)
+    hist = suite.ensemble.history
     active_always = hist.status[-1] == TrajStatus.ACTIVE
     times = hist.times
     p0 = hist.p[0]
@@ -359,7 +372,7 @@ def _run_free_particle(config: ScenarioConfig) -> RunResult:
                                   [(grid.positions(0)[0], grid.positions(0)[-1])], active_always)
     width = edges[1] - edges[0]
     centers = 0.5 * (edges[:-1] + edges[1:])
-    rho_p = frames[-1].psi_p.density()
+    rho_p = suite.frames[-1].psi_p.density()
     pgrid = grid.momenta(0)
     mapped = np.interp(centers * config.mass / t_end, pgrid, rho_p) * config.mass / t_end
     l1 = float(np.sum(np.abs(emp - mapped)) * width)
@@ -377,22 +390,11 @@ def _run_free_particle(config: ScenarioConfig) -> RunResult:
                 "position histogram is the transported momentum density",
                 "L1 distance at the final frame"),
     ]
-    verdicts += suite.verdicts()
-    return RunResult(config, suite.current, frames, {"epstein": ens}, suite.rows, verdicts,
-                     {"final_histogram": {"centers": centers.tolist(), "density": emp.tolist()}})
+    return suite.result(verdicts, {"final_histogram": {"centers": centers.tolist(),
+                                                       "density": emp.tolist()}})
 
 
 # -- scenario: superposition (and the macroscopic variant) ----------------------------
-
-
-def _superposition_common(config: ScenarioConfig) -> tuple:
-    grid = _grid_for(config, 1)
-    c1 = np.sqrt(config.c1_sq)
-    c2 = np.sqrt(1.0 - config.c1_sq)
-    sup = superposition_state(grid, config.a, config.sigma, (c1, c2))
-    pot = Free()
-    frames = collect_frames(sup.field, pot, _propagator(config), config.n_steps(), config.mass)
-    return grid, sup, pot, frames
 
 
 def _fringe_density_verdict(grid: GridSpec, frame0: Frame, config: ScenarioConfig,
@@ -401,10 +403,9 @@ def _fringe_density_verdict(grid: GridSpec, frame0: Frame, config: ScenarioConfi
     hb = grid.hbar
     sig = config.sigma
     base = (sig**2 / (np.pi * hb**2)) ** 0.5 * np.exp(-(p**2) * sig**2 / hb**2)
-    c1 = np.sqrt(config.c1_sq)
-    c2 = np.sqrt(1.0 - config.c1_sq)
-    # |c1 e^{-iap} + c2 e^{+iap}|^2 reduces to 2 cos^2(ap) for equal weights
-    mod = (c1**2 + c2**2) + 2.0 * c1 * c2 * np.cos(2.0 * config.a * p / hb)
+    c = np.sqrt(0.5)  # the equal weights of superposition_state's default
+    # |c e^{-iap} + c e^{+iap}|^2 = 2 cos^2(ap)
+    mod = (c**2 + c**2) + 2.0 * c * c * np.cos(2.0 * config.a * p / hb)
     pred = norm_factor**2 * mod * base
     err = float(np.abs(frame0.psi_p.density() - pred).max())
     return Verdict("fringe-momentum-density", err <= 1e-8, err, 1e-8,
@@ -412,23 +413,23 @@ def _fringe_density_verdict(grid: GridSpec, frame0: Frame, config: ScenarioConfi
                    "max pointwise deviation from the modulated Gaussian")
 
 
-def _run_superposition(config: ScenarioConfig) -> RunResult:
-    grid, sup, pot, frames = _superposition_common(config)
-    suite = FrameSuite(pot, config)
-    ens = _run_epstein(frames, pot, config, suite.add)
-    hist = ens.history
+def _run_superposition(config: ScenarioConfig, grid: GridSpec, potential: Potential) -> RunResult:
+    sup = superposition_state(grid, config.a, config.sigma)
+    suite = _simulate(config, sup.field, potential)
+    hist = suite.ensemble.history
 
     origin = float(np.abs(hist.x[0][hist.status[0] == TrajStatus.ACTIVE]).max())
     verdicts = [
-        _fringe_density_verdict(grid, frames[0], config, sup.norm_factor),
+        _fringe_density_verdict(grid, suite.frames[0], config, sup.norm_factor),
         Verdict("origin-concentration", origin <= 1e-8, origin, 1e-8,
                 "t=0 positions sit at the origin for every packet shift",
                 f"max |x_i(0)| at a={config.a}"),
     ]
-    ensembles = {"epstein": ens}
+    ensembles = {}
     if config.model == "both":
-        dens = _run_dbb(frames, config)
-        ensembles["dbb"] = dens
+        x0 = sample_positions(suite.frames[0].psi_x, config.n_samples, config.seed)
+        dens = ensembles["dbb"] = Ensemble(integrate_dbb(suite.frames, x0, config.mass,
+                                                         config.steps_per_frame))
         if config.a > 0:  # at a = 0 there are no two packets to split between
             half = config.a / 2.0
             regions = [region_1d("plus", half, 3 * config.a - half),
@@ -442,22 +443,21 @@ def _run_superposition(config: ScenarioConfig) -> RunResult:
                         "guidance-model positions split between the shifted packets",
                         "max deviation of the +-a region frequencies from 1/2 at t=0")
             )
-    verdicts += suite.verdicts()
-    return RunResult(config, suite.current, frames, ensembles, suite.rows, verdicts,
-                     {"norm_factor": sup.norm_factor, "packet_overlap": sup.overlap})
+    return suite.result(verdicts, {"norm_factor": sup.norm_factor, "packet_overlap": sup.overlap},
+                        **ensembles)
 
 
-def _run_macroscopic(config: ScenarioConfig) -> RunResult:
-    grid, sup, pot, frames = _superposition_common(config)
+def _run_macroscopic(config: ScenarioConfig, grid: GridSpec, potential: Potential) -> RunResult:
+    sup = superposition_state(grid, config.a, config.sigma)
     regions = [
         region_1d("origin", -abs(config.a) / 2.0, abs(config.a) / 2.0),
         region_1d("plus", abs(config.a) / 2.0 + 1e-12, 3 * abs(config.a) / 2.0),
         region_1d("minus", -3 * abs(config.a) / 2.0, -abs(config.a) / 2.0 - 1e-12),
     ] if config.a != 0 else []
-    suite = FrameSuite(pot, config, regions)
-    ens = _run_epstein(frames, pot, config, suite.add)
+    suite = _simulate(config, sup.field, potential, regions)
+    ens = suite.ensemble
 
-    verdicts = [_fringe_density_verdict(grid, frames[0], config, sup.norm_factor)]
+    verdicts = [_fringe_density_verdict(grid, suite.frames[0], config, sup.norm_factor)]
     act0 = ens.history.status[0] == TrajStatus.ACTIVE
     if regions:
         freqs = macrostate_frequencies(ens.history.x[0], regions, act0)
@@ -473,16 +473,13 @@ def _run_macroscopic(config: ScenarioConfig) -> RunResult:
         ]
 
     # bin-wise density bound against a reference single-packet run
-    ref_cfg = dataclasses.replace(config, a=0.0, c1_sq=0.5)
-    ref_state = gaussian_state(grid, sigma=config.sigma)
-    ref_frames = collect_frames(ref_state, pot, _propagator(config), config.n_steps(), config.mass)
-    ref_ens = _run_epstein(ref_frames, pot, ref_cfg)
+    _, ref_ens = _trajectories(config, gaussian_state(grid, sigma=config.sigma), potential)
     bounds = [(grid.positions(0)[0], grid.positions(0)[-1])]
     n = config.n_samples
 
     def bin_fractions(e: Ensemble) -> np.ndarray:
         (edges,), density = rho_histogram(e.history.x[-1], config.histogram_bins, bounds,
-                                          e.active_at(-1))
+                                          e.history.status[-1] == TrajStatus.ACTIVE)
         return density * (edges[1] - edges[0])
 
     f_sup = bin_fractions(ens)
@@ -496,30 +493,24 @@ def _run_macroscopic(config: ScenarioConfig) -> RunResult:
                 "superposed-pointer density bounded by twice the bare-pointer density",
                 "max bin-wise excess over 2 N^2 rho_ref + 3 binomial sigma at the final frame")
     )
-    verdicts += suite.verdicts()
-    return RunResult(config, suite.current, frames, {"epstein": ens, "reference": ref_ens},
-                     suite.rows,
-                     verdicts, {"norm_factor": sup.norm_factor})
+    return suite.result(verdicts, {"norm_factor": sup.norm_factor}, reference=ref_ens)
 
 
 # -- scenario: measurement with environment -------------------------------------------
 
 
-def _run_measurement(config: ScenarioConfig) -> RunResult:
-    grid = _grid_for(config, 2)
+def _run_measurement(config: ScenarioConfig, grid: GridSpec, potential: Potential) -> RunResult:
     c1 = np.sqrt(config.c1_sq)
     c2 = np.sqrt(1.0 - config.c1_sq)
     ms = measurement_state(grid, config.a, config.dpe, c1, c2,
                            config.sigma, config.sigma_env)
-    pot = Free()
-    frames = collect_frames(ms.field, pot, _propagator(config), config.n_steps(), config.mass)
     half = config.a / 2.0
     regions = [
         Region("plus", ((half, 3 * config.a - half), None)),
         Region("minus", ((-(3 * config.a - half), -half), None)),
     ]
-    suite = FrameSuite(pot, config, regions)
-    ens = _run_epstein(frames, pot, config, suite.add)
+    suite = _simulate(config, ms.field, potential, regions)
+    ens = suite.ensemble
 
     # factorized momentum density against the analytic mixture
     p0g = grid.momenta(0)
@@ -535,7 +526,7 @@ def _run_measurement(config: ScenarioConfig) -> RunResult:
     term2 = ms.weights[1] * np.outer(pointer, env(-config.dpe / 2.0))
     pred = term1 + term2
     mask = (term1 > 1e-10) | (term2 > 1e-10)
-    dens_err = float(np.abs(frames[0].psi_p.density() - pred)[mask].max())
+    dens_err = float(np.abs(suite.frames[0].psi_p.density() - pred)[mask].max())
 
     act0 = ens.history.status[0] == TrajStatus.ACTIVE
     freqs = macrostate_frequencies(ens.history.x[0], regions, act0)
@@ -549,7 +540,7 @@ def _run_measurement(config: ScenarioConfig) -> RunResult:
     # pointer-region transition counts over the run (reported, no claim tested)
     region_ids = np.full(ens.history.x.shape[:2], -1, dtype=np.int8)
     for rid, reg in enumerate(regions):
-        for f in range(len(frames)):
+        for f in range(len(suite.frames)):
             region_ids[f][reg.contains(ens.history.x[f])] = rid
     transitions = int(np.sum(region_ids[1:] != region_ids[:-1]))
 
@@ -567,10 +558,8 @@ def _run_measurement(config: ScenarioConfig) -> RunResult:
                 "pointer positions display exactly one outcome region",
                 "summed occupancy of the two outcome regions at t=0 (pass: >= 0.999)"),
     ]
-    verdicts += suite.verdicts()
-    return RunResult(config, suite.current, frames, {"epstein": ens}, suite.rows, verdicts,
-                     {"env_overlap": ms.env_overlap, "weights": list(ms.weights),
-                      "pointer_region_transitions": transitions})
+    return suite.result(verdicts, {"env_overlap": ms.env_overlap, "weights": list(ms.weights),
+                                   "pointer_region_transitions": transitions})
 
 
 # -- scenario: effective collapse -------------------------------------------------------
@@ -581,15 +570,11 @@ SUPPORT_AMPLITUDE = 1e-5
 MIN_SILENT_CELLS = 10
 
 
-def _run_collapse(config: ScenarioConfig) -> RunResult:
-    grid = _grid_for(config, 1)
+def _run_collapse(config: ScenarioConfig, grid: GridSpec, potential: Potential) -> RunResult:
     state = two_packet_momentum_state(grid, config.delta_p, config.sigma)
-    pot = Harmonic(config.mass, config.omega)
-    prop = _propagator(config)
-    steps = config.n_steps()
-    frames = collect_frames(state.field, pot, prop, steps, config.mass)
-    branch_frames = collect_frames(state.branches[0], pot, prop, steps, config.mass)
-    suite = FrameSuite(pot, config, cross_method=True)
+    branch_frames = collect_frames(state.branches[0], potential,
+                                   PropagatorConfig(config.dt, config.steps_per_frame),
+                                   config.n_steps(), config.mass)
 
     # Collapse's checks run in the integrator's frame loop after the suite and
     # read the frame's fields; the branch frame of the same index gives the
@@ -606,7 +591,6 @@ def _run_collapse(config: ScenarioConfig) -> RunResult:
     def on_frame(fields: FrameFields, p_traj: np.ndarray, x: np.ndarray,
                  status: np.ndarray) -> None:
         nonlocal in_branch, decomp_worst, track_worst
-        suite.add(fields, p_traj, x, status)
         fr = fields.frame
         if fr.index == 0:
             in_branch = p_traj[:, 0] > 0.0
@@ -618,7 +602,7 @@ def _run_collapse(config: ScenarioConfig) -> RunResult:
         lo_peak = p[~upper][np.argmax(rho[~upper])]
         gap_cells.append(int(np.sum(silent & (p > lo_peak) & (p < hi_peak))))
 
-        br = FrameFields(branch_frames[fr.index], pot, CurrentMethod.CLOSED_FORM)
+        br = FrameFields(branch_frames[fr.index], potential, CurrentMethod.CLOSED_FORM)
         br_amp = np.abs(br.frame.psi_p.values)
         supp = br_amp >= SUPPORT_AMPLITUDE * br_amp.max()
         j_full = fields.current_of(CurrentMethod.CLOSED_FORM).components[0]
@@ -639,7 +623,7 @@ def _run_collapse(config: ScenarioConfig) -> RunResult:
             pairs_closed.append((float(np.abs(j_full[gap]).max()), float(np.abs(j_full).max())))
             pairs_poisson.append((float(np.abs(jp[gap]).max()), float(np.abs(jp).max())))
 
-    ens = _run_epstein(frames, pot, config, on_frame)
+    suite = _simulate(config, state.field, potential, on_frame=on_frame)
     scale = config.grid_extent / 2.0
     min_gap = min(gap_cells)
     verdicts = [
@@ -666,16 +650,12 @@ def _run_collapse(config: ScenarioConfig) -> RunResult:
         vals = [g / full for g, full in pairs if full >= 1e-3 * peak]
         return max(vals) if vals else 0.0
 
-    verdicts += suite.verdicts()
-    return RunResult(
-        config, suite.current, frames, {"epstein": ens}, suite.rows, verdicts,
-        {
-            "norm_factor": state.norm_factor,
-            "gap_current_leakage": {"closed": leak_of(pairs_closed),
-                                    "poisson": leak_of(pairs_poisson)},
-            "min_silent_gap_cells": min_gap,
-        },
-    )
+    return suite.result(verdicts, {
+        "norm_factor": state.norm_factor,
+        "gap_current_leakage": {"closed": leak_of(pairs_closed),
+                                "poisson": leak_of(pairs_poisson)},
+        "min_silent_gap_cells": min_gap,
+    })
 
 
 # -- scenario: harmonic coherent / ground state ------------------------------------------
@@ -713,14 +693,10 @@ def _classical_force_verdicts(hist: EnsembleHistory, config: ScenarioConfig) -> 
     return out
 
 
-def _run_harmonic(config: ScenarioConfig) -> RunResult:
-    grid = _grid_for(config, 1)
+def _run_harmonic(config: ScenarioConfig, grid: GridSpec, potential: Potential) -> RunResult:
     sigma = np.sqrt(config.hbar / (config.mass * config.omega))
-    psi = gaussian_state(grid, sigma=sigma, center=config.displacement)
-    pot = Harmonic(config.mass, config.omega)
-    frames = collect_frames(psi, pot, _propagator(config), config.n_steps(), config.mass)
-    suite = FrameSuite(pot, config, cross_method=True)
-    ens = _run_epstein(frames, pot, config, suite.add)
+    suite = _simulate(config, gaussian_state(grid, sigma=sigma, center=config.displacement),
+                      potential)
 
     # the grid mean, which the suite computed at every frame, tracks the classical orbit
     worst_mean = max(abs(row["moments"]["mean_grid"][0]
@@ -731,23 +707,15 @@ def _run_harmonic(config: ScenarioConfig) -> RunResult:
                 "the position expectation follows the classical oscillation",
                 "max |<x>(t) - x0 cos(w t)| over frames"),
     ]
-    verdicts += _classical_force_verdicts(ens.history, config)
-    verdicts += suite.verdicts()
-    return RunResult(config, suite.current, frames, {"epstein": ens}, suite.rows, verdicts, {})
+    return suite.result(verdicts + _classical_force_verdicts(suite.ensemble.history, config))
 
 
 # -- scenario: linear drift ----------------------------------------------------------------
 
 
-def _run_linear(config: ScenarioConfig) -> RunResult:
-    grid = _grid_for(config, 1)
-    psi = gaussian_state(grid, sigma=config.sigma)
-    pot = Linear(config.linear_coeff)
-    frames = collect_frames(psi, pot, _propagator(config), config.n_steps(), config.mass)
-    suite = FrameSuite(pot, config, cross_method=True)
-    ens = _run_epstein(frames, pot, config, suite.add)
-
-    hist = ens.history
+def _run_linear(config: ScenarioConfig, grid: GridSpec, potential: Potential) -> RunResult:
+    suite = _simulate(config, gaussian_state(grid, sigma=config.sigma), potential)
+    hist = suite.ensemble.history
     law = 0.0
     for f, t in enumerate(hist.times):
         act = hist.status[f] == TrajStatus.ACTIVE
@@ -765,8 +733,7 @@ def _run_linear(config: ScenarioConfig) -> RunResult:
                 "dp/dt equals minus the potential slope",
                 "max |dp/dt + c| by central differences"),
     ]
-    verdicts += suite.verdicts()
-    return RunResult(config, suite.current, frames, {"epstein": ens}, suite.rows, verdicts, {})
+    return suite.result(verdicts)
 
 
 # -- registry ---------------------------------------------------------------------------
@@ -781,8 +748,12 @@ _BINS_DOC = "bins of the final position histogram"
 
 @dataclass(frozen=True)
 class ScenarioDef:
+    """A catalog entry; run_scenario hands `runner` a `dof`-axis grid and the `potential`."""
+
     name: str
-    runner: Callable[[ScenarioConfig], RunResult]
+    runner: Callable[[ScenarioConfig, GridSpec, Potential], RunResult]
+    dof: int
+    potential: Callable[[ScenarioConfig], Potential]
     defaults: dict
     summary: str
     claims: tuple[str, ...]
@@ -792,7 +763,7 @@ class ScenarioDef:
 
 SCENARIOS: dict[str, ScenarioDef] = {
     "free-particle": ScenarioDef(
-        "free-particle", _run_free_particle,
+        "free-particle", _run_free_particle, 1, lambda c: Free(),
         {"grid_extent": 80.0, "t_final": 5.0},
         "Free Gaussian: straight-line trajectories x = p t / m through the origin.",
         ("free-trajectory-law", "origin-concentration", "transported-density",
@@ -800,7 +771,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
         (("sigma", "packet width"), ("histogram_bins", _BINS_DOC)),
     ),
     "superposition": ScenarioDef(
-        "superposition", _run_superposition,
+        "superposition", _run_superposition, 1, lambda c: Free(),
         {"a": 5.0, "grid_extent": 45.0, "t_final": 1.0, "steps_per_frame": 20,
          "model": "both"},
         "Two shifted free packets: fringe-modulated momentum density, all t=0 "
@@ -808,21 +779,20 @@ SCENARIOS: dict[str, ScenarioDef] = {
         ("fringe-momentum-density", "origin-concentration-shift-independent",
          "guidance-bimodality", "moment-identity", "equivariance"),
         (("a", "packet shift (warn when below 3 sigma)"), ("sigma", "packet width"),
-         ("c1_sq", "weight |c1|^2 of the +a packet"),
          ("model", "epstein, or both for the guidance-law contrast"),
          ("histogram_bins", _BINS_DOC)),
     ),
     "macroscopic": ScenarioDef(
-        "macroscopic", _run_macroscopic,
+        "macroscopic", _run_macroscopic, 1, lambda c: Free(),
         {"a": 6.0, "grid_extent": 45.0, "t_final": 1.0, "steps_per_frame": 20},
         "Superposed pointer without environment: occupancy concentrates at the "
         "origin and the density obeys the twice-bare-pointer bound.",
         ("origin-occupancy", "density-bound", "fringe-momentum-density"),
         (("a", "pointer displacement"), ("sigma", "pointer packet width"),
-         ("c1_sq", "weight |c1|^2 of the +a packet"), ("histogram_bins", _BINS_DOC)),
+         ("histogram_bins", _BINS_DOC)),
     ),
     "measurement": ScenarioDef(
-        "measurement", _run_measurement,
+        "measurement", _run_measurement, 2, lambda c: Free(),
         {"a": 6.0, "dpe": 12.0, "grid_points": 256, "t_final": 0.5,
          "steps_per_frame": 100, "c1_sq": 0.5},
         "Pointer plus momentum-kicked environment: factorized momentum density "
@@ -837,7 +807,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
          ("grid_extent2", "environment axis extent (0: grid_extent)")),
     ),
     "collapse": ScenarioDef(
-        "collapse", _run_collapse,
+        "collapse", _run_collapse, 1, lambda c: Harmonic(c.mass, c.omega),
         {"delta_p": 18.0, "t_final": 0.4, "omega": 1.0},
         "Two separated momentum packets under a harmonic potential: branch-wise "
         "current decomposition, single-branch trajectory dependence, and the "
@@ -849,7 +819,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
          ("histogram_bins", _BINS_DOC)),
     ),
     "harmonic-coherent": ScenarioDef(
-        "harmonic-coherent", _run_harmonic,
+        "harmonic-coherent", _run_harmonic, 1, lambda c: Harmonic(c.mass, c.omega),
         {"displacement": 2.0, "dt": float(np.pi / 3200.0), "t_final": float(np.pi),
          "steps_per_frame": 10},
         "Coherent state: equivariance under oscillation, classical-force relation, "
@@ -860,7 +830,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
         min_frames=3,  # central-difference dp/dt
     ),
     "linear-drift": ScenarioDef(
-        "linear-drift", _run_linear,
+        "linear-drift", _run_linear, 1, lambda c: Linear(c.linear_coeff),
         {"linear_coeff": 2.0, "t_final": 1.0},
         "Uniform-force drift: p(t) = p(0) - c t, translation-covariant equivariance, "
         "continuity residual, and the 1d current cross-validation.",
@@ -886,13 +856,9 @@ def default_config(name: str, **overrides) -> ScenarioConfig:
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
     config.validate()
-    if config.name not in SCENARIOS:
-        raise ConfigurationError(
-            f"unknown scenario {config.name!r}; available: {', '.join(sorted(SCENARIOS))}"
-        )
+    default = default_config(config.name)  # rejects an unknown name
     sdef = SCENARIOS[config.name]
     reads = set(COMMON_FIELDS).union(name for name, _ in sdef.params)
-    default = default_config(config.name)
     for f in dataclasses.fields(config):
         value, kept = getattr(config, f.name), getattr(default, f.name)
         if f.name not in reads and value != kept:
@@ -906,7 +872,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             f"{config.n_frames()} from t_final={config.t_final}, dt={config.dt}, "
             f"steps_per_frame={config.steps_per_frame}"
         )
-    result = sdef.runner(config)
+    result = sdef.runner(config, _grid_for(config, sdef.dof), sdef.potential(config))
     result.diagnostics["rk4_step_doubling"] = {
         model: ens.history.step_error for model, ens in result.ensembles.items()
     }

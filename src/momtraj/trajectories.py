@@ -254,15 +254,6 @@ class EnsembleHistory:
     def n_trajectories(self) -> int:
         return self.x.shape[1]
 
-    def final_status(self) -> np.ndarray:
-        return self.status[-1]
-
-    def frozen_count(self) -> int:
-        return int(np.sum(self.final_status() == TrajStatus.FROZEN_AT_NODE))
-
-    def left_grid_count(self) -> int:
-        return int(np.sum(self.final_status() == TrajStatus.LEFT_GRID))
-
 
 def _readout_positions(
     x_store: np.ndarray, status: np.ndarray, x_field: MaskedVectorField, p: np.ndarray

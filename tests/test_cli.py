@@ -219,6 +219,8 @@ def test_run_threads_flag_is_gone():
     (("harmonic-coherent", "--sigma", "5"), "does not read sigma"),
     (("free-particle", "--model", "both"), "does not read model"),
     (("free-particle", "--delta-p", "1"), "does not read delta_p"),
+    (("superposition", "--c1sq", "0.8"), "does not read c1_sq"),
+    (("macroscopic", "--c1sq", "0.8"), "does not read c1_sq"),
 ])
 def test_bad_scenario_input_exits_two_before_running(tmp_path, capsys, argv, message):
     code = run_cli("run", *argv, "--n", "50", "--out", str(tmp_path / "o"))

@@ -11,6 +11,8 @@ from momtraj import (
     Linear,
     NormalizationError,
     Representation,
+    Tabulated,
+    evaluate_potential,
     to_momentum,
     total_energy,
 )
@@ -194,3 +196,16 @@ def test_continuity_probe_equals_two_half_step_propagations(grid512, pot, monkey
         assert got.values.tobytes() == want.values.tobytes()
     # the midpoint's position state, plus one per split step (Free has none)
     assert len(calls) == (1 if isinstance(pot, Free) else 3)
+
+
+def test_tabulated_potential_steps_like_its_analytic_values(grid512):
+    # hashed by identity, a Tabulated potential keys its own step-phase cache
+    # entry; its frames equal those of the potential whose values it holds
+    harmonic = Harmonic(1.0, 1.0)
+    tab = Tabulated(evaluate_potential(harmonic, grid512))
+    cfg = PropagatorConfig(dt=1e-3, steps_per_frame=5)
+    psi = coherent_state(grid512, 2.0)
+    want = collect_frames(psi, harmonic, cfg, 10)
+    got = collect_frames(psi, tab, cfg, 10)
+    assert [f.psi_p.values.tobytes() for f in got] == [f.psi_p.values.tobytes() for f in want]
+    assert tab == tab and tab != Tabulated(tab.values)

@@ -93,10 +93,14 @@ _DECLARED = [(n, f) for n in sorted(SCENARIOS) for f, _ in SCENARIOS[n].params]
 
 
 def _off_default(value):
-    """A value other than `value` that ScenarioConfig.validate still accepts."""
+    """A value other than `value` that run_scenario accepts up to the runner call.
+
+    run_scenario builds the grid before it calls the runner, so an int steps
+    by 64, which takes grid_points2 from 0 to the smallest valid axis.
+    """
     if isinstance(value, str):  # `model` is the only such field outside COMMON_FIELDS
         return "both" if value == "epstein" else "epstein"
-    return value + 1 if isinstance(value, int) else value + 0.25
+    return value + 64 if isinstance(value, int) else value + 0.25
 
 
 class _RunnerCalled(Exception):
@@ -104,7 +108,7 @@ class _RunnerCalled(Exception):
 
 
 def _stub_runner(monkeypatch, name):
-    def runner(config):
+    def runner(config, grid, potential):
         raise _RunnerCalled(config)
     monkeypatch.setitem(SCENARIOS, name, dataclasses.replace(SCENARIOS[name], runner=runner))
 
@@ -270,21 +274,67 @@ def test_collapse_builds_each_frames_currents_once(monkeypatch):
     assert calls["current_poisson"] <= len(res.frames)
 
 
-def test_step_phases_are_built_once_per_run(monkeypatch):
+def test_step_phases_are_built_once_per_run():
     # one set for the propagator's step and one for the continuity probe's
     # half step, however many frames the suite probes
-    calls = []
-    original = momtraj.dynamics._step_phases
-
-    def counted(grid, potential, masses, dt):
-        calls.append(dt)
-        return original(grid, potential, masses, dt)
-
-    for module in (momtraj.dynamics, momtraj.scenarios):
-        monkeypatch.setattr(module, "_step_phases", counted)
+    momtraj.dynamics._step_phases.cache_clear()
     cfg = default_config("harmonic-coherent", n_samples=100,
                          t_final=float(np.pi / 160.0), steps_per_frame=2)
     res = run_scenario(cfg)
     assert res.passed
     assert len(res.frames) == 11
-    assert sorted(calls) == [5e-4, cfg.dt]
+    info = momtraj.dynamics._step_phases.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    kin, kin_half, pot_phase = momtraj.dynamics._step_phases(
+        res.frames[0].psi_p.grid, SCENARIOS[cfg.name].potential(cfg), (cfg.mass,), cfg.dt)
+    assert momtraj.dynamics._step_phases.cache_info().misses == 2
+    assert not (kin.flags.writeable or kin_half.flags.writeable or pot_phase.flags.writeable)
+
+
+def test_each_frame_computes_its_boundary_mass_once(monkeypatch):
+    # the propagator's boundary check and the suite's stats row share one
+    # value per representation
+    calls = []
+    original = momtraj.dynamics.boundary_mass_fraction
+
+    def counted(fld):
+        calls.append(fld.rep)
+        return original(fld)
+
+    for module in (momtraj.grid, momtraj.dynamics, momtraj.scenarios):
+        if hasattr(module, "boundary_mass_fraction"):
+            monkeypatch.setattr(module, "boundary_mass_fraction", counted)
+    cfg = default_config("harmonic-coherent", n_samples=100,
+                         t_final=float(np.pi / 160.0), steps_per_frame=2)
+    res = run_scenario(cfg)
+    assert res.passed
+    assert len(res.frames) == 11
+    assert len(calls) == 2 * len(res.frames)
+    assert [row["boundary_mass_position"] for row in res.stats_rows] == [
+        fr.boundary_mass[0] for fr in res.frames]
+
+
+_CROSS_METHOD = {"collapse", "harmonic-coherent", "linear-drift"}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_each_scenario_runs_under_its_declared_potential(monkeypatch, name):
+    # every propagation of a run, collapse's branch and macroscopic's
+    # reference included, uses the registry's potential
+    seen = []
+    original = momtraj.scenarios.collect_frames
+
+    def recording(psi, potential, *args, **kwargs):
+        seen.append(potential)
+        return original(psi, potential, *args, **kwargs)
+
+    monkeypatch.setattr(momtraj.scenarios, "collect_frames", recording)
+    cfg = default_config(name, n_samples=100)
+    res = run_scenario(cfg)
+    assert res.passed
+    declared = SCENARIOS[name].potential(cfg)
+    assert len(seen) == (2 if name in ("collapse", "macroscopic") else 1)
+    assert all(pot == declared for pot in seen), (seen, declared)
+    cross = any("current_cross_method_rel" in row for row in res.stats_rows)
+    assert cross == (name in _CROSS_METHOD)
+    assert ("current-cross-method" in [v.name for v in res.verdicts]) == (name in _CROSS_METHOD)

@@ -215,7 +215,7 @@ def test_step_epstein_free_is_exact(grid512):
     hist = integrate_epstein(fixed_frames(phi, 1.0), Free(), np.array([[1.25]]),
                              substeps_per_frame=100)
     assert hist.p[-1, 0, 0] == 1.25
-    assert hist.final_status()[0] == TrajStatus.ACTIVE
+    assert hist.status[-1][0] == TrajStatus.ACTIVE
 
 
 def test_step_epstein_linear_constant_force(grid512):
@@ -244,7 +244,7 @@ def test_step_epstein_leaves_grid(grid512):
     # Linear(-5): w = +5 pushes p upward
     hist = integrate_epstein(fixed_frames(flat, 0.1), Linear(-5.0),
                              np.array([[p_edge - 1e-3]]), substeps_per_frame=10)
-    assert hist.final_status()[0] == TrajStatus.LEFT_GRID
+    assert hist.status[-1][0] == TrajStatus.LEFT_GRID
     assert hist.p[-1, 0, 0] <= p_edge  # retired in place, not extrapolated
 
 
@@ -350,7 +350,7 @@ def test_node_freeze_counted_on_commensurate_fringes():
     rng = np.random.default_rng(7)
     p0 = rng.uniform(-2.0, 2.0, size=(500, 1))
     hist = integrate_epstein(frames, Free(), p0, substeps_per_frame=10)
-    assert hist.frozen_count() > 0
+    assert np.sum(hist.status[-1] == TrajStatus.FROZEN_AT_NODE) > 0
     frozen = hist.status[-1] == TrajStatus.FROZEN_AT_NODE
     active = hist.status[-1] == TrajStatus.ACTIVE
     assert np.isnan(hist.x[0][frozen]).sum() >= 0  # frozen-at-start carry no position
