@@ -1,0 +1,218 @@
+#!/usr/bin/env python3
+"""Compare the run artifacts of the working tree with those of a git revision.
+
+    python3 scripts/identity.py REV [--tol T]
+
+REV is checked out into a git worktree under .identity/ (ignored by git).
+The fixed command set runs on both trees, alternating which tree goes first,
+each with its own src/ on PYTHONPATH:
+
+* the 7 catalog scenarios at --n 10000 --seed 42;
+* run measurement --c1sq 0.64 --n 10000 --seed 42;
+* run harmonic-coherent --n 1000 --frames 1600 --current poisson --seed 42.
+
+Every file that either run's manifest lists is compared. A file prints
+"identical", or for a CSV the max absolute and relative difference of each
+column that differs, or for JSON the numeric leaves that differ, with their
+paths. Each command's wall time on both trees is printed too. Outputs are
+deleted as soon as they are compared, and the worktree when the script ends.
+
+Exit code 0: every file is identical. With --tol T, exit code 0 also when
+every numeric difference is within T, |a - b| <= T * max(1, |a|, |b|), and
+every non-numeric value is equal. Exit code 1 otherwise, 2 on a bad REV.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import shutil
+import subprocess
+import sys
+import time
+from dataclasses import dataclass, field
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRATCH = ROOT / ".identity"
+
+CATALOG = ("collapse", "free-particle", "harmonic-coherent", "linear-drift", "macroscopic",
+           "measurement", "superposition")
+ACCEPTANCE = ("--n", "10000", "--seed", "42")
+COMMANDS = tuple((name, ("run", name) + ACCEPTANCE) for name in CATALOG) + (
+    ("measurement-c1sq-0.64", ("run", "measurement", "--c1sq", "0.64") + ACCEPTANCE),
+    ("frames-poisson", ("run", "harmonic-coherent", "--n", "1000", "--frames", "1600",
+                        "--current", "poisson", "--seed", "42")),
+)
+
+SHOWN_LEAVES = 20  # differing JSON leaves printed per file; the rest are counted
+
+
+@dataclass
+class Report:
+    """What differs between two artifact directories."""
+
+    lines: list[str] = field(default_factory=list)
+    identical: bool = True   # every listed file is byte-identical
+    worst: float = 0.0       # largest numeric difference, scaled as --tol reads it
+    other: bool = False      # a non-numeric value, a file or the layout differs
+
+    def numeric(self, line: str | None, scaled: float) -> None:
+        """A numeric difference; `line`, unless None, says what differs."""
+        self.lines += [line] if line else []
+        self.identical = False
+        self.worst = max(self.worst, scaled)
+
+    def mismatch(self, line: str | None) -> None:
+        """A difference that no tolerance accepts."""
+        self.lines += [line] if line else []
+        self.identical = False
+        self.other = True
+
+    def passes(self, tol: float | None) -> bool:
+        return self.identical or (tol is not None and not self.other and self.worst <= tol)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _short(v, width: int = 60) -> str:
+    text = repr(v)
+    return text if len(text) <= width else text[:width - 3] + "..."
+
+
+def _scaled(a: float, b: float) -> float:
+    return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def _compare_csv(name: str, a: str, b: str, report: Report) -> None:
+    rows_a = [line.split(",") for line in a.splitlines()]
+    rows_b = [line.split(",") for line in b.splitlines()]
+    if rows_a[:1] != rows_b[:1] or len(rows_a) != len(rows_b):
+        report.mismatch(f"{name}: header or row count differs")
+        return
+    for j, col in enumerate(rows_a[0]):
+        pairs = [(ra[j], rb[j]) for ra, rb in zip(rows_a[1:], rows_b[1:]) if ra[j] != rb[j]]
+        if not pairs:
+            continue
+        try:
+            nums = [(float(x), float(y)) for x, y in pairs]
+        except ValueError:
+            nums = None
+        if nums is None or not all(math.isfinite(x - y) for x, y in nums):
+            report.mismatch(f"{name}: column {col}: {len(pairs)} non-numeric values differ")
+            continue
+        abs_max = max(abs(x - y) for x, y in nums)
+        rel_max = max(abs(x - y) / (max(abs(x), abs(y)) or 1.0) for x, y in nums)
+        report.numeric(f"{name}: column {col}: {len(pairs)} values differ, max abs "
+                       f"{abs_max:.3e}, max rel {rel_max:.3e}",
+                       max(_scaled(x, y) for x, y in nums))
+
+
+def _json_leaves(a, b, path: str, out: list[tuple[str, object, object]]) -> None:
+    """Append (path, a, b) for every leaf or branch at which a and b differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            _json_leaves(a.get(key), b.get(key), f"{path}/{key}", out)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            _json_leaves(x, y, f"{path}/{i}", out)
+    elif a != b and not (_is_number(a) and _is_number(b) and math.isnan(a) and math.isnan(b)):
+        out.append((path, a, b))
+
+
+def _compare_json(name: str, a: str, b: str, report: Report) -> None:
+    leaves: list[tuple[str, object, object]] = []
+    _json_leaves(json.loads(a), json.loads(b), "", leaves)
+    for i, (path, x, y) in enumerate(leaves):
+        text = f"{name}: {path}: {_short(x)} != {_short(y)}" if i < SHOWN_LEAVES else None
+        if _is_number(x) and _is_number(y) and math.isfinite(x - y):
+            report.numeric(text, _scaled(x, y))
+        else:
+            report.mismatch(text)
+    if len(leaves) > SHOWN_LEAVES:
+        report.lines.append(f"{name}: ... and {len(leaves) - SHOWN_LEAVES} more differing leaves")
+
+
+def _listed(out_dir: Path) -> set[str]:
+    mpath = out_dir / "manifest.json"
+    return set(json.loads(mpath.read_text())["outputs"]) if mpath.is_file() else set()
+
+
+def compare_dirs(ref: Path, new: Path) -> Report:
+    """Compare every file either directory's manifest.json lists."""
+    report = Report()
+    listed_ref, listed_new = _listed(ref), _listed(new)
+    if not listed_ref and not listed_new:
+        report.mismatch("no manifest lists any output")
+    for name in sorted(listed_ref | listed_new):
+        if name not in listed_ref or name not in listed_new:
+            report.mismatch(f"{name}: listed by one manifest only")
+            continue
+        a, b = (ref / name).read_bytes(), (new / name).read_bytes()
+        if a == b:
+            report.lines.append(f"{name}: identical")
+        elif name.endswith(".csv"):
+            _compare_csv(name, a.decode(), b.decode(), report)
+        elif name.endswith(".json"):
+            _compare_json(name, a.decode(), b.decode(), report)
+        else:
+            report.mismatch(f"{name}: differs")
+    return report
+
+
+def _run(tree: Path, argv: tuple[str, ...], out: Path) -> tuple[int, float]:
+    """Run one momtraj command on `tree`'s sources; returns (exit code, wall seconds)."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "momtraj.cli", *argv, "--out", str(out)],
+                          cwd=tree, env=env, stdout=subprocess.DEVNULL)
+    return proc.returncode, time.perf_counter() - start
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("rev", help="the git revision to compare the working tree against")
+    ap.add_argument("--tol", type=float, help="accept numeric differences within this bound")
+    args = ap.parse_args(argv)
+    commit = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{args.rev}^{{commit}}"],
+                            cwd=ROOT, capture_output=True, text=True)
+    if commit.returncode:
+        print(f"identity: not a commit: {args.rev}", file=sys.stderr)
+        return 2
+    ref_tree = SCRATCH / "ref"
+    shutil.rmtree(SCRATCH, ignore_errors=True)
+    subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=True)
+    subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(ref_tree),
+                    commit.stdout.strip()], cwd=ROOT, check=True)
+    ok = True
+    try:
+        for i, (label, cmd) in enumerate(COMMANDS):
+            trees = [("ref", ref_tree), ("new", ROOT)]
+            runs = {side: _run(tree, cmd, SCRATCH / "out" / side / label)
+                    for side, tree in (trees if i % 2 == 0 else trees[::-1])}
+            report = compare_dirs(SCRATCH / "out" / "ref" / label, SCRATCH / "out" / "new" / label)
+            if runs["ref"][0] != runs["new"][0]:
+                report.mismatch(f"exit code {runs['ref'][0]} at {args.rev}, "
+                                f"{runs['new'][0]} in the working tree")
+            passed = report.passes(args.tol)
+            ok &= passed
+            verdict = ("identical" if report.identical
+                       else f"within {args.tol:g}" if passed else "DIFFERS")
+            print(f"{label}: {verdict} (wall {runs['ref'][1]:.2f} s at {args.rev}, "
+                  f"{runs['new'][1]:.2f} s in the working tree)")
+            for line in report.lines:
+                print(f"  {line}")
+            sys.stdout.flush()  # one command's report at a time, also through a pipe
+            shutil.rmtree(SCRATCH / "out", ignore_errors=True)
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", str(ref_tree)], cwd=ROOT)
+        shutil.rmtree(SCRATCH, ignore_errors=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,6 +15,7 @@ from .ensemble import (
     Ensemble,
     Region,
     equivariance_check,
+    grid_moments,
     ks_band,
     ks_statistic,
     macrostate_frequencies,

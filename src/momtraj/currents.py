@@ -30,6 +30,9 @@ from .grid import (
     ComplexField,
     GridSpec,
     Representation,
+    _frozen,
+    _readonly,
+    grid_axes,
     spectral_divergence,
     spectral_gradient,
     spectral_inverse_laplacian,
@@ -44,18 +47,19 @@ class CurrentMethod(Enum):
 
 @dataclass(frozen=True)
 class CurrentField:
-    """Real current components on the momentum grid, one per dof."""
+    """Real current components on the momentum grid, one per dof, each of one
+    frame or of a block of frames (read-only, adopted by `_readonly`)."""
 
     grid: GridSpec
     components: np.ndarray
     method: CurrentMethod
-    time: float = 0.0
+    time: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        comps = np.array(self.components, dtype=float, copy=True)
-        if comps.shape != (self.grid.dof,) + self.grid.shape:
+        comps = _readonly(self.components, np.float64)
+        dof = self.grid.dof
+        if comps.shape[:1] != (dof,) or comps.shape[comps.ndim - dof:] != self.grid.shape:
             raise ConfigurationError("current components must have shape (dof,) + grid.shape")
-        comps.setflags(write=False)
         object.__setattr__(self, "components", comps)
 
     def divergence(self) -> np.ndarray:
@@ -70,7 +74,7 @@ def current_closed_form(potential: Potential, psi_p: ComplexField,
         raise ConfigurationError("current construction expects a momentum-representation field")
     grid = psi_p.grid
     if isinstance(potential, Free):
-        comps = np.zeros((grid.dof,) + grid.shape)
+        comps = np.zeros((grid.dof,) + psi_p.values.shape)
     elif isinstance(potential, Linear):
         cs = _per_axis(potential.c, grid.dof, "linear coefficients")
         rho = psi_p.density()
@@ -90,7 +94,7 @@ def current_closed_form(potential: Potential, psi_p: ComplexField,
         raise UnsupportedPotentialError(
             "closed-form currents exist only for free, linear, and harmonic potentials"
         )
-    return CurrentField(grid, comps, CurrentMethod.CLOSED_FORM, psi_p.time)
+    return CurrentField(grid, _frozen(comps), CurrentMethod.CLOSED_FORM, psi_p.time)
 
 
 EDGE_GAUGE_CELLS = 3
@@ -101,14 +105,16 @@ def current_poisson(source: np.ndarray, grid: GridSpec, time: float = 0.0) -> Cu
 
     Raises IllPosedSourceError (via the inverse Laplacian) when the source
     does not integrate to zero. In 1d the far-field constant is removed so
-    the current vanishes where the cumulative source vanishes.
+    the current vanishes where the cumulative source vanishes; each frame of
+    a block of sources is gauged by its own edges.
     """
     F = spectral_inverse_laplacian(np.asarray(source, dtype=float), grid, Representation.MOMENTUM)
     comps = spectral_gradient(F, grid, Representation.MOMENTUM)
     if grid.dof == 1:
-        edges = np.concatenate([comps[0][:EDGE_GAUGE_CELLS], comps[0][-EDGE_GAUGE_CELLS:]])
-        comps = comps - edges.mean()
-    return CurrentField(grid, comps, CurrentMethod.POISSON, time)
+        j = comps[0]
+        edges = np.concatenate([j[..., :EDGE_GAUGE_CELLS], j[..., -EDGE_GAUGE_CELLS:]], axis=-1)
+        comps = comps - edges.mean(axis=-1)[..., None]
+    return CurrentField(grid, _frozen(comps), CurrentMethod.POISSON, time)
 
 
 def current_for(
@@ -130,8 +136,9 @@ def continuity_residual(
     psi_p_after: ComplexField,
     current_mid: CurrentField,
     dt: float,
-) -> tuple[float, float]:
-    """Relative L2 residual of (rho_after - rho_before)/dt + div j, and ||div j||.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Relative L2 residual of (rho_after - rho_before)/dt + div j, and ||div j||,
+    one of each per frame.
 
     The residual is absolute when ||div j|| < 1e-14 (free evolution).
     """
@@ -139,6 +146,7 @@ def continuity_residual(
     vol = grid.cell_volume(Representation.MOMENTUM)
     drho = (psi_p_after.density() - psi_p_before.density()) / dt
     div = current_mid.divergence()
-    num = np.sqrt(np.sum((drho + div) ** 2) * vol)
-    den = float(np.sqrt(np.sum(div**2) * vol))
-    return float(num if den < 1e-14 else num / den), den
+    num = np.sqrt(np.sum((drho + div) ** 2, axis=grid_axes(grid)) * vol)
+    den = np.sqrt(np.sum(div**2, axis=grid_axes(grid)) * vol)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den < 1e-14, num, num / den), den

@@ -24,6 +24,7 @@ from .grid import (
     BOUNDARY_MASS_TOL,
     ComplexField,
     Representation,
+    _frozen,
     boundary_mass_fraction,
     to_momentum,
     to_position,
@@ -110,10 +111,9 @@ def _step_phases(grid, potential: Potential, masses: tuple[float, ...], dt: floa
 
 
 def _strang_step(grid, vals: np.ndarray, kin_half: np.ndarray, pot_phase: np.ndarray) -> np.ndarray:
-    """One split step of momentum-representation values; two transforms."""
-    vals = kin_half * vals
-    pos = to_position(ComplexField(grid, Representation.MOMENTUM, vals))
-    back = to_momentum(pos.with_values(pot_phase * pos.values))
+    """One split step of momentum values (one frame or a block); two transforms."""
+    pos = to_position(ComplexField(grid, Representation.MOMENTUM, _frozen(kin_half * vals)))
+    back = to_momentum(pos.with_values(_frozen(pot_phase * pos.values)))
     return kin_half * back.values
 
 
@@ -146,7 +146,7 @@ def propagate(
 
     def emit(index: int, step: int, values_p: np.ndarray) -> Frame:
         t = t0 + step * config.dt
-        fp = ComplexField(grid, Representation.MOMENTUM, values_p, t)
+        fp = ComplexField(grid, Representation.MOMENTUM, _frozen(values_p), t)
         fx = to_position(fp)
         fr = Frame(index, t, fx, fp)
         if config.check_boundary:
@@ -160,25 +160,22 @@ def propagate(
             on_frame(fr)
         return fr
 
-    vals = psi_p.values.copy()
+    vals = psi_p.values
     frame = emit(0, 0, vals)
-    findex = 1
-    if pot_phase is None:
-        # exact phase multiplication from the initial state: no per-step
-        # roundoff accumulation, modulus stable to machine precision
-        frame_steps = list(range(config.steps_per_frame, n_steps + 1, config.steps_per_frame))
-        if not frame_steps or frame_steps[-1] != n_steps:
-            frame_steps.append(n_steps)
-        for step in frame_steps:
+    # one emission schedule for both paths: every steps_per_frame steps and the last step
+    frame_steps = [s for s in range(1, n_steps + 1)
+                   if s % config.steps_per_frame == 0 or s == n_steps]
+    done = 0
+    for findex, step in enumerate(frame_steps, 1):
+        if pot_phase is None:
+            # exact phase multiplication from the initial state: no per-step
+            # roundoff accumulation, modulus stable to machine precision
             vals = psi_p.values * np.exp(-1j * kin * (step * config.dt) / grid.hbar)
-            frame = emit(findex, step, vals)
-            findex += 1
-        return frame
-    for step in range(1, n_steps + 1):
-        vals = _strang_step(grid, vals, kin_half, pot_phase)
-        if step % config.steps_per_frame == 0 or step == n_steps:
-            frame = emit(findex, step, vals)
-            findex += 1
+        else:
+            for _ in range(step - done):
+                vals = _strang_step(grid, vals, kin_half, pot_phase)
+            done = step
+        frame = emit(findex, step, vals)
     return frame
 
 
@@ -205,19 +202,19 @@ def total_energy(frame: Frame, potential: Potential, masses: float | tuple[float
 
 
 def continuity_probe(
-    frame: Frame,
+    psi_p: ComplexField,
     potential: Potential,
     dt: float,
     masses: float | tuple[float, ...] = 1.0,
-) -> tuple[ComplexField, Frame, ComplexField]:
-    """Momentum states at t and t + dt and the midpoint frame, for continuity checks.
+) -> tuple[ComplexField, ComplexField, ComplexField]:
+    """Midpoint psi and psi~, and psi~ at t + dt, of a momentum state or a block of them.
 
     Two steps of dt/2, the same as two one-step `propagate` calls, but the
     only position-space state transformed is the midpoint's. The two
     half-steps compose to the full step up to O(dt^3), far below the
     continuity tolerance; the midpoint state centers the finite difference.
     """
-    grid = frame.psi_p.grid
+    grid = psi_p.grid
     half = dt / 2.0
     kin, kin_half, pot_phase = _step_phases(grid, potential, _masses(masses, grid.dof), half)
 
@@ -226,8 +223,7 @@ def continuity_probe(
             return vals * np.exp(-1j * kin * half / grid.hbar)
         return _strang_step(grid, vals, kin_half, pot_phase)
 
-    t_mid = frame.psi_p.time + half
-    mid_p = ComplexField(grid, Representation.MOMENTUM, step(frame.psi_p.values), t_mid)
-    mid = Frame(1, t_mid, to_position(mid_p), mid_p)
-    after = ComplexField(grid, Representation.MOMENTUM, step(mid_p.values), t_mid + half)
-    return frame.psi_p, mid, after
+    t_mid = psi_p.time + half
+    mid_p = ComplexField(grid, Representation.MOMENTUM, _frozen(step(psi_p.values)), t_mid)
+    after = ComplexField(grid, Representation.MOMENTUM, _frozen(step(mid_p.values)), t_mid + half)
+    return to_position(mid_p), mid_p, after

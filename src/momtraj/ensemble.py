@@ -21,11 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, NormalizationError
-from .grid import ComplexField, GridSpec, Representation, node_mask, spectral_gradient
+from .grid import (ComplexField, GridSpec, Representation, grid_axes, node_mask,
+                   spectral_gradient)
 from .trajectories import EnsembleHistory
 
 KS_BAND_99 = 1.63  # asymptotic one-sample KS critical coefficient at 99%
@@ -187,49 +189,53 @@ def _radial_ks(q: np.ndarray, rho: np.ndarray, grid: GridSpec, band: float,
 # -- grid moments and the moment checks ----------------------------------------------
 
 
-def grid_position_moments(psi_x: ComplexField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(<x_hat>, sigma_hat, <x_hat^2>) per axis by position-grid quadrature."""
-    grid = psi_x.grid
-    rho = psi_x.density()
-    vol = grid.cell_volume(Representation.POSITION)
-    mesh = grid.mesh(Representation.POSITION)
-    mean = np.empty(grid.dof)
-    mean2 = np.empty(grid.dof)
-    for a in range(grid.dof):
-        mean[a] = np.sum(mesh[a] * rho) * vol
-        mean2[a] = np.sum(mesh[a] ** 2 * rho) * vol
-    var = np.maximum(mean2 - mean**2, 0.0)
-    return mean, np.sqrt(var), mean2
+class GridMoments(NamedTuple):
+    """The grid side of `moment_checks`, per axis and (after the axis) per frame:
+    <x_hat>, sigma_hat, <x_hat^2> and the two sides of the second-moment identity."""
+
+    mean: np.ndarray
+    std: np.ndarray
+    mean2: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+
+    def frame(self, i: int) -> "GridMoments":
+        return GridMoments(*(m[:, i] for m in self))
 
 
-def momentum_gradient_integrals(psi_p: ComplexField, grad: np.ndarray | None = None
-                                ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis integrals of the second-moment identity from one momentum gradient
-    (`grad` as in `local_position_field`).
+def grid_moments(psi_x: ComplexField, psi_p: ComplexField,
+                 grad: np.ndarray | None = None) -> GridMoments:
+    """Grid moments of one frame or a block of frames (`grad` as in `local_position_field`).
 
-    Returns (flow, modulus):
-    * flow = int |psi~|^2 (dS~/dp_k)^2 dp, <x^2> under the flow distribution;
-    * modulus = int (d|psi~|/dp_k)^2 dp, via the ratio form
-      [Re(psi~* d psi~/dp)]^2 / |psi~|^2 away from nodes. Node-flagged points
-      fall back to |d psi~/dp|^2 (the correct limit for states with a real
-      profile, where the modulus kinks square away).
+    <x_hat>, sigma_hat and <x_hat^2> come from position-grid quadrature. The
+    identity's sides come from the momentum gradient:
+    * lhs = int |psi~|^2 (dS~/dp_k)^2 dp, <x^2> under the flow distribution;
+    * rhs = <x_hat^2> - hbar^2 int (d|psi~|/dp_k)^2 dp, the modulus term by
+      the ratio form [Re(psi~* d psi~/dp)]^2 / |psi~|^2 away from nodes.
+      Node-flagged points fall back to |d psi~/dp|^2 (the correct limit for
+      states with a real profile, where the modulus kinks square away).
     """
     grid = psi_p.grid
-    rho = psi_p.density()
-    valid = node_mask(rho)
+    axes = grid_axes(grid)
+    rho_x, rho = psi_x.density(), psi_p.density()
+    valid = node_mask(rho, grid)
     if grad is None:
         grad = spectral_gradient(psi_p.values, grid, Representation.MOMENTUM)
+    vol_x = grid.cell_volume(Representation.POSITION)
     vol = grid.cell_volume(Representation.MOMENTUM)
-    flow = np.empty(grid.dof)
-    modulus = np.empty(grid.dof)
+    mesh = grid.mesh(Representation.POSITION)
+    mean, mean2, flow, modulus = np.empty((4, grid.dof) + rho.shape[:rho.ndim - grid.dof])
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(grid.dof):
+            mean[a] = np.sum(mesh[a] * rho_x, axis=axes) * vol_x
+            mean2[a] = np.sum(mesh[a] ** 2 * rho_x, axis=axes) * vol_x
             psi_grad = np.conj(psi_p.values) * grad[a]
             num = (grid.hbar * np.imag(psi_grad)) ** 2 / rho
-            flow[a] = np.sum(np.where(valid, num, 0.0)) * vol
+            flow[a] = np.sum(np.where(valid, num, 0.0), axis=axes) * vol
             ratio = np.real(psi_grad) ** 2 / rho
-            modulus[a] = np.sum(np.where(valid, ratio, np.abs(grad[a]) ** 2)) * vol
-    return flow, modulus
+            modulus[a] = np.sum(np.where(valid, ratio, np.abs(grad[a]) ** 2), axis=axes) * vol
+    std = np.sqrt(np.maximum(mean2 - mean**2, 0.0))
+    return GridMoments(mean, std, mean2, flow, mean2 - grid.hbar**2 * modulus)
 
 
 @dataclass(frozen=True)
@@ -254,20 +260,18 @@ MOMENT_IDENTITY_TOL = 1e-6
 
 def moment_checks(
     x_samples: np.ndarray,
-    psi_x: ComplexField,
-    psi_p: ComplexField,
+    grid: GridMoments,
     active: np.ndarray | None = None,
-    grad: np.ndarray | None = None,
 ) -> MomentReport:
     """Expectation identity, spread inequality, and the quadrature second-moment identity
-    (`grad` as in `local_position_field`)."""
+    of one frame, whose `grid_moments` are `grid`."""
     xs = np.atleast_2d(x_samples)
     if active is not None:
         xs = xs[active]
     n = xs.shape[0]
     if n < 1:
         raise ConfigurationError("moment checks need at least one active trajectory")
-    mean_grid, std_grid, mean2_grid = grid_position_moments(psi_x)
+    mean_grid, std_grid, mean2_grid, lhs, rhs = grid
     mean_s = xs.mean(axis=0)
     std_s = xs.std(axis=0)
     band = 4.0 * std_grid / np.sqrt(n)
@@ -275,8 +279,6 @@ def moment_checks(
     bound = std_grid * (1.0 + 4.0 / np.sqrt(n))
     std_ok = bool(np.all(std_s <= bound))
 
-    lhs, modulus = momentum_gradient_integrals(psi_p, grad)
-    rhs = mean2_grid - psi_p.grid.hbar**2 * modulus
     scale = np.maximum(np.abs(mean2_grid), 1e-30)
     rel = float(np.max(np.abs(lhs - rhs) / scale))
     return MomentReport(

@@ -129,26 +129,43 @@ def grid_2d(
     return GridSpec(axes=(GridAxis(points, extent), GridAxis(p2, e2)), hbar=hbar)
 
 
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array read-only, so that a field adopts it without a copy."""
+    values.setflags(write=False)
+    return values
+
+
+def _readonly(values, dtype) -> np.ndarray:
+    """`values` as a read-only `dtype` array, copied unless it and every array it views
+    are read-only (then nothing can change it)."""
+    arr = owner = np.asarray(values)
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    if isinstance(owner, np.ndarray) or arr.dtype != dtype:
+        arr = _frozen(np.array(arr, dtype=dtype))
+    return arr
+
+
 @dataclass(frozen=True)
 class ComplexField:
     """Complex wavefunction samples on a grid, tagged by representation.
 
-    Values are copied on construction and frozen; fields are immutable
+    One frame, or a block of frames on a leading axis with one time each.
+    Values are read-only (adopted by `_readonly`); fields are immutable
     snapshots safe for concurrent readers.
     """
 
     grid: GridSpec
     rep: Representation
     values: np.ndarray
-    time: float = 0.0
+    time: float | np.ndarray = 0.0
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=np.complex128, copy=True)
-        if vals.shape != self.grid.shape:
+        vals = _readonly(self.values, np.complex128)
+        if vals.shape[vals.ndim - self.grid.dof:] != self.grid.shape:
             raise ConfigurationError(
                 f"field shape {vals.shape} does not match grid shape {self.grid.shape}"
             )
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     def density(self) -> np.ndarray:
@@ -156,9 +173,7 @@ class ComplexField:
 
     def norm(self) -> float:
         """Quadrature L2 norm: sqrt(sum |psi|^2 * cell volume)."""
-        return float(
-            np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume(self.rep))
-        )
+        return float(np.sqrt(np.sum(self.density()) * self.grid.cell_volume(self.rep)))
 
     def normalized(self) -> "ComplexField":
         n = self.norm()
@@ -178,25 +193,28 @@ class MaskedVectorField:
     position field, 2 dof for a pair of such fields stacked so that one
     interpolation stencil serves both. Points where the underlying density
     falls below the node threshold are marked invalid and must not be used by
-    interpolation stencils.
+    interpolation stencils. A block of frames puts its frame axis before the
+    grid axes of both arrays; interpolation reads one frame.
     """
 
     grid: GridSpec
     rep: Representation
     components: np.ndarray
     valid: np.ndarray
-    time: float = 0.0
 
 
 NODE_DENSITY_FACTOR = 1e-12
 
 
-def node_mask(density: np.ndarray) -> np.ndarray:
-    """Valid points: density at or above 1e-12 of its maximum."""
-    peak = density.max()
-    if peak <= 0.0:
-        return np.zeros_like(density, dtype=bool)
-    return density >= NODE_DENSITY_FACTOR * peak
+def grid_axes(grid: GridSpec) -> tuple[int, ...]:
+    """The trailing array axes that hold the grid; any axis before them counts frames."""
+    return tuple(range(-grid.dof, 0))
+
+
+def node_mask(density: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Valid points: density at or above 1e-12 of its frame's maximum (none if that is 0)."""
+    peak = density.max(axis=grid_axes(grid), keepdims=True)
+    return (density >= NODE_DENSITY_FACTOR * peak) & (peak > 0.0)
 
 
 # -- Fourier transform pair ----------------------------------------------------
@@ -240,8 +258,9 @@ def to_momentum(field: ComplexField) -> ComplexField:
     if field.rep is not Representation.POSITION:
         raise ConfigurationError("to_momentum expects a position-representation field")
     pre_f, post_f, _, _, scale_f, _ = _transform_plan(field.grid)
-    out = scale_f * _outer(post_f) * np.fft.fftn(_outer(pre_f) * field.values)
-    return ComplexField(field.grid, Representation.MOMENTUM, out, field.time)
+    out = scale_f * _outer(post_f) * np.fft.fftn(_outer(pre_f) * field.values,
+                                                 axes=grid_axes(field.grid))
+    return ComplexField(field.grid, Representation.MOMENTUM, _frozen(out), field.time)
 
 
 def to_position(field: ComplexField) -> ComplexField:
@@ -249,8 +268,9 @@ def to_position(field: ComplexField) -> ComplexField:
     if field.rep is not Representation.MOMENTUM:
         raise ConfigurationError("to_position expects a momentum-representation field")
     _, _, pre_b, post_b, _, scale_b = _transform_plan(field.grid)
-    out = scale_b * _outer(post_b) * np.fft.ifftn(_outer(pre_b) * field.values)
-    return ComplexField(field.grid, Representation.POSITION, out, field.time)
+    out = scale_b * _outer(post_b) * np.fft.ifftn(_outer(pre_b) * field.values,
+                                                  axes=grid_axes(field.grid))
+    return ComplexField(field.grid, Representation.POSITION, _frozen(out), field.time)
 
 
 # -- spectral calculus -----------------------------------------------------------
@@ -290,31 +310,34 @@ def _axis_multiplier(grid: GridSpec, rep: Representation, axis: int) -> np.ndarr
 
 
 def spectral_gradient(values: np.ndarray, grid: GridSpec, rep: Representation) -> np.ndarray:
-    """Per-axis spectral derivative; shape (dof,) + grid.shape.
+    """Per-axis spectral derivative; shape (dof,) + values.shape.
 
     Real input yields real output (up to roundoff, which is discarded).
     """
-    fhat = np.fft.fftn(values)
-    comps = np.empty((grid.dof,) + grid.shape, dtype=np.complex128)
+    axes = grid_axes(grid)
+    fhat = np.fft.fftn(values, axes=axes)
+    comps = np.empty((grid.dof,) + fhat.shape, dtype=np.complex128)
     for a in range(grid.dof):
-        comps[a] = np.fft.ifftn(_axis_multiplier(grid, rep, a) * fhat)
+        comps[a] = np.fft.ifftn(_axis_multiplier(grid, rep, a) * fhat, axes=axes)
     if not np.iscomplexobj(values):
         return comps.real
     return comps
 
 
 def spectral_divergence(components: np.ndarray, grid: GridSpec, rep: Representation) -> np.ndarray:
-    out = np.zeros(grid.shape, dtype=np.complex128)
+    axes = grid_axes(grid)
+    out = np.zeros(components.shape[1:], dtype=np.complex128)
     for a in range(grid.dof):
-        fhat = np.fft.fftn(components[a])
-        out += np.fft.ifftn(_axis_multiplier(grid, rep, a) * fhat)
+        fhat = np.fft.fftn(components[a], axes=axes)
+        out += np.fft.ifftn(_axis_multiplier(grid, rep, a) * fhat, axes=axes)
     if not np.iscomplexobj(components):
         return out.real
     return out
 
 
 def spectral_laplacian(values: np.ndarray, grid: GridSpec, rep: Representation) -> np.ndarray:
-    out = np.fft.ifftn(-_k_squared(grid, rep) * np.fft.fftn(values))
+    axes = grid_axes(grid)
+    out = np.fft.ifftn(-_k_squared(grid, rep) * np.fft.fftn(values, axes=axes), axes=axes)
     return out.real if not np.iscomplexobj(values) else out
 
 
@@ -332,20 +355,24 @@ def spectral_inverse_laplacian(
     IllPosedSourceError is raised. Sources whose integral is below an
     absolute dead band count as balanced (a source that is zero up to
     roundoff carries no meaningful L1 scale to compare against). The
-    zero-frequency mode of F is set to 0.
+    zero-frequency mode of F is set to 0. A block of sources is solved frame
+    by frame; the error names the first ill-posed frame.
     """
+    axes = grid_axes(grid)
     vol = grid.cell_volume(rep)
-    total = abs(np.sum(values) * vol)
-    l1 = np.sum(np.abs(values)) * vol
-    if total > max(INVERSE_LAPLACIAN_MEAN_TOL * l1, INVERSE_LAPLACIAN_DEAD_BAND):
+    total = np.abs(np.sum(values, axis=axes) * vol)
+    l1 = np.sum(np.abs(values), axis=axes) * vol
+    bad = total > np.maximum(INVERSE_LAPLACIAN_MEAN_TOL * l1, INVERSE_LAPLACIAN_DEAD_BAND)
+    if bad.any():
+        total, l1 = total.flat[bad.argmax()], l1.flat[bad.argmax()]
         raise IllPosedSourceError(
             f"source integral {total:.3e} exceeds {INVERSE_LAPLACIAN_MEAN_TOL:.0e} * L1 ({l1:.3e})"
         )
     k2 = _k_squared(grid, rep)
-    fhat = np.fft.fftn(values)
+    fhat = np.fft.fftn(values, axes=axes)
     with np.errstate(divide="ignore", invalid="ignore"):
         out_hat = np.where(k2 > 0.0, -fhat / k2, 0.0)
-    out = np.fft.ifftn(out_hat)
+    out = np.fft.ifftn(out_hat, axes=axes)
     return out.real if not np.iscomplexobj(values) else out
 
 
@@ -360,15 +387,15 @@ def local_position_field(field: ComplexField, grad: np.ndarray | None = None) ->
     if field.rep is not Representation.MOMENTUM:
         raise ConfigurationError("local_position_field expects a momentum-representation field")
     rho = field.density()
-    valid = node_mask(rho)
+    valid = node_mask(rho, field.grid)
     if grad is None:
         grad = spectral_gradient(field.values, field.grid, field.rep)
-    comps = np.zeros((field.grid.dof,) + field.grid.shape)
+    comps = np.zeros((field.grid.dof,) + rho.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(field.grid.dof):
             raw = np.real(np.conj(field.values) * (1j * field.grid.hbar * grad[a])) / rho
             comps[a] = np.where(valid, raw, 0.0)
-    return MaskedVectorField(field.grid, field.rep, comps, valid, field.time)
+    return MaskedVectorField(field.grid, field.rep, _frozen(comps), _frozen(valid))
 
 
 # -- diagnostics -----------------------------------------------------------------

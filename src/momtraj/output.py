@@ -39,14 +39,16 @@ def _write_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -
     """`header`, then one row per entry of the equal-length `columns`.
 
     Float columns are written as `fmt` writes them, any other column with str.
+    Each block of rows is formatted column by column, then joined in one write.
     """
     path = Path(path)
     formats = [repr if c.dtype.kind == "f" else str for c in columns]
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            cells = [map(f, c[lo:lo + _CSV_BLOCK_ROWS].tolist()) for f, c in zip(formats, columns)]
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+            cells = [list(map(f, c[lo:lo + _CSV_BLOCK_ROWS].tolist()))
+                     for f, c in zip(formats, columns)]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return path
 
 

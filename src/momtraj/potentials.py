@@ -30,6 +30,7 @@ from .grid import (
     ComplexField,
     GridSpec,
     Representation,
+    _frozen,
     spectral_gradient,
     to_momentum,
 )
@@ -120,7 +121,7 @@ def apply_potential(potential: Potential, psi_x: ComplexField) -> ComplexField:
     if psi_x.rep is not Representation.POSITION:
         raise ConfigurationError("apply_potential expects a position-representation field")
     v = evaluate_potential(potential, psi_x.grid)
-    return psi_x.with_values(v * psi_x.values)
+    return psi_x.with_values(_frozen(v * psi_x.values))
 
 
 def apply_potential_momentum_operator(potential: Potential, psi_p: ComplexField) -> ComplexField:
@@ -156,10 +157,10 @@ def apply_potential_momentum_operator(potential: Potential, psi_p: ComplexField)
 def interaction_source(
     potential: Potential, psi_x: ComplexField, psi_p: ComplexField
 ) -> np.ndarray:
-    """Continuity-equation source I = (2/hbar) Re(i psi~* F[V psi])."""
+    """Continuity-equation source I = (2/hbar) Re(i psi~* F[V psi]), frame by frame."""
     if psi_x.grid != psi_p.grid:
         raise ConfigurationError("position and momentum fields must share a grid")
-    if psi_x.time != psi_p.time:
+    if np.any(np.not_equal(psi_x.time, psi_p.time)):
         raise ConfigurationError(
             f"field time stamps differ: {psi_x.time} vs {psi_p.time}"
         )

@@ -20,9 +20,11 @@ from .currents import CurrentField, CurrentMethod, continuity_residual, current_
 from .dynamics import Frame, PropagatorConfig, collect_frames, continuity_probe
 from .ensemble import (
     Ensemble,
+    GridMoments,
     MomentReport,
     Region,
     equivariance_check,
+    grid_moments,
     ks_band,
     macrostate_frequencies,
     moment_checks,
@@ -42,8 +44,10 @@ from .states import (
 )
 from .trajectories import (
     EnsembleHistory,
+    FrameBlock,
     FrameFields,
     TrajStatus,
+    frame_fields,
     integrate_dbb,
     integrate_epstein,
     interpolate_masked,
@@ -209,6 +213,16 @@ VANISHING_SCALE_FLOOR = 1e-6
 CONTINUITY_DT = 1e-3  # step of the continuity residual's central difference
 
 
+def _block_checks(block: FrameBlock, potential: Potential,
+                  mass: float) -> tuple[np.ndarray, np.ndarray, GridMoments]:
+    """Per frame of a block, in one batched call each: the continuity residual and
+    its denominator, and the grid moments of the moment checks."""
+    mid_x, mid_p, after = continuity_probe(block.psi_p, potential, CONTINUITY_DT, mass)
+    cur = current_for(potential, mid_x, mid_p, block.method)
+    resid, den = continuity_residual(block.psi_p, after, cur, CONTINUITY_DT)
+    return resid, den, grid_moments(block.psi_x, block.psi_p, block.grad)
+
+
 def _robust_max_ratio(pairs: list[tuple[float, float]]) -> float:
     if not pairs:
         return 0.0
@@ -226,6 +240,7 @@ class FrameSuite:
 
     `add` reads the frame's FrameFields and keeps one stats row per frame and
     the worst cases for `verdicts`; `current` is the last frame's current.
+    `block_checks` holds the grid-only checks of the frame's FrameBlock.
     `_simulate` sets `frames` and `ensemble`, and `result` builds the RunResult.
     A Free potential's currents vanish, so it has no cross-method check.
     """
@@ -243,10 +258,14 @@ class FrameSuite:
     current: CurrentField | None = None
     frames: list[Frame] = field(default_factory=list)
     ensemble: Ensemble | None = None
+    block_checks: tuple[np.ndarray, np.ndarray, GridMoments] | None = None
 
     def add(self, fields: FrameFields, p: np.ndarray, x: np.ndarray, status: np.ndarray) -> None:
         fr = fields.frame
         self.current = fields.current  # first, so that the previous current is freed early
+        if fields.row == 0:
+            self.block_checks = _block_checks(fields.block, self.potential, self.config.mass)
+        resids, dens, moments = self.block_checks
         active = status == TrajStatus.ACTIVE
         x_mass, p_mass = fr.boundary_mass
         row: dict = {
@@ -263,7 +282,7 @@ class FrameSuite:
                                               "passed": bool(r.passed)}
                 self.all_ks_ok &= bool(r.passed)
                 self.worst_ks_margin = max(self.worst_ks_margin, r.statistic / r.band)
-            rep = moment_checks(x, fr.psi_x, fr.psi_p, active, fields.grad)
+            rep = moment_checks(x, moments.frame(fields.row), active)
             row["moments"] = _moments_to_row(rep)
             self.all_moments_ok &= rep.mean_ok and rep.std_ok and rep.identity_ok
             self.worst_identity = max(self.worst_identity, rep.identity_rel_err)
@@ -273,9 +292,7 @@ class FrameSuite:
                     k: {"frequency": v[0], "stderr": v[1]} for k, v in freqs.items()
                 }
 
-        before, mid, after = continuity_probe(fr, self.potential, CONTINUITY_DT, self.config.mass)
-        cur = current_for(self.potential, mid.psi_x, mid.psi_p, fields.current.method)
-        resid, den = continuity_residual(before, after, cur, CONTINUITY_DT)
+        resid, den = float(resids[fields.row]), float(dens[fields.row])
         row["continuity_residual"] = resid
         self.continuity_pairs.append((resid * den if den >= 1e-14 else resid, den))
 
@@ -575,10 +592,11 @@ def _run_collapse(config: ScenarioConfig, grid: GridSpec, potential: Potential) 
     branch_frames = collect_frames(state.branches[0], potential,
                                    PropagatorConfig(config.dt, config.steps_per_frame),
                                    config.n_steps(), config.mass)
+    branch = frame_fields(branch_frames, potential, CurrentMethod.CLOSED_FORM)
 
     # Collapse's checks run in the integrator's frame loop after the suite and
-    # read the frame's fields; the branch frame of the same index gives the
-    # branch's x(p) and closed-form current, both from one FrameFields.
+    # read the frame's fields; the branch's FrameFields of the same frame, the
+    # next that `branch` yields, give the branch's x(p) and closed-form current.
     p = grid.momenta(0)
     weight = state.branch_weights[0]
     in_branch = None  # rows seeded in the branch, set at frame 0
@@ -602,7 +620,7 @@ def _run_collapse(config: ScenarioConfig, grid: GridSpec, potential: Potential) 
         lo_peak = p[~upper][np.argmax(rho[~upper])]
         gap_cells.append(int(np.sum(silent & (p > lo_peak) & (p < hi_peak))))
 
-        br = FrameFields(branch_frames[fr.index], potential, CurrentMethod.CLOSED_FORM)
+        br = next(branch)
         br_amp = np.abs(br.frame.psi_p.values)
         supp = br_amp >= SUPPORT_AMPLITUDE * br_amp.max()
         j_full = fields.current_of(CurrentMethod.CLOSED_FORM).components[0]

@@ -8,7 +8,8 @@ directly by dx/dt = grad S / m.
 
 Both models run through one frame loop and one RK4 step over velocity fields
 derived on the grid once per frame (for the momentum-flow model, with the
-other fields it shares, in a FrameFields), with multilinear interpolation in
+other fields it shares, in a FrameFields: a view into the FrameBlock that
+builds a block of frames' fields at once), with multilinear interpolation in
 space and linear interpolation in time between propagator frames. The two
 endpoint fields of a frame interval are stacked into one masked field, so
 each RK4 stage builds a single interpolation stencil and lerps its two halves.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache, reduce
 from math import prod
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .grid import (
     GridSpec,
     MaskedVectorField,
     Representation,
+    _frozen,
     local_position_field,
     node_mask,
     spectral_gradient,
@@ -121,12 +123,12 @@ def interpolate_masked(
 
 def velocity_from_current(current: CurrentField, density: np.ndarray) -> MaskedVectorField:
     """w = j / |psi~|^2 with node-flagged points masked out."""
-    valid = node_mask(density)
+    valid = node_mask(density, current.grid)
     comps = np.zeros_like(current.components)
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(current.grid.dof):
             comps[a] = np.where(valid, current.components[a] / density, 0.0)
-    return MaskedVectorField(current.grid, Representation.MOMENTUM, comps, valid, current.time)
+    return MaskedVectorField(current.grid, Representation.MOMENTUM, _frozen(comps), _frozen(valid))
 
 
 def velocity_field_dbb(
@@ -138,14 +140,14 @@ def velocity_field_dbb(
     grid = psi_x.grid
     ms = _masses(masses, grid.dof)
     rho = psi_x.density()
-    valid = node_mask(rho)
+    valid = node_mask(rho, grid)
     grad = spectral_gradient(psi_x.values, grid, Representation.POSITION)
     comps = np.zeros((grid.dof,) + grid.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(grid.dof):
             raw = np.real(np.conj(psi_x.values) * (-1j * grid.hbar) * grad[a]) / (ms[a] * rho)
             comps[a] = np.where(valid, raw, 0.0)
-    return MaskedVectorField(grid, Representation.POSITION, comps, valid, psi_x.time)
+    return MaskedVectorField(grid, Representation.POSITION, comps, valid)
 
 
 # -- RK4 over interpolated fields --------------------------------------------------
@@ -159,7 +161,7 @@ def _endpoints(w0: MaskedVectorField, w1: MaskedVectorField) -> MaskedVectorFiel
     AND of the two fields' stencil masks.
     """
     return MaskedVectorField(w0.grid, w0.rep, np.concatenate([w0.components, w1.components]),
-                             w0.valid & w1.valid, w0.time)
+                             w0.valid & w1.valid)
 
 
 def _retire(status: np.ndarray, rows: np.ndarray, ok: np.ndarray, inside: np.ndarray) -> None:
@@ -267,31 +269,81 @@ def _readout_positions(
     _retire(status, rows, ok, inside)
 
 
-class FrameFields:
-    """One frame's derived fields, built once by the frame loop and shared by its consumers.
+# Grid points per FrameBlock array: 64 frames of a 512-point grid, one frame of
+# a 256 x 256 grid, whose single frame is already enough work per numpy call
+BLOCK_POINTS = 2**15
 
-    Holds the frame, the momentum gradient of psi~, the readout field x(p),
-    the configured current and the velocity j/|psi~|^2. `current_of` gives
-    the current of either construction, each built at most once per frame.
+
+class FrameBlock:
+    """Consecutive frames' derived fields, each built by one batched call per block.
+
+    Holds the frames' states stacked on a frame axis, the momentum gradient
+    of psi~, the readout field x(p), the configured current and the velocity
+    j/|psi~|^2, all read-only. `current_of` gives the current of either
+    construction, built at most once per block. Iterating gives each frame's
+    FrameFields.
     """
 
-    def __init__(self, frame: Frame, potential: Potential, method: CurrentMethod):
-        psi_p = frame.psi_p
-        self.frame = frame
+    def __init__(self, frames: list[Frame], potential: Potential, method: CurrentMethod):
+        self.frames = frames
         self.potential = potential
-        self.grad = spectral_gradient(psi_p.values, psi_p.grid, Representation.MOMENTUM)
-        self.position = local_position_field(psi_p, self.grad)
+        self.method = method
+        grid = frames[0].psi_p.grid
+        times = np.array([fr.time for fr in frames])
+        self.psi_p = ComplexField(grid, Representation.MOMENTUM,
+                                  _frozen(np.stack([fr.psi_p.values for fr in frames])), times)
+        self.psi_x = ComplexField(grid, Representation.POSITION,
+                                  _frozen(np.stack([fr.psi_x.values for fr in frames])), times)
+        self.grad = _frozen(spectral_gradient(self.psi_p.values, grid, Representation.MOMENTUM))
+        self.position = local_position_field(self.psi_p, self.grad)
         self._currents: dict[CurrentMethod, CurrentField] = {}
-        self.current = self.current_of(method)
-        self.velocity = velocity_from_current(self.current, psi_p.density())
+        self.velocity = velocity_from_current(self.current_of(method), self.psi_p.density())
 
     def current_of(self, method: CurrentMethod) -> CurrentField:
-        """The frame's current by `method`, built on first use."""
+        """The block's current by `method`, built on first use."""
         if method not in self._currents:
-            fr = self.frame
-            self._currents[method] = current_for(self.potential, fr.psi_x, fr.psi_p, method,
+            self._currents[method] = current_for(self.potential, self.psi_x, self.psi_p, method,
                                                  self.grad)
         return self._currents[method]
+
+    def __iter__(self) -> Iterator[FrameFields]:
+        return (FrameFields(self, row) for row in range(len(self.frames)))
+
+
+def _row_of(fld: MaskedVectorField, row: int) -> MaskedVectorField:
+    return MaskedVectorField(fld.grid, fld.rep, fld.components[:, row], fld.valid[row])
+
+
+class FrameFields:
+    """One frame's derived fields, shared by its consumers: read-only views into row
+    `row` of its FrameBlock's x(p), velocity and currents."""
+
+    def __init__(self, block: FrameBlock, row: int):
+        self.block = block
+        self.row = row
+        self.frame = block.frames[row]
+        self.position = _row_of(block.position, row)
+        self.velocity = _row_of(block.velocity, row)
+        self._currents: dict[CurrentMethod, CurrentField] = {}
+        self.current = self.current_of(block.method)
+
+    def current_of(self, method: CurrentMethod) -> CurrentField:
+        """The frame's current by `method`, a view of the block's."""
+        if method not in self._currents:
+            cur = self.block.current_of(method)
+            self._currents[method] = CurrentField(cur.grid, cur.components[:, self.row], method,
+                                                  cur.time[self.row])
+        return self._currents[method]
+
+
+def frame_fields(frames: list[Frame], potential: Potential,
+                 method: CurrentMethod) -> Iterator[FrameFields]:
+    """Each frame's FrameFields in order, from blocks of max(1, BLOCK_POINTS // grid size)."""
+    size = max(1, BLOCK_POINTS // frames[0].psi_p.grid.size)
+    for lo in range(0, len(frames), size):
+        block = FrameBlock(frames[lo:lo + size], potential, method)
+        yield from block
+        del block  # released before the next one is built
 
 
 ESTIMATE_ROWS = 64  # rows of the step-doubling error estimate, spread evenly over the batch
@@ -374,12 +426,13 @@ def integrate_epstein(
     readout and reads the frame's FrameFields and state without changing them.
     """
     x = np.full((len(frames),) + np.atleast_2d(p_initial).shape, np.nan)
+    blocks = frame_fields(frames, potential, method)
     fields: FrameFields | None = None  # the frame the trajectories are moving to
 
     def velocity_of(fr: Frame) -> MaskedVectorField:
         nonlocal fields
-        fields = None  # release the previous frame's fields before building the next
-        fields = FrameFields(fr, potential, method)
+        fields = None  # no hold on the previous block while the next one is built
+        fields = next(blocks)
         return fields.velocity
 
     def at_frame(f: int, p: np.ndarray, status: np.ndarray) -> None:

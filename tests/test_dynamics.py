@@ -175,26 +175,40 @@ def test_masses_validation(grid2d):
                   masses=(1.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("pot", [Free(), Harmonic(1.0, 1.0)])
+def test_zero_steps_emit_only_the_initial_frame(grid512, pot):
+    # the free path and the split-step path share one emission schedule
+    frames = collect_frames(gaussian_state(grid512), pot, PropagatorConfig(1e-3, 10), 0)
+    assert [(fr.index, fr.time) for fr in frames] == [(0, 0.0)]
+
+
 @pytest.mark.parametrize("pot", [Free(), Linear(2.0), Harmonic(1.0, 1.0)])
 def test_continuity_probe_equals_two_half_step_propagations(grid512, pot, monkeypatch):
-    frame = collect_frames(coherent_state(grid512, 2.0), pot,
-                           PropagatorConfig(dt=1e-3, steps_per_frame=5), 10)[-1]
+    # one probe of a block of frames equals, row by row and bit for bit, two
+    # half-step propagations of each frame
+    frames = collect_frames(coherent_state(grid512, 2.0), pot,
+                            PropagatorConfig(dt=1e-3, steps_per_frame=5), 10)
     half = PropagatorConfig(dt=1e-3 / 2.0, steps_per_frame=1, check_boundary=False)
-    mid_ref = propagate(frame.psi_p, pot, half, 1)
-    after_ref = propagate(mid_ref.psi_p, pot, half, 1).psi_p
+    refs = []
+    for frame in frames:
+        mid_ref = propagate(frame.psi_p, pot, half, 1)
+        refs.append((mid_ref, propagate(mid_ref.psi_p, pot, half, 1).psi_p))
+    block = ComplexField(grid512, Representation.MOMENTUM,
+                         np.stack([fr.psi_p.values for fr in frames]),
+                         np.array([fr.time for fr in frames]))
 
     calls = []
     to_position = momtraj.dynamics.to_position
     monkeypatch.setattr(momtraj.dynamics, "to_position",
                         lambda fld: calls.append(1) or to_position(fld))
-    before, mid, after = continuity_probe(frame, pot, 1e-3)
-    assert before is frame.psi_p
-    assert (mid.index, mid.time) == (mid_ref.index, mid_ref.time)
-    for got, want in ((mid.psi_x, mid_ref.psi_x), (mid.psi_p, mid_ref.psi_p),
-                      (after, after_ref)):
-        assert got.rep is want.rep and got.time == want.time
-        assert got.values.tobytes() == want.values.tobytes()
-    # the midpoint's position state, plus one per split step (Free has none)
+    mid_x, mid_p, after = continuity_probe(block, pot, 1e-3)
+    assert len(frames) == 3
+    for row, (mid_ref, after_ref) in enumerate(refs):
+        for got, want in ((mid_x, mid_ref.psi_x), (mid_p, mid_ref.psi_p), (after, after_ref)):
+            assert got.rep is want.rep and got.time[row] == want.time
+            assert got.values[row].tobytes() == want.values.tobytes()
+    # for the whole block: the midpoint's position state, plus one per split
+    # step (Free has none)
     assert len(calls) == (1 if isinstance(pot, Free) else 3)
 
 

@@ -12,6 +12,7 @@ from momtraj import (
     Region,
     Representation,
     equivariance_check,
+    grid_moments,
     ks_band,
     macrostate_frequencies,
     moment_checks,
@@ -22,7 +23,7 @@ from momtraj import (
     to_momentum,
 )
 from momtraj.dynamics import PropagatorConfig, collect_frames
-from momtraj.ensemble import _cell_edges, _radial_ks, grid_position_moments, ks_statistic
+from momtraj.ensemble import _cell_edges, _radial_ks, ks_statistic
 from momtraj.grid import GridAxis, GridSpec, grid_1d
 from momtraj.states import gaussian_state, superposition_state
 from momtraj.trajectories import integrate_epstein
@@ -239,7 +240,7 @@ def test_region_2d_contains():
 def test_grid_moments_match_analytic(grid512):
     x0, sigma = 1.5, 0.8
     psi = gaussian_state(grid512, sigma=sigma, center=x0)
-    mean, std, mean2 = grid_position_moments(psi)
+    mean, std, mean2 = grid_moments(psi, to_momentum(psi))[:3]
     assert mean[0] == pytest.approx(x0, abs=1e-9)
     assert std[0] == pytest.approx(sigma / np.sqrt(2), rel=1e-9)
     assert mean2[0] == pytest.approx(x0**2 + sigma**2 / 2, rel=1e-9)
@@ -252,7 +253,7 @@ def test_moment_checks_boosted_packet(grid512):
     samples = sample_momenta(phi, 5000, seed=2)
     # positions of the flow at t=0 all equal the packet center
     xs = np.full((5000, 1), x0)
-    rep = moment_checks(xs, psi, phi)
+    rep = moment_checks(xs, grid_moments(psi, phi))
     assert rep.mean_ok and rep.std_ok and rep.identity_ok
     assert rep.mean_grid[0] == pytest.approx(x0, abs=1e-9)
     assert rep.identity_rel_err <= 1e-6
@@ -267,7 +268,7 @@ def test_second_moment_identity_superposition(a):
     psi = sup.field if sup else gaussian_state(grid)
     phi = to_momentum(psi)
     xs = np.zeros((1000, 1))
-    rep = moment_checks(xs, psi, phi)
+    rep = moment_checks(xs, grid_moments(psi, phi))
     assert rep.identity_ok, rep.identity_rel_err
 
 
@@ -275,7 +276,7 @@ def test_moment_checks_detect_displaced_ensemble(grid512):
     psi = gaussian_state(grid512, sigma=1.0)
     phi = to_momentum(psi)
     xs = np.full((5000, 1), 2.0)  # grossly displaced ensemble
-    rep = moment_checks(xs, psi, phi)
+    rep = moment_checks(xs, grid_moments(psi, phi))
     assert not rep.mean_ok
 
 

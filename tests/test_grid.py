@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from momtraj import (
     ComplexField,
     ConfigurationError,
+    CurrentField,
+    CurrentMethod,
     GridAxis,
     IllPosedSourceError,
     Representation,
@@ -218,6 +220,35 @@ def test_position_field_requires_momentum_rep(grid512):
 
 
 # -- spectral calculus ----------------------------------------------------------------
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+@pytest.mark.parametrize("cls", [ComplexField, CurrentField])
+def test_fields_adopt_only_values_nothing_else_can_change(grid512, cls):
+    # a read-only owned array, or a read-only view of one, is adopted; a
+    # writable array, a read-only view of a writable base or a wrong dtype is
+    # copied; the field's values are read-only either way
+    dtype = complex if cls is ComplexField else float
+
+    def values_of(arr):
+        if cls is ComplexField:
+            out = ComplexField(grid512, Representation.MOMENTUM, arr).values
+        else:
+            out = CurrentField(grid512, arr, CurrentMethod.CLOSED_FORM).components
+        assert not out.flags.writeable
+        return out
+
+    shape = (3, 512) if cls is ComplexField else (1, 3, 512)
+    owned = _read_only(np.ones(shape, dtype))
+    assert values_of(owned) is owned
+    assert np.shares_memory(values_of(owned[..., 1:, :]), owned)
+    for copied in (np.ones(shape, dtype), _read_only(np.ones(shape, dtype)[:]),
+                   _read_only(np.ones(shape, np.int64))):
+        assert not np.shares_memory(values_of(copied), copied)
 
 
 def test_inverse_laplacian_eigenfunction(grid512):

@@ -1,3 +1,4 @@
+import re
 from functools import reduce
 
 import numpy as np
@@ -9,23 +10,29 @@ from momtraj import (
     CurrentMethod,
     Free,
     Harmonic,
+    IllPosedSourceError,
     Linear,
     Representation,
+    spectral_gradient,
+    spectral_inverse_laplacian,
     to_momentum,
 )
-from momtraj.currents import current_closed_form, current_for
+from momtraj.currents import current_closed_form, current_for, current_poisson
 from momtraj.dynamics import Frame, PropagatorConfig, collect_frames
 from momtraj.ensemble import sample_momenta
-from momtraj.grid import GridAxis, GridSpec, MaskedVectorField, grid_1d, local_position_field
+from momtraj.grid import (GridAxis, GridSpec, MaskedVectorField, grid_1d, grid_2d,
+                          local_position_field)
 from momtraj.grid import to_position
 from momtraj.states import coherent_state, gaussian_state, superposition_state
+from momtraj.scenarios import _block_checks
 from momtraj.trajectories import (
-    FrameFields,
+    FrameBlock,
     TrajStatus,
     _doubled_step,
     _endpoints,
     _readout_positions,
     _rk4_step,
+    frame_fields,
     integrate_dbb,
     integrate_epstein,
     interpolate_masked,
@@ -497,24 +504,27 @@ def test_velocity_from_current_masks_nodes(grid512):
 # -- shared per-frame fields ------------------------------------------------------------
 
 
-def _assert_frame_fields_exact(frame, pot, method):
-    """FrameFields equals, bit for bit, each field built on its own."""
-    fields = FrameFields(frame, pot, method)
-    xf = local_position_field(frame.psi_p)
-    cur = current_for(pot, frame.psi_x, frame.psi_p, method)
-    w = velocity_from_current(cur, frame.psi_p.density())
-    assert fields.frame is frame
-    assert fields.current.method is method
-    for got, want in ((fields.position, xf), (fields.velocity, w)):
-        assert got.components.tobytes() == want.components.tobytes()
-        assert np.array_equal(got.valid, want.valid)
-    assert fields.current.components.tobytes() == cur.components.tobytes()
-    assert fields.current_of(method) is fields.current
-    for other in CurrentMethod:  # either construction, built once per frame
-        want = current_for(pot, frame.psi_x, frame.psi_p, other)
-        got = fields.current_of(other)
-        assert got.method is other and fields.current_of(other) is got
-        assert got.components.tobytes() == want.components.tobytes()
+def _assert_frame_fields_exact(frames, pot, method):
+    """Each frame's FrameFields, a view into one FrameBlock, equals, bit for bit,
+    each field built on its own for that frame."""
+    block = FrameBlock(frames, pot, method)
+    for frame, fields in zip(frames, block, strict=True):
+        xf = local_position_field(frame.psi_p)
+        cur = current_for(pot, frame.psi_x, frame.psi_p, method)
+        w = velocity_from_current(cur, frame.psi_p.density())
+        assert fields.frame is frame
+        assert fields.current.method is method
+        for got, want in ((fields.position, xf), (fields.velocity, w)):
+            assert got.components.tobytes() == want.components.tobytes()
+            assert np.array_equal(got.valid, want.valid)
+        assert fields.current.components.tobytes() == cur.components.tobytes()
+        assert fields.current_of(method) is fields.current
+        for other in CurrentMethod:  # either construction, built once per block
+            want = current_for(pot, frame.psi_x, frame.psi_p, other)
+            got = fields.current_of(other)
+            assert got.method is other and fields.current_of(other) is got
+            assert block.current_of(other) is block.current_of(other)
+            assert got.components.tobytes() == want.components.tobytes()
 
 
 @pytest.mark.parametrize("method", list(CurrentMethod))
@@ -522,7 +532,7 @@ def _assert_frame_fields_exact(frame, pot, method):
 def test_frame_fields_equal_the_separate_constructions(grid512, pot, method):
     prop = PropagatorConfig(dt=1e-3, steps_per_frame=50)
     frames = collect_frames(coherent_state(grid512, 2.0), pot, prop, 100)
-    _assert_frame_fields_exact(frames[-1], pot, method)
+    _assert_frame_fields_exact(frames, pot, method)
 
 
 @pytest.mark.parametrize("method", list(CurrentMethod))
@@ -530,4 +540,70 @@ def test_frame_fields_equal_the_separate_constructions_2d(grid2d, method):
     pot = Harmonic(1.0, (1.0, 0.5))
     psi = gaussian_state(grid2d, sigma=1.0, center=(1.0, -0.5))
     frames = collect_frames(psi, pot, PropagatorConfig(dt=1e-3, steps_per_frame=20), 40)
-    _assert_frame_fields_exact(frames[-1], pot, method)
+    _assert_frame_fields_exact(frames, pot, method)
+
+
+def _block_arrays(block, pot):
+    """Per frame of `block`: every FrameFields array, both currents, and the
+    suite's continuity residual, its denominator and the grid moments."""
+    resid, den, moments = _block_checks(block, pot, 1.0)
+    out = []
+    for fields in block:
+        out.append([block.grad[:, fields.row], fields.position.components, fields.position.valid,
+                    fields.velocity.components, fields.velocity.valid,
+                    *(fields.current_of(m).components for m in CurrentMethod),
+                    resid[fields.row], den[fields.row], *moments.frame(fields.row)])
+    return out
+
+
+@pytest.mark.parametrize("pot,method,dof", [
+    (Harmonic(1.0, 1.0), CurrentMethod.CLOSED_FORM, 1),
+    (Harmonic(1.0, 1.0), CurrentMethod.POISSON, 1),
+    (Linear(2.0), CurrentMethod.CLOSED_FORM, 1),
+    (Free(), CurrentMethod.CLOSED_FORM, 1),
+    (Harmonic(1.0, (1.0, 0.5)), CurrentMethod.POISSON, 2),
+])
+def test_frame_block_equals_single_frame_blocks(grid512, grid2d, pot, method, dof):
+    # 1d: a full block of 64 frames, whose arrays are large enough for numpy
+    # to reuse temporaries in place
+    if dof == 1:
+        frames = collect_frames(coherent_state(grid512, 2.0), pot,
+                                PropagatorConfig(dt=1e-3, steps_per_frame=1), 63)
+    else:
+        frames = collect_frames(gaussian_state(grid2d, sigma=1.0, center=(1.0, -0.5)), pot,
+                                PropagatorConfig(dt=1e-3, steps_per_frame=10), 40)
+    whole = _block_arrays(FrameBlock(frames, pot, method), pot)
+    assert len(whole) == len(frames) == (64 if dof == 1 else 5)
+    for row, frame in enumerate(frames):
+        (single,) = _block_arrays(FrameBlock([frame], pot, method), pot)
+        assert len(single) == len(whole[row]) == 14
+        for got, want in zip(whole[row], single):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_frame_fields_come_in_blocks_of_block_points(grid512):
+    # 64 frames of a 512-point grid share a block; frames of a 256 x 256 grid do not
+    pot = Harmonic(1.0, 1.0)
+    frames = collect_frames(coherent_state(grid512, 2.0), pot,
+                            PropagatorConfig(dt=1e-3, steps_per_frame=1), 69)
+    fields = list(frame_fields(frames, pot, CurrentMethod.CLOSED_FORM))
+    assert [f.frame for f in fields] == frames
+    assert [len(f.block.frames) for f in fields] == [64] * 64 + [6] * 6
+    assert [f.row for f in fields] == list(range(64)) + list(range(6))
+    assert not fields[0].block.velocity.components.flags.writeable
+    frames2d = collect_frames(gaussian_state(grid_2d(256, 40.0), sigma=1.0), Free(),
+                              PropagatorConfig(dt=1e-3, steps_per_frame=1), 2)
+    assert [len(f.block.frames) for f in frame_fields(frames2d, Free(),
+                                                      CurrentMethod.CLOSED_FORM)] == [1] * 3
+
+
+def test_poisson_block_names_its_first_ill_posed_frame(grid512):
+    p = grid512.momenta(0)
+    balanced = np.real(spectral_gradient(np.exp(-p**2), grid512, Representation.MOMENTUM)[0])
+    sources = np.stack([balanced, 0.5 * np.exp(-(p - 1.0) ** 2), np.exp(-p**2), balanced])
+    with pytest.raises(IllPosedSourceError) as first:
+        spectral_inverse_laplacian(sources[1], grid512, Representation.MOMENTUM)
+    assert str(first.value).startswith("source integral ")
+    with pytest.raises(IllPosedSourceError, match=f"^{re.escape(str(first.value))}$"):
+        current_poisson(sources, grid512)
+    current_poisson(sources[[0, 3]], grid512)  # balanced rows alone are well posed
