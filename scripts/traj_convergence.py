@@ -25,9 +25,9 @@ def recorded_ensembles(config):
     """Run the scenario and return (model, rerun(substeps)) for each ensemble it integrated."""
     calls = []
 
-    def epstein(frames, potential, p0, method, substeps_per_frame=1, on_frame=None):
+    def epstein(frames, potential, p0, method, substeps_per_frame=1, on_block=None):
         calls.append(("epstein", lambda s: integrate_epstein(frames, potential, p0, method, s)))
-        return integrate_epstein(frames, potential, p0, method, substeps_per_frame, on_frame)
+        return integrate_epstein(frames, potential, p0, method, substeps_per_frame, on_block)
 
     def dbb(frames, x0, masses=1.0, substeps_per_frame=1):
         calls.append(("dbb", lambda s: integrate_dbb(frames, x0, masses, s)))

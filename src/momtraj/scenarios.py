@@ -2,9 +2,9 @@
 
 Each catalog entry declares its dof and potential; its runner prepares a
 state, and `_simulate` propagates it, integrates the momentum-flow ensemble
-over the emitted frames and evaluates the statistical suite at every frame as
-the trajectories reach it. The runner adds its own machine-checkable
-verdicts, which are deterministic given (config, seed).
+over the emitted frames and evaluates the statistical suite on each block of
+frames once the trajectories have passed it. The runner adds its own
+machine-checkable verdicts, which are deterministic given (config, seed).
 """
 
 from __future__ import annotations
@@ -43,11 +43,10 @@ from .states import (
     two_packet_momentum_state,
 )
 from .trajectories import (
+    BlockHook,
     EnsembleHistory,
     FrameBlock,
-    FrameFields,
     TrajStatus,
-    frame_fields,
     integrate_dbb,
     integrate_epstein,
     interpolate_masked,
@@ -213,8 +212,8 @@ VANISHING_SCALE_FLOOR = 1e-6
 CONTINUITY_DT = 1e-3  # step of the continuity residual's central difference
 
 
-def _block_checks(block: FrameBlock, potential: Potential,
-                  mass: float) -> tuple[np.ndarray, np.ndarray, GridMoments]:
+def _grid_checks(block: FrameBlock, potential: Potential,
+                 mass: float) -> tuple[np.ndarray, np.ndarray, GridMoments]:
     """Per frame of a block, in one batched call each: the continuity residual and
     its denominator, and the grid moments of the moment checks."""
     mid_x, mid_p, after = continuity_probe(block.psi_p, potential, CONTINUITY_DT, mass)
@@ -236,13 +235,15 @@ def _robust_max_ratio(pairs: list[tuple[float, float]]) -> float:
 
 @dataclass
 class FrameSuite:
-    """The statistical suite, fed each frame by the integrator as the trajectories reach it.
+    """The statistical suite, fed each FrameBlock by the integrator once the
+    trajectories have passed its frames.
 
-    `add` reads the frame's FrameFields and keeps one stats row per frame and
-    the worst cases for `verdicts`; `current` is the last frame's current.
-    `block_checks` holds the grid-only checks of the frame's FrameBlock.
-    `_simulate` sets `frames` and `ensemble`, and `result` builds the RunResult.
-    A Free potential's currents vanish, so it has no cross-method check.
+    `add` runs the block's grid-only checks in one batched call each, then
+    reads each frame of the block with its history rows, and keeps one stats
+    row per frame and the worst cases for `verdicts`; `current` is the last
+    frame's current. `_simulate` sets `frames` and `ensemble`, and `result`
+    builds the RunResult. A Free potential's currents vanish, so it has no
+    cross-method check.
     """
 
     potential: Potential
@@ -258,52 +259,52 @@ class FrameSuite:
     current: CurrentField | None = None
     frames: list[Frame] = field(default_factory=list)
     ensemble: Ensemble | None = None
-    block_checks: tuple[np.ndarray, np.ndarray, GridMoments] | None = None
 
-    def add(self, fields: FrameFields, p: np.ndarray, x: np.ndarray, status: np.ndarray) -> None:
-        fr = fields.frame
-        self.current = fields.current  # first, so that the previous current is freed early
-        if fields.row == 0:
-            self.block_checks = _block_checks(fields.block, self.potential, self.config.mass)
-        resids, dens, moments = self.block_checks
-        active = status == TrajStatus.ACTIVE
-        x_mass, p_mass = fr.boundary_mass
-        row: dict = {
-            "time": fr.time,
-            "boundary_mass_position": x_mass,
-            "boundary_mass_momentum": p_mass,
-            "frozen_count": int(np.sum(status == TrajStatus.FROZEN_AT_NODE)),
-            "left_grid_count": int(np.sum(status == TrajStatus.LEFT_GRID)),
-        }
-        if active.any():
-            row["ks"] = {}
-            for r in equivariance_check(p[active], fr.psi_p):
-                row["ks"][r.label or "p0"] = {"statistic": r.statistic, "band": r.band,
-                                              "passed": bool(r.passed)}
-                self.all_ks_ok &= bool(r.passed)
-                self.worst_ks_margin = max(self.worst_ks_margin, r.statistic / r.band)
-            rep = moment_checks(x, moments.frame(fields.row), active)
-            row["moments"] = _moments_to_row(rep)
-            self.all_moments_ok &= rep.mean_ok and rep.std_ok and rep.identity_ok
-            self.worst_identity = max(self.worst_identity, rep.identity_rel_err)
-            if self.regions:
-                freqs = macrostate_frequencies(x, self.regions, active)
-                row["macrostate_occupancy"] = {
-                    k: {"frequency": v[0], "stderr": v[1]} for k, v in freqs.items()
-                }
+    def add(self, block: FrameBlock, lo: int, p: np.ndarray, x: np.ndarray,
+            status: np.ndarray) -> None:
+        """Read the frames of `block`, the first of which is frame lo, and their
+        history rows p, x and status."""
+        self.current = block.current_at(-1)  # first, so that the previous one is freed early
+        resids, dens, moments = _grid_checks(block, self.potential, self.config.mass)
+        for f, fr in enumerate(block.frames):
+            active = status[f] == TrajStatus.ACTIVE
+            x_mass, p_mass = fr.boundary_mass
+            row: dict = {
+                "time": fr.time,
+                "boundary_mass_position": x_mass,
+                "boundary_mass_momentum": p_mass,
+                "frozen_count": int(np.sum(status[f] == TrajStatus.FROZEN_AT_NODE)),
+                "left_grid_count": int(np.sum(status[f] == TrajStatus.LEFT_GRID)),
+            }
+            if active.any():
+                row["ks"] = {}
+                for r in equivariance_check(p[f][active], fr.psi_p):
+                    row["ks"][r.label or "p0"] = {"statistic": r.statistic, "band": r.band,
+                                                  "passed": bool(r.passed)}
+                    self.all_ks_ok &= bool(r.passed)
+                    self.worst_ks_margin = max(self.worst_ks_margin, r.statistic / r.band)
+                rep = moment_checks(x[f], moments.frame(f), active)
+                row["moments"] = _moments_to_row(rep)
+                self.all_moments_ok &= rep.mean_ok and rep.std_ok and rep.identity_ok
+                self.worst_identity = max(self.worst_identity, rep.identity_rel_err)
+                if self.regions:
+                    freqs = macrostate_frequencies(x[f], self.regions, active)
+                    row["macrostate_occupancy"] = {
+                        k: {"frequency": v[0], "stderr": v[1]} for k, v in freqs.items()
+                    }
 
-        resid, den = float(resids[fields.row]), float(dens[fields.row])
-        row["continuity_residual"] = resid
-        self.continuity_pairs.append((resid * den if den >= 1e-14 else resid, den))
+            resid, den = float(resids[f]), float(dens[f])
+            row["continuity_residual"] = resid
+            self.continuity_pairs.append((resid * den if den >= 1e-14 else resid, den))
 
-        if not isinstance(self.potential, Free) and fr.psi_p.grid.dof == 1:
-            jc = fields.current_of(CurrentMethod.CLOSED_FORM)
-            jp = fields.current_of(CurrentMethod.POISSON)
-            diff = float(np.linalg.norm(jp.components - jc.components))
-            den = float(np.linalg.norm(jc.components))
-            self.cross_pairs.append((diff, den))
-            row["current_cross_method_rel"] = diff / den if den > 0 else 0.0
-        self.rows.append(row)
+            if not isinstance(self.potential, Free) and fr.psi_p.grid.dof == 1:
+                jc = block.current_of(CurrentMethod.CLOSED_FORM).components[:, f]
+                jp = block.current_of(CurrentMethod.POISSON).components[:, f]
+                diff = float(np.linalg.norm(jp - jc))
+                den = float(np.linalg.norm(jc))
+                self.cross_pairs.append((diff, den))
+                row["current_cross_method_rel"] = diff / den if den > 0 else 0.0
+            self.rows.append(row)
 
     def verdicts(self) -> list[Verdict]:
         continuity = _robust_max_ratio(self.continuity_pairs)
@@ -334,35 +335,21 @@ class FrameSuite:
                          verdicts + self.verdicts(), diagnostics or {})
 
 
-FrameHook = Callable[[FrameFields, np.ndarray, np.ndarray, np.ndarray], None]
-
-
 def _trajectories(config: ScenarioConfig, psi: ComplexField, potential: Potential,
-                  on_frame: FrameHook | None = None) -> tuple[list[Frame], Ensemble]:
+                  on_block: BlockHook | None = None) -> tuple[list[Frame], Ensemble]:
     """Propagate psi, sample momenta from its t=0 density and integrate them over the frames."""
     frames = collect_frames(psi, potential, PropagatorConfig(config.dt, config.steps_per_frame),
                             config.n_steps(), config.mass)
     p0 = sample_momenta(frames[0].psi_p, config.n_samples, config.seed)
     return frames, Ensemble(integrate_epstein(frames, potential, p0, CURRENTS[config.current],
-                                              on_frame=on_frame))
+                                              on_block=on_block))
 
 
 def _simulate(config: ScenarioConfig, psi: ComplexField, potential: Potential,
-              regions: list[Region] | None = None,
-              on_frame: FrameHook | None = None) -> FrameSuite:
-    """Run psi through every scenario's pipeline, the suite fed at every frame.
-
-    At each frame `FrameSuite.add` reads the frame first, then on_frame, when
-    given, runs the scenario's own per-frame checks.
-    """
+              regions: list[Region] | None = None) -> FrameSuite:
+    """Run psi through every scenario's pipeline, the suite fed every block of frames."""
     suite = FrameSuite(potential, config, regions)
-
-    def at_frame(fields: FrameFields, p: np.ndarray, x: np.ndarray, status: np.ndarray) -> None:
-        suite.add(fields, p, x, status)
-        if on_frame is not None:
-            on_frame(fields, p, x, status)
-
-    suite.frames, suite.ensemble = _trajectories(config, psi, potential, at_frame)
+    suite.frames, suite.ensemble = _trajectories(config, psi, potential, suite.add)
     return suite
 
 
@@ -420,7 +407,7 @@ def _fringe_density_verdict(grid: GridSpec, frame0: Frame, config: ScenarioConfi
     hb = grid.hbar
     sig = config.sigma
     base = (sig**2 / (np.pi * hb**2)) ** 0.5 * np.exp(-(p**2) * sig**2 / hb**2)
-    c = np.sqrt(0.5)  # the equal weights of superposition_state's default
+    c = np.sqrt(0.5)  # superposition_state's equal weights
     # |c e^{-iap} + c e^{+iap}|^2 = 2 cos^2(ap)
     mod = (c**2 + c**2) + 2.0 * c * c * np.cos(2.0 * config.a * p / hb)
     pred = norm_factor**2 * mod * base
@@ -592,11 +579,10 @@ def _run_collapse(config: ScenarioConfig, grid: GridSpec, potential: Potential) 
     branch_frames = collect_frames(state.branches[0], potential,
                                    PropagatorConfig(config.dt, config.steps_per_frame),
                                    config.n_steps(), config.mass)
-    branch = frame_fields(branch_frames, potential, CurrentMethod.CLOSED_FORM)
 
-    # Collapse's checks run in the integrator's frame loop after the suite and
-    # read the frame's fields; the branch's FrameFields of the same frame, the
-    # next that `branch` yields, give the branch's x(p) and closed-form current.
+    # Collapse's checks read each block of frames after the suite; the branch's
+    # block of the same frames gives the branch's x(p) and closed-form current.
+    suite = FrameSuite(potential, config)
     p = grid.momenta(0)
     weight = state.branch_weights[0]
     in_branch = None  # rows seeded in the branch, set at frame 0
@@ -606,42 +592,47 @@ def _run_collapse(config: ScenarioConfig, grid: GridSpec, potential: Potential) 
     pairs_closed: list[tuple[float, float]] = []
     pairs_poisson: list[tuple[float, float]] = []
 
-    def on_frame(fields: FrameFields, p_traj: np.ndarray, x: np.ndarray,
+    def on_block(block: FrameBlock, lo: int, p_traj: np.ndarray, x: np.ndarray,
                  status: np.ndarray) -> None:
         nonlocal in_branch, decomp_worst, track_worst
-        fr = fields.frame
-        if fr.index == 0:
-            in_branch = p_traj[:, 0] > 0.0
-        amp = np.abs(fr.psi_p.values)
-        silent = amp < SILENT_AMPLITUDE * amp.max()
-        rho = fr.psi_p.density()
-        upper = p > np.sum(p * rho) / rho.sum()
-        hi_peak = p[upper][np.argmax(rho[upper])]
-        lo_peak = p[~upper][np.argmax(rho[~upper])]
-        gap_cells.append(int(np.sum(silent & (p > lo_peak) & (p < hi_peak))))
+        suite.add(block, lo, p_traj, x, status)
+        if lo == 0:
+            in_branch = p_traj[0, :, 0] > 0.0
+        br = FrameBlock(branch_frames[lo:lo + len(block.frames)], potential,
+                        CurrentMethod.CLOSED_FORM)
+        for f, fr in enumerate(block.frames):
+            amp = np.abs(fr.psi_p.values)
+            silent = amp < SILENT_AMPLITUDE * amp.max()
+            rho = fr.psi_p.density()
+            upper = p > np.sum(p * rho) / rho.sum()
+            hi_peak = p[upper][np.argmax(rho[upper])]
+            lo_peak = p[~upper][np.argmax(rho[~upper])]
+            gap_cells.append(int(np.sum(silent & (p > lo_peak) & (p < hi_peak))))
 
-        br = next(branch)
-        br_amp = np.abs(br.frame.psi_p.values)
-        supp = br_amp >= SUPPORT_AMPLITUDE * br_amp.max()
-        j_full = fields.current_of(CurrentMethod.CLOSED_FORM).components[0]
-        j_br = weight * br.current.components[0]
-        den = np.linalg.norm(j_br[supp])
-        if den > 1e-12:
-            decomp_worst = max(decomp_worst, float(np.linalg.norm((j_full - j_br)[supp]) / den))
-        act = (status == TrajStatus.ACTIVE) & in_branch
-        if act.any():
-            vals, ok, inside = interpolate_masked(br.position, p_traj[act])
-            good = ok & inside
-            if good.any():
-                track_worst = max(track_worst, float(np.abs(x[act][good] - vals[good]).max()))
+            br_amp = np.abs(br.frames[f].psi_p.values)
+            supp = br_amp >= SUPPORT_AMPLITUDE * br_amp.max()
+            j_full = block.current_of(CurrentMethod.CLOSED_FORM).components[0, f]
+            j_br = weight * br.current_of(CurrentMethod.CLOSED_FORM).components[0, f]
+            den = np.linalg.norm(j_br[supp])
+            if den > 1e-12:
+                decomp_worst = max(decomp_worst,
+                                   float(np.linalg.norm((j_full - j_br)[supp]) / den))
+            act = (status[f] == TrajStatus.ACTIVE) & in_branch
+            if act.any():
+                vals, ok, inside = interpolate_masked(br.position_at(f), p_traj[f][act])
+                good = ok & inside
+                if good.any():
+                    track_worst = max(track_worst,
+                                      float(np.abs(x[f][act][good] - vals[good]).max()))
 
-        gap = silent & (np.abs(p) < config.delta_p / 2.0)
-        if gap.any():
-            jp = fields.current_of(CurrentMethod.POISSON).components[0]
-            pairs_closed.append((float(np.abs(j_full[gap]).max()), float(np.abs(j_full).max())))
-            pairs_poisson.append((float(np.abs(jp[gap]).max()), float(np.abs(jp).max())))
+            gap = silent & (np.abs(p) < config.delta_p / 2.0)
+            if gap.any():
+                jp = block.current_of(CurrentMethod.POISSON).components[0, f]
+                pairs_closed.append((float(np.abs(j_full[gap]).max()),
+                                     float(np.abs(j_full).max())))
+                pairs_poisson.append((float(np.abs(jp[gap]).max()), float(np.abs(jp).max())))
 
-    suite = _simulate(config, state.field, potential, on_frame=on_frame)
+    suite.frames, suite.ensemble = _trajectories(config, state.field, potential, on_block)
     scale = config.grid_extent / 2.0
     min_gap = min(gap_cells)
     verdicts = [
@@ -679,29 +670,34 @@ def _run_collapse(config: ScenarioConfig, grid: GridSpec, potential: Potential) 
 # -- scenario: harmonic coherent / ground state ------------------------------------------
 
 
-def _central_dpdt(times: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """dp/dt at the interior frames by central differences; frames run along axis 0.
+def _force_residual(hist: EnsembleHistory,
+                    restoring: Callable[[np.ndarray], np.ndarray | float]) -> float:
+    """max |dp/dt + restoring(x)| over the interior frames and the rows active at
+    the last frame, dp/dt by central differences, read from the history frame by frame.
 
     Needs at least 3 frames, which run_scenario checks against
     ScenarioDef.min_frames before the run starts.
     """
-    return (p[2:] - p[:-2]) / (2.0 * float(times[1] - times[0]))
+    always = hist.status[-1] == TrajStatus.ACTIVE
+    two_dt = 2.0 * float(hist.times[1] - hist.times[0])
+    return max(float(np.abs((hist.p[f + 1, always, 0] - hist.p[f - 1, always, 0]) / two_dt
+                            + restoring(hist.x[f, always, 0])).max())
+               for f in range(1, len(hist.times) - 1))
 
 
 def _classical_force_verdicts(hist: EnsembleHistory, config: ScenarioConfig) -> list[Verdict]:
-    always = hist.status[-1] == TrajStatus.ACTIVE
-    p = hist.p[:, always, 0]
-    x = hist.x[:, always, 0]
-    dpdt = _central_dpdt(hist.times, p)
-    resid = float(np.abs(dpdt + config.mass * config.omega**2 * x[1:-1]).max())
+    k = config.mass * config.omega**2
+    resid = _force_residual(hist, lambda x: k * x)
     out = [
         Verdict("classical-force-relation", resid <= 1e-4, resid, 1e-4,
                 "dp/dt = -m w^2 x along recorded histories",
                 "max |dp/dt + m w^2 x| by central differences at frame resolution"),
     ]
     if config.displacement == 0.0:
-        xmax = float(np.abs(x).max())
-        pdrift = float(np.abs(p - p[0]).max())
+        always = hist.status[-1] == TrajStatus.ACTIVE
+        p0 = hist.p[0, always, 0]
+        xmax = max(float(np.abs(x[always, 0]).max()) for x in hist.x)
+        pdrift = max(float(np.abs(p[always, 0] - p0).max()) for p in hist.p)
         out += [
             Verdict("ground-position-frozen", xmax <= 1e-4, xmax, 1e-4,
                     "ground-state trajectories sit at the origin", "max |x_i(t)|"),
@@ -739,9 +735,7 @@ def _run_linear(config: ScenarioConfig, grid: GridSpec, potential: Potential) ->
         act = hist.status[f] == TrajStatus.ACTIVE
         expected = hist.p[0][act] - config.linear_coeff * t
         law = max(law, float(np.abs(hist.p[f][act] - expected).max()))
-    always = hist.status[-1] == TrajStatus.ACTIVE
-    dpdt = _central_dpdt(hist.times, hist.p[:, always, 0])
-    force = float(np.abs(dpdt + config.linear_coeff).max())
+    force = _force_residual(hist, lambda x: config.linear_coeff)
 
     verdicts = [
         Verdict("constant-force-momentum-law", law <= 1e-8, law, 1e-8,

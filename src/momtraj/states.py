@@ -50,31 +50,25 @@ class SuperpositionState:
     overlap: float
 
 
-def superposition_state(
-    grid: GridSpec,
-    a: float,
-    sigma: float = 1.0,
-    coefficients: tuple[float, float] = (2**-0.5, 2**-0.5),
-    overlap_warn_ratio: float = 3.0,
-) -> SuperpositionState:
-    """Superposition of two packets shifted to +-a along every axis.
+OVERLAP_WARN_RATIO = 3.0  # superposition_state warns when 0 < |a| < this many sigma
 
-    The returned norm factor N satisfies field = N*(c1*psi_{+a} + c2*psi_{-a})
-    with grid-normalized field and |c1|^2 + |c2|^2 = 1.
+
+def superposition_state(grid: GridSpec, a: float, sigma: float = 1.0) -> SuperpositionState:
+    """Equal-weight superposition of two packets shifted to +-a along every axis.
+
+    The returned norm factor N satisfies field = N*c*(psi_{+a} + psi_{-a})
+    with grid-normalized field and c = 1/sqrt(2).
     """
-    c1, c2 = coefficients
-    csum = c1**2 + c2**2
-    if abs(csum - 1.0) > 1e-9:
-        c1, c2 = c1 / np.sqrt(csum), c2 / np.sqrt(csum)
-    if abs(a) < overlap_warn_ratio * sigma and a != 0.0:
+    if abs(a) < OVERLAP_WARN_RATIO * sigma and a != 0.0:
         warnings.warn(
-            f"packet shift |a|={abs(a):.3g} below {overlap_warn_ratio} sigma: "
+            f"packet shift |a|={abs(a):.3g} below {OVERLAP_WARN_RATIO} sigma: "
             "packets overlap appreciably",
             stacklevel=2,
         )
     plus = gaussian_state(grid, sigma=sigma, center=a)
     minus = gaussian_state(grid, sigma=sigma, center=-a)
-    raw = c1 * plus.values + c2 * minus.values
+    c = 2**-0.5
+    raw = c * plus.values + c * minus.values
     raw_field = ComplexField(grid, Representation.POSITION, raw)
     nf = 1.0 / raw_field.norm()
     ov = float(
@@ -121,6 +115,9 @@ class MeasurementState:
     env_overlap: float
 
 
+ENV_OVERLAP_TOL = 1e-8  # largest environment packet overlap measurement_state accepts
+
+
 def measurement_state(
     grid: GridSpec,
     a: float,
@@ -129,12 +126,11 @@ def measurement_state(
     c2: float,
     sigma: float = 1.0,
     sigma_env: float = 1.0,
-    overlap_tol: float = 1e-8,
 ) -> MeasurementState:
     """c1*psi(x-a)*chi_+(xe) + c2*psi(x+a)*chi_-(xe) on a 2-dof grid.
 
     chi_+- are environment packets boosted by +-dpe/2; their momentum-space
-    overlap must not exceed overlap_tol, otherwise the post-measurement
+    overlap must not exceed ENV_OVERLAP_TOL, otherwise the post-measurement
     factorization assumed by the scenario does not hold.
     """
     if grid.dof != 2:
@@ -149,9 +145,9 @@ def measurement_state(
     env_minus = _gaussian_1d(x1, sigma_env, 0.0, -dpe / 2.0, grid.hbar)
     dx1 = grid.spacing(1)
     env_overlap = abs(np.sum(np.conj(env_plus) * env_minus) * dx1)
-    if env_overlap > overlap_tol:
+    if env_overlap > ENV_OVERLAP_TOL:
         raise ConfigurationError(
-            f"environment packet overlap {env_overlap:.3e} exceeds {overlap_tol:.0e}; "
+            f"environment packet overlap {env_overlap:.3e} exceeds {ENV_OVERLAP_TOL:.0e}; "
             "increase dpe or sigma_env"
         )
     vals = c1 * np.outer(pointer_plus, env_plus) + c2 * np.outer(pointer_minus, env_minus)

@@ -6,11 +6,12 @@ the state as the local expectation value x(p) = -grad S~(p), evaluated at the
 trajectory's p. The de Broglie-Bohm reference integrator evolves positions
 directly by dx/dt = grad S / m.
 
-Both models run through one frame loop and one RK4 step over velocity fields
-derived on the grid once per frame (for the momentum-flow model, with the
-other fields it shares, in a FrameFields: a view into the FrameBlock that
-builds a block of frames' fields at once), with multilinear interpolation in
-space and linear interpolation in time between propagator frames. The two
+Both models run through one RK4 stepper, which their integrators drive frame
+by frame over velocity fields derived on the grid once per frame, with
+multilinear interpolation in space and linear interpolation in time between
+propagator frames. The momentum-flow model builds its velocity, its readout
+field x(p) and its currents a FrameBlock of frames at a time, and hands each
+finished block, with its frames' history rows, to its consumers. The two
 endpoint fields of a frame interval are stacked into one masked field, so
 each RK4 stage builds a single interpolation stencil and lerps its two halves.
 The first step of every frame interval also estimates the RK4 error by step
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache, reduce
 from math import prod
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -243,7 +244,7 @@ class EnsembleHistory:
     derived positions; for the guidance reference `p` is None and `x` holds
     the integrated positions. Status is recorded per frame; ACTIVE rows of
     the final frame are the statistically usable ensemble. `step_error` is
-    the step-doubling estimate of the RK4 error (see `_integrate`).
+    the step-doubling estimate of the RK4 error (see `_Stepper`).
     """
 
     times: np.ndarray
@@ -280,8 +281,8 @@ class FrameBlock:
     Holds the frames' states stacked on a frame axis, the momentum gradient
     of psi~, the readout field x(p), the configured current and the velocity
     j/|psi~|^2, all read-only. `current_of` gives the current of either
-    construction, built at most once per block. Iterating gives each frame's
-    FrameFields.
+    construction, built at most once per block; `position_at`, `velocity_at`
+    and `current_at` give one frame's row of them as read-only views.
     """
 
     def __init__(self, frames: list[Frame], potential: Potential, method: CurrentMethod):
@@ -306,101 +307,75 @@ class FrameBlock:
                                                  self.grad)
         return self._currents[method]
 
-    def __iter__(self) -> Iterator[FrameFields]:
-        return (FrameFields(self, row) for row in range(len(self.frames)))
+    def position_at(self, row: int) -> MaskedVectorField:
+        return MaskedVectorField(self.position.grid, self.position.rep,
+                                 self.position.components[:, row], self.position.valid[row])
 
+    def velocity_at(self, row: int) -> MaskedVectorField:
+        return MaskedVectorField(self.velocity.grid, self.velocity.rep,
+                                 self.velocity.components[:, row], self.velocity.valid[row])
 
-def _row_of(fld: MaskedVectorField, row: int) -> MaskedVectorField:
-    return MaskedVectorField(fld.grid, fld.rep, fld.components[:, row], fld.valid[row])
-
-
-class FrameFields:
-    """One frame's derived fields, shared by its consumers: read-only views into row
-    `row` of its FrameBlock's x(p), velocity and currents."""
-
-    def __init__(self, block: FrameBlock, row: int):
-        self.block = block
-        self.row = row
-        self.frame = block.frames[row]
-        self.position = _row_of(block.position, row)
-        self.velocity = _row_of(block.velocity, row)
-        self._currents: dict[CurrentMethod, CurrentField] = {}
-        self.current = self.current_of(block.method)
-
-    def current_of(self, method: CurrentMethod) -> CurrentField:
-        """The frame's current by `method`, a view of the block's."""
-        if method not in self._currents:
-            cur = self.block.current_of(method)
-            self._currents[method] = CurrentField(cur.grid, cur.components[:, self.row], method,
-                                                  cur.time[self.row])
-        return self._currents[method]
-
-
-def frame_fields(frames: list[Frame], potential: Potential,
-                 method: CurrentMethod) -> Iterator[FrameFields]:
-    """Each frame's FrameFields in order, from blocks of max(1, BLOCK_POINTS // grid size)."""
-    size = max(1, BLOCK_POINTS // frames[0].psi_p.grid.size)
-    for lo in range(0, len(frames), size):
-        block = FrameBlock(frames[lo:lo + size], potential, method)
-        yield from block
-        del block  # released before the next one is built
+    def current_at(self, row: int, method: CurrentMethod | None = None) -> CurrentField:
+        """Frame `row`'s current by `method`, the block's configured one by default."""
+        cur = self.current_of(method or self.method)
+        return CurrentField(cur.grid, cur.components[:, row], cur.method, cur.time[row])
 
 
 ESTIMATE_ROWS = 64  # rows of the step-doubling error estimate, spread evenly over the batch
 
 
-def _integrate(
-    frames: list[Frame],
-    q0: np.ndarray,
-    field_of: Callable[[Frame], MaskedVectorField],
-    substeps: int,
-    at_frame: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """The frame loop of both models: RK4 substeps through each frame interval.
+class _Stepper:
+    """The frame loop of both models, driven by its caller one frame at a time.
 
-    field_of(frame) gives the velocity field at a frame; at_frame(f, q, status),
-    when given, runs at every frame once q has reached it, before the frame's
-    state is recorded, and may retire rows. The first step of every frame
-    interval is a `_doubled_step` over a fixed subsample of at most
-    ESTIMATE_ROWS rows. Returns (times, q and status histories, step error),
-    where the step error is the max of those step-doubling estimates.
+    `advance(w)` takes the active rows through the interval from the previous
+    frame's velocity field to this frame's, w, in RK4 substeps (at frame 0 it
+    only checks q's shape against w's grid), and returns the live (q, status),
+    whose rows the caller may still retire; `record()` then writes the frame's
+    history rows. Only the previous frame's field is held. The first step of
+    every frame interval is a `_doubled_step` over a fixed subsample of at most
+    ESTIMATE_ROWS rows; `step_error` is the max of those step-doubling estimates.
     """
-    if len(frames) == 0:
-        raise ConfigurationError("no frames to integrate over")
-    q = np.atleast_2d(np.asarray(q0, dtype=float))
-    dof = frames[0].psi_p.grid.dof
-    if q.shape[1] != dof:
-        raise ConfigurationError(f"initial points must have shape (N, {dof})")
-    n = len(q)
-    times = np.array([fr.time for fr in frames])
-    q_hist = np.empty((len(frames),) + q.shape)
-    status_hist = np.empty((len(frames), n), dtype=np.int8)
-    probe = np.arange(n)[::max(1, -(-n // ESTIMATE_ROWS))]
-    q = np.concatenate([q, q[probe]])  # rows n: are _doubled_step's scratch rows
-    status = np.zeros(len(q), dtype=np.int8)
-    step_error = 0.0
 
-    w1 = field_of(frames[0])
-    for f in range(len(frames)):
+    def __init__(self, q0: np.ndarray, times: np.ndarray, substeps: int):
+        if len(times) == 0:
+            raise ConfigurationError("no frames to integrate over")
+        q = np.atleast_2d(np.asarray(q0, dtype=float))
+        self.n = n = len(q)
+        self.times = times
+        self.substeps = substeps
+        self.q_hist = np.empty((len(times),) + q.shape)
+        self.status_hist = np.empty((len(times), n), dtype=np.int8)
+        self.probe = np.arange(n)[::max(1, -(-n // ESTIMATE_ROWS))]
+        self.q = np.concatenate([q, q[self.probe]])  # rows n: are _doubled_step's scratch rows
+        self.status = np.zeros(len(self.q), dtype=np.int8)
+        self.step_error = 0.0
+        self.f = 0  # the frame that advance moves to
+        self.w: MaskedVectorField | None = None  # the previous frame's velocity field
+
+    def advance(self, w: MaskedVectorField) -> tuple[np.ndarray, np.ndarray]:
+        f, n = self.f, self.n
+        if f == 0 and self.q.shape[1] != w.grid.dof:
+            raise ConfigurationError(f"initial points must have shape (N, {w.grid.dof})")
         if f:
-            # The pair copies both fields. Rebinding w1 in the call and deleting
-            # the pair after the step keep neither the older field nor the pair
-            # alive while at_frame runs (a 2d frame's fields take megabytes).
-            pair = _endpoints(w1, w1 := field_of(frames[f]))
-            dt = (times[f] - times[f - 1]) / substeps
-            for s in range(substeps):
-                theta0, theta1 = s / substeps, (s + 1) / substeps
+            pair = _endpoints(self.w, w)  # a copy of both fields, freed on return
+            dt = (self.times[f] - self.times[f - 1]) / self.substeps
+            for s in range(self.substeps):
+                theta0, theta1 = s / self.substeps, (s + 1) / self.substeps
                 if s == 0:
-                    step_error = max(step_error,
-                                     _doubled_step(q, status, probe, pair, theta0, theta1, dt))
+                    self.step_error = max(self.step_error, _doubled_step(
+                        self.q, self.status, self.probe, pair, theta0, theta1, dt))
                 else:
-                    _rk4_step(q[:n], status[:n], pair, theta0, theta1, dt)
-            del pair
-        if at_frame is not None:
-            at_frame(f, q[:n], status[:n])
-        q_hist[f] = q[:n]
-        status_hist[f] = status[:n]
-    return times, q_hist, status_hist, step_error
+                    _rk4_step(self.q[:n], self.status[:n], pair, theta0, theta1, dt)
+        self.w = w
+        return self.q[:n], self.status[:n]
+
+    def record(self) -> None:
+        self.q_hist[self.f] = self.q[:self.n]
+        self.status_hist[self.f] = self.status[:self.n]
+        self.f += 1
+
+
+BlockHook = Callable[[FrameBlock, int, np.ndarray, np.ndarray, np.ndarray], None]
 
 
 def integrate_epstein(
@@ -409,7 +384,7 @@ def integrate_epstein(
     p_initial: np.ndarray,
     method: CurrentMethod = CurrentMethod.CLOSED_FORM,
     substeps_per_frame: int = 1,
-    on_frame: Callable[[FrameFields, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
+    on_block: BlockHook | None = None,
 ) -> EnsembleHistory:
     """Advance momentum-flow trajectories through a propagated frame sequence.
 
@@ -422,29 +397,29 @@ def integrate_epstein(
     farther from it than steps_per_frame substeps
     (scripts/traj_convergence.py). Positions are read out at every frame; a
     row that cannot be read out keeps its last position (NaN before the first).
-    on_frame(fields, p, x, status), when given, runs at every frame after the
-    readout and reads the frame's FrameFields and state without changing them.
+
+    The frames' fields come in FrameBlocks of max(1, BLOCK_POINTS // grid size)
+    frames. on_block(block, lo, p, x, status), when given, runs once the last
+    frame of each block is recorded, with the index lo of its first frame and
+    views of its frames' history rows, which it reads without changing.
     """
-    x = np.full((len(frames),) + np.atleast_2d(p_initial).shape, np.nan)
-    blocks = frame_fields(frames, potential, method)
-    fields: FrameFields | None = None  # the frame the trajectories are moving to
-
-    def velocity_of(fr: Frame) -> MaskedVectorField:
-        nonlocal fields
-        fields = None  # no hold on the previous block while the next one is built
-        fields = next(blocks)
-        return fields.velocity
-
-    def at_frame(f: int, p: np.ndarray, status: np.ndarray) -> None:
-        if f:
-            x[f] = x[f - 1]
-        _readout_positions(x[f], status, fields.position, p)
-        if on_frame is not None:
-            on_frame(fields, p, x[f], status)
-
-    times, p, status, step_error = _integrate(frames, p_initial, velocity_of,
-                                              substeps_per_frame, at_frame)
-    return EnsembleHistory(times, x, status, p, step_error)
+    times = np.array([fr.time for fr in frames])
+    stepper = _Stepper(p_initial, times, substeps_per_frame)
+    x = np.full(stepper.q_hist.shape, np.nan)
+    size = max(1, BLOCK_POINTS // frames[0].psi_p.grid.size)
+    for lo in range(0, len(frames), size):
+        block = FrameBlock(frames[lo:lo + size], potential, method)
+        hi = lo + len(block.frames)
+        for f in range(lo, hi):
+            p, status = stepper.advance(block.velocity_at(f - lo))
+            if f:
+                x[f] = x[f - 1]
+            _readout_positions(x[f], status, block.position_at(f - lo), p)
+            stepper.record()
+        if on_block is not None:
+            on_block(block, lo, stepper.q_hist[lo:hi], x[lo:hi], stepper.status_hist[lo:hi])
+        del block  # freed before the next one is built
+    return EnsembleHistory(times, x, stepper.status_hist, stepper.q_hist, stepper.step_error)
 
 
 def integrate_dbb(
@@ -454,7 +429,9 @@ def integrate_dbb(
     substeps_per_frame: int = 1,
 ) -> EnsembleHistory:
     """Advance guidance-law trajectories through a propagated frame sequence."""
-    times, x, status, step_error = _integrate(
-        frames, x_initial, lambda fr: velocity_field_dbb(fr.psi_x, masses), substeps_per_frame
-    )
-    return EnsembleHistory(times, x, status, None, step_error)
+    stepper = _Stepper(x_initial, np.array([fr.time for fr in frames]), substeps_per_frame)
+    for fr in frames:
+        stepper.advance(velocity_field_dbb(fr.psi_x, masses))
+        stepper.record()
+    return EnsembleHistory(stepper.times, stepper.q_hist, stepper.status_hist, None,
+                           stepper.step_error)

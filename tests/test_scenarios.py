@@ -274,6 +274,48 @@ def test_collapse_builds_each_frames_currents_once(monkeypatch):
     assert calls["current_poisson"] <= len(res.frames)
 
 
+def test_collapse_branch_blocks_cover_the_main_blocks_frames(monkeypatch):
+    # 81 frames: blocks of 64 and 17, for the run and for the branch alike
+    built = {"main": [], "branch": []}
+    original = momtraj.trajectories.FrameBlock
+
+    def recording(kind):
+        class Recorded(original):
+            def __init__(self, frames, *args):
+                built[kind].append([fr.index for fr in frames])
+                super().__init__(frames, *args)
+        return Recorded
+
+    monkeypatch.setattr(momtraj.trajectories, "FrameBlock", recording("main"))
+    monkeypatch.setattr(momtraj.scenarios, "FrameBlock", recording("branch"))
+    res = run_scenario(default_config("collapse", n_samples=100, steps_per_frame=5))
+    assert res.passed
+    assert built["main"] == [list(range(64)), list(range(64, 81))]
+    assert built["branch"] == built["main"]
+
+
+def test_force_checks_read_the_history_frame_by_frame():
+    # a synthetic history whose row 2 leaves the grid at frame 4 of 7
+    rng = np.random.default_rng(3)
+    status = np.zeros((7, 5), dtype=np.int8)
+    status[4:, 2] = momtraj.trajectories.TrajStatus.LEFT_GRID
+    hist = momtraj.trajectories.EnsembleHistory(np.arange(7) * 0.1, rng.normal(size=(7, 5, 1)),
+                                                status, rng.normal(size=(7, 5, 1)))
+    always = hist.status[-1] == momtraj.trajectories.TrajStatus.ACTIVE
+    assert always.sum() == len(always) - 1
+    p, x = hist.p[:, always, 0], hist.x[:, always, 0]
+    dpdt = (p[2:] - p[:-2]) / (2.0 * float(hist.times[1] - hist.times[0]))
+    cfg = default_config("harmonic-coherent", displacement=0.0, mass=1.5, omega=0.7)
+    k = cfg.mass * cfg.omega**2
+    measured = {v.name: v.measured for v in
+                momtraj.scenarios._classical_force_verdicts(hist, cfg)}
+    assert measured == {"classical-force-relation": float(np.abs(dpdt + k * x[1:-1]).max()),
+                        "ground-position-frozen": float(np.abs(x).max()),
+                        "ground-momentum-frozen": float(np.abs(p - p[0]).max())}
+    linear = momtraj.scenarios._force_residual(hist, lambda x: 2.0)
+    assert linear == float(np.abs(dpdt + 2.0).max())
+
+
 def test_step_phases_are_built_once_per_run():
     # one set for the propagator's step and one for the continuity probe's
     # half step, however many frames the suite probes

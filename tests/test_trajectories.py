@@ -24,7 +24,7 @@ from momtraj.grid import (GridAxis, GridSpec, MaskedVectorField, grid_1d, grid_2
                           local_position_field)
 from momtraj.grid import to_position
 from momtraj.states import coherent_state, gaussian_state, superposition_state
-from momtraj.scenarios import _block_checks
+from momtraj.scenarios import _grid_checks
 from momtraj.trajectories import (
     FrameBlock,
     TrajStatus,
@@ -32,7 +32,6 @@ from momtraj.trajectories import (
     _endpoints,
     _readout_positions,
     _rk4_step,
-    frame_fields,
     integrate_dbb,
     integrate_epstein,
     interpolate_masked,
@@ -505,24 +504,24 @@ def test_velocity_from_current_masks_nodes(grid512):
 
 
 def _assert_frame_fields_exact(frames, pot, method):
-    """Each frame's FrameFields, a view into one FrameBlock, equals, bit for bit,
-    each field built on its own for that frame."""
+    """Each frame's row views of one FrameBlock equal, bit for bit, each field
+    built on its own for that frame."""
     block = FrameBlock(frames, pot, method)
-    for frame, fields in zip(frames, block, strict=True):
+    assert block.frames is frames
+    for row, frame in enumerate(frames):
         xf = local_position_field(frame.psi_p)
         cur = current_for(pot, frame.psi_x, frame.psi_p, method)
         w = velocity_from_current(cur, frame.psi_p.density())
-        assert fields.frame is frame
-        assert fields.current.method is method
-        for got, want in ((fields.position, xf), (fields.velocity, w)):
+        for got, want in ((block.position_at(row), xf), (block.velocity_at(row), w)):
             assert got.components.tobytes() == want.components.tobytes()
             assert np.array_equal(got.valid, want.valid)
-        assert fields.current.components.tobytes() == cur.components.tobytes()
-        assert fields.current_of(method) is fields.current
+        got = block.current_at(row)
+        assert got.method is method and got.time == frame.time
+        assert got.components.tobytes() == cur.components.tobytes()
         for other in CurrentMethod:  # either construction, built once per block
             want = current_for(pot, frame.psi_x, frame.psi_p, other)
-            got = fields.current_of(other)
-            assert got.method is other and fields.current_of(other) is got
+            got = block.current_at(row, other)
+            assert got.method is other and got.time == frame.time
             assert block.current_of(other) is block.current_of(other)
             assert got.components.tobytes() == want.components.tobytes()
 
@@ -544,15 +543,16 @@ def test_frame_fields_equal_the_separate_constructions_2d(grid2d, method):
 
 
 def _block_arrays(block, pot):
-    """Per frame of `block`: every FrameFields array, both currents, and the
+    """Per frame of `block`: every row view's arrays, both currents, and the
     suite's continuity residual, its denominator and the grid moments."""
-    resid, den, moments = _block_checks(block, pot, 1.0)
+    resid, den, moments = _grid_checks(block, pot, 1.0)
     out = []
-    for fields in block:
-        out.append([block.grad[:, fields.row], fields.position.components, fields.position.valid,
-                    fields.velocity.components, fields.velocity.valid,
-                    *(fields.current_of(m).components for m in CurrentMethod),
-                    resid[fields.row], den[fields.row], *moments.frame(fields.row)])
+    for row in range(len(block.frames)):
+        position, velocity = block.position_at(row), block.velocity_at(row)
+        out.append([block.grad[:, row], position.components, position.valid,
+                    velocity.components, velocity.valid,
+                    *(block.current_at(row, m).components for m in CurrentMethod),
+                    resid[row], den[row], *moments.frame(row)])
     return out
 
 
@@ -586,15 +586,53 @@ def test_frame_fields_come_in_blocks_of_block_points(grid512):
     pot = Harmonic(1.0, 1.0)
     frames = collect_frames(coherent_state(grid512, 2.0), pot,
                             PropagatorConfig(dt=1e-3, steps_per_frame=1), 69)
-    fields = list(frame_fields(frames, pot, CurrentMethod.CLOSED_FORM))
-    assert [f.frame for f in fields] == frames
-    assert [len(f.block.frames) for f in fields] == [64] * 64 + [6] * 6
-    assert [f.row for f in fields] == list(range(64)) + list(range(6))
-    assert not fields[0].block.velocity.components.flags.writeable
+    blocks = []
+    integrate_epstein(frames, pot, np.array([[0.5]]), on_block=lambda b, *_: blocks.append(b))
+    assert [len(b.frames) for b in blocks] == [64, 6]
+    assert blocks[0].frames + blocks[1].frames == frames
+    for block in blocks:  # each frame's row views are read-only views into its block
+        for row in range(len(block.frames)):
+            for fld, view in ((block.position, block.position_at(row)),
+                              (block.velocity, block.velocity_at(row)),
+                              (block.current_of(block.method), block.current_at(row))):
+                assert np.shares_memory(view.components, fld.components)
+                assert not view.components.flags.writeable
+            assert block.current_at(row).time == block.frames[row].time
     frames2d = collect_frames(gaussian_state(grid_2d(256, 40.0), sigma=1.0), Free(),
                               PropagatorConfig(dt=1e-3, steps_per_frame=1), 2)
-    assert [len(f.block.frames) for f in frame_fields(frames2d, Free(),
-                                                      CurrentMethod.CLOSED_FORM)] == [1] * 3
+    blocks.clear()
+    integrate_epstein(frames2d, Free(), np.zeros((1, 2)), on_block=lambda b, *_: blocks.append(b))
+    assert [len(b.frames) for b in blocks] == [1] * 3
+
+
+@pytest.mark.parametrize("dof", [1, 2])
+def test_on_block_sees_every_frame_once_with_its_history_rows(dof):
+    # 1d: 130 frames of 512 points come in blocks of 64, 64 and 2; 2d: one
+    # 256 x 256 frame per block. The last start point lies off the grid and
+    # retires at frame 0.
+    if dof == 1:
+        grid, pot, n_steps, sizes = grid_1d(512, 40.0), Harmonic(1.0, 1.0), 129, [64, 64, 2]
+        p0 = np.array([[-1.0], [0.0], [0.7], [1.5], [99.0]])
+    else:
+        grid, pot, n_steps, sizes = grid_2d(256, 40.0), Linear((1.0, -0.5)), 2, [1, 1, 1]
+        p0 = np.array([[-1.0, 0.5], [0.0, 0.0], [0.7, -0.3], [99.0, 0.0]])
+    frames = collect_frames(gaussian_state(grid, sigma=1.0), pot,
+                            PropagatorConfig(dt=1e-3, steps_per_frame=1), n_steps)
+    seen = []
+
+    def on_block(block, lo, p, x, status):
+        seen.append((block.frames, lo, p.copy(), x.copy(), status.copy()))
+
+    hist = integrate_epstein(frames, pot, p0, on_block=on_block)
+    assert [len(b) for b, *_ in seen] == sizes
+    assert [lo for _, lo, *_ in seen] == [0] + list(np.cumsum(sizes)[:-1])
+    assert [fr for b, *_ in seen for fr in b] == frames
+    for b, lo, p, x, status in seen:
+        rows = slice(lo, lo + len(b))
+        for got, want in ((p, hist.p), (x, hist.x), (status, hist.status)):
+            assert got.tobytes() == want[rows].tobytes()
+    assert hist.status[0, -1] == TrajStatus.LEFT_GRID
+    assert (hist.status[:, :-1] == TrajStatus.ACTIVE).all()
 
 
 def test_poisson_block_names_its_first_ill_posed_frame(grid512):
