@@ -25,6 +25,7 @@ from .grid import (
     ComplexField,
     Representation,
     _frozen,
+    _transform,
     boundary_mass_fraction,
     to_momentum,
     to_position,
@@ -112,9 +113,9 @@ def _step_phases(grid, potential: Potential, masses: tuple[float, ...], dt: floa
 
 def _strang_step(grid, vals: np.ndarray, kin_half: np.ndarray, pot_phase: np.ndarray) -> np.ndarray:
     """One split step of momentum values (one frame or a block); two transforms."""
-    pos = to_position(ComplexField(grid, Representation.MOMENTUM, _frozen(kin_half * vals)))
-    back = to_momentum(pos.with_values(_frozen(pot_phase * pos.values)))
-    return kin_half * back.values
+    pos = _transform(grid, kin_half * vals, backward=True)
+    back = _transform(grid, pot_phase * pos)
+    return kin_half * back
 
 
 def propagate(

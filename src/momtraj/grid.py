@@ -194,7 +194,8 @@ class MaskedVectorField:
     interpolation stencil serves both. Points where the underlying density
     falls below the node threshold are marked invalid and must not be used by
     interpolation stencils. A block of frames puts its frame axis before the
-    grid axes of both arrays; interpolation reads one frame.
+    grid axes of both arrays; interpolation then reads, for each point, the
+    frame that its `frame` index names.
     """
 
     grid: GridSpec
@@ -222,10 +223,10 @@ def node_mask(density: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _transform_plan(grid: GridSpec):
-    """Per-axis phase and scale factors for the forward/backward transforms."""
+    """Read-only factors (pre_f, post_f, pre_b, post_b) of `_transform`; the post factors
+    carry the scales."""
     pre_f, post_f, pre_b, post_b = [], [], [], []
-    scale_f = 1.0
-    scale_b = 1.0
+    scale_f = scale_b = 1.0
     for a in range(grid.dof):
         n = grid.axes[a].points
         dx = grid.spacing(a)
@@ -239,7 +240,8 @@ def _transform_plan(grid: GridSpec):
         post_b.append(np.exp(1j * x * p[0] / hb))
         scale_f *= dx / np.sqrt(2.0 * np.pi * hb)
         scale_b *= dp * n / np.sqrt(2.0 * np.pi * hb)
-    return pre_f, post_f, pre_b, post_b, scale_f, scale_b
+    return tuple(_frozen(arr) for arr in (_outer(pre_f), scale_f * _outer(post_f),
+                                          _outer(pre_b), scale_b * _outer(post_b)))
 
 
 def _outer(vectors: list[np.ndarray]) -> np.ndarray:
@@ -247,6 +249,14 @@ def _outer(vectors: list[np.ndarray]) -> np.ndarray:
     for v in vectors[1:]:
         out = out[..., None] * v
     return out
+
+
+def _transform(grid: GridSpec, values: np.ndarray, backward: bool = False) -> np.ndarray:
+    """post_f * fftn(pre_f * values) over the grid axes, or post_b * ifftn(pre_b * values)."""
+    pre, post = _transform_plan(grid)[2:] if backward else _transform_plan(grid)[:2]
+    out = (np.fft.ifftn if backward else np.fft.fftn)(pre * values, axes=grid_axes(grid))
+    # in place, since numpy's temporary elision may swap a complex product's operands
+    return np.multiply(post, out, out=out)
 
 
 def to_momentum(field: ComplexField) -> ComplexField:
@@ -257,9 +267,7 @@ def to_momentum(field: ComplexField) -> ComplexField:
     """
     if field.rep is not Representation.POSITION:
         raise ConfigurationError("to_momentum expects a position-representation field")
-    pre_f, post_f, _, _, scale_f, _ = _transform_plan(field.grid)
-    out = scale_f * _outer(post_f) * np.fft.fftn(_outer(pre_f) * field.values,
-                                                 axes=grid_axes(field.grid))
+    out = _transform(field.grid, field.values)
     return ComplexField(field.grid, Representation.MOMENTUM, _frozen(out), field.time)
 
 
@@ -267,9 +275,7 @@ def to_position(field: ComplexField) -> ComplexField:
     """Backward transform, momentum -> position representation."""
     if field.rep is not Representation.MOMENTUM:
         raise ConfigurationError("to_position expects a momentum-representation field")
-    _, _, pre_b, post_b, _, scale_b = _transform_plan(field.grid)
-    out = scale_b * _outer(post_b) * np.fft.ifftn(_outer(pre_b) * field.values,
-                                                  axes=grid_axes(field.grid))
+    out = _transform(field.grid, field.values, backward=True)
     return ComplexField(field.grid, Representation.POSITION, _frozen(out), field.time)
 
 

@@ -6,16 +6,15 @@ the state as the local expectation value x(p) = -grad S~(p), evaluated at the
 trajectory's p. The de Broglie-Bohm reference integrator evolves positions
 directly by dx/dt = grad S / m.
 
-Both models run through one RK4 stepper, which their integrators drive frame
-by frame over velocity fields derived on the grid once per frame, with
-multilinear interpolation in space and linear interpolation in time between
-propagator frames. The momentum-flow model builds its velocity, its readout
-field x(p) and its currents a FrameBlock of frames at a time, and hands each
-finished block, with its frames' history rows, to its consumers. The two
-endpoint fields of a frame interval are stacked into one masked field, so
-each RK4 stage builds a single interpolation stencil and lerps its two halves.
-The first step of every frame interval also estimates the RK4 error by step
-doubling on a fixed subsample of the trajectories.
+Both models run through one RK4 stepper over velocity fields derived on the
+grid a block of frames at a time, with multilinear interpolation in space and
+linear interpolation in time between propagator frames. The momentum-flow
+model builds its velocity, readout field x(p) and currents a FrameBlock at a
+time, and hands each finished block, with its frames' history rows, to its
+consumers. Each frame interval's two endpoint fields are stacked into one
+masked field, so an RK4 stage builds one interpolation stencil for both. Per
+block, one RK4 call per half step checks the first step of every interval by
+step doubling on a fixed subsample of the trajectories.
 Stencils touching node-flagged grid points freeze the trajectory
 (conservative; freezes are counted and reported, never silently
 extrapolated). Trajectories that leave the grid are likewise retired.
@@ -78,16 +77,18 @@ def _stencil_geometry(grid: GridSpec, rep: Representation):
 
 
 def interpolate_masked(
-    fld: MaskedVectorField, query: np.ndarray
+    fld: MaskedVectorField, query: np.ndarray, frame: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate a masked field of k components at query points (N, dof).
 
     Returns (values (N, k), stencil_ok (N,), inside (N,)). Values are only
-    meaningful where stencil_ok & inside.
+    meaningful where stencil_ok & inside. For a field with a frame axis
+    before its grid axes, `frame` (N,) gives the frame each point reads.
     """
     axes, corners = _stencil_geometry(fld.grid, fld.rep)
     q = np.atleast_2d(np.asarray(query, dtype=float))
     weights = []  # per axis: (weight of the lower neighbour, of the upper)
+    base = frame  # row-major flat index, with a frame axis before the grid axes
     for a, (p0, step, n) in enumerate(axes):
         u = (q[:, a] - p0) / step
         in_a = (u >= 0.0) & (u <= n - 1)
@@ -96,11 +97,8 @@ def interpolate_masked(
         i = np.minimum(np.maximum(np.floor(u).astype(np.intp), 0), n - 2)
         frac = np.minimum(np.maximum(u - i, 0.0), 1.0)
         weights.append((1.0 - frac, frac))
-        if a == 0:
-            inside, base = in_a, i
-        else:
-            inside &= in_a
-            base = base * n + i  # row-major flat index
+        inside = in_a if a == 0 else inside & in_a
+        base = i if base is None else base * n + i
 
     # Sum over the 2^dof stencil corners. Starting from -0.0, the additive
     # identity, keeps the sum equal bit for bit to the corner terms added in
@@ -135,7 +133,8 @@ def velocity_from_current(current: CurrentField, density: np.ndarray) -> MaskedV
 def velocity_field_dbb(
     psi_x: ComplexField, masses: float | tuple[float, ...] = 1.0
 ) -> MaskedVectorField:
-    """Guidance velocity grad S / m = Re(psi* (-i hbar grad) psi) / (m |psi|^2)."""
+    """Guidance velocity grad S / m = Re(psi* (-i hbar grad) psi) / (m |psi|^2),
+    of one frame or of a block of frames on a leading axis."""
     if psi_x.rep is not Representation.POSITION:
         raise ConfigurationError("guidance velocity expects a position-representation field")
     grid = psi_x.grid
@@ -143,7 +142,7 @@ def velocity_field_dbb(
     rho = psi_x.density()
     valid = node_mask(rho, grid)
     grad = spectral_gradient(psi_x.values, grid, Representation.POSITION)
-    comps = np.zeros((grid.dof,) + grid.shape)
+    comps = np.zeros((grid.dof,) + rho.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(grid.dof):
             raw = np.real(np.conj(psi_x.values) * (-1j * grid.hbar) * grad[a]) / (ms[a] * rho)
@@ -172,12 +171,14 @@ def _retire(status: np.ndarray, rows: np.ndarray, ok: np.ndarray, inside: np.nda
 
 
 def _rk4_step(q: np.ndarray, status: np.ndarray, w: MaskedVectorField,
-              theta0: float, theta1: float | np.ndarray, dt: float | np.ndarray) -> None:
+              theta0: float, theta1: float, dt: float | np.ndarray,
+              frame: np.ndarray | None = None) -> None:
     """One RK4 step of the active rows of q, in place, through an endpoint pair.
 
     w is an `_endpoints` pair; theta0/theta1 are the interval fractions of the
-    step's ends, and each stage lerps the pair at its own fraction. theta1 and
-    dt may also be (len(q), 1) columns, one end and step size per row. A row
+    step's ends, and each stage lerps the pair at its own fraction. dt may
+    also be a (len(q), 1) column, one step size per row, and for a pair with
+    a frame axis `frame` (len(q),) gives the frame each row reads. A row
     whose stencil fails at any stage keeps its point and is retired. On a
     field that is zero everywhere, one stencil at the start point stands in
     for the four stages.
@@ -186,16 +187,17 @@ def _rk4_step(q: np.ndarray, status: np.ndarray, w: MaskedVectorField,
     if rows.size == 0:
         return
     qa = q[rows]
+    frame = None if frame is None else frame[rows]
     if not w.components.any():
         # A zero field (a free particle's current): every stage reads +-0 at
         # the start point, so the four stages leave q as it is (bar turning
         # an exact -0.0 coordinate into +0.0) and one stencil gives the
         # statuses.
-        _, ok, inside = interpolate_masked(w, qa)
+        _, ok, inside = interpolate_masked(w, qa, frame)
         _retire(status, rows, ok, inside)
         return
     if np.ndim(dt):
-        theta1, dt = theta1[rows], dt[rows]
+        dt = dt[rows]
     dof = q.shape[1]
     ok = np.ones(rows.size, dtype=bool)
     inside = np.ones(rows.size, dtype=bool)
@@ -203,7 +205,7 @@ def _rk4_step(q: np.ndarray, status: np.ndarray, w: MaskedVectorField,
     k = None
     for h, theta, weight in ((0.0, theta0, 1.0), (0.5, mid, 2.0), (0.5, mid, 2.0),
                              (1.0, theta1, 1.0)):
-        vals, ok_s, in_s = interpolate_masked(w, qa if k is None else qa + h * dt * k)
+        vals, ok_s, in_s = interpolate_masked(w, qa if k is None else qa + h * dt * k, frame)
         k = (1.0 - theta) * vals[:, :dof] + theta * vals[:, dof:]
         ok &= ok_s
         inside &= in_s
@@ -213,24 +215,9 @@ def _rk4_step(q: np.ndarray, status: np.ndarray, w: MaskedVectorField,
     _retire(status, rows, ok, inside)
 
 
-def _doubled_step(q: np.ndarray, status: np.ndarray, probe: np.ndarray,
-                  w: MaskedVectorField, theta0: float, theta1: float, dt: float) -> float:
-    """An RK4 step of the leading rows of q that also estimates its error by step doubling.
-
-    The last len(probe) rows of q and status are scratch: they take copies of
-    the probe rows, which advance from the same start by two half steps
-    through the same pair. The first half step rides in the full step's
-    interpolation calls, with its own end and step size per row. Returns
-    max |one step - two half steps| over the probe rows active after both.
-    """
-    n = len(q) - len(probe)
-    q[n:], status[n:] = q[probe], status[probe]
-    half = np.arange(len(q))[:, None] >= n
-    theta_mid = 0.5 * (theta0 + theta1)
-    _rk4_step(q, status, w, theta0, np.where(half, theta_mid, theta1), np.where(half, dt / 2.0, dt))
-    _rk4_step(q[n:], status[n:], w, theta_mid, theta1, dt / 2.0)
-    both = (status[probe] == TrajStatus.ACTIVE) & (status[n:] == TrajStatus.ACTIVE)
-    return float(np.abs(q[probe[both]] - q[n:][both]).max()) if both.any() else 0.0
+def _frames(fld: MaskedVectorField, sel: int | slice) -> MaskedVectorField:
+    """Frame or frames `sel` of a field with a frame axis, as views."""
+    return MaskedVectorField(fld.grid, fld.rep, fld.components[:, sel], fld.valid[sel])
 
 
 # -- batch integration over a frame sequence ---------------------------------------
@@ -243,8 +230,9 @@ class EnsembleHistory:
     For the momentum-flow model `p` holds the auxiliary momenta and `x` the
     derived positions; for the guidance reference `p` is None and `x` holds
     the integrated positions. Status is recorded per frame; ACTIVE rows of
-    the final frame are the statistically usable ensemble. `step_error` is
-    the step-doubling estimate of the RK4 error (see `_Stepper`).
+    the final frame are the statistically usable ensemble. `step_error` is the
+    largest step-doubling estimate of an interval's first RK4 substep (see
+    `_Stepper`).
     """
 
     times: np.ndarray
@@ -281,8 +269,8 @@ class FrameBlock:
     Holds the frames' states stacked on a frame axis, the momentum gradient
     of psi~, the readout field x(p), the configured current and the velocity
     j/|psi~|^2, all read-only. `current_of` gives the current of either
-    construction, built at most once per block; `position_at`, `velocity_at`
-    and `current_at` give one frame's row of them as read-only views.
+    construction, built at most once per block; `position_at` and
+    `current_at` give one frame's row of them as read-only views.
     """
 
     def __init__(self, frames: list[Frame], potential: Potential, method: CurrentMethod):
@@ -308,12 +296,7 @@ class FrameBlock:
         return self._currents[method]
 
     def position_at(self, row: int) -> MaskedVectorField:
-        return MaskedVectorField(self.position.grid, self.position.rep,
-                                 self.position.components[:, row], self.position.valid[row])
-
-    def velocity_at(self, row: int) -> MaskedVectorField:
-        return MaskedVectorField(self.velocity.grid, self.velocity.rep,
-                                 self.velocity.components[:, row], self.velocity.valid[row])
+        return _frames(self.position, row)
 
     def current_at(self, row: int, method: CurrentMethod | None = None) -> CurrentField:
         """Frame `row`'s current by `method`, the block's configured one by default."""
@@ -325,54 +308,86 @@ ESTIMATE_ROWS = 64  # rows of the step-doubling error estimate, spread evenly ov
 
 
 class _Stepper:
-    """The frame loop of both models, driven by its caller one frame at a time.
+    """The frame loop of both models, driven by its caller a block of frames at a time.
 
-    `advance(w)` takes the active rows through the interval from the previous
-    frame's velocity field to this frame's, w, in RK4 substeps (at frame 0 it
-    only checks q's shape against w's grid), and returns the live (q, status),
-    whose rows the caller may still retire; `record()` then writes the frame's
-    history rows. Only the previous frame's field is held. The first step of
-    every frame interval is a `_doubled_step` over a fixed subsample of at most
-    ESTIMATE_ROWS rows; `step_error` is the max of those step-doubling estimates.
+    For each of `blocks`, `load(w)` takes the block's velocity fields (frame
+    axis first) and builds the `_endpoints` pairs of the intervals ending at
+    its frames. For each frame, `advance()` then runs the active rows through
+    the interval in RK4 substeps and returns the live (q, status), whose rows
+    the caller may still retire, and `record()` writes the history rows. After
+    the block's last frame, a fixed subsample of at most ESTIMATE_ROWS rows
+    replays each interval's first substep from the history as two half steps,
+    in one `_rk4_step` call per half; `step_error` is the max of |one step -
+    two half steps| over the subsample rows active after both.
     """
 
-    def __init__(self, q0: np.ndarray, times: np.ndarray, substeps: int):
-        if len(times) == 0:
+    def __init__(self, q0: np.ndarray, frames: list[Frame], substeps: int):
+        if not frames:
             raise ConfigurationError("no frames to integrate over")
-        q = np.atleast_2d(np.asarray(q0, dtype=float))
-        self.n = n = len(q)
-        self.times = times
+        if substeps < 1:
+            raise ConfigurationError(f"substeps_per_frame must be >= 1, got {substeps}")
+        grid = frames[0].psi_p.grid
+        self.q = np.array(q0, dtype=float, ndmin=2)
+        n, dof = self.q.shape
+        if dof != grid.dof:
+            raise ConfigurationError(f"initial points must have shape (N, {grid.dof})")
+        size = max(1, BLOCK_POINTS // grid.size)
+        self.blocks = [(lo, frames[lo:lo + size]) for lo in range(0, len(frames), size)]
+        self.times = np.array([fr.time for fr in frames])
         self.substeps = substeps
-        self.q_hist = np.empty((len(times),) + q.shape)
-        self.status_hist = np.empty((len(times), n), dtype=np.int8)
+        self.status = np.zeros(n, dtype=np.int8)
+        self.q_hist = np.empty((len(frames), n, dof))
+        self.status_hist = np.empty((len(frames), n), dtype=np.int8)
         self.probe = np.arange(n)[::max(1, -(-n // ESTIMATE_ROWS))]
-        self.q = np.concatenate([q, q[self.probe]])  # rows n: are _doubled_step's scratch rows
-        self.status = np.zeros(len(self.q), dtype=np.int8)
+        self.full = np.empty((len(frames), len(self.probe), dof))
+        self.full_status = np.empty(self.full.shape[:2], dtype=np.int8)
         self.step_error = 0.0
         self.f = 0  # the frame that advance moves to
-        self.w: MaskedVectorField | None = None  # the previous frame's velocity field
 
-    def advance(self, w: MaskedVectorField) -> tuple[np.ndarray, np.ndarray]:
-        f, n = self.f, self.n
-        if f == 0 and self.q.shape[1] != w.grid.dof:
-            raise ConfigurationError(f"initial points must have shape (N, {w.grid.dof})")
+    def load(self, w: MaskedVectorField) -> None:
+        self.first, self.end = max(self.f, 1), self.f + len(w.valid)  # frames ending an interval
+        comps, valid = w.components, w.valid
+        if self.f:  # the block's first interval starts at the previous block's last frame
+            comps = np.concatenate([self.last[0], comps], axis=1)
+            valid = np.concatenate([self.last[1], valid])
+        self.last = comps[:, -1:].copy(), valid[-1:].copy()
+        self.pairs = _endpoints(MaskedVectorField(w.grid, w.rep, comps[:, :-1], valid[:-1]),
+                                MaskedVectorField(w.grid, w.rep, comps[:, 1:], valid[1:]))
+
+    def advance(self) -> tuple[np.ndarray, np.ndarray]:
+        f = self.f
         if f:
-            pair = _endpoints(self.w, w)  # a copy of both fields, freed on return
+            pair = _frames(self.pairs, f - self.first)
             dt = (self.times[f] - self.times[f - 1]) / self.substeps
             for s in range(self.substeps):
-                theta0, theta1 = s / self.substeps, (s + 1) / self.substeps
+                _rk4_step(self.q, self.status, pair, s / self.substeps, (s + 1) / self.substeps, dt)
                 if s == 0:
-                    self.step_error = max(self.step_error, _doubled_step(
-                        self.q, self.status, self.probe, pair, theta0, theta1, dt))
-                else:
-                    _rk4_step(self.q[:n], self.status[:n], pair, theta0, theta1, dt)
-        self.w = w
-        return self.q[:n], self.status[:n]
+                    self.full[f], self.full_status[f] = self.q[self.probe], self.status[self.probe]
+        return self.q, self.status
 
     def record(self) -> None:
-        self.q_hist[self.f] = self.q[:self.n]
-        self.status_hist[self.f] = self.status[:self.n]
+        self.q_hist[self.f] = self.q
+        self.status_hist[self.f] = self.status
         self.f += 1
+        if self.f == self.end:
+            self._estimate()
+
+    def _estimate(self) -> None:
+        m, dof = self.full.shape[1:]
+        starts = slice(self.first - 1, self.end - 1)  # the start frame of each interval
+        q = self.q_hist[starts][:, self.probe].reshape(-1, dof)
+        status = self.status_hist[starts][:, self.probe].ravel()
+        frame = np.repeat(np.arange(self.end - self.first), m)
+        dt = np.repeat(np.diff(self.times[self.first - 1:self.end]) / self.substeps, m)[:, None]
+        theta1 = 1 / self.substeps
+        _rk4_step(q, status, self.pairs, 0.0, 0.5 * theta1, dt / 2.0, frame)
+        _rk4_step(q, status, self.pairs, 0.5 * theta1, theta1, dt / 2.0, frame)
+        ends = slice(self.first, self.end)
+        both = (self.full_status[ends].ravel() == TrajStatus.ACTIVE) & (status == TrajStatus.ACTIVE)
+        if both.any():
+            err = float(np.abs(self.full[ends].reshape(-1, dof)[both] - q[both]).max())
+            self.step_error = max(self.step_error, err)
+        self.pairs = None  # freed before the next block is built
 
 
 BlockHook = Callable[[FrameBlock, int, np.ndarray, np.ndarray, np.ndarray], None]
@@ -403,15 +418,14 @@ def integrate_epstein(
     frame of each block is recorded, with the index lo of its first frame and
     views of its frames' history rows, which it reads without changing.
     """
-    times = np.array([fr.time for fr in frames])
-    stepper = _Stepper(p_initial, times, substeps_per_frame)
+    stepper = _Stepper(p_initial, frames, substeps_per_frame)
     x = np.full(stepper.q_hist.shape, np.nan)
-    size = max(1, BLOCK_POINTS // frames[0].psi_p.grid.size)
-    for lo in range(0, len(frames), size):
-        block = FrameBlock(frames[lo:lo + size], potential, method)
-        hi = lo + len(block.frames)
+    for lo, run in stepper.blocks:
+        block = FrameBlock(run, potential, method)
+        hi = lo + len(run)
+        stepper.load(block.velocity)
         for f in range(lo, hi):
-            p, status = stepper.advance(block.velocity_at(f - lo))
+            p, status = stepper.advance()
             if f:
                 x[f] = x[f - 1]
             _readout_positions(x[f], status, block.position_at(f - lo), p)
@@ -419,7 +433,8 @@ def integrate_epstein(
         if on_block is not None:
             on_block(block, lo, stepper.q_hist[lo:hi], x[lo:hi], stepper.status_hist[lo:hi])
         del block  # freed before the next one is built
-    return EnsembleHistory(times, x, stepper.status_hist, stepper.q_hist, stepper.step_error)
+    return EnsembleHistory(stepper.times, x, stepper.status_hist, stepper.q_hist,
+                           stepper.step_error)
 
 
 def integrate_dbb(
@@ -428,10 +443,16 @@ def integrate_dbb(
     masses: float | tuple[float, ...] = 1.0,
     substeps_per_frame: int = 1,
 ) -> EnsembleHistory:
-    """Advance guidance-law trajectories through a propagated frame sequence."""
-    stepper = _Stepper(x_initial, np.array([fr.time for fr in frames]), substeps_per_frame)
-    for fr in frames:
-        stepper.advance(velocity_field_dbb(fr.psi_x, masses))
-        stepper.record()
+    """Advance guidance-law trajectories through a propagated frame sequence,
+    one velocity_field_dbb call per block of frames, as in integrate_epstein."""
+    stepper = _Stepper(x_initial, frames, substeps_per_frame)
+    for lo, run in stepper.blocks:
+        psi_x = ComplexField(run[0].psi_x.grid, Representation.POSITION,
+                             _frozen(np.stack([fr.psi_x.values for fr in run])),
+                             stepper.times[lo:lo + len(run)])
+        stepper.load(velocity_field_dbb(psi_x, masses))
+        for _ in run:
+            stepper.advance()
+            stepper.record()
     return EnsembleHistory(stepper.times, stepper.q_hist, stepper.status_hist, None,
                            stepper.step_error)

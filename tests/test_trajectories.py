@@ -25,16 +25,19 @@ from momtraj.grid import (GridAxis, GridSpec, MaskedVectorField, grid_1d, grid_2
 from momtraj.grid import to_position
 from momtraj.states import coherent_state, gaussian_state, superposition_state
 from momtraj.scenarios import _grid_checks
+from momtraj.errors import ConfigurationError
 from momtraj.trajectories import (
+    ESTIMATE_ROWS,
     FrameBlock,
     TrajStatus,
-    _doubled_step,
     _endpoints,
+    _frames,
     _readout_positions,
     _rk4_step,
     integrate_dbb,
     integrate_epstein,
     interpolate_masked,
+    velocity_field_dbb,
     velocity_from_current,
 )
 
@@ -52,7 +55,8 @@ def momentum_state(grid, sigma=1.0, x0=0.0, p0=0.0, time=0.0):
 
 
 def assert_endpoint_pair_matches(w0, w1, q):
-    """One stencil over the stacked pair equals the two separate calls bit for bit."""
+    """One stencil over the stacked pair equals the two separate calls bit for bit,
+    and so does one over a block of two such pairs with a frame index per point."""
     v0, ok0, in0 = interpolate_masked(w0, q)
     v1, ok1, in1 = interpolate_masked(w1, q)
     vals, ok, inside = interpolate_masked(_endpoints(w0, w1), q)
@@ -62,6 +66,17 @@ def assert_endpoint_pair_matches(w0, w1, q):
     assert vals[:, dof:].tobytes() == v1.tobytes()
     assert np.array_equal(ok, ok0 & ok1) and np.array_equal(inside, in0 & in1)
     assert not ok.all() and not inside.all()
+
+    # frames (w0, w1) and (w1, w0) of a block pair; odd points read the second
+    def stacked(a, b):
+        return MaskedVectorField(a.grid, a.rep, np.stack([a.components, b.components], axis=1),
+                                 np.stack([a.valid, b.valid]))
+
+    frame = np.arange(len(q)) % 2
+    got, ok_b, in_b = interpolate_masked(_endpoints(stacked(w0, w1), stacked(w1, w0)), q, frame)
+    want = np.where(frame[:, None] == 1, np.concatenate([v1, v0], axis=1), vals)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(ok_b, ok) and np.array_equal(in_b, inside)
 
 
 def test_interpolation_exact_on_linear_field(grid512):
@@ -425,8 +440,9 @@ def test_one_step_per_frame_matches_a_finer_run(grid512, pot, state, method):
 
 
 def test_rows_do_not_depend_on_the_batch(grid512):
-    # the step-doubling rows ride in the batch's interpolation calls; they
-    # must not change any other row
+    # a row's arithmetic is its own: the batch's other rows must not change
+    # it, and the step-doubling estimate, which replays its subsample of rows
+    # from the history once a block is stepped, relies on that
     pot = Harmonic(1.0, 1.0)
     frames = collect_frames(coherent_state(grid512, 2.0), pot,
                             PropagatorConfig(dt=1e-3, steps_per_frame=10), 100)
@@ -454,42 +470,136 @@ def test_step_doubling_estimate_shrinks_with_the_step(grid512):
 
 
 def test_zero_field_step_equals_the_four_stage_step(grid512, monkeypatch):
-    # a zero pair takes the one-stencil short circuit; the same pair with one
-    # node far from every row nudged takes the four stages, which read zero
-    # at every row, so both must agree bit for bit
+    # a block pair of two zero intervals takes the one-stencil short circuit;
+    # the same block with one node far from every row nudged in its second
+    # interval takes the four stages, which read zero at every row, so both
+    # must agree bit for bit
     p = grid512.momenta(0)
-    valid = np.ones(512, bool)
-    valid[300] = False
+    valid = np.ones((2, 512), bool)
+    valid[:, 300] = False
     zero = _endpoints(*(MaskedVectorField(grid512, Representation.MOMENTUM,
-                                          np.zeros((1, 512)), valid) for _ in range(2)))
+                                          np.zeros((1, 2, 512)), valid) for _ in range(2)))
     nudged_comps = zero.components.copy()
-    nudged_comps[1, 100] = 1.0
-    nudged = MaskedVectorField(grid512, Representation.MOMENTUM, nudged_comps, valid)
+    nudged_comps[1, 1, 100] = 1.0
+    nudged = MaskedVectorField(grid512, Representation.MOMENTUM, nudged_comps, zero.valid)
     q0 = np.concatenate([
         np.linspace(p[150], p[250], 40),               # on the grid
         [p[0] - 1.0, p[-1] + 1.0, p[-1] + 1e-9],       # off the grid
         0.5 * (p[299] + p[300]) + [-0.05, 0.0, 0.05],  # stencils touching node 300
     ])[:, None]
+    frame = np.arange(len(q0)) % 2  # the rows read both intervals
+    dt = np.linspace(0.01, 0.02, len(q0))[:, None]
     calls = []
     interp = momtraj.trajectories.interpolate_masked
     monkeypatch.setattr(momtraj.trajectories, "interpolate_masked",
-                        lambda w, q: calls.append(w) or interp(w, q))
+                        lambda w, q, frame=None: calls.append(w) or interp(w, q, frame))
     results = {}
     for name, pair in (("zero", zero), ("nudged", nudged)):
-        calls.clear()
-        q = np.concatenate([q0, q0[::7]])
+        q = q0.copy()
         status = np.zeros(len(q), np.int8)
         status[3] = TrajStatus.FROZEN_AT_NODE  # retired rows are left alone
-        err = _doubled_step(q, status, np.arange(len(q0))[::7], pair, 0.25, 0.5, 0.01)
-        _rk4_step(q, status, pair, 0.5, 0.75, 0.01)
-        results[name] = (q.tobytes(), status.tobytes(), err, len(calls))
-    assert results["zero"][:3] == results["nudged"][:3]
-    assert (results["zero"][3], results["nudged"][3]) == (3, 12)
-    assert results["zero"][2] == 0.0
+        counts = []
+        for theta0, theta1 in ((0.25, 0.5), (0.5, 0.75)):
+            calls.clear()
+            _rk4_step(q, status, pair, theta0, theta1, dt, frame)
+            counts.append(len(calls))
+        results[name] = (q.tobytes(), status.tobytes(), counts)
+    assert results["zero"][:2] == results["nudged"][:2]
+    assert (results["zero"][2], results["nudged"][2]) == ([1, 1], [4, 4])
     status = np.frombuffer(results["zero"][1], np.int8)
     assert (status[:40] == TrajStatus.ACTIVE).sum() == 39
     assert (status[40:43] == TrajStatus.LEFT_GRID).all()
     assert (status[43:46] == TrajStatus.FROZEN_AT_NODE).all()
+
+
+# -- the block step-doubling estimate -------------------------------------------------
+
+
+def reference_step_error(hist, velocity, substeps):
+    """max |one step - two half steps| of every interval's first RK4 substep,
+    each interval on its own: its `_endpoints` pair of velocity(f - 1) and
+    velocity(f), started from the subsample's history rows at frame f - 1."""
+    q_hist = hist.x if hist.p is None else hist.p
+    n = q_hist.shape[1]
+    probe = np.arange(n)[::max(1, -(-n // ESTIMATE_ROWS))]
+    theta1 = 1 / substeps
+    errors = [0.0]
+    for f in range(1, len(hist.times)):
+        pair = _endpoints(velocity(f - 1), velocity(f))
+        dt = (hist.times[f] - hist.times[f - 1]) / substeps
+        full, full_status = q_hist[f - 1][probe], hist.status[f - 1][probe]
+        half, half_status = full.copy(), full_status.copy()
+        _rk4_step(full, full_status, pair, 0.0, theta1, dt)
+        _rk4_step(half, half_status, pair, 0.0, 0.5 * theta1, dt / 2.0)
+        _rk4_step(half, half_status, pair, 0.5 * theta1, theta1, dt / 2.0)
+        both = (full_status == TrajStatus.ACTIVE) & (half_status == TrajStatus.ACTIVE)
+        if both.any():
+            errors.append(float(np.abs(full[both] - half[both]).max()))
+    return max(errors)
+
+
+@pytest.mark.parametrize("case, substeps", [
+    ("harmonic-130", 1), ("harmonic-130", 3), ("free", 1), ("leaving", 2), ("2d", 1)])
+def test_block_estimate_equals_the_per_interval_reference(case, substeps):
+    # 1d: 130 frames of 512 points come in blocks of 64, 64 and 2; 2d: one
+    # 256 x 256 frame per block
+    if case == "harmonic-130":
+        pot = Harmonic(1.0, 1.0)
+        frames = collect_frames(coherent_state(grid_1d(512, 40.0), 2.0), pot,
+                                PropagatorConfig(dt=1e-3, steps_per_frame=2), 258)
+        p0 = sample_momenta(frames[0].psi_p, 500, 9)
+    elif case == "free":
+        pot = Free()
+        frames = collect_frames(superposition_state(grid_1d(512, 40.0), 5.0).field, pot,
+                                PropagatorConfig(dt=1e-3, steps_per_frame=2), 258)
+        p0 = np.linspace(-2.0, 2.0, 300)[:, None]
+    elif case == "leaving":  # under Linear(10) momenta run off the lower edge of the grid
+        pot = Linear(10.0)
+        frames = collect_frames(gaussian_state(grid_1d(128, 40.0), sigma=0.5), pot,
+                                PropagatorConfig(dt=1e-3, steps_per_frame=5, check_boundary=False),
+                                500)
+        p0 = np.linspace(-9.5, 2.0, 150)[:, None]
+    else:
+        pot = Harmonic(1.0, (1.0, 0.5))
+        frames = collect_frames(gaussian_state(grid_2d(256, 40.0), sigma=1.0, center=(1.0, -0.5)),
+                                pot, PropagatorConfig(dt=1e-3, steps_per_frame=10), 40)
+        p0 = sample_momenta(frames[0].psi_p, 200, 4)
+    hist = integrate_epstein(frames, pot, p0, substeps_per_frame=substeps)
+    block = FrameBlock(frames, pot, CurrentMethod.CLOSED_FORM)
+    want = reference_step_error(hist, lambda f: _frames(block.velocity, f), substeps)
+    assert hist.step_error == want
+    if case == "free":
+        assert want == 0.0
+    else:
+        assert want > 0.0
+    if case == "harmonic-130":
+        assert len(frames) == 130
+    if case == "leaving":  # the run is one block of 101 frames; probe rows leave inside it
+        left = (hist.status[0] == TrajStatus.ACTIVE) & (hist.status[-2] == TrajStatus.LEFT_GRID)
+        assert left[::3].any() and not left.all()
+
+
+def test_block_estimate_equals_the_per_interval_reference_dbb():
+    # the guidance law at 20 substeps, its velocity one call per block
+    sup = superposition_state(grid_1d(512, 40.0), 5.0)
+    frames = collect_frames(sup.field, Free(), PropagatorConfig(dt=1e-3, steps_per_frame=20),
+                            2000)
+    x0 = np.linspace(-3.0, 3.0, 300)[:, None]
+    hist = integrate_dbb(frames, x0, substeps_per_frame=20)
+    assert len(frames) == 101
+    want = reference_step_error(hist, lambda f: velocity_field_dbb(frames[f].psi_x), 20)
+    assert hist.step_error == want > 0.0
+
+
+@pytest.mark.parametrize("substeps", [0, -1])
+def test_substeps_below_one_are_rejected(grid512, substeps):
+    frames = collect_frames(coherent_state(grid512, 2.0), Harmonic(1.0, 1.0),
+                            PropagatorConfig(dt=1e-3, steps_per_frame=10), 20)
+    with pytest.raises(ConfigurationError, match="substeps_per_frame must be >= 1"):
+        integrate_epstein(frames, Harmonic(1.0, 1.0), np.array([[0.5]]),
+                          substeps_per_frame=substeps)
+    with pytest.raises(ConfigurationError, match="substeps_per_frame must be >= 1"):
+        integrate_dbb(frames, np.array([[0.5]]), substeps_per_frame=substeps)
 
 
 def test_velocity_from_current_masks_nodes(grid512):
@@ -512,7 +622,7 @@ def _assert_frame_fields_exact(frames, pot, method):
         xf = local_position_field(frame.psi_p)
         cur = current_for(pot, frame.psi_x, frame.psi_p, method)
         w = velocity_from_current(cur, frame.psi_p.density())
-        for got, want in ((block.position_at(row), xf), (block.velocity_at(row), w)):
+        for got, want in ((block.position_at(row), xf), (_frames(block.velocity, row), w)):
             assert got.components.tobytes() == want.components.tobytes()
             assert np.array_equal(got.valid, want.valid)
         got = block.current_at(row)
@@ -548,7 +658,7 @@ def _block_arrays(block, pot):
     resid, den, moments = _grid_checks(block, pot, 1.0)
     out = []
     for row in range(len(block.frames)):
-        position, velocity = block.position_at(row), block.velocity_at(row)
+        position, velocity = block.position_at(row), _frames(block.velocity, row)
         out.append([block.grad[:, row], position.components, position.valid,
                     velocity.components, velocity.valid,
                     *(block.current_at(row, m).components for m in CurrentMethod),
@@ -593,7 +703,7 @@ def test_frame_fields_come_in_blocks_of_block_points(grid512):
     for block in blocks:  # each frame's row views are read-only views into its block
         for row in range(len(block.frames)):
             for fld, view in ((block.position, block.position_at(row)),
-                              (block.velocity, block.velocity_at(row)),
+                              (block.velocity, _frames(block.velocity, row)),
                               (block.current_of(block.method), block.current_at(row))):
                 assert np.shares_memory(view.components, fld.components)
                 assert not view.components.flags.writeable
