@@ -3,8 +3,8 @@
 
     python3 scripts/identity.py REV [--tol T]
 
-REV is checked out into a git worktree under .identity/ (ignored by git).
-The fixed command set runs on both trees, alternating which tree goes first,
+REV is extracted with git archive under .identity/ (ignored by git). The
+fixed command set runs on both trees, alternating which tree goes first,
 each with its own src/ on PYTHONPATH:
 
 * the 7 catalog scenarios at --n 10000 --seed 42;
@@ -14,8 +14,10 @@ each with its own src/ on PYTHONPATH:
 Every file that either run's manifest lists is compared. A file prints
 "identical", or for a CSV the max absolute and relative difference of each
 column that differs, or for JSON the numeric leaves that differ, with their
-paths. Each command's wall time on both trees is printed too. Outputs are
-deleted as soon as they are compared, and the worktree when the script ends.
+paths. Each command's wall time on both trees is printed too, and first the
+line count of src/momtraj/*.py in each tree, as `wc -l` totals it. Outputs
+are deleted as soon as they are compared, and the extracted tree when the
+script ends.
 
 Exit code 0: every file is identical. With --tol T, exit code 0 also when
 every numeric difference is within T, |a - b| <= T * max(1, |a|, |b|), and
@@ -31,6 +33,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tarfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -164,6 +167,11 @@ def compare_dirs(ref: Path, new: Path) -> Report:
     return report
 
 
+def source_lines(tree: Path) -> int:
+    """Lines of src/momtraj/*.py in `tree`, counted as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "momtraj").glob("*.py"))
+
+
 def _run(tree: Path, argv: tuple[str, ...], out: Path) -> tuple[int, float]:
     """Run one momtraj command on `tree`'s sources; returns (exit code, wall seconds)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
@@ -185,11 +193,17 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     ref_tree = SCRATCH / "ref"
     shutil.rmtree(SCRATCH, ignore_errors=True)
-    subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=True)
-    subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(ref_tree),
-                    commit.stdout.strip()], cwd=ROOT, check=True)
+    ref_tree.mkdir(parents=True)
     ok = True
     try:
+        archive = subprocess.Popen(["git", "archive", "--format=tar", commit.stdout.strip()],
+                                   cwd=ROOT, stdout=subprocess.PIPE)
+        with tarfile.open(fileobj=archive.stdout, mode="r|") as tar:
+            tar.extractall(ref_tree, filter="data")
+        if archive.wait():
+            raise RuntimeError(f"git archive {args.rev} failed")
+        print(f"src/momtraj/*.py: {source_lines(ref_tree)} lines at {args.rev}, "
+              f"{source_lines(ROOT)} in the working tree")
         for i, (label, cmd) in enumerate(COMMANDS):
             trees = [("ref", ref_tree), ("new", ROOT)]
             runs = {side: _run(tree, cmd, SCRATCH / "out" / side / label)
@@ -209,7 +223,6 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.flush()  # one command's report at a time, also through a pipe
             shutil.rmtree(SCRATCH / "out", ignore_errors=True)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(ref_tree)], cwd=ROOT)
         shutil.rmtree(SCRATCH, ignore_errors=True)
     return 0 if ok else 1
 

@@ -14,6 +14,10 @@ The suite checks, per frame:
 * equivariance of the propagated momenta against |psi~(.,t)|^2 via a
   Kolmogorov-Smirnov statistic below the 99% band 1.63/sqrt(N),
 * macrostate occupancy frequencies with binomial standard errors.
+
+Each check returns plain dicts keyed as the frame rows of stats.json, which
+store them as they come (numpy leftovers are converted when the file is
+written); the suite reads its pass flags and worst cases from the same keys.
 """
 
 from __future__ import annotations
@@ -104,50 +108,40 @@ def _grid_cdf_interp(density: np.ndarray, edges: np.ndarray, x: np.ndarray) -> n
     return np.interp(x, edges, cdf_edges)
 
 
+def _ks_distance(f: np.ndarray) -> float:
+    """max(D+, D-) of n sorted samples whose reference CDF values are `f`."""
+    n = len(f)
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+
+
 def ks_statistic(samples: np.ndarray, density: np.ndarray, edges: np.ndarray) -> float:
     """One-sample KS distance of samples against the piecewise-linear grid CDF."""
     s = np.sort(np.asarray(samples, dtype=float))
-    n = len(s)
-    f = _grid_cdf_interp(density, edges, s)
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - f)
-    d_minus = np.max(f - (i - 1) / n)
-    return float(max(d_plus, d_minus))
+    return _ks_distance(_grid_cdf_interp(density, edges, s))
 
 
-@dataclass(frozen=True)
-class KSResult:
-    statistic: float
-    band: float
-    passed: bool
-    label: str = ""
+def equivariance_check(p_samples: np.ndarray, psi_p: ComplexField) -> dict[str, dict]:
+    """KS of the propagated momenta against |psi~(.,t)|^2: {label: {"statistic",
+    "band", "passed"}}, the `ks` entry of a stats.json frame row.
 
-
-def equivariance_check(p_samples: np.ndarray, psi_p: ComplexField) -> list[KSResult]:
-    """KS of the propagated momenta against |psi~(.,t)|^2.
-
-    1d: a single test. 2d: per-axis marginals plus the radial CDF (the full
-    2d KS is not used); the radial reference is refined 4x per axis so its
-    quantization bias is far below the band.
+    Each axis p<a> is tested against its marginal (in 1d, the density itself).
+    2d adds the radial CDF (the full 2d KS is not used); the radial reference
+    is refined 4x per axis so its quantization bias is far below the band.
     """
     grid = psi_p.grid
     rho = psi_p.density()
     q = np.atleast_2d(p_samples)
-    n = q.shape[0]
-    band = ks_band(n)
-    results: list[KSResult] = []
-    if grid.dof == 1:
-        edges = _cell_edges(grid, Representation.MOMENTUM, 0)
-        d = ks_statistic(q[:, 0], rho, edges)
-        return [KSResult(d, band, bool(d <= band), "p0")]
-    vol_other = [grid.step(Representation.MOMENTUM, 1), grid.step(Representation.MOMENTUM, 0)]
-    for a in range(2):
-        marg = rho.sum(axis=1 - a) * vol_other[a]
-        edges = _cell_edges(grid, Representation.MOMENTUM, a)
-        d = ks_statistic(q[:, a], marg, edges)
-        results.append(KSResult(d, band, bool(d <= band), f"p{a}"))
-    results.append(_radial_ks(q, rho, grid, band))
-    return results
+    band = ks_band(q.shape[0])
+    stats = {}
+    for a in range(grid.dof):
+        others = tuple(b for b in range(grid.dof) if b != a)
+        marg = rho.sum(axis=others) * prod(grid.step(Representation.MOMENTUM, b) for b in others)
+        stats[f"p{a}"] = ks_statistic(q[:, a], marg, _cell_edges(grid, Representation.MOMENTUM, a))
+    if grid.dof == 2:
+        stats["radial"] = _radial_ks(q, rho, grid)
+    return {label: {"statistic": d, "band": band, "passed": d <= band}
+            for label, d in stats.items()}
 
 
 @lru_cache(maxsize=8)
@@ -173,17 +167,12 @@ def _radial_order(grid: GridSpec, refine: int) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
-def _radial_ks(q: np.ndarray, rho: np.ndarray, grid: GridSpec, band: float,
-               refine: int = 4) -> KSResult:
+def _radial_ks(q: np.ndarray, rho: np.ndarray, grid: GridSpec, refine: int = 4) -> float:
     r_sorted, cells = _radial_order(grid, refine)
     cdf = np.cumsum(rho.ravel()[cells] / refine**2)  # each sub-cell weighs 1/refine^2 of its cell
     cdf /= cdf[-1]
     r_samples = np.sort(np.sqrt(q[:, 0] ** 2 + q[:, 1] ** 2))
-    f = np.interp(r_samples, r_sorted, cdf)
-    n = len(r_samples)
-    i = np.arange(1, n + 1)
-    d = float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
-    return KSResult(d, band, bool(d <= band), "radial")
+    return _ks_distance(np.interp(r_samples, r_sorted, cdf))
 
 
 # -- grid moments and the moment checks ----------------------------------------------
@@ -238,23 +227,6 @@ def grid_moments(psi_x: ComplexField, psi_p: ComplexField,
     return GridMoments(mean, std, mean2, flow, mean2 - grid.hbar**2 * modulus)
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    mean_sample: np.ndarray
-    mean_grid: np.ndarray
-    mean_band: np.ndarray
-    mean_ok: bool
-    std_sample: np.ndarray
-    std_grid: np.ndarray
-    std_bound: np.ndarray
-    std_ok: bool
-    second_moment_lhs: np.ndarray
-    second_moment_rhs: np.ndarray
-    identity_rel_err: float
-    identity_ok: bool
-    n_used: int
-
-
 MOMENT_IDENTITY_TOL = 1e-6
 
 
@@ -262,9 +234,10 @@ def moment_checks(
     x_samples: np.ndarray,
     grid: GridMoments,
     active: np.ndarray | None = None,
-) -> MomentReport:
+) -> dict:
     """Expectation identity, spread inequality, and the quadrature second-moment identity
-    of one frame, whose `grid_moments` are `grid`."""
+    of one frame, whose `grid_moments` are `grid`: the `moments` entry of a stats.json
+    frame row."""
     xs = np.atleast_2d(x_samples)
     if active is not None:
         xs = xs[active]
@@ -275,17 +248,19 @@ def moment_checks(
     mean_s = xs.mean(axis=0)
     std_s = xs.std(axis=0)
     band = 4.0 * std_grid / np.sqrt(n)
-    mean_ok = bool(np.all(np.abs(mean_s - mean_grid) <= band))
     bound = std_grid * (1.0 + 4.0 / np.sqrt(n))
-    std_ok = bool(np.all(std_s <= bound))
-
     scale = np.maximum(np.abs(mean2_grid), 1e-30)
     rel = float(np.max(np.abs(lhs - rhs) / scale))
-    return MomentReport(
-        mean_s, mean_grid, band, mean_ok,
-        std_s, std_grid, bound, std_ok,
-        lhs, rhs, rel, rel <= MOMENT_IDENTITY_TOL, n,
-    )
+    # per-axis values as lists: a row outlives its frame, and a list of one or two
+    # floats takes less memory than an ndarray
+    return {
+        "mean_sample": mean_s.tolist(), "mean_grid": mean_grid.tolist(),
+        "mean_band": band.tolist(), "mean_ok": bool(np.all(np.abs(mean_s - mean_grid) <= band)),
+        "std_sample": std_s.tolist(), "std_grid": std_grid.tolist(),
+        "std_bound": bound.tolist(), "std_ok": bool(np.all(std_s <= bound)),
+        "second_moment_identity_rel_err": rel, "identity_ok": rel <= MOMENT_IDENTITY_TOL,
+        "n_used": n,
+    }
 
 
 # -- histograms and macrostates -------------------------------------------------------
@@ -348,8 +323,9 @@ def macrostate_frequencies(
     x_samples: np.ndarray,
     regions: list[Region],
     active: np.ndarray | None = None,
-) -> dict[str, tuple[float, float]]:
-    """Occupancy fraction and binomial standard error per region plus 'other'.
+) -> dict[str, dict[str, float]]:
+    """Occupancy fraction and binomial standard error, {"frequency", "stderr"}, per
+    region plus 'other': the `macrostate_occupancy` entry of a stats.json frame row.
 
     Regions must be disjoint; overlap raises a configuration error.
     """
@@ -364,14 +340,16 @@ def macrostate_frequencies(
         xs = xs[active]
     n = xs.shape[0]
     hit = np.zeros(n, dtype=int)
-    out: dict[str, tuple[float, float]] = {}
+    counts = {}
     for reg in regions:
         mask = reg.contains(xs)
         hit += mask.astype(int)
-        f = float(mask.sum()) / n if n else 0.0
-        out[reg.name] = (f, float(np.sqrt(f * (1.0 - f) / n)) if n else 0.0)
-    f_other = float(np.sum(hit == 0)) / n if n else 0.0
-    out["other"] = (f_other, float(np.sqrt(f_other * (1.0 - f_other) / n)) if n else 0.0)
+        counts[reg.name] = mask.sum()
+    counts["other"] = np.sum(hit == 0)
+    out = {}
+    for name, count in counts.items():
+        f = float(count) / n if n else 0.0
+        out[name] = {"frequency": f, "stderr": float(np.sqrt(f * (1.0 - f) / n)) if n else 0.0}
     return out
 
 

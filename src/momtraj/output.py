@@ -122,29 +122,30 @@ def write_histogram_csv(edges, density, path: str | Path) -> Path:
 # -- JSON / INI -----------------------------------------------------------------------
 
 
-def _jsonify(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+def _numpy_leaf(obj):
+    """`json.dumps`'s `default`: numpy arrays become lists, numpy scalars Python scalars."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def to_json(payload) -> str:
+    """The text of a JSON artifact: sorted keys, one-space indent, numpy leaves as Python."""
+    return json.dumps(payload, indent=1, sort_keys=True, default=_numpy_leaf) + "\n"
 
 
 def write_stats_json(result: RunResult, path: str | Path) -> Path:
     path = Path(path)
-    payload = {
+    path.write_text(to_json({
         "scenario": result.config.name,
         "seed": result.config.seed,
         "n_samples": result.config.n_samples,
-        "frames": _jsonify(result.stats_rows),
-        "diagnostics": _jsonify(result.diagnostics),
-        "verdicts": [_jsonify(dataclasses.asdict(v)) for v in result.verdicts],
-    }
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        "frames": result.stats_rows,
+        "diagnostics": result.diagnostics,
+        "verdicts": [dataclasses.asdict(v) for v in result.verdicts],
+    }))
     return path
 
 
@@ -265,16 +266,16 @@ def write_run_outputs(result: RunResult, out_dir: str | Path, tool_version: str,
 
     manifest = {
         "tool": f"momtraj {tool_version}",
-        "config": _jsonify(result.config.as_dict()),
+        "config": result.config.as_dict(),
         "seed": result.config.seed,
         "started_utc": started,
         "finished_utc": finished,
-        "verdicts": [_jsonify(dataclasses.asdict(v)) for v in result.verdicts],
+        "verdicts": [dataclasses.asdict(v) for v in result.verdicts],
         "passed": result.passed,
         "outputs": {f.name: f"sha256:{sha256_of(f)}" for f in sorted(files)},
     }
     mpath = out / "manifest.json"
-    mpath.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    mpath.write_text(to_json(manifest))
     return mpath
 
 

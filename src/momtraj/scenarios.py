@@ -21,7 +21,6 @@ from .dynamics import Frame, PropagatorConfig, collect_frames, continuity_probe
 from .ensemble import (
     Ensemble,
     GridMoments,
-    MomentReport,
     Region,
     equivariance_check,
     grid_moments,
@@ -188,22 +187,6 @@ def _grid_for(config: ScenarioConfig, dof: int) -> GridSpec:
     )
 
 
-def _moments_to_row(rep: MomentReport) -> dict:
-    return {
-        "mean_sample": rep.mean_sample.tolist(),
-        "mean_grid": rep.mean_grid.tolist(),
-        "mean_band": rep.mean_band.tolist(),
-        "mean_ok": rep.mean_ok,
-        "std_sample": rep.std_sample.tolist(),
-        "std_grid": rep.std_grid.tolist(),
-        "std_bound": rep.std_bound.tolist(),
-        "std_ok": rep.std_ok,
-        "second_moment_identity_rel_err": rep.identity_rel_err,
-        "identity_ok": rep.identity_ok,
-        "n_used": rep.n_used,
-    }
-
-
 # Frames whose reference quantity has quadrature norm below this floor carry no
 # relative information (stationary states: currents and density rates vanish);
 # their residuals are measured against the floor or the run's own scale instead.
@@ -240,7 +223,8 @@ class FrameSuite:
 
     `add` runs the block's grid-only checks in one batched call each, then
     reads each frame of the block with its history rows, and keeps one stats
-    row per frame and the worst cases for `verdicts`; `current` is the last
+    row per frame, which stores the checks' records as they come, and the
+    worst cases for `verdicts`, read from those records; `current` is the last
     frame's current. `_simulate` sets `frames` and `ensemble`, and `result`
     builds the RunResult. A Free potential's currents vanish, so it has no
     cross-method check.
@@ -277,21 +261,15 @@ class FrameSuite:
                 "left_grid_count": int(np.sum(status[f] == TrajStatus.LEFT_GRID)),
             }
             if active.any():
-                row["ks"] = {}
-                for r in equivariance_check(p[f][active], fr.psi_p):
-                    row["ks"][r.label or "p0"] = {"statistic": r.statistic, "band": r.band,
-                                                  "passed": bool(r.passed)}
-                    self.all_ks_ok &= bool(r.passed)
-                    self.worst_ks_margin = max(self.worst_ks_margin, r.statistic / r.band)
-                rep = moment_checks(x[f], moments.frame(f), active)
-                row["moments"] = _moments_to_row(rep)
-                self.all_moments_ok &= rep.mean_ok and rep.std_ok and rep.identity_ok
-                self.worst_identity = max(self.worst_identity, rep.identity_rel_err)
+                row["ks"] = equivariance_check(p[f][active], fr.psi_p)
+                for ks in row["ks"].values():
+                    self.all_ks_ok &= ks["passed"]
+                    self.worst_ks_margin = max(self.worst_ks_margin, ks["statistic"] / ks["band"])
+                row["moments"] = m = moment_checks(x[f], moments.frame(f), active)
+                self.all_moments_ok &= m["mean_ok"] and m["std_ok"] and m["identity_ok"]
+                self.worst_identity = max(self.worst_identity, m["second_moment_identity_rel_err"])
                 if self.regions:
-                    freqs = macrostate_frequencies(x[f], self.regions, active)
-                    row["macrostate_occupancy"] = {
-                        k: {"frequency": v[0], "stderr": v[1]} for k, v in freqs.items()
-                    }
+                    row["macrostate_occupancy"] = macrostate_frequencies(x[f], self.regions, active)
 
             resid, den = float(resids[f]), float(dens[f])
             row["continuity_residual"] = resid
@@ -434,14 +412,15 @@ def _run_superposition(config: ScenarioConfig, grid: GridSpec, potential: Potent
         x0 = sample_positions(suite.frames[0].psi_x, config.n_samples, config.seed)
         dens = ensembles["dbb"] = Ensemble(integrate_dbb(suite.frames, x0, config.mass,
                                                          config.steps_per_frame))
-        if config.a > 0:  # at a = 0 there are no two packets to split between
-            half = config.a / 2.0
-            regions = [region_1d("plus", half, 3 * config.a - half),
-                       region_1d("minus", -(3 * config.a - half), -half)]
+        if config.a != 0:  # at a = 0 there are no two packets to split between
+            a = abs(config.a)  # the state is symmetric in a
+            half = a / 2.0
+            regions = [region_1d("plus", half, 3 * a - half),
+                       region_1d("minus", -(3 * a - half), -half)]
             freqs = macrostate_frequencies(dens.history.x[0], regions,
                                            dens.history.status[0] == TrajStatus.ACTIVE)
             band = 4.0 * np.sqrt(0.25 / config.n_samples)
-            dev = max(abs(freqs["plus"][0] - 0.5), abs(freqs["minus"][0] - 0.5))
+            dev = max(abs(freqs[name]["frequency"] - 0.5) for name in ("plus", "minus"))
             verdicts.append(
                 Verdict("guidance-bimodality", dev <= band, dev, band,
                         "guidance-model positions split between the shifted packets",
@@ -465,8 +444,8 @@ def _run_macroscopic(config: ScenarioConfig, grid: GridSpec, potential: Potentia
     act0 = ens.history.status[0] == TrajStatus.ACTIVE
     if regions:
         freqs = macrostate_frequencies(ens.history.x[0], regions, act0)
-        occ = freqs["origin"][0]
-        away = freqs["plus"][0] + freqs["minus"][0]
+        occ = freqs["origin"]["frequency"]
+        away = freqs["plus"]["frequency"] + freqs["minus"]["frequency"]
         verdicts += [
             Verdict("origin-occupancy", occ >= 0.99, occ, 0.99,
                     "the superposed pointer concentrates at the origin",
@@ -508,11 +487,10 @@ def _run_measurement(config: ScenarioConfig, grid: GridSpec, potential: Potentia
     c2 = np.sqrt(1.0 - config.c1_sq)
     ms = measurement_state(grid, config.a, config.dpe, c1, c2,
                            config.sigma, config.sigma_env)
+    # the pointer's outcome regions around +a and -a; sorted, so that a < 0 works too
     half = config.a / 2.0
-    regions = [
-        Region("plus", ((half, 3 * config.a - half), None)),
-        Region("minus", ((-(3 * config.a - half), -half), None)),
-    ]
+    plus = tuple(sorted((half, 3 * config.a - half)))
+    regions = [Region("plus", (plus, None)), Region("minus", ((-plus[1], -plus[0]), None))]
     suite = _simulate(config, ms.field, potential, regions)
     ens = suite.ensemble
 
@@ -537,9 +515,10 @@ def _run_measurement(config: ScenarioConfig, grid: GridSpec, potential: Potentia
     w1, w2 = ms.weights
     band1 = 4.0 * np.sqrt(w1 * (1 - w1) / config.n_samples)
     band2 = 4.0 * np.sqrt(w2 * (1 - w2) / config.n_samples)
-    dev1 = abs(freqs["plus"][0] - w1)
-    dev2 = abs(freqs["minus"][0] - w2)
-    confined = freqs["plus"][0] + freqs["minus"][0]
+    f_plus, f_minus = freqs["plus"]["frequency"], freqs["minus"]["frequency"]
+    dev1 = abs(f_plus - w1)
+    dev2 = abs(f_minus - w2)
+    confined = f_plus + f_minus
 
     # pointer-region transition counts over the run (reported, no claim tested)
     region_ids = np.full(ens.history.x.shape[:2], -1, dtype=np.int8)

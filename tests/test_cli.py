@@ -13,6 +13,7 @@ from momtraj.ensemble import Ensemble
 from momtraj.output import (
     fmt,
     read_config_ini,
+    to_json,
     write_config_ini,
     write_trajectories_csv,
 )
@@ -161,6 +162,16 @@ def test_histogram_csv_format(tmp_path):
 def test_float_formatting_round_trips():
     for v in (0.1, 1 / 3, 1e-17, -2.5e300, 0.0):
         assert float(fmt(v)) == v
+
+
+def test_json_artifacts_write_numpy_leaves_as_python_values():
+    payload = {"f": np.float64(0.1), "b": np.bool_(True), "i": np.int64(7),
+               "a": np.array([1.5, -2.0]), "t": (np.float64(3.0), 4)}
+    plain = {"f": 0.1, "b": True, "i": 7, "a": [1.5, -2.0], "t": [3.0, 4]}
+    expected = json.dumps(plain, indent=1, sort_keys=True) + "\n"
+    assert to_json(payload).encode() == to_json(plain).encode() == expected.encode()
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        to_json({"x": object()})
 
 
 @pytest.mark.parametrize("with_p", [True, False])

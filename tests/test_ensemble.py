@@ -23,7 +23,7 @@ from momtraj import (
     to_momentum,
 )
 from momtraj.dynamics import PropagatorConfig, collect_frames
-from momtraj.ensemble import _cell_edges, _radial_ks, ks_statistic
+from momtraj.ensemble import _cell_edges, ks_statistic
 from momtraj.grid import GridAxis, GridSpec, grid_1d
 from momtraj.states import gaussian_state, superposition_state
 from momtraj.trajectories import integrate_epstein
@@ -115,9 +115,24 @@ def test_equivariance_2d_self_consistency(grid2d):
     phi = to_momentum(gaussian_state(grid2d, sigma=1.0, boost=(1.0, -0.5)))
     samples = sample_momenta(phi, 10_000, seed=3)
     results = equivariance_check(samples, phi)
-    assert len(results) == 3  # two marginals plus the radial CDF
-    for r in results:
-        assert r.passed, (r.label, r.statistic, r.band)
+    assert list(results) == ["p0", "p1", "radial"]  # two marginals plus the radial CDF
+    for label, r in results.items():
+        assert r["passed"], (label, r["statistic"], r["band"])
+
+
+def test_equivariance_tests_each_axis_marginal_in_any_dof(grid512, grid2d):
+    # one loop for both dof: in 1d the marginal is the density itself
+    for grid in (grid512, grid2d):
+        phi = to_momentum(gaussian_state(grid, sigma=1.0))
+        q = sample_momenta(phi, 2_000, seed=4)
+        rho = phi.density()
+        got = equivariance_check(q, phi)
+        assert list(got) == [f"p{a}" for a in range(grid.dof)] + ["radial"] * (grid.dof == 2)
+        for a in range(grid.dof):
+            marg = rho if grid.dof == 1 else (
+                rho.sum(axis=1 - a) * grid.step(Representation.MOMENTUM, 1 - a))
+            edges = _cell_edges(grid, Representation.MOMENTUM, a)
+            assert got[f"p{a}"]["statistic"] == ks_statistic(q[:, a], marg, edges)
 
 
 def radial_ks_reference(q, rho, grid, refine=4):
@@ -144,11 +159,11 @@ def test_radial_ks_equals_a_fresh_sort_on_each_grid(grid2d):
     cases = []
     for grid, seed in ((grid2d, 1), (other, 2), (grid2d, 3)):
         phi = to_momentum(gaussian_state(grid, sigma=1.0, boost=(1.0, -0.5)))
-        cases.append((sample_momenta(phi, 2_000, seed=seed), phi.density(), grid))
-    for q, rho, grid in cases + cases:
-        got = _radial_ks(q, rho, grid, ks_band(len(q)))
-        assert got.statistic == radial_ks_reference(q, rho, grid)
-        assert got.label == "radial" and got.passed
+        cases.append((sample_momenta(phi, 2_000, seed=seed), phi, grid))
+    for q, phi, grid in cases + cases:
+        got = equivariance_check(q, phi)["radial"]
+        assert got["statistic"] == radial_ks_reference(q, phi.density(), grid)
+        assert got["passed"]
 
 
 @settings(max_examples=10, deadline=None)
@@ -205,8 +220,8 @@ def test_rho_histogram_change_of_variables(grid_wide):
 def test_macrostate_frequencies_single_packet():
     xs = np.full((500, 1), 3.2)
     freqs = macrostate_frequencies(xs, [region_1d("here", 3.0, 3.5)])
-    assert freqs["here"][0] == 1.0
-    assert freqs["other"][0] == 0.0
+    assert freqs["here"] == {"frequency": 1.0, "stderr": 0.0}
+    assert freqs["other"] == {"frequency": 0.0, "stderr": 0.0}
 
 
 def test_macrostate_frequencies_binomial_se():
@@ -214,9 +229,9 @@ def test_macrostate_frequencies_binomial_se():
     freqs = macrostate_frequencies(
         xs, [region_1d("plus", 0.5, 1.5), region_1d("minus", -1.5, -0.5)]
     )
-    assert freqs["plus"][0] == pytest.approx(0.64)
-    assert freqs["plus"][1] == pytest.approx(np.sqrt(0.64 * 0.36 / 1000))
-    total = freqs["plus"][0] + freqs["minus"][0] + freqs["other"][0]
+    assert freqs["plus"]["frequency"] == pytest.approx(0.64)
+    assert freqs["plus"]["stderr"] == pytest.approx(np.sqrt(0.64 * 0.36 / 1000))
+    total = sum(entry["frequency"] for entry in freqs.values())
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -254,9 +269,10 @@ def test_moment_checks_boosted_packet(grid512):
     # positions of the flow at t=0 all equal the packet center
     xs = np.full((5000, 1), x0)
     rep = moment_checks(xs, grid_moments(psi, phi))
-    assert rep.mean_ok and rep.std_ok and rep.identity_ok
-    assert rep.mean_grid[0] == pytest.approx(x0, abs=1e-9)
-    assert rep.identity_rel_err <= 1e-6
+    assert rep["mean_ok"] and rep["std_ok"] and rep["identity_ok"]
+    assert rep["mean_grid"][0] == pytest.approx(x0, abs=1e-9)
+    assert rep["second_moment_identity_rel_err"] <= 1e-6
+    assert rep["n_used"] == 5000
     del samples
 
 
@@ -269,7 +285,7 @@ def test_second_moment_identity_superposition(a):
     phi = to_momentum(psi)
     xs = np.zeros((1000, 1))
     rep = moment_checks(xs, grid_moments(psi, phi))
-    assert rep.identity_ok, rep.identity_rel_err
+    assert rep["identity_ok"], rep["second_moment_identity_rel_err"]
 
 
 def test_moment_checks_detect_displaced_ensemble(grid512):
@@ -277,7 +293,7 @@ def test_moment_checks_detect_displaced_ensemble(grid512):
     phi = to_momentum(psi)
     xs = np.full((5000, 1), 2.0)  # grossly displaced ensemble
     rep = moment_checks(xs, grid_moments(psi, phi))
-    assert not rep.mean_ok
+    assert not rep["mean_ok"]
 
 
 # -- equivariance through dynamics -----------------------------------------------------
@@ -291,7 +307,7 @@ def test_equivariance_linear_translation(grid512):
     p0 = sample_momenta(frames[0].psi_p, n, seed=11)
     hist = integrate_epstein(frames, pot, p0, substeps_per_frame=100)
     for f in (0, 5, 10):
-        res = equivariance_check(hist.p[f], frames[f].psi_p)
-        assert res[0].passed, (f, res[0].statistic, res[0].band)
+        res = equivariance_check(hist.p[f], frames[f].psi_p)["p0"]
+        assert res["passed"], (f, res["statistic"], res["band"])
     # and the samples really did translate by -c t
     assert np.abs(hist.p[-1] - (p0 - 2.0 * 1.0)).max() <= 1e-8

@@ -168,6 +168,23 @@ def test_measurement_unequal_weights():
     assert res.passed
 
 
+@pytest.mark.parametrize("name,a,extra", [("measurement", -6.0, {"c1_sq": 0.64}),
+                                          ("superposition", -5.0, {})])
+def test_negative_packet_shift_runs_as_the_mirror_image(name, a, extra):
+    # the state at a < 0 mirrors the one at |a|: the same verdicts run and pass,
+    # and "plus" still names the region around +a, the c1 packet's
+    runs = {s: run_scenario(default_config(name, a=s, n_samples=2000, seed=42, **extra))
+            for s in (a, -a)}
+    for res in runs.values():
+        assert res.passed, [v for v in res.verdicts if not v.passed]
+    assert [v.name for v in runs[a].verdicts] == [v.name for v in runs[-a].verdicts]
+    if name == "superposition":
+        assert "guidance-bimodality" in [v.name for v in runs[a].verdicts]
+    else:
+        occupancy = runs[a].stats_rows[0]["macrostate_occupancy"]
+        assert occupancy["plus"]["frequency"] == pytest.approx(0.64, abs=0.05)
+
+
 def test_collapse_poisson_route_reports_leakage():
     res = run_scenario(default_config("collapse", n_samples=400, current="poisson"))
     leak = res.diagnostics["gap_current_leakage"]
