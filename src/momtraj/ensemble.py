@@ -121,39 +121,41 @@ def ks_statistic(samples: np.ndarray, density: np.ndarray, edges: np.ndarray) ->
     return _ks_distance(_grid_cdf_interp(density, edges, s))
 
 
-def equivariance_check(p_samples: np.ndarray, psi_p: ComplexField) -> dict[str, dict]:
-    """KS of the propagated momenta against |psi~(.,t)|^2: {label: {"statistic",
-    "band", "passed"}}, the `ks` entry of a stats.json frame row.
+def equivariance_check(samples: np.ndarray, psi: ComplexField) -> dict[str, dict]:
+    """KS of propagated points against |psi(.,t)|^2 in psi's representation:
+    {label: {"statistic", "band", "passed"}}, for momenta the `ks` entry of a
+    stats.json frame row.
 
-    Each axis p<a> is tested against its marginal (in 1d, the density itself).
-    2d adds the radial CDF (the full 2d KS is not used); the radial reference
-    is refined 4x per axis so its quantization bias is far below the band.
+    Each axis p<a> (x<a> for positions) is tested against its marginal (in
+    1d, the density itself). 2d adds the radial CDF (the full 2d KS is not
+    used); the radial reference is refined 4x per axis so its quantization
+    bias is far below the band.
     """
-    grid = psi_p.grid
-    rho = psi_p.density()
-    q = np.atleast_2d(p_samples)
+    grid, rep = psi.grid, psi.rep
+    rho = psi.density()
+    q = np.atleast_2d(samples)
     band = ks_band(q.shape[0])
+    prefix = "p" if rep is Representation.MOMENTUM else "x"
     stats = {}
     for a in range(grid.dof):
         others = tuple(b for b in range(grid.dof) if b != a)
-        marg = rho.sum(axis=others) * prod(grid.step(Representation.MOMENTUM, b) for b in others)
-        stats[f"p{a}"] = ks_statistic(q[:, a], marg, _cell_edges(grid, Representation.MOMENTUM, a))
+        marg = rho.sum(axis=others) * prod(grid.step(rep, b) for b in others)
+        stats[f"{prefix}{a}"] = ks_statistic(q[:, a], marg, _cell_edges(grid, rep, a))
     if grid.dof == 2:
-        stats["radial"] = _radial_ks(q, rho, grid)
+        stats["radial"] = _radial_ks(q, rho, grid, rep)
     return {label: {"statistic": d, "band": band, "passed": d <= band}
             for label, d in stats.items()}
 
 
 @lru_cache(maxsize=8)
-def _radial_order(grid: GridSpec, refine: int) -> tuple[np.ndarray, np.ndarray]:
+def _radial_order(grid: GridSpec, rep: Representation,
+                  refine: int) -> tuple[np.ndarray, np.ndarray]:
     """The radial reference's sub-cell radii in ascending (stable) order, and
-    the flat grid cell each sub-cell belongs to, on a momentum grid refined
+    the flat grid cell each sub-cell belongs to, on the grid of `rep` refined
     `refine` times per axis. Read-only: every frame on the grid shares them.
     """
-    pts0 = grid.axis_points(Representation.MOMENTUM, 0)
-    pts1 = grid.axis_points(Representation.MOMENTUM, 1)
-    s0 = grid.step(Representation.MOMENTUM, 0)
-    s1 = grid.step(Representation.MOMENTUM, 1)
+    pts0, pts1 = grid.axis_points(rep, 0), grid.axis_points(rep, 1)
+    s0, s1 = grid.step(rep, 0), grid.step(rep, 1)
     off = (np.arange(refine) + 0.5) / refine - 0.5
     sub0 = (pts0[:, None] + off[None, :] * s0).ravel()
     sub1 = (pts1[:, None] + off[None, :] * s1).ravel()
@@ -167,8 +169,9 @@ def _radial_order(grid: GridSpec, refine: int) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
-def _radial_ks(q: np.ndarray, rho: np.ndarray, grid: GridSpec, refine: int = 4) -> float:
-    r_sorted, cells = _radial_order(grid, refine)
+def _radial_ks(q: np.ndarray, rho: np.ndarray, grid: GridSpec, rep: Representation,
+               refine: int = 4) -> float:
+    r_sorted, cells = _radial_order(grid, rep, refine)
     cdf = np.cumsum(rho.ravel()[cells] / refine**2)  # each sub-cell weighs 1/refine^2 of its cell
     cdf /= cdf[-1]
     r_samples = np.sort(np.sqrt(q[:, 0] ** 2 + q[:, 1] ** 2))

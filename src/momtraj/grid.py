@@ -190,12 +190,11 @@ class MaskedVectorField:
     """Real vector field on a grid with a per-point validity mask.
 
     ``components`` has shape (k,) + grid.shape: k = dof for a velocity or
-    position field, 2 dof for a pair of such fields stacked so that one
-    interpolation stencil serves both. Points where the underlying density
-    falls below the node threshold are marked invalid and must not be used by
-    interpolation stencils. A block of frames puts its frame axis before the
-    grid axes of both arrays; interpolation then reads, for each point, the
-    frame that its `frame` index names.
+    position field, a multiple of dof for several such fields stacked so that
+    one interpolation stencil serves them all. Points where the underlying
+    density falls below the node threshold are marked invalid and must not be
+    used by interpolation stencils. A block of frames puts its frame axis
+    before the grid axes of both arrays.
     """
 
     grid: GridSpec

@@ -395,6 +395,18 @@ def _fringe_density_verdict(grid: GridSpec, frame0: Frame, config: ScenarioConfi
                    "max pointwise deviation from the modulated Gaussian")
 
 
+# RK4 substeps per frame interval of the guidance law. With the cubic midpoint
+# in time, one step per interval is within 1e-6 of a run on frames at every
+# step (scripts/traj_convergence.py).
+GUIDANCE_SUBSTEPS = 1
+
+# The readout contrast's margin: 10 KS bands (0.16 at N = 10 000), capped at
+# half the 0.5 that a readout concentrated between two equal packets reads,
+# where 10 bands would exceed what a small sample resolves.
+CONTRAST_BANDS = 10.0
+CONTRAST_KS_CAP = 0.25
+
+
 def _run_superposition(config: ScenarioConfig, grid: GridSpec, potential: Potential) -> RunResult:
     sup = superposition_state(grid, config.a, config.sigma)
     suite = _simulate(config, sup.field, potential)
@@ -411,7 +423,15 @@ def _run_superposition(config: ScenarioConfig, grid: GridSpec, potential: Potent
     if config.model == "both":
         x0 = sample_positions(suite.frames[0].psi_x, config.n_samples, config.seed)
         dens = ensembles["dbb"] = Ensemble(integrate_dbb(suite.frames, x0, config.mass,
-                                                         config.steps_per_frame))
+                                                         GUIDANCE_SUBSTEPS))
+
+        # both position sets against |psi(x, t)|^2 at every frame; the readout
+        # after t = 0, and only where two packets split |psi|^2 away from it
+        def ks(h: EnsembleHistory, f: int) -> float:
+            return equivariance_check(h.x[f][h.status[f] == TrajStatus.ACTIVE],
+                                      suite.frames[f].psi_x)["x0"]["statistic"]
+
+        guidance_ks = [ks(dens.history, f) for f in range(len(suite.frames))]
         if config.a != 0:  # at a = 0 there are no two packets to split between
             a = abs(config.a)  # the state is symmetric in a
             half = a / 2.0
@@ -426,6 +446,22 @@ def _run_superposition(config: ScenarioConfig, grid: GridSpec, potential: Potent
                         "guidance-model positions split between the shifted packets",
                         "max deviation of the +-a region frequencies from 1/2 at t=0")
             )
+            nearest = min(ks(hist, f) for f in range(1, len(suite.frames)))
+            margin = min(CONTRAST_BANDS * ks_band(config.n_samples), CONTRAST_KS_CAP)
+            verdicts.append(
+                Verdict("readout-contrast", nearest >= margin, nearest, margin,
+                        "momentum-flow positions are not |psi(x,t)|^2-distributed, unlike "
+                        "the guidance law's",
+                        f"min KS statistic of the readout x(p) against |psi(x,t)|^2 over "
+                        f"frames after t=0 (pass: >= min({CONTRAST_BANDS:g} bands, "
+                        f"{CONTRAST_KS_CAP:g}))")
+            )
+        worst, band = max(guidance_ks), ks_band(config.n_samples)
+        verdicts.append(
+            Verdict("guidance-equivariance", worst <= band, worst, band,
+                    "guidance-law positions stay |psi(x,t)|^2-distributed",
+                    "worst KS statistic against |psi(x,t)|^2 over all frames")
+        )
     return suite.result(verdicts, {"norm_factor": sup.norm_factor, "packet_overlap": sup.overlap},
                         **ensembles)
 
@@ -651,17 +687,24 @@ def _run_collapse(config: ScenarioConfig, grid: GridSpec, potential: Potential) 
 
 def _force_residual(hist: EnsembleHistory,
                     restoring: Callable[[np.ndarray], np.ndarray | float]) -> float:
-    """max |dp/dt + restoring(x)| over the interior frames and the rows active at
-    the last frame, dp/dt by central differences, read from the history frame by frame.
+    """max |dp/dt + restoring(x)| over the frames two or more from either end and
+    the rows active at the last frame, dp/dt by 5-point central differences,
+    read from the history frame by frame through a window of five frames'
+    momenta, each gathered once.
 
-    Needs at least 3 frames, which run_scenario checks against
+    Needs at least 5 frames, which run_scenario checks against
     ScenarioDef.min_frames before the run starts.
     """
     always = hist.status[-1] == TrajStatus.ACTIVE
-    two_dt = 2.0 * float(hist.times[1] - hist.times[0])
-    return max(float(np.abs((hist.p[f + 1, always, 0] - hist.p[f - 1, always, 0]) / two_dt
-                            + restoring(hist.x[f, always, 0])).max())
-               for f in range(1, len(hist.times) - 1))
+    twelve_dt = 12.0 * float(hist.times[1] - hist.times[0])
+    window = [hist.p[f, always, 0] for f in range(4)]
+    worst = 0.0
+    for f in range(2, len(hist.times) - 2):
+        window = window[-4:] + [hist.p[f + 2, always, 0]]
+        pm2, pm1, _, pp1, pp2 = window
+        dpdt = (pm2 - 8.0 * pm1 + 8.0 * pp1 - pp2) / twelve_dt
+        worst = max(worst, float(np.abs(dpdt + restoring(hist.x[f, always, 0])).max()))
+    return worst
 
 
 def _classical_force_verdicts(hist: EnsembleHistory, config: ScenarioConfig) -> list[Verdict]:
@@ -670,7 +713,7 @@ def _classical_force_verdicts(hist: EnsembleHistory, config: ScenarioConfig) -> 
     out = [
         Verdict("classical-force-relation", resid <= 1e-4, resid, 1e-4,
                 "dp/dt = -m w^2 x along recorded histories",
-                "max |dp/dt + m w^2 x| by central differences at frame resolution"),
+                "max |dp/dt + m w^2 x| by 5-point central differences at frame resolution"),
     ]
     if config.displacement == 0.0:
         always = hist.status[-1] == TrajStatus.ACTIVE
@@ -722,7 +765,7 @@ def _run_linear(config: ScenarioConfig, grid: GridSpec, potential: Potential) ->
                 "max |p_i(t) - (p_i(0) - c t)| over frames"),
         Verdict("classical-force-relation", force <= 1e-4, force, 1e-4,
                 "dp/dt equals minus the potential slope",
-                "max |dp/dt + c| by central differences"),
+                "max |dp/dt + c| by 5-point central differences"),
     ]
     return suite.result(verdicts)
 
@@ -768,7 +811,8 @@ SCENARIOS: dict[str, ScenarioDef] = {
         "Two shifted free packets: fringe-modulated momentum density, all t=0 "
         "positions at the origin regardless of the shift; guidance-model contrast.",
         ("fringe-momentum-density", "origin-concentration-shift-independent",
-         "guidance-bimodality", "moment-identity", "equivariance"),
+         "guidance-bimodality", "guidance-equivariance", "readout-contrast",
+         "moment-identity", "equivariance"),
         (("a", "packet shift (warn when below 3 sigma)"), ("sigma", "packet width"),
          ("model", "epstein, or both for the guidance-law contrast"),
          ("histogram_bins", _BINS_DOC)),
@@ -818,7 +862,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
         ("classical-force", "equivariance", "continuity", "current-cross-validation"),
         (("displacement", "initial offset (0 freezes the ground state)"),
          ("omega", "oscillator frequency"), ("histogram_bins", _BINS_DOC)),
-        min_frames=3,  # central-difference dp/dt
+        min_frames=5,  # 5-point central-difference dp/dt
     ),
     "linear-drift": ScenarioDef(
         "linear-drift", _run_linear, 1, lambda c: Linear(c.linear_coeff),
@@ -829,7 +873,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
          "current-cross-validation"),
         (("linear_coeff", "potential slope c"), ("sigma", "packet width"),
          ("histogram_bins", _BINS_DOC)),
-        min_frames=3,  # central-difference dp/dt
+        min_frames=5,  # 5-point central-difference dp/dt
     ),
 }
 
@@ -864,8 +908,8 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             f"steps_per_frame={config.steps_per_frame}"
         )
     result = sdef.runner(config, _grid_for(config, sdef.dof), sdef.potential(config))
-    result.diagnostics["rk4_step_doubling"] = {
-        model: ens.history.step_error for model, ens in result.ensembles.items()
+    result.diagnostics["trajectory_error_estimate"] = {
+        model: ens.history.error_estimate for model, ens in result.ensembles.items()
     }
     return result
 

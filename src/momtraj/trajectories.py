@@ -7,14 +7,14 @@ trajectory's p. The de Broglie-Bohm reference integrator evolves positions
 directly by dx/dt = grad S / m.
 
 Both models run through one RK4 stepper over velocity fields derived on the
-grid a block of frames at a time, with multilinear interpolation in space and
-linear interpolation in time between propagator frames. The momentum-flow
-model builds its velocity, readout field x(p) and currents a FrameBlock at a
-time, and hands each finished block, with its frames' history rows, to its
-consumers. Each frame interval's two endpoint fields are stacked into one
-masked field, so an RK4 stage builds one interpolation stencil for both. Per
-block, one RK4 call per half step checks the first step of every interval by
-step doubling on a fixed subsample of the trajectories.
+grid a block of frames at a time, interpolated multilinearly in space and,
+in time, by the cubic through four frames around each frame interval, so one
+RK4 step per interval is Simpson's rule, fourth order in the frame spacing;
+the cubic through the next four frames over gives the error estimate. The
+momentum-flow model builds its velocity, readout field x(p) and currents a
+FrameBlock at a time and hands each finished block, with its frames' history
+rows, to its consumers. An interval's fields are stacked into one masked
+field, so an RK4 stage builds one interpolation stencil for all of them.
 Stencils touching node-flagged grid points freeze the trajectory
 (conservative; freezes are counted and reported, never silently
 extrapolated). Trajectories that leave the grid are likewise retired.
@@ -45,7 +45,7 @@ from .grid import (
     node_mask,
     spectral_gradient,
 )
-from .potentials import Potential
+from .potentials import Free, Potential
 
 
 class TrajStatus(IntEnum):
@@ -77,18 +77,17 @@ def _stencil_geometry(grid: GridSpec, rep: Representation):
 
 
 def interpolate_masked(
-    fld: MaskedVectorField, query: np.ndarray, frame: np.ndarray | None = None
+    fld: MaskedVectorField, query: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate a masked field of k components at query points (N, dof).
 
     Returns (values (N, k), stencil_ok (N,), inside (N,)). Values are only
-    meaningful where stencil_ok & inside. For a field with a frame axis
-    before its grid axes, `frame` (N,) gives the frame each point reads.
+    meaningful where stencil_ok & inside.
     """
     axes, corners = _stencil_geometry(fld.grid, fld.rep)
     q = np.atleast_2d(np.asarray(query, dtype=float))
     weights = []  # per axis: (weight of the lower neighbour, of the upper)
-    base = frame  # row-major flat index, with a frame axis before the grid axes
+    base = None  # row-major flat index
     for a, (p0, step, n) in enumerate(axes):
         u = (q[:, a] - p0) / step
         in_a = (u >= 0.0) & (u <= n - 1)
@@ -153,17 +152,6 @@ def velocity_field_dbb(
 # -- RK4 over interpolated fields --------------------------------------------------
 
 
-def _endpoints(w0: MaskedVectorField, w1: MaskedVectorField) -> MaskedVectorField:
-    """w0's components followed by w1's, valid where both are.
-
-    One stencil over this field gives both endpoint values: each component's
-    corner sum is independent, and the AND of the corner masks equals the
-    AND of the two fields' stencil masks.
-    """
-    return MaskedVectorField(w0.grid, w0.rep, np.concatenate([w0.components, w1.components]),
-                             w0.valid & w1.valid)
-
-
 def _retire(status: np.ndarray, rows: np.ndarray, ok: np.ndarray, inside: np.ndarray) -> None:
     """Mark rows whose stencil left the grid LEFT_GRID, other failed ones FROZEN_AT_NODE."""
     status[rows[~inside]] = TrajStatus.LEFT_GRID
@@ -171,47 +159,53 @@ def _retire(status: np.ndarray, rows: np.ndarray, ok: np.ndarray, inside: np.nda
 
 
 def _rk4_step(q: np.ndarray, status: np.ndarray, w: MaskedVectorField,
-              theta0: float, theta1: float, dt: float | np.ndarray,
-              frame: np.ndarray | None = None) -> None:
-    """One RK4 step of the active rows of q, in place, through an endpoint pair.
+              theta0: float, theta1: float, dt: float, error: np.ndarray | None = None) -> None:
+    """One RK4 step of the active rows of q, in place, over interval fractions theta0..theta1.
 
-    w is an `_endpoints` pair; theta0/theta1 are the interval fractions of the
-    step's ends, and each stage lerps the pair at its own fraction. dt may
-    also be a (len(q), 1) column, one step size per row, and for a pair with
-    a frame axis `frame` (len(q),) gives the frame each row reads. A row
-    whose stencil fails at any stage keeps its point and is retired. On a
-    field that is zero everywhere, one stencil at the start point stands in
-    for the four stages.
+    w stacks the interval's end fields (w0, w1), read as their lerp, or
+    (w0, w1, bump, diff), whose stages add 4 theta (1 - theta) bump to the lerp,
+    and `error` gains, per moved row, |the step's RK4 sum of that weight times
+    diff|. A row whose stencil fails at any stage keeps its point and is
+    retired. On a field that is zero everywhere, one stencil at the start
+    point stands in for the four stages.
     """
     rows = np.flatnonzero(status == TrajStatus.ACTIVE)
     if rows.size == 0:
         return
     qa = q[rows]
-    frame = None if frame is None else frame[rows]
     if not w.components.any():
-        # A zero field (a free particle's current): every stage reads +-0 at
-        # the start point, so the four stages leave q as it is (bar turning
-        # an exact -0.0 coordinate into +0.0) and one stencil gives the
-        # statuses.
-        _, ok, inside = interpolate_masked(w, qa, frame)
+        # A zero field (a free particle's current): every stage reads +-0 at the
+        # start point, so the four stages leave q as it is (bar turning an exact
+        # -0.0 coordinate into +0.0) and one stencil gives the statuses.
+        _, ok, inside = interpolate_masked(w, qa)
         _retire(status, rows, ok, inside)
         return
-    if np.ndim(dt):
-        dt = dt[rows]
     dof = q.shape[1]
-    ok = np.ones(rows.size, dtype=bool)
-    inside = np.ones(rows.size, dtype=bool)
+    ok, inside = np.ones(rows.size, dtype=bool), np.ones(rows.size, dtype=bool)
     mid = 0.5 * (theta0 + theta1)
-    k = None
+    k = change = None  # change: the RK4 sum of the diff component
     for h, theta, weight in ((0.0, theta0, 1.0), (0.5, mid, 2.0), (0.5, mid, 2.0),
                              (1.0, theta1, 1.0)):
-        vals, ok_s, in_s = interpolate_masked(w, qa if k is None else qa + h * dt * k, frame)
-        k = (1.0 - theta) * vals[:, :dof] + theta * vals[:, dof:]
+        point = qa if k is None else qa + h * dt * k
+        if theta in (0.0, 1.0):  # at a frame: that frame's field alone
+            end = w.components[int(theta) * dof:(int(theta) + 1) * dof]
+            k, ok_s, in_s = interpolate_masked(MaskedVectorField(w.grid, w.rep, end, w.valid),
+                                               point)
+        else:
+            vals, ok_s, in_s = interpolate_masked(w, point)
+            k = (1.0 - theta) * vals[:, :dof] + theta * vals[:, dof:2 * dof]
+            if vals.shape[1] > 2 * dof:
+                bump = 4.0 * theta * (1.0 - theta)
+                k = k + bump * vals[:, 2 * dof:3 * dof]
+                part = (weight * bump) * vals[:, 3 * dof:]
+                change = part if change is None else change + part
         ok &= ok_s
         inside &= in_s
         total = k if h == 0.0 else total + weight * k
     moved = ok & inside
     q[rows[moved]] = (qa + (dt / 6.0) * total)[moved]
+    if error is not None and change is not None:
+        error[rows[moved]] += (dt / 6.0 * np.abs(change).max(axis=1))[moved]
     _retire(status, rows, ok, inside)
 
 
@@ -230,16 +224,15 @@ class EnsembleHistory:
     For the momentum-flow model `p` holds the auxiliary momenta and `x` the
     derived positions; for the guidance reference `p` is None and `x` holds
     the integrated positions. Status is recorded per frame; ACTIVE rows of
-    the final frame are the statistically usable ensemble. `step_error` is the
-    largest step-doubling estimate of an interval's first RK4 substep (see
-    `_Stepper`).
+    the final frame are the statistically usable ensemble. `error_estimate`
+    is the largest row sum of the time-interpolation error estimate (`_Stepper`).
     """
 
     times: np.ndarray
     x: np.ndarray
     status: np.ndarray
     p: np.ndarray | None = None
-    step_error: float = 0.0
+    error_estimate: float = 0.0
 
     @property
     def n_trajectories(self) -> int:
@@ -304,24 +297,30 @@ class FrameBlock:
         return CurrentField(cur.grid, cur.components[:, row], cur.method, cur.time[row])
 
 
-ESTIMATE_ROWS = 64  # rows of the step-doubling error estimate, spread evenly over the batch
+# Lagrange weights, at a frame interval's midpoint, of the cubic through four
+# frames, by the offset (-3 .. 1) of its first frame from the interval's first
+# frame: (-1, 9, 9, -1)/16 at -1, (5, 15, -5, 1)/16 at 0. Each is k/16, exact.
+MIDPOINT_WEIGHTS = np.array([
+    [prod(0.5 - b for b in nodes if b != a) / prod(a - b for b in nodes if b != a) for a in nodes]
+    for nodes in (range(offset, offset + 4) for offset in range(-3, 2))])
 
 
 class _Stepper:
     """The frame loop of both models, driven by its caller a block of frames at a time.
 
-    For each of `blocks`, `load(w)` takes the block's velocity fields (frame
-    axis first) and builds the `_endpoints` pairs of the intervals ending at
-    its frames. For each frame, `advance()` then runs the active rows through
-    the interval in RK4 substeps and returns the live (q, status), whose rows
-    the caller may still retire, and `record()` writes the history rows. After
-    the block's last frame, a fixed subsample of at most ESTIMATE_ROWS rows
-    replays each interval's first substep from the history as two half steps,
-    in one `_rk4_step` call per half; `step_error` is the max of |one step -
-    two half steps| over the subsample rows active after both.
+    `load(w)` takes the next block's velocity fields (frame axis first),
+    stacks the fields of the frame intervals whose frames are now loaded, and
+    returns the frames they end at. For each in order, `advance()` runs the
+    active rows through its interval in RK4 substeps and returns the live
+    (q, status), whose rows the caller may still retire, and `record()`
+    writes the history rows. With `cubic` and n >= 4 frames, interval g
+    (frames g - 1, g) takes its midpoint from the cubic through frames
+    g - 2 .. g + 1, kept within 0 .. n - 1, valid where all four frames are,
+    and its alternative from the cubic one frame earlier (later where none
+    precedes); so it waits for frame max(g + 1, 4). Otherwise it lerps.
     """
 
-    def __init__(self, q0: np.ndarray, frames: list[Frame], substeps: int):
+    def __init__(self, q0: np.ndarray, frames: list[Frame], substeps: int, cubic: bool = True):
         if not frames:
             raise ConfigurationError("no frames to integrate over")
         if substeps < 1:
@@ -335,24 +334,41 @@ class _Stepper:
         self.blocks = [(lo, frames[lo:lo + size]) for lo in range(0, len(frames), size)]
         self.times = np.array([fr.time for fr in frames])
         self.substeps = substeps
+        self.cubic = cubic and len(frames) >= 4
         self.status = np.zeros(n, dtype=np.int8)
         self.q_hist = np.empty((len(frames), n, dof))
         self.status_hist = np.empty((len(frames), n), dtype=np.int8)
-        self.probe = np.arange(n)[::max(1, -(-n // ESTIMATE_ROWS))]
-        self.full = np.empty((len(frames), len(self.probe), dof))
-        self.full_status = np.empty(self.full.shape[:2], dtype=np.int8)
-        self.step_error = 0.0
+        self.error = np.zeros(n)
+        # (components, valid) of the loaded frames from frame self.base on
+        self.window = np.empty((dof, 0) + grid.shape), np.empty((0,) + grid.shape, bool)
+        self.base = 0
         self.f = 0  # the frame that advance moves to
 
-    def load(self, w: MaskedVectorField) -> None:
-        self.first, self.end = max(self.f, 1), self.f + len(w.valid)  # frames ending an interval
-        comps, valid = w.components, w.valid
-        if self.f:  # the block's first interval starts at the previous block's last frame
-            comps = np.concatenate([self.last[0], comps], axis=1)
-            valid = np.concatenate([self.last[1], valid])
-        self.last = comps[:, -1:].copy(), valid[-1:].copy()
-        self.pairs = _endpoints(MaskedVectorField(w.grid, w.rep, comps[:, :-1], valid[:-1]),
-                                MaskedVectorField(w.grid, w.rep, comps[:, 1:], valid[1:]))
+    def load(self, w: MaskedVectorField) -> range:
+        comps = np.concatenate([self.window[0], w.components], axis=1)
+        valid = np.concatenate([self.window[1], w.valid])
+        n, loaded, base = len(self.times), self.base + len(valid), self.base
+        ready = loaded if loaded == n or not self.cubic else (loaded - 1 if loaded > 4 else 1)
+        self.first = max(self.f, 1)  # the frame the first built interval ends at
+        g = np.arange(self.first, ready)
+        fields = [comps[:, g - 1 - base], comps[:, g - base]]
+        ok = valid[g - 1 - base] & valid[g - base]
+        if self.cubic:
+            def midpoint(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                weights = MIDPOINT_WEIGHTS[first - g + 4].T.reshape(
+                    (4,) + g.shape + (1,) * w.grid.dof)
+                return (sum(weights[i] * comps[:, first + i - base] for i in range(4)),
+                        np.logical_and.reduce([valid[first + i - base] for i in range(4)]))
+
+            start = np.clip(g - 2, 0, n - 4)
+            (mid, ok), (other, ok_other) = midpoint(start), midpoint(
+                start if n == 4 else np.where(start > 0, start - 1, start + 1))
+            fields += [mid - 0.5 * (fields[0] + fields[1]), np.where(ok_other, mid - other, 0.0)]
+        self.pairs = MaskedVectorField(w.grid, w.rep, np.concatenate(fields), ok)
+        # keep from the first frame a later interval reads
+        self.base = max(0, min(ready - 3, n - 5)) if self.cubic else ready - 1
+        self.window = comps[:, self.base - base:].copy(), valid[self.base - base:].copy()
+        return range(self.f, ready)
 
     def advance(self) -> tuple[np.ndarray, np.ndarray]:
         f = self.f
@@ -360,34 +376,14 @@ class _Stepper:
             pair = _frames(self.pairs, f - self.first)
             dt = (self.times[f] - self.times[f - 1]) / self.substeps
             for s in range(self.substeps):
-                _rk4_step(self.q, self.status, pair, s / self.substeps, (s + 1) / self.substeps, dt)
-                if s == 0:
-                    self.full[f], self.full_status[f] = self.q[self.probe], self.status[self.probe]
+                _rk4_step(self.q, self.status, pair, s / self.substeps, (s + 1) / self.substeps,
+                          dt, self.error)
         return self.q, self.status
 
     def record(self) -> None:
         self.q_hist[self.f] = self.q
         self.status_hist[self.f] = self.status
         self.f += 1
-        if self.f == self.end:
-            self._estimate()
-
-    def _estimate(self) -> None:
-        m, dof = self.full.shape[1:]
-        starts = slice(self.first - 1, self.end - 1)  # the start frame of each interval
-        q = self.q_hist[starts][:, self.probe].reshape(-1, dof)
-        status = self.status_hist[starts][:, self.probe].ravel()
-        frame = np.repeat(np.arange(self.end - self.first), m)
-        dt = np.repeat(np.diff(self.times[self.first - 1:self.end]) / self.substeps, m)[:, None]
-        theta1 = 1 / self.substeps
-        _rk4_step(q, status, self.pairs, 0.0, 0.5 * theta1, dt / 2.0, frame)
-        _rk4_step(q, status, self.pairs, 0.5 * theta1, theta1, dt / 2.0, frame)
-        ends = slice(self.first, self.end)
-        both = (self.full_status[ends].ravel() == TrajStatus.ACTIVE) & (status == TrajStatus.ACTIVE)
-        if both.any():
-            err = float(np.abs(self.full[ends].reshape(-1, dof)[both] - q[both]).max())
-            self.step_error = max(self.step_error, err)
-        self.pairs = None  # freed before the next block is built
 
 
 BlockHook = Callable[[FrameBlock, int, np.ndarray, np.ndarray, np.ndarray], None]
@@ -403,38 +399,39 @@ def integrate_epstein(
 ) -> EnsembleHistory:
     """Advance momentum-flow trajectories through a propagated frame sequence.
 
-    Velocity fields at the interval endpoints come from the frame states;
-    stage evaluations linearly interpolate between them in time. RK4 is
-    exact for a field linear in time, so extra substeps only resolve the
-    field's spatial variation, which is weak here. One RK4 step per frame
-    interval (the default) is therefore enough: on every catalog scenario it
-    stays within 1e-12 of a run with 4 x steps_per_frame substeps, and no
-    farther from it than steps_per_frame substeps
-    (scripts/traj_convergence.py). Positions are read out at every frame; a
-    row that cannot be read out keeps its last position (NaN before the first).
+    One RK4 step per frame interval (the default) is Simpson's rule over the
+    cubic in time (see `_Stepper`); substeps only resolve the field's weak
+    spatial variation (scripts/traj_convergence.py). A free particle's field
+    is zero: it takes the lerp and no look-ahead. Positions are read out at
+    every frame; a row that cannot be read out keeps its last position (NaN
+    before the first).
 
     The frames' fields come in FrameBlocks of max(1, BLOCK_POINTS // grid size)
     frames. on_block(block, lo, p, x, status), when given, runs once the last
     frame of each block is recorded, with the index lo of its first frame and
     views of its frames' history rows, which it reads without changing.
     """
-    stepper = _Stepper(p_initial, frames, substeps_per_frame)
+    stepper = _Stepper(p_initial, frames, substeps_per_frame, not isinstance(potential, Free))
     x = np.full(stepper.q_hist.shape, np.nan)
+    pending = []  # (lo, block) of the blocks with frames still to record, oldest first
     for lo, run in stepper.blocks:
-        block = FrameBlock(run, potential, method)
-        hi = lo + len(run)
-        stepper.load(block.velocity)
-        for f in range(lo, hi):
+        pending.append((lo, FrameBlock(run, potential, method)))
+        for f in stepper.load(pending[-1][1].velocity):
+            first, oldest = pending[0]
             p, status = stepper.advance()
             if f:
                 x[f] = x[f - 1]
-            _readout_positions(x[f], status, block.position_at(f - lo), p)
+            _readout_positions(x[f], status, oldest.position_at(f - first), p)
             stepper.record()
-        if on_block is not None:
-            on_block(block, lo, stepper.q_hist[lo:hi], x[lo:hi], stepper.status_hist[lo:hi])
-        del block  # freed before the next one is built
+            if f + 1 == first + len(oldest.frames):
+                if on_block is not None:
+                    rows = slice(first, f + 1)
+                    on_block(oldest, first, stepper.q_hist[rows], x[rows],
+                             stepper.status_hist[rows])
+                del pending[0]
+        oldest = None  # a recorded block is freed before the next one is built
     return EnsembleHistory(stepper.times, x, stepper.status_hist, stepper.q_hist,
-                           stepper.step_error)
+                           float(stepper.error.max(initial=0.0)))
 
 
 def integrate_dbb(
@@ -450,9 +447,9 @@ def integrate_dbb(
         psi_x = ComplexField(run[0].psi_x.grid, Representation.POSITION,
                              _frozen(np.stack([fr.psi_x.values for fr in run])),
                              stepper.times[lo:lo + len(run)])
-        stepper.load(velocity_field_dbb(psi_x, masses))
-        for _ in run:
+        recorded = stepper.load(velocity_field_dbb(psi_x, masses))
+        for _ in recorded:
             stepper.advance()
             stepper.record()
     return EnsembleHistory(stepper.times, stepper.q_hist, stepper.status_hist, None,
-                           stepper.step_error)
+                           float(stepper.error.max(initial=0.0)))

@@ -51,14 +51,14 @@ def test_same_seed_runs_are_digest_identical(tmp_path):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_step_doubling_estimate_is_in_stats_and_repeats(tmp_path):
+def test_error_estimate_is_in_stats_and_repeats(tmp_path):
     estimates = []
     for d in ("a", "b"):
         code = run_cli("run", "superposition", "--model", "both", "--n", "300",
                        "--seed", "7", "--t-final", "0.1", "--out", str(tmp_path / d))
         assert code == 0
         stats = json.loads((tmp_path / d / "stats.json").read_text())
-        estimates.append(stats["diagnostics"]["rk4_step_doubling"])
+        estimates.append(stats["diagnostics"]["trajectory_error_estimate"])
     assert set(estimates[0]) == {"epstein", "dbb"}
     assert all(np.isfinite(v) and v >= 0.0 for v in estimates[0].values())
     assert estimates[0]["dbb"] > 0.0
@@ -116,6 +116,15 @@ def test_frames_flag_sets_cadence(tmp_path):
     assert code == 0
     stats = json.loads((tmp_path / "f" / "stats.json").read_text())
     assert len(stats["frames"]) == 5  # initial frame plus four intervals
+
+
+@pytest.mark.parametrize("frames", ["160", "80"])
+def test_harmonic_coherent_passes_at_coarser_frames(tmp_path, frames):
+    # the classical-force relation's 5-point dp/dt stays within 1e-4 with
+    # frames 2x and 4x farther apart than the default 320
+    code = run_cli("run", "harmonic-coherent", "--n", "300", "--seed", "42",
+                   "--frames", frames, "--out", str(tmp_path / "h"))
+    assert code == 0
 
 
 def test_list_scenarios(capsys):

@@ -18,6 +18,7 @@ from momtraj import (
     run_scenario,
 )
 from momtraj.scenarios import COMMON_FIELDS, ScenarioConfig
+from momtraj.trajectories import TrajStatus
 
 SMALL_N = 600
 
@@ -321,12 +322,13 @@ def test_force_checks_read_the_history_frame_by_frame():
     always = hist.status[-1] == momtraj.trajectories.TrajStatus.ACTIVE
     assert always.sum() == len(always) - 1
     p, x = hist.p[:, always, 0], hist.x[:, always, 0]
-    dpdt = (p[2:] - p[:-2]) / (2.0 * float(hist.times[1] - hist.times[0]))
+    dpdt = ((p[:-4] - 8.0 * p[1:-3] + 8.0 * p[3:-1] - p[4:])
+            / (12.0 * float(hist.times[1] - hist.times[0])))  # 5-point central differences
     cfg = default_config("harmonic-coherent", displacement=0.0, mass=1.5, omega=0.7)
     k = cfg.mass * cfg.omega**2
     measured = {v.name: v.measured for v in
                 momtraj.scenarios._classical_force_verdicts(hist, cfg)}
-    assert measured == {"classical-force-relation": float(np.abs(dpdt + k * x[1:-1]).max()),
+    assert measured == {"classical-force-relation": float(np.abs(dpdt + k * x[2:-2]).max()),
                         "ground-position-frozen": float(np.abs(x).max()),
                         "ground-momentum-frozen": float(np.abs(p - p[0]).max())}
     linear = momtraj.scenarios._force_residual(hist, lambda x: 2.0)
@@ -397,3 +399,47 @@ def test_each_scenario_runs_under_its_declared_potential(monkeypatch, name):
     cross = any("current_cross_method_rel" in row for row in res.stats_rows)
     assert cross == (name in _CROSS_METHOD)
     assert ("current-cross-method" in [v.name for v in res.verdicts]) == (name in _CROSS_METHOD)
+
+
+# -- metamorphic relations ------------------------------------------------------------------
+
+
+def test_coherent_state_momenta_shift_rigidly_with_the_classical_orbit():
+    # in a coherent state every momentum trajectory moves with the classical
+    # orbit, p_i(t) - p_i(0) = -m w x0 sin(w t); the error peaks at t = pi/2
+    # and cancels at t = pi, so every frame is checked
+    cfg = default_config("harmonic-coherent", n_samples=2000, seed=42)
+    hist = run_scenario(cfg).ensembles["epstein"].history
+    assert (hist.status == TrajStatus.ACTIVE).all()
+    shift = -cfg.mass * cfg.omega * cfg.displacement * np.sin(cfg.omega * hist.times)
+    err = np.abs(hist.p[..., 0] - hist.p[0, :, 0] - shift[:, None]).max()
+    assert err <= 1e-6, err
+
+
+@pytest.mark.parametrize("name", ["collapse", "harmonic-coherent", "linear-drift", "superposition"])
+def test_one_dof_trajectories_never_change_order(name):
+    # in one dof no trajectory of a velocity field overtakes another: at every
+    # frame the active rows keep their t = 0 order (superposition's
+    # momentum-flow field is zero, so its guidance ensemble is the one checked)
+    res = run_scenario(default_config(name, n_samples=SMALL_N, seed=3))
+    for model, ens in res.ensembles.items():
+        if model == "epstein" and name == "superposition":
+            continue
+        hist = ens.history
+        q = hist.p if model == "epstein" else hist.x
+        order = np.argsort(q[0, :, 0])
+        for f in range(len(hist.times)):
+            active = hist.status[f][order] == TrajStatus.ACTIVE
+            assert np.all(np.diff(q[f, order[active], 0]) >= 0.0), (model, f)
+
+
+def test_superposition_contrast_verdicts():
+    # the guidance positions are |psi(x,t)|^2-distributed, the momentum-flow
+    # readout is not, at every frame
+    res = run_scenario(default_config("superposition", n_samples=2000, seed=42))
+    verdicts = {v.name: v for v in res.verdicts}
+    assert verdicts["guidance-equivariance"].passed
+    assert verdicts["readout-contrast"].passed
+    assert verdicts["readout-contrast"].measured >= 0.4
+    assert SCENARIOS["superposition"].claims[3:5] == ("guidance-equivariance",
+                                                      "readout-contrast")

@@ -27,10 +27,8 @@ from momtraj.states import coherent_state, gaussian_state, superposition_state
 from momtraj.scenarios import _grid_checks
 from momtraj.errors import ConfigurationError
 from momtraj.trajectories import (
-    ESTIMATE_ROWS,
     FrameBlock,
     TrajStatus,
-    _endpoints,
     _frames,
     _readout_positions,
     _rk4_step,
@@ -51,12 +49,18 @@ def momentum_state(grid, sigma=1.0, x0=0.0, p0=0.0, time=0.0):
     return ComplexField(grid, Representation.MOMENTUM, vals, time)
 
 
+def _endpoints(w0, w1):
+    """An interval's end fields stacked as `_rk4_step` reads them: w0's
+    components, then w1's, valid where both are."""
+    return MaskedVectorField(w0.grid, w0.rep, np.concatenate([w0.components, w1.components]),
+                             w0.valid & w1.valid)
+
+
 # -- interpolation ------------------------------------------------------------------
 
 
 def assert_endpoint_pair_matches(w0, w1, q):
-    """One stencil over the stacked pair equals the two separate calls bit for bit,
-    and so does one over a block of two such pairs with a frame index per point."""
+    """One stencil over the stacked pair equals the two separate calls bit for bit."""
     v0, ok0, in0 = interpolate_masked(w0, q)
     v1, ok1, in1 = interpolate_masked(w1, q)
     vals, ok, inside = interpolate_masked(_endpoints(w0, w1), q)
@@ -66,17 +70,6 @@ def assert_endpoint_pair_matches(w0, w1, q):
     assert vals[:, dof:].tobytes() == v1.tobytes()
     assert np.array_equal(ok, ok0 & ok1) and np.array_equal(inside, in0 & in1)
     assert not ok.all() and not inside.all()
-
-    # frames (w0, w1) and (w1, w0) of a block pair; odd points read the second
-    def stacked(a, b):
-        return MaskedVectorField(a.grid, a.rep, np.stack([a.components, b.components], axis=1),
-                                 np.stack([a.valid, b.valid]))
-
-    frame = np.arange(len(q)) % 2
-    got, ok_b, in_b = interpolate_masked(_endpoints(stacked(w0, w1), stacked(w1, w0)), q, frame)
-    want = np.where(frame[:, None] == 1, np.concatenate([v1, v0], axis=1), vals)
-    assert got.tobytes() == want.tobytes()
-    assert np.array_equal(ok_b, ok) and np.array_equal(in_b, inside)
 
 
 def test_interpolation_exact_on_linear_field(grid512):
@@ -417,8 +410,9 @@ def test_harmonic_coherent_classical_force_small(grid512):
     assert resid.max() <= 1e-4
 
 
-# One RK4 step per frame interval: the velocity field is lerped linearly in time
-# between frames, so finer substeps only resolve its spatial variation.
+# One RK4 step per frame interval: the stages read the velocity field's cubic
+# in time, which RK4 integrates as Simpson's rule, so finer substeps only
+# resolve its spatial variation.
 ONE_STEP_CASES = [
     pytest.param(Harmonic(1.0, 1.0), lambda g: coherent_state(g, 2.0), id="harmonic"),
     pytest.param(Linear(2.0), lambda g: gaussian_state(g, sigma=1.0), id="linear"),
@@ -440,9 +434,7 @@ def test_one_step_per_frame_matches_a_finer_run(grid512, pot, state, method):
 
 
 def test_rows_do_not_depend_on_the_batch(grid512):
-    # a row's arithmetic is its own: the batch's other rows must not change
-    # it, and the step-doubling estimate, which replays its subsample of rows
-    # from the history once a block is stepped, relies on that
+    # a row's arithmetic is its own: the batch's other rows must not change it
     pot = Harmonic(1.0, 1.0)
     frames = collect_frames(coherent_state(grid512, 2.0), pot,
                             PropagatorConfig(dt=1e-3, steps_per_frame=10), 100)
@@ -455,44 +447,44 @@ def test_rows_do_not_depend_on_the_batch(grid512):
         assert np.array_equal(part.status, batch.status[:, rows])
 
 
-def test_step_doubling_estimate_shrinks_with_the_step(grid512):
+def test_error_estimate_shrinks_with_the_frame_spacing(grid512):
+    # the same run with frames every 40, 20 and 10 steps of one dt: the
+    # summed estimate of a fourth-order interpolation falls about 16-fold per
+    # halving of the frame spacing
     sup = superposition_state(grid512, 5.0)
-    frames = collect_frames(sup.field, Free(), PropagatorConfig(dt=1e-3, steps_per_frame=20),
-                            200)
     x0 = np.linspace(-3.0, 3.0, 200)[:, None]
-    errors = [integrate_dbb(frames, x0, substeps_per_frame=s).step_error for s in (1, 2, 4)]
-    # smooth fields give RK4 a local error of order five; the kinks of the
-    # multilinear interpolation between grid points lower the order
-    assert errors[0] > errors[1] > errors[2] > 0.0
-    # free momenta are constants of the motion, so both ways agree exactly
+    errors = []
+    for spf in (40, 20, 10):
+        frames = collect_frames(sup.field, Free(), PropagatorConfig(dt=1e-3, steps_per_frame=spf),
+                                400)
+        errors.append(integrate_dbb(frames, x0).error_estimate)
+    assert errors[0] > 8.0 * errors[1] > 64.0 * errors[2] > 0.0
+    # a free particle's momentum current vanishes: nothing to interpolate
     p0 = np.linspace(-2.0, 2.0, 50)[:, None]
-    assert integrate_epstein(frames, Free(), p0).step_error == 0.0
+    assert integrate_epstein(frames, Free(), p0).error_estimate == 0.0
 
 
 def test_zero_field_step_equals_the_four_stage_step(grid512, monkeypatch):
-    # a block pair of two zero intervals takes the one-stencil short circuit;
-    # the same block with one node far from every row nudged in its second
-    # interval takes the four stages, which read zero at every row, so both
-    # must agree bit for bit
+    # a zero endpoint pair takes the one-stencil short circuit; the same pair
+    # with one node far from every row nudged takes the four stages, which
+    # read zero at every row, so both must agree bit for bit
     p = grid512.momenta(0)
-    valid = np.ones((2, 512), bool)
-    valid[:, 300] = False
+    valid = np.ones(512, bool)
+    valid[300] = False
     zero = _endpoints(*(MaskedVectorField(grid512, Representation.MOMENTUM,
-                                          np.zeros((1, 2, 512)), valid) for _ in range(2)))
+                                          np.zeros((1, 512)), valid) for _ in range(2)))
     nudged_comps = zero.components.copy()
-    nudged_comps[1, 1, 100] = 1.0
+    nudged_comps[1, 100] = 1.0
     nudged = MaskedVectorField(grid512, Representation.MOMENTUM, nudged_comps, zero.valid)
     q0 = np.concatenate([
         np.linspace(p[150], p[250], 40),               # on the grid
         [p[0] - 1.0, p[-1] + 1.0, p[-1] + 1e-9],       # off the grid
         0.5 * (p[299] + p[300]) + [-0.05, 0.0, 0.05],  # stencils touching node 300
     ])[:, None]
-    frame = np.arange(len(q0)) % 2  # the rows read both intervals
-    dt = np.linspace(0.01, 0.02, len(q0))[:, None]
     calls = []
     interp = momtraj.trajectories.interpolate_masked
     monkeypatch.setattr(momtraj.trajectories, "interpolate_masked",
-                        lambda w, q, frame=None: calls.append(w) or interp(w, q, frame))
+                        lambda w, q: calls.append(w) or interp(w, q))
     results = {}
     for name, pair in (("zero", zero), ("nudged", nudged)):
         q = q0.copy()
@@ -501,7 +493,7 @@ def test_zero_field_step_equals_the_four_stage_step(grid512, monkeypatch):
         counts = []
         for theta0, theta1 in ((0.25, 0.5), (0.5, 0.75)):
             calls.clear()
-            _rk4_step(q, status, pair, theta0, theta1, dt, frame)
+            _rk4_step(q, status, pair, theta0, theta1, 0.015)
             counts.append(len(calls))
         results[name] = (q.tobytes(), status.tobytes(), counts)
     assert results["zero"][:2] == results["nudged"][:2]
@@ -512,30 +504,52 @@ def test_zero_field_step_equals_the_four_stage_step(grid512, monkeypatch):
     assert (status[43:46] == TrajStatus.FROZEN_AT_NODE).all()
 
 
-# -- the block step-doubling estimate -------------------------------------------------
+# -- the interval fields and the embedded error estimate ------------------------------
 
 
-def reference_step_error(hist, velocity, substeps):
-    """max |one step - two half steps| of every interval's first RK4 substep,
-    each interval on its own: its `_endpoints` pair of velocity(f - 1) and
-    velocity(f), started from the subsample's history rows at frame f - 1."""
+# 16 x the midpoint weights of the cubic through four frames, by the offset of
+# its first frame from the interval's first frame
+CUBIC_MIDPOINT = {-3: (-5, 21, -35, 35), -2: (1, -5, 15, 5), -1: (-1, 9, 9, -1),
+                  0: (5, 15, -5, 1), 1: (35, -35, 21, -5)}
+
+
+def reference_interval(velocity, n, g):
+    """Interval g's fields built on their own from the frames' velocity fields:
+    (w0, w1, cubic midpoint - lerp midpoint, cubic midpoint - alternative), the
+    cubic through frames g-2..g+1 kept inside the run, the alternative's one
+    frame earlier, or later where no frame precedes."""
+    w0, w1 = velocity(g - 1), velocity(g)
+    start = min(max(g - 2, 0), n - 4)
+    alt = start - 1 if start > 0 else start + 1
+
+    def cubic(first):
+        fields = [velocity(first + i) for i in range(4)]
+        weights = CUBIC_MIDPOINT[first - (g - 1)]
+        return (sum(wt / 16 * fld.components for wt, fld in zip(weights, fields)),
+                np.logical_and.reduce([fld.valid for fld in fields]))
+
+    (mid, ok), (other, ok_other) = cubic(start), cubic(alt)
+    comps = [w0.components, w1.components, mid - 0.5 * (w0.components + w1.components),
+             np.where(ok_other, mid - other, 0.0)]
+    return MaskedVectorField(w0.grid, w0.rep, np.concatenate(comps), ok)
+
+
+def assert_history_equals_the_per_interval_reference(hist, velocity, substeps, cubic=True):
+    """Every interval stepped on its own, from the history rows at its first
+    frame, lands on the history rows at its last, and the per-row sums of
+    the estimate's increments give the reported estimate, all bit for bit."""
     q_hist = hist.x if hist.p is None else hist.p
-    n = q_hist.shape[1]
-    probe = np.arange(n)[::max(1, -(-n // ESTIMATE_ROWS))]
-    theta1 = 1 / substeps
-    errors = [0.0]
-    for f in range(1, len(hist.times)):
-        pair = _endpoints(velocity(f - 1), velocity(f))
-        dt = (hist.times[f] - hist.times[f - 1]) / substeps
-        full, full_status = q_hist[f - 1][probe], hist.status[f - 1][probe]
-        half, half_status = full.copy(), full_status.copy()
-        _rk4_step(full, full_status, pair, 0.0, theta1, dt)
-        _rk4_step(half, half_status, pair, 0.0, 0.5 * theta1, dt / 2.0)
-        _rk4_step(half, half_status, pair, 0.5 * theta1, theta1, dt / 2.0)
-        both = (full_status == TrajStatus.ACTIVE) & (half_status == TrajStatus.ACTIVE)
-        if both.any():
-            errors.append(float(np.abs(full[both] - half[both]).max()))
-    return max(errors)
+    n = len(hist.times)
+    error = np.zeros(q_hist.shape[1])
+    for g in range(1, n):
+        w = (reference_interval(velocity, n, g) if cubic
+             else _endpoints(velocity(g - 1), velocity(g)))
+        q, status = q_hist[g - 1].copy(), hist.status[g - 1].copy()
+        dt = (hist.times[g] - hist.times[g - 1]) / substeps
+        for s in range(substeps):
+            _rk4_step(q, status, w, s / substeps, (s + 1) / substeps, dt, error)
+        assert q.tobytes() == q_hist[g].tobytes()
+    assert hist.error_estimate == float(error.max())
 
 
 @pytest.mark.parametrize("case, substeps", [
@@ -566,17 +580,17 @@ def test_block_estimate_equals_the_per_interval_reference(case, substeps):
         p0 = sample_momenta(frames[0].psi_p, 200, 4)
     hist = integrate_epstein(frames, pot, p0, substeps_per_frame=substeps)
     block = FrameBlock(frames, pot, CurrentMethod.CLOSED_FORM)
-    want = reference_step_error(hist, lambda f: _frames(block.velocity, f), substeps)
-    assert hist.step_error == want
+    assert_history_equals_the_per_interval_reference(
+        hist, lambda f: _frames(block.velocity, f), substeps, cubic=case != "free")
     if case == "free":
-        assert want == 0.0
+        assert hist.error_estimate == 0.0
     else:
-        assert want > 0.0
+        assert hist.error_estimate > 0.0
     if case == "harmonic-130":
         assert len(frames) == 130
-    if case == "leaving":  # the run is one block of 101 frames; probe rows leave inside it
+    if case == "leaving":  # the run is one block of 101 frames; rows leave inside it
         left = (hist.status[0] == TrajStatus.ACTIVE) & (hist.status[-2] == TrajStatus.LEFT_GRID)
-        assert left[::3].any() and not left.all()
+        assert left.any() and not left.all()
 
 
 def test_block_estimate_equals_the_per_interval_reference_dbb():
@@ -587,8 +601,9 @@ def test_block_estimate_equals_the_per_interval_reference_dbb():
     x0 = np.linspace(-3.0, 3.0, 300)[:, None]
     hist = integrate_dbb(frames, x0, substeps_per_frame=20)
     assert len(frames) == 101
-    want = reference_step_error(hist, lambda f: velocity_field_dbb(frames[f].psi_x), 20)
-    assert hist.step_error == want > 0.0
+    assert_history_equals_the_per_interval_reference(
+        hist, lambda f: velocity_field_dbb(frames[f].psi_x), 20)
+    assert hist.error_estimate > 0.0
 
 
 @pytest.mark.parametrize("substeps", [0, -1])
