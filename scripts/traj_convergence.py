@@ -1,30 +1,22 @@
 #!/usr/bin/env python3
-"""Convergence ladders for the trajectory ensembles: frame spacing and RK4 substeps.
+"""Frame-spacing convergence ladder for the trajectory ensembles.
 
-Frame-spacing ladder: each scenario runs at steps_per_frame, steps_per_frame/2
-(when even) and 1 steps per frame, all at the same dt, so the shared frames
-hold the same wavefunctions and only the frame spacing that the velocity
-field is interpolated over changes. Every ensemble is compared with the
-spf = 1 rung on the shared frames: max |dp| and max |dx| over those frames
-and the rows active in both, and the number of trajectories whose status
-differs at some shared frame. The default rung also prints the run's reported
-`trajectory_error_estimate` and its ratio to the measured max |dp| (or |dx|
-for the guidance law).
-
-Substep ladder: each scenario runs once at its defaults, and every ensemble
-is integrated again over the same frames at 1, 2, steps_per_frame and
-4 x steps_per_frame RK4 substeps per frame interval, against the finest rung.
-The rung each model runs at is marked: one step per frame interval for the
-momentum-flow model, GUIDANCE_SUBSTEPS for the guidance law. A scenario's
-second ensemble of one model (macroscopic's reference run) is labelled
-model#2.
+Each scenario runs at steps_per_frame, steps_per_frame/2 (when even) and 1
+steps per frame, all at the same dt, so the shared frames hold the same
+wavefunctions and only the frame spacing that the velocity field is
+interpolated over changes. Every ensemble is compared with the spf = 1 rung
+on the shared frames: max |dp| and max |dx| over those frames and the rows
+active in both, and the number of trajectories whose status differs at some
+shared frame. The default rung also prints the run's reported
+`trajectory_error_estimate` (`-` where the run has none) and its ratio to the
+measured max |dp| (or |dx| for the guidance law). A scenario's second
+ensemble of one model (macroscopic's reference run) is labelled model#2.
 
     PYTHONPATH=src python3 scripts/traj_convergence.py [--n N] [--seed S]
         [--scenarios NAME ...]
 
-Measurement (2d) is left out of the frame ladder unless named: its
-momentum-flow field is zero, and its spf = 1 rung holds 501 frames of
-256 x 256 points (about 1 GiB).
+Measurement (2d) is left out unless named: its momentum-flow field is zero,
+and its spf = 1 rung holds 501 frames of 256 x 256 points (about 1 GiB).
 """
 
 import argparse
@@ -32,10 +24,8 @@ import dataclasses
 
 import numpy as np
 
-import momtraj.scenarios as scenarios
 from momtraj import SCENARIOS, default_config, run_scenario
-from momtraj.scenarios import GUIDANCE_SUBSTEPS
-from momtraj.trajectories import TrajStatus, integrate_dbb, integrate_epstein
+from momtraj.trajectories import TrajStatus
 
 
 def labelled(names):
@@ -58,9 +48,13 @@ def compare(h, ref):
     return dp, max_diff(h.x, ref.x, both), statuses
 
 
+def num(value, width, spec=".2e"):
+    """value in `width` columns, `-` for None."""
+    return f"{'-':>{width}}" if value is None else f"{value:{width}{spec}}"
+
+
 def row(name, label, rung, dp, dx, statuses, tail=""):
-    dp = f"{dp:10.2e}" if dp is not None else f"{'-':>10}"
-    return f"{name:<18} {label:<10} {rung:8d} {dp} {dx:10.2e} {statuses:8d}{tail}"
+    return f"{name:<18} {label:<10} {rung:8d} {num(dp, 10)} {dx:10.2e} {statuses:8d}{tail}"
 
 
 def frame_ladder(config):
@@ -80,42 +74,9 @@ def frame_ladder(config):
             if r == spf:
                 est = res.diagnostics["trajectory_error_estimate"][model]
                 err = dx if dp is None else dp
-                ratio = f"{est / err:8.1f}" if err > 0 else f"{'-':>8}"
-                tail = f"  estimate {est:9.2e}  ratio {ratio}"
+                ratio = est / err if est is not None and err > 0 else None
+                tail = f"  estimate {num(est, 9)}  ratio {num(ratio, 8, '.1f')}"
             print(row(config.name, label, r, dp, dx, statuses, tail))
-
-
-def recorded_ensembles(config):
-    """Run the scenario and return (model, rerun(substeps)) for each ensemble it integrated."""
-    calls = []
-
-    def epstein(frames, potential, p0, method, substeps_per_frame=1, on_block=None):
-        calls.append(("epstein", lambda s: integrate_epstein(frames, potential, p0, method, s)))
-        return integrate_epstein(frames, potential, p0, method, substeps_per_frame, on_block)
-
-    def dbb(frames, x0, masses=1.0, substeps_per_frame=1):
-        calls.append(("dbb", lambda s: integrate_dbb(frames, x0, masses, s)))
-        return integrate_dbb(frames, x0, masses, substeps_per_frame)
-
-    saved = scenarios.integrate_epstein, scenarios.integrate_dbb
-    scenarios.integrate_epstein, scenarios.integrate_dbb = epstein, dbb
-    try:
-        run_scenario(config)
-    finally:
-        scenarios.integrate_epstein, scenarios.integrate_dbb = saved
-    return calls
-
-
-def substep_ladder(config):
-    spf = config.steps_per_frame
-    rungs = sorted({1, 2, spf, 4 * spf})
-    calls = recorded_ensembles(config)
-    for label, (model, rerun) in zip(labelled(m for m, _ in calls), calls):
-        in_use = 1 if model == "epstein" else GUIDANCE_SUBSTEPS
-        hists = {s: rerun(s) for s in rungs}
-        for s in rungs[:-1]:
-            mark = "  <- in use" if s == in_use else ""
-            print(row(config.name, label, s, *compare(hists[s], hists[rungs[-1]]), mark))
 
 
 def main():
@@ -125,16 +86,11 @@ def main():
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--scenarios", nargs="+")
     args = ap.parse_args()
-    header = (f"{'scenario':<18} {'model':<10} {{:>8}} {'max |dp|':>10} {'max |dx|':>10} "
-              f"{'statuses':>8}")
     print("frame-spacing ladder, against steps_per_frame = 1 on the shared frames")
-    print(header.format("spf"))
+    print(f"{'scenario':<18} {'model':<10} {'spf':>8} {'max |dp|':>10} {'max |dx|':>10} "
+          f"{'statuses':>8}")
     for name in args.scenarios or sorted(set(SCENARIOS) - {"measurement"}):
         frame_ladder(default_config(name, n_samples=args.n, seed=args.seed))
-    print("substep ladder, against 4 x steps_per_frame substeps")
-    print(header.format("substeps"))
-    for name in args.scenarios or sorted(SCENARIOS):
-        substep_ladder(default_config(name, n_samples=args.n, seed=args.seed))
 
 
 if __name__ == "__main__":

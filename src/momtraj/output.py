@@ -14,6 +14,7 @@ import hashlib
 import json
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -35,20 +36,22 @@ def fmt(x: float) -> str:
 _CSV_BLOCK_ROWS = 4096
 
 
-def _write_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> Path:
-    """`header`, then one row per entry of the equal-length `columns`.
+def _write_csv(path: str | Path, header: list[str], blocks: Iterable[list[np.ndarray]]) -> Path:
+    """`header`, then one row per entry of each block's equal-length columns.
 
     Float columns are written as `fmt` writes them, any other column with str.
-    Each block of rows is formatted column by column, then joined in one write.
+    Each run of at most _CSV_BLOCK_ROWS rows is formatted column by column,
+    then joined in one write.
     """
     path = Path(path)
-    formats = [repr if c.dtype.kind == "f" else str for c in columns]
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            cells = [list(map(f, c[lo:lo + _CSV_BLOCK_ROWS].tolist()))
-                     for f, c in zip(formats, columns)]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        for columns in blocks:
+            formats = [repr if c.dtype.kind == "f" else str for c in columns]
+            for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+                cells = [list(map(f, c[lo:lo + _CSV_BLOCK_ROWS].tolist()))
+                         for f, c in zip(formats, columns)]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     return path
 
 
@@ -63,8 +66,8 @@ def write_field_csv(field: ComplexField, path: str | Path) -> Path:
     vals = field.values.ravel()
     return _write_csv(
         path, [f"axis{a}" for a in range(grid.dof)] + ["re", "im"],
-        _mesh_columns(*[grid.axis_points(field.rep, a) for a in range(grid.dof)])
-        + [vals.real, vals.imag],
+        [_mesh_columns(*[grid.axis_points(field.rep, a) for a in range(grid.dof)])
+         + [vals.real, vals.imag]],
     )
 
 
@@ -81,8 +84,8 @@ def write_current_csv(current: CurrentField, path: str | Path) -> Path:
     dof = current.grid.dof
     return _write_csv(
         path, [f"p{a}" for a in range(dof)] + [f"j{a}" for a in range(dof)],
-        _mesh_columns(*[current.grid.momenta(a) for a in range(dof)])
-        + [current.components[a].ravel() for a in range(dof)],
+        [_mesh_columns(*[current.grid.momenta(a) for a in range(dof)])
+         + [current.components[a].ravel() for a in range(dof)]],
     )
 
 
@@ -97,17 +100,22 @@ def write_trajectories_csv(ensemble, path: str | Path, limit: int = 200) -> Path
     memory for the statistics either way.
     """
     hist = ensemble.history
-    n = hist.n_trajectories if limit == 0 else min(limit, hist.n_trajectories)
-    dof = hist.x.shape[2]
+    n = hist.x.shape[1] if limit == 0 else min(limit, hist.x.shape[1])
+    n_frames, dof = hist.x.shape[0], hist.x.shape[2]
     variables = {"x": hist.x} if hist.p is None else {"p": hist.p, "x": hist.x}
     times = np.array([fmt(t) for t in hist.times], dtype=object)  # formatted once per frame
-    # one row per (trajectory, frame), trajectory-major
+    per = max(1, _CSV_BLOCK_ROWS // n_frames)  # trajectories per block of rows
+
+    def blocks():  # one row per (trajectory, frame), trajectory-major
+        for lo in range(0, n, per):
+            hi = min(lo + per, n)
+            yield ([np.repeat(np.arange(lo, hi), n_frames), np.tile(times, hi - lo)]
+                   + [h[:, lo:hi, a].T.ravel() for h in variables.values() for a in range(dof)]
+                   + [_STATUS_NAMES[hist.status[:, lo:hi].T.ravel()]])
+
     return _write_csv(
-        path,
-        ["traj_id", "t"] + [f"{v}{a}" for v in variables for a in range(dof)] + ["status"],
-        [np.repeat(np.arange(n), len(hist.times)), np.tile(times, n)]
-        + [h[:, :n, a].T.ravel() for h in variables.values() for a in range(dof)]
-        + [_STATUS_NAMES[hist.status[:, :n].T.ravel()]],
+        path, ["traj_id", "t"] + [f"{v}{a}" for v in variables for a in range(dof)] + ["status"],
+        blocks(),
     )
 
 
@@ -115,7 +123,7 @@ def write_histogram_csv(edges, density, path: str | Path) -> Path:
     """`bin_center[,bin_center1],density` rows in row-major bin order."""
     return _write_csv(
         path, ["bin_center"] + [f"bin_center{a}" for a in range(1, len(edges))] + ["density"],
-        _mesh_columns(*[0.5 * (e[:-1] + e[1:]) for e in edges]) + [np.ravel(density)],
+        [_mesh_columns(*[0.5 * (e[:-1] + e[1:]) for e in edges]) + [np.ravel(density)]],
     )
 
 

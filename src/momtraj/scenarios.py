@@ -395,11 +395,6 @@ def _fringe_density_verdict(grid: GridSpec, frame0: Frame, config: ScenarioConfi
                    "max pointwise deviation from the modulated Gaussian")
 
 
-# RK4 substeps per frame interval of the guidance law. With the cubic midpoint
-# in time, one step per interval is within 1e-6 of a run on frames at every
-# step (scripts/traj_convergence.py).
-GUIDANCE_SUBSTEPS = 1
-
 # The readout contrast's margin: 10 KS bands (0.16 at N = 10 000), capped at
 # half the 0.5 that a readout concentrated between two equal packets reads,
 # where 10 bands would exceed what a small sample resolves.
@@ -422,8 +417,7 @@ def _run_superposition(config: ScenarioConfig, grid: GridSpec, potential: Potent
     ensembles = {}
     if config.model == "both":
         x0 = sample_positions(suite.frames[0].psi_x, config.n_samples, config.seed)
-        dens = ensembles["dbb"] = Ensemble(integrate_dbb(suite.frames, x0, config.mass,
-                                                         GUIDANCE_SUBSTEPS))
+        dens = ensembles["dbb"] = Ensemble(integrate_dbb(suite.frames, x0, config.mass))
 
         # both position sets against |psi(x, t)|^2 at every frame; the readout
         # after t = 0, and only where two packets split |psi|^2 away from it

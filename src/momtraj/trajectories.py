@@ -8,9 +8,10 @@ directly by dx/dt = grad S / m.
 
 Both models run through one RK4 stepper over velocity fields derived on the
 grid a block of frames at a time, interpolated multilinearly in space and,
-in time, by the cubic through four frames around each frame interval, so one
-RK4 step per interval is Simpson's rule, fourth order in the frame spacing;
-the cubic through the next four frames over gives the error estimate. The
+in time, by the cubic through four frames around each frame interval, so the
+one RK4 step each interval takes is Simpson's rule, fourth order in the frame
+spacing, and the cubic through the next four frames over gives the error
+estimate. Shorter runs lerp, with no estimate unless the field is zero. The
 momentum-flow model builds its velocity, readout field x(p) and currents a
 FrameBlock at a time and hands each finished block, with its frames' history
 rows, to its consumers. An interval's fields are stacked into one masked
@@ -158,16 +159,16 @@ def _retire(status: np.ndarray, rows: np.ndarray, ok: np.ndarray, inside: np.nda
     status[rows[inside & ~ok]] = TrajStatus.FROZEN_AT_NODE
 
 
-def _rk4_step(q: np.ndarray, status: np.ndarray, w: MaskedVectorField,
-              theta0: float, theta1: float, dt: float, error: np.ndarray | None = None) -> None:
-    """One RK4 step of the active rows of q, in place, over interval fractions theta0..theta1.
+def _rk4_step(q: np.ndarray, status: np.ndarray, w: MaskedVectorField, dt: float,
+              error: np.ndarray | None) -> None:
+    """One RK4 step of the active rows of q over one frame interval, in place.
 
-    w stacks the interval's end fields (w0, w1), read as their lerp, or
-    (w0, w1, bump, diff), whose stages add 4 theta (1 - theta) bump to the lerp,
-    and `error` gains, per moved row, |the step's RK4 sum of that weight times
-    diff|. A row whose stencil fails at any stage keeps its point and is
-    retired. On a field that is zero everywhere, one stencil at the start
-    point stands in for the four stages.
+    w stacks the interval's fields (w0, w1, mid, diff), dof components each,
+    under one mask: the stages read w0, (mid, diff) twice, then w1, and
+    `error`, unless None, gains per moved row |the step's RK4 sum of diff|.
+    A row whose stencil fails at any stage keeps its point and is retired.
+    On a field that is zero everywhere, one stencil at the start point stands
+    in for the four stages.
     """
     rows = np.flatnonzero(status == TrajStatus.ACTIVE)
     if rows.size == 0:
@@ -181,30 +182,18 @@ def _rk4_step(q: np.ndarray, status: np.ndarray, w: MaskedVectorField,
         _retire(status, rows, ok, inside)
         return
     dof = q.shape[1]
-    ok, inside = np.ones(rows.size, dtype=bool), np.ones(rows.size, dtype=bool)
-    mid = 0.5 * (theta0 + theta1)
-    k = change = None  # change: the RK4 sum of the diff component
-    for h, theta, weight in ((0.0, theta0, 1.0), (0.5, mid, 2.0), (0.5, mid, 2.0),
-                             (1.0, theta1, 1.0)):
-        point = qa if k is None else qa + h * dt * k
-        if theta in (0.0, 1.0):  # at a frame: that frame's field alone
-            end = w.components[int(theta) * dof:(int(theta) + 1) * dof]
-            k, ok_s, in_s = interpolate_masked(MaskedVectorField(w.grid, w.rep, end, w.valid),
-                                               point)
-        else:
-            vals, ok_s, in_s = interpolate_masked(w, point)
-            k = (1.0 - theta) * vals[:, :dof] + theta * vals[:, dof:2 * dof]
-            if vals.shape[1] > 2 * dof:
-                bump = 4.0 * theta * (1.0 - theta)
-                k = k + bump * vals[:, 2 * dof:3 * dof]
-                part = (weight * bump) * vals[:, 3 * dof:]
-                change = part if change is None else change + part
-        ok &= ok_s
-        inside &= in_s
-        total = k if h == 0.0 else total + weight * k
+    w0, middle, w1 = (MaskedVectorField(w.grid, w.rep, w.components[lo * dof:hi * dof], w.valid)
+                      for lo, hi in ((0, 1), (2, 4), (1, 2)))
+    k1, ok1, in1 = interpolate_masked(w0, qa)
+    m2, ok2, in2 = interpolate_masked(middle, qa + 0.5 * dt * k1)  # (k2, diff)
+    m3, ok3, in3 = interpolate_masked(middle, qa + 0.5 * dt * m2[:, :dof])
+    k4, ok4, in4 = interpolate_masked(w1, qa + dt * m3[:, :dof])
+    ok, inside = ok1 & ok2 & ok3 & ok4, in1 & in2 & in3 & in4
     moved = ok & inside
+    total = k1 + 2.0 * m2[:, :dof] + 2.0 * m3[:, :dof] + k4
     q[rows[moved]] = (qa + (dt / 6.0) * total)[moved]
-    if error is not None and change is not None:
+    if error is not None:
+        change = 2.0 * m2[:, dof:] + 2.0 * m3[:, dof:]
         error[rows[moved]] += (dt / 6.0 * np.abs(change).max(axis=1))[moved]
     _retire(status, rows, ok, inside)
 
@@ -225,18 +214,15 @@ class EnsembleHistory:
     derived positions; for the guidance reference `p` is None and `x` holds
     the integrated positions. Status is recorded per frame; ACTIVE rows of
     the final frame are the statistically usable ensemble. `error_estimate`
-    is the largest row sum of the time-interpolation error estimate (`_Stepper`).
+    is the largest row sum of the time-interpolation error estimate, or None
+    where a non-zero field was lerped (`_Stepper`).
     """
 
     times: np.ndarray
     x: np.ndarray
     status: np.ndarray
     p: np.ndarray | None = None
-    error_estimate: float = 0.0
-
-    @property
-    def n_trajectories(self) -> int:
-        return self.x.shape[1]
+    error_estimate: float | None = 0.0
 
 
 def _readout_positions(
@@ -310,21 +296,20 @@ class _Stepper:
 
     `load(w)` takes the next block's velocity fields (frame axis first),
     stacks the fields of the frame intervals whose frames are now loaded, and
-    returns the frames they end at. For each in order, `advance()` runs the
-    active rows through its interval in RK4 substeps and returns the live
+    returns the frames they end at. For each in order, `advance()` takes the
+    active rows through its interval in one RK4 step and returns the live
     (q, status), whose rows the caller may still retire, and `record()`
     writes the history rows. With `cubic` and n >= 4 frames, interval g
     (frames g - 1, g) takes its midpoint from the cubic through frames
     g - 2 .. g + 1, kept within 0 .. n - 1, valid where all four frames are,
-    and its alternative from the cubic one frame earlier (later where none
-    precedes); so it waits for frame max(g + 1, 4). Otherwise it lerps.
+    and its diff from the cubic one frame earlier (later where none
+    precedes); so it waits for frame max(g + 1, 4). Otherwise its midpoint is
+    the lerp's, its diff 0, and a non-zero field leaves no error estimate.
     """
 
-    def __init__(self, q0: np.ndarray, frames: list[Frame], substeps: int, cubic: bool = True):
+    def __init__(self, q0: np.ndarray, frames: list[Frame], cubic: bool = True):
         if not frames:
             raise ConfigurationError("no frames to integrate over")
-        if substeps < 1:
-            raise ConfigurationError(f"substeps_per_frame must be >= 1, got {substeps}")
         grid = frames[0].psi_p.grid
         self.q = np.array(q0, dtype=float, ndmin=2)
         n, dof = self.q.shape
@@ -333,12 +318,11 @@ class _Stepper:
         size = max(1, BLOCK_POINTS // grid.size)
         self.blocks = [(lo, frames[lo:lo + size]) for lo in range(0, len(frames), size)]
         self.times = np.array([fr.time for fr in frames])
-        self.substeps = substeps
         self.cubic = cubic and len(frames) >= 4
         self.status = np.zeros(n, dtype=np.int8)
         self.q_hist = np.empty((len(frames), n, dof))
         self.status_hist = np.empty((len(frames), n), dtype=np.int8)
-        self.error = np.zeros(n)
+        self.error: np.ndarray | None = np.zeros(n)
         # (components, valid) of the loaded frames from frame self.base on
         self.window = np.empty((dof, 0) + grid.shape), np.empty((0,) + grid.shape, bool)
         self.base = 0
@@ -351,7 +335,7 @@ class _Stepper:
         ready = loaded if loaded == n or not self.cubic else (loaded - 1 if loaded > 4 else 1)
         self.first = max(self.f, 1)  # the frame the first built interval ends at
         g = np.arange(self.first, ready)
-        fields = [comps[:, g - 1 - base], comps[:, g - base]]
+        w0, w1 = comps[:, g - 1 - base], comps[:, g - base]
         ok = valid[g - 1 - base] & valid[g - base]
         if self.cubic:
             def midpoint(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -363,8 +347,12 @@ class _Stepper:
             start = np.clip(g - 2, 0, n - 4)
             (mid, ok), (other, ok_other) = midpoint(start), midpoint(
                 start if n == 4 else np.where(start > 0, start - 1, start + 1))
-            fields += [mid - 0.5 * (fields[0] + fields[1]), np.where(ok_other, mid - other, 0.0)]
-        self.pairs = MaskedVectorField(w.grid, w.rep, np.concatenate(fields), ok)
+            diff = np.where(ok_other, mid - other, 0.0)
+        else:
+            mid, diff = 0.5 * (w0 + w1), np.zeros_like(w0)
+            if w.components.any():  # a lerp's error goes unseen
+                self.error = None
+        self.intervals = MaskedVectorField(w.grid, w.rep, np.concatenate([w0, w1, mid, diff]), ok)
         # keep from the first frame a later interval reads
         self.base = max(0, min(ready - 3, n - 5)) if self.cubic else ready - 1
         self.window = comps[:, self.base - base:].copy(), valid[self.base - base:].copy()
@@ -373,17 +361,18 @@ class _Stepper:
     def advance(self) -> tuple[np.ndarray, np.ndarray]:
         f = self.f
         if f:
-            pair = _frames(self.pairs, f - self.first)
-            dt = (self.times[f] - self.times[f - 1]) / self.substeps
-            for s in range(self.substeps):
-                _rk4_step(self.q, self.status, pair, s / self.substeps, (s + 1) / self.substeps,
-                          dt, self.error)
+            _rk4_step(self.q, self.status, _frames(self.intervals, f - self.first),
+                      self.times[f] - self.times[f - 1], self.error)
         return self.q, self.status
 
     def record(self) -> None:
         self.q_hist[self.f] = self.q
         self.status_hist[self.f] = self.status
         self.f += 1
+
+    def history(self, x: np.ndarray, p: np.ndarray | None) -> EnsembleHistory:
+        error = None if self.error is None else float(self.error.max(initial=0.0))
+        return EnsembleHistory(self.times, x, self.status_hist, p, error)
 
 
 BlockHook = Callable[[FrameBlock, int, np.ndarray, np.ndarray, np.ndarray], None]
@@ -394,24 +383,21 @@ def integrate_epstein(
     potential: Potential,
     p_initial: np.ndarray,
     method: CurrentMethod = CurrentMethod.CLOSED_FORM,
-    substeps_per_frame: int = 1,
     on_block: BlockHook | None = None,
 ) -> EnsembleHistory:
     """Advance momentum-flow trajectories through a propagated frame sequence.
 
-    One RK4 step per frame interval (the default) is Simpson's rule over the
-    cubic in time (see `_Stepper`); substeps only resolve the field's weak
-    spatial variation (scripts/traj_convergence.py). A free particle's field
-    is zero: it takes the lerp and no look-ahead. Positions are read out at
-    every frame; a row that cannot be read out keeps its last position (NaN
-    before the first).
+    One RK4 step per frame interval is Simpson's rule over the cubic in time
+    (see `_Stepper`). A free particle's field is zero: it takes the lerp and
+    no look-ahead. Positions are read out at every frame; a row that cannot
+    be read out keeps its last position (NaN before the first).
 
     The frames' fields come in FrameBlocks of max(1, BLOCK_POINTS // grid size)
     frames. on_block(block, lo, p, x, status), when given, runs once the last
     frame of each block is recorded, with the index lo of its first frame and
     views of its frames' history rows, which it reads without changing.
     """
-    stepper = _Stepper(p_initial, frames, substeps_per_frame, not isinstance(potential, Free))
+    stepper = _Stepper(p_initial, frames, not isinstance(potential, Free))
     x = np.full(stepper.q_hist.shape, np.nan)
     pending = []  # (lo, block) of the blocks with frames still to record, oldest first
     for lo, run in stepper.blocks:
@@ -430,26 +416,22 @@ def integrate_epstein(
                              stepper.status_hist[rows])
                 del pending[0]
         oldest = None  # a recorded block is freed before the next one is built
-    return EnsembleHistory(stepper.times, x, stepper.status_hist, stepper.q_hist,
-                           float(stepper.error.max(initial=0.0)))
+    return stepper.history(x, stepper.q_hist)
 
 
 def integrate_dbb(
     frames: list[Frame],
     x_initial: np.ndarray,
     masses: float | tuple[float, ...] = 1.0,
-    substeps_per_frame: int = 1,
 ) -> EnsembleHistory:
     """Advance guidance-law trajectories through a propagated frame sequence,
     one velocity_field_dbb call per block of frames, as in integrate_epstein."""
-    stepper = _Stepper(x_initial, frames, substeps_per_frame)
+    stepper = _Stepper(x_initial, frames)
     for lo, run in stepper.blocks:
         psi_x = ComplexField(run[0].psi_x.grid, Representation.POSITION,
                              _frozen(np.stack([fr.psi_x.values for fr in run])),
                              stepper.times[lo:lo + len(run)])
-        recorded = stepper.load(velocity_field_dbb(psi_x, masses))
-        for _ in recorded:
+        for _ in stepper.load(velocity_field_dbb(psi_x, masses)):
             stepper.advance()
             stepper.record()
-    return EnsembleHistory(stepper.times, stepper.q_hist, stepper.status_hist, None,
-                           float(stepper.error.max(initial=0.0)))
+    return stepper.history(stepper.q_hist, None)

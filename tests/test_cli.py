@@ -65,6 +65,19 @@ def test_error_estimate_is_in_stats_and_repeats(tmp_path):
     assert estimates[0] == estimates[1]
 
 
+@pytest.mark.parametrize("name", ["superposition", "collapse"])
+def test_runs_of_fewer_than_four_frames_have_no_error_estimate(tmp_path, name):
+    # two frame intervals are three frames, too few for the cubic: the stepper
+    # lerps, which has no second interpolant, so a non-zero field's estimate
+    # is null; superposition's momentum flow runs in a zero field, exactly
+    code = run_cli("run", name, "--frames", "2", "--n", "200", "--seed", "42",
+                   "--out", str(tmp_path / name))
+    assert code == 0
+    stats = json.loads((tmp_path / name / "stats.json").read_text())
+    expected = {"dbb": None, "epstein": 0.0} if name == "superposition" else {"epstein": None}
+    assert stats["diagnostics"]["trajectory_error_estimate"] == expected
+
+
 def test_measurement_zero_dpe_exits_two(tmp_path, capsys):
     code = run_cli("run", "measurement", "--dpe", "0", "--n", "200",
                    "--out", str(tmp_path / "m"))

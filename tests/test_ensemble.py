@@ -189,7 +189,7 @@ def test_rho_histogram_free_t0_all_mass_at_origin(grid_wide):
     psi = gaussian_state(grid_wide)
     frames = collect_frames(psi, Free(), PropagatorConfig(dt=1e-3, steps_per_frame=1), 1)
     p0 = sample_momenta(frames[0].psi_p, 2000, 0)
-    hist = integrate_epstein(frames, Free(), p0, substeps_per_frame=1)
+    hist = integrate_epstein(frames, Free(), p0)
     (edges,), density = rho_histogram(hist.x[0], bins=200, bounds=[(-40.0, 40.0)])
     centers = 0.5 * (edges[:-1] + edges[1:])
     width = edges[1] - edges[0]
@@ -205,7 +205,7 @@ def test_rho_histogram_change_of_variables(grid_wide):
                             PropagatorConfig(dt=1e-3, steps_per_frame=1000), 5000)
     n = 20_000
     p0 = sample_momenta(frames[0].psi_p, n, 1)
-    hist = integrate_epstein(frames, Free(), p0, substeps_per_frame=10)
+    hist = integrate_epstein(frames, Free(), p0)
     bins = 100
     (edges,), density = rho_histogram(hist.x[-1], bins=bins, bounds=[(-40.0, 40.0)])
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -305,7 +305,7 @@ def test_equivariance_linear_translation(grid512):
     frames = collect_frames(psi, pot, PropagatorConfig(dt=1e-3, steps_per_frame=100), 1000)
     n = 10_000
     p0 = sample_momenta(frames[0].psi_p, n, seed=11)
-    hist = integrate_epstein(frames, pot, p0, substeps_per_frame=100)
+    hist = integrate_epstein(frames, pot, p0)
     for f in (0, 5, 10):
         res = equivariance_check(hist.p[f], frames[f].psi_p)["p0"]
         assert res["passed"], (f, res["statistic"], res["band"])

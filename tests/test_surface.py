@@ -21,7 +21,7 @@ TEST_ONLY = {
         "the momentum-operator route that tests check interaction_source against",
     "spectral_laplacian": "tests check the spectral derivatives against it",
     "read_field_csv": "tests read the field CSV artifacts back through it",
-    "total_energy": "ROADMAP item 1 reports per-frame energy drift with it",
+    "total_energy": "ROADMAP item 5 reports per-frame energy drift with it",
 }
 
 

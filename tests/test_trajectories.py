@@ -25,7 +25,6 @@ from momtraj.grid import (GridAxis, GridSpec, MaskedVectorField, grid_1d, grid_2
 from momtraj.grid import to_position
 from momtraj.states import coherent_state, gaussian_state, superposition_state
 from momtraj.scenarios import _grid_checks
-from momtraj.errors import ConfigurationError
 from momtraj.trajectories import (
     FrameBlock,
     TrajStatus,
@@ -50,10 +49,17 @@ def momentum_state(grid, sigma=1.0, x0=0.0, p0=0.0, time=0.0):
 
 
 def _endpoints(w0, w1):
-    """An interval's end fields stacked as `_rk4_step` reads them: w0's
-    components, then w1's, valid where both are."""
+    """Two fields stacked as one: w0's components, then w1's, valid where both are."""
     return MaskedVectorField(w0.grid, w0.rep, np.concatenate([w0.components, w1.components]),
                              w0.valid & w1.valid)
+
+
+def lerp_interval(w0, w1):
+    """An interval's fields as `_rk4_step` reads them where the stepper lerps:
+    w0, w1, their mean and a zero diff, valid where both ends are."""
+    mid = 0.5 * (w0.components + w1.components)
+    return MaskedVectorField(w0.grid, w0.rep, np.concatenate(
+        [w0.components, w1.components, mid, np.zeros_like(mid)]), w0.valid & w1.valid)
 
 
 # -- interpolation ------------------------------------------------------------------
@@ -226,8 +232,7 @@ def read_x(phi, p, x_before=0.0):
 
 def test_step_epstein_free_is_exact(grid512):
     phi = momentum_state(grid512)
-    hist = integrate_epstein(fixed_frames(phi, 1.0), Free(), np.array([[1.25]]),
-                             substeps_per_frame=100)
+    hist = integrate_epstein(fixed_frames(phi, 1.0), Free(), np.array([[1.25]]))
     assert hist.p[-1, 0, 0] == 1.25
     assert hist.status[-1][0] == TrajStatus.ACTIVE
 
@@ -236,15 +241,13 @@ def test_step_epstein_linear_constant_force(grid512):
     # w = j / rho = -c everywhere: RK4 is exact for the constant field
     c = 2.0
     phi = momentum_state(grid512)
-    hist = integrate_epstein(fixed_frames(phi, 1.0), Linear(c), np.array([[0.5]]),
-                             substeps_per_frame=1000)
+    hist = integrate_epstein(fixed_frames(phi, 1.0), Linear(c), np.array([[0.5]]))
     assert abs(hist.p[-1, 0, 0] - (0.5 - c * 1.0)) <= 1e-8
 
 
 def test_step_epstein_harmonic_ground_frozen_momentum(grid512):
     phi = momentum_state(grid512)  # real profile
-    hist = integrate_epstein(fixed_frames(phi, 1.0), Harmonic(1.0, 1.0), np.array([[0.8]]),
-                             substeps_per_frame=100)
+    hist = integrate_epstein(fixed_frames(phi, 1.0), Harmonic(1.0, 1.0), np.array([[0.8]]))
     assert abs(hist.p[-1, 0, 0] - 0.8) <= 1e-10
     assert abs(hist.x[-1, 0, 0]) <= 1e-9
 
@@ -257,7 +260,7 @@ def test_step_epstein_leaves_grid(grid512):
     p_edge = grid512.momenta(0)[-1]
     # Linear(-5): w = +5 pushes p upward
     hist = integrate_epstein(fixed_frames(flat, 0.1), Linear(-5.0),
-                             np.array([[p_edge - 1e-3]]), substeps_per_frame=10)
+                             np.array([[p_edge - 1e-3]]))
     assert hist.status[-1][0] == TrajStatus.LEFT_GRID
     assert hist.p[-1, 0, 0] <= p_edge  # retired in place, not extrapolated
 
@@ -308,7 +311,7 @@ def test_step_dbb_plane_wave_velocity(grid512):
 
 def test_step_dbb_symmetric_center_is_fixed(grid512):
     psi = gaussian_state(grid512, sigma=1.0)
-    hist = integrate_dbb(fixed_frames(psi, 0.5), np.array([[0.0]]), substeps_per_frame=50)
+    hist = integrate_dbb(fixed_frames(psi, 0.5), np.array([[0.0]]))
     assert abs(hist.x[-1, 0, 0]) <= 1e-12
 
 
@@ -321,13 +324,13 @@ def test_dbb_trajectories_never_cross_epstein_do(grid_wide):
     frames = collect_frames(psi, pot, PropagatorConfig(dt=1e-3, steps_per_frame=50), 1000)
 
     x0 = np.linspace(-2.0, 2.0, 41)[:, None]
-    dbb = integrate_dbb(frames, x0, substeps_per_frame=50)
+    dbb = integrate_dbb(frames, x0)
     order0 = np.argsort(dbb.x[0, :, 0])
     for f in range(len(frames)):
         assert np.array_equal(np.argsort(dbb.x[f, :, 0], kind="stable"), order0)
 
     p0 = np.linspace(-2.0, 2.0, 41)[:, None]
-    eps = integrate_epstein(frames, pot, p0, substeps_per_frame=50)
+    eps = integrate_epstein(frames, pot, p0)
     # distinct momenta share x = 0 at t = 0 (crossing), then fan out
     assert np.abs(eps.x[0, :, 0]).max() <= 1e-8
     assert np.std(eps.x[-1, :, 0]) > 0.5
@@ -337,7 +340,7 @@ def test_epstein_history_readout_consistency(grid_wide):
     psi = gaussian_state(grid_wide, sigma=1.0)
     frames = collect_frames(psi, Free(), PropagatorConfig(dt=1e-3, steps_per_frame=100), 500)
     p0 = np.array([[0.5], [1.0], [-1.5]])
-    hist = integrate_epstein(frames, Free(), p0, substeps_per_frame=100)
+    hist = integrate_epstein(frames, Free(), p0)
     for f, fr in enumerate(frames):
         xf = local_position_field(fr.psi_p)
         vals, ok, inside = interpolate_masked(xf, hist.p[f])
@@ -348,7 +351,7 @@ def test_epstein_history_readout_consistency(grid_wide):
 def test_trajectory_views_carry_history(grid_wide):
     psi = gaussian_state(grid_wide, sigma=1.0)
     frames = collect_frames(psi, Free(), PropagatorConfig(dt=1e-3, steps_per_frame=100), 300)
-    hist = integrate_epstein(frames, Free(), np.array([[1.0]]), substeps_per_frame=100)
+    hist = integrate_epstein(frames, Free(), np.array([[1.0]]))
     assert len(hist.times) == len(hist.p) == len(hist.x) == len(frames)
     assert hist.times[-1] == pytest.approx(0.3)
     assert hist.p[-1, 0, 0] == pytest.approx(1.0)
@@ -363,7 +366,7 @@ def test_node_freeze_counted_on_commensurate_fringes():
                             PropagatorConfig(dt=1e-3, steps_per_frame=10), 10)
     rng = np.random.default_rng(7)
     p0 = rng.uniform(-2.0, 2.0, size=(500, 1))
-    hist = integrate_epstein(frames, Free(), p0, substeps_per_frame=10)
+    hist = integrate_epstein(frames, Free(), p0)
     assert np.sum(hist.status[-1] == TrajStatus.FROZEN_AT_NODE) > 0
     frozen = hist.status[-1] == TrajStatus.FROZEN_AT_NODE
     active = hist.status[-1] == TrajStatus.ACTIVE
@@ -376,12 +379,12 @@ def test_batch_momenta_leaving_the_grid_stay_retired():
     # with it, so the low momenta run off the lower edge of the grid (the
     # boundary check, which would stop the propagation, is off on purpose)
     grid = grid_1d(128, 40.0)
-    c, dt = 10.0, 1e-3
+    c = 10.0
     pot = Linear(c)
-    prop = PropagatorConfig(dt=dt, steps_per_frame=50, check_boundary=False)
+    prop = PropagatorConfig(dt=1e-3, steps_per_frame=50, check_boundary=False)
     frames = collect_frames(gaussian_state(grid, sigma=0.5), pot, prop, 500)
     p0 = np.linspace(-9.5, 2.0, 24)[:, None]
-    hist = integrate_epstein(frames, pot, p0, substeps_per_frame=50)
+    hist = integrate_epstein(frames, pot, p0)
     left = hist.status == TrajStatus.LEFT_GRID
     gone = left[-1]
     assert 0 < gone.sum() < len(p0)
@@ -391,8 +394,8 @@ def test_batch_momenta_leaving_the_grid_stay_retired():
         first = int(np.argmax(left[:, i]))
         assert first > 0 and left[first:, i].all()
         assert np.all(hist.p[first:, i] == hist.p[first, i])
-        # retired in place on the grid, within one step of the edge
-        assert p_min <= hist.p[first, i, 0] <= p_min + c * dt + 1e-12
+        # retired in place on the grid, within one step (a frame interval) of the edge
+        assert p_min <= hist.p[first, i, 0] <= p_min + c * (hist.times[1] - hist.times[0]) + 1e-12
     kept = ~gone
     expected = p0[kept, 0] - c * hist.times[-1]
     assert np.abs(hist.p[-1, kept, 0] - expected).max() <= 1e-8
@@ -403,34 +406,31 @@ def test_harmonic_coherent_classical_force_small(grid512):
     psi = coherent_state(grid512, 2.0)
     frames = collect_frames(psi, pot, PropagatorConfig(dt=1e-3, steps_per_frame=10), 1000)
     p0 = np.array([[0.3], [-0.9], [1.4]])
-    hist = integrate_epstein(frames, pot, p0, substeps_per_frame=10)
+    hist = integrate_epstein(frames, pot, p0)
     dtf = hist.times[1] - hist.times[0]
     dpdt = (hist.p[2:, :, 0] - hist.p[:-2, :, 0]) / (2 * dtf)
     resid = np.abs(dpdt + hist.x[1:-1, :, 0])
     assert resid.max() <= 1e-4
 
 
-# One RK4 step per frame interval: the stages read the velocity field's cubic
-# in time, which RK4 integrates as Simpson's rule, so finer substeps only
-# resolve its spatial variation.
-ONE_STEP_CASES = [
-    pytest.param(Harmonic(1.0, 1.0), lambda g: coherent_state(g, 2.0), id="harmonic"),
-    pytest.param(Linear(2.0), lambda g: gaussian_state(g, sigma=1.0), id="linear"),
-]
-
-
-@pytest.mark.parametrize("method", list(CurrentMethod))
-@pytest.mark.parametrize("pot, state", ONE_STEP_CASES)
-def test_one_step_per_frame_matches_a_finer_run(grid512, pot, state, method):
-    frames = collect_frames(state(grid512), pot, PropagatorConfig(dt=1e-3, steps_per_frame=10),
-                            300)
-    p0 = sample_momenta(frames[0].psi_p, 500, 3)
-    one = integrate_epstein(frames, pot, p0, method, substeps_per_frame=1)
-    fine = integrate_epstein(frames, pot, p0, method, substeps_per_frame=4)
-    assert np.array_equal(one.status, fine.status)
-    assert (one.status == TrajStatus.ACTIVE).all()
-    assert np.abs(one.p - fine.p).max() <= 1e-12
-    assert np.abs(one.x - fine.x).max() <= 1e-12
+def test_momentum_flow_of_psi_is_the_guidance_flow_of_its_momentum_wavefunction():
+    # x <-> p duality: under V = x^2 / 2 (m = w = hbar = 1) the Schrodinger
+    # equation for psi~(p, t) has the position-space form, so on a self-dual
+    # grid (dx = dp) psi~ relabelled as a position wavefunction phi
+    # propagates as phi(x, t), and psi's momentum-flow trajectories p(t) are
+    # phi's guidance trajectories x(t), with either current
+    grid = grid_1d(512, np.sqrt(2 * np.pi * 512))
+    pot = Harmonic(1.0, 1.0)
+    prop = PropagatorConfig(dt=np.pi / 3200, steps_per_frame=10)
+    frames = collect_frames(coherent_state(grid, 2.0), pot, prop, 3200)
+    phi = ComplexField(grid, Representation.POSITION, frames[0].psi_p.values)
+    p0 = sample_momenta(frames[0].psi_p, 300, 8)
+    dbb = integrate_dbb(collect_frames(phi, pot, prop, 3200), p0)
+    assert (dbb.status == TrajStatus.ACTIVE).all()
+    for method in CurrentMethod:
+        eps = integrate_epstein(frames, pot, p0, method)
+        assert (eps.status == TrajStatus.ACTIVE).all()
+        assert np.abs(eps.p - dbb.x).max() <= 1e-6, method
 
 
 def test_rows_do_not_depend_on_the_batch(grid512):
@@ -465,14 +465,14 @@ def test_error_estimate_shrinks_with_the_frame_spacing(grid512):
 
 
 def test_zero_field_step_equals_the_four_stage_step(grid512, monkeypatch):
-    # a zero endpoint pair takes the one-stencil short circuit; the same pair
-    # with one node far from every row nudged takes the four stages, which
-    # read zero at every row, so both must agree bit for bit
+    # a zero interval takes the one-stencil short circuit; the same interval
+    # with one node of w1 far from every row nudged takes the four stages,
+    # which read zero at every row, so both must agree bit for bit
     p = grid512.momenta(0)
     valid = np.ones(512, bool)
     valid[300] = False
-    zero = _endpoints(*(MaskedVectorField(grid512, Representation.MOMENTUM,
-                                          np.zeros((1, 512)), valid) for _ in range(2)))
+    zero = lerp_interval(*(MaskedVectorField(grid512, Representation.MOMENTUM,
+                                             np.zeros((1, 512)), valid) for _ in range(2)))
     nudged_comps = zero.components.copy()
     nudged_comps[1, 100] = 1.0
     nudged = MaskedVectorField(grid512, Representation.MOMENTUM, nudged_comps, zero.valid)
@@ -486,14 +486,14 @@ def test_zero_field_step_equals_the_four_stage_step(grid512, monkeypatch):
     monkeypatch.setattr(momtraj.trajectories, "interpolate_masked",
                         lambda w, q: calls.append(w) or interp(w, q))
     results = {}
-    for name, pair in (("zero", zero), ("nudged", nudged)):
+    for name, interval in (("zero", zero), ("nudged", nudged)):
         q = q0.copy()
         status = np.zeros(len(q), np.int8)
         status[3] = TrajStatus.FROZEN_AT_NODE  # retired rows are left alone
         counts = []
-        for theta0, theta1 in ((0.25, 0.5), (0.5, 0.75)):
+        for _ in range(2):
             calls.clear()
-            _rk4_step(q, status, pair, theta0, theta1, 0.015)
+            _rk4_step(q, status, interval, 0.015, None)
             counts.append(len(calls))
         results[name] = (q.tobytes(), status.tobytes(), counts)
     assert results["zero"][:2] == results["nudged"][:2]
@@ -515,9 +515,9 @@ CUBIC_MIDPOINT = {-3: (-5, 21, -35, 35), -2: (1, -5, 15, 5), -1: (-1, 9, 9, -1),
 
 def reference_interval(velocity, n, g):
     """Interval g's fields built on their own from the frames' velocity fields:
-    (w0, w1, cubic midpoint - lerp midpoint, cubic midpoint - alternative), the
-    cubic through frames g-2..g+1 kept inside the run, the alternative's one
-    frame earlier, or later where no frame precedes."""
+    (w0, w1, cubic midpoint, cubic midpoint - alternative), the cubic through
+    frames g-2..g+1 kept inside the run, the alternative's one frame earlier,
+    or later where no frame precedes."""
     w0, w1 = velocity(g - 1), velocity(g)
     start = min(max(g - 2, 0), n - 4)
     alt = start - 1 if start > 0 else start + 1
@@ -529,12 +529,11 @@ def reference_interval(velocity, n, g):
                 np.logical_and.reduce([fld.valid for fld in fields]))
 
     (mid, ok), (other, ok_other) = cubic(start), cubic(alt)
-    comps = [w0.components, w1.components, mid - 0.5 * (w0.components + w1.components),
-             np.where(ok_other, mid - other, 0.0)]
+    comps = [w0.components, w1.components, mid, np.where(ok_other, mid - other, 0.0)]
     return MaskedVectorField(w0.grid, w0.rep, np.concatenate(comps), ok)
 
 
-def assert_history_equals_the_per_interval_reference(hist, velocity, substeps, cubic=True):
+def assert_history_equals_the_per_interval_reference(hist, velocity, cubic=True):
     """Every interval stepped on its own, from the history rows at its first
     frame, lands on the history rows at its last, and the per-row sums of
     the estimate's increments give the reported estimate, all bit for bit."""
@@ -543,18 +542,15 @@ def assert_history_equals_the_per_interval_reference(hist, velocity, substeps, c
     error = np.zeros(q_hist.shape[1])
     for g in range(1, n):
         w = (reference_interval(velocity, n, g) if cubic
-             else _endpoints(velocity(g - 1), velocity(g)))
+             else lerp_interval(velocity(g - 1), velocity(g)))
         q, status = q_hist[g - 1].copy(), hist.status[g - 1].copy()
-        dt = (hist.times[g] - hist.times[g - 1]) / substeps
-        for s in range(substeps):
-            _rk4_step(q, status, w, s / substeps, (s + 1) / substeps, dt, error)
+        _rk4_step(q, status, w, hist.times[g] - hist.times[g - 1], error)
         assert q.tobytes() == q_hist[g].tobytes()
     assert hist.error_estimate == float(error.max())
 
 
-@pytest.mark.parametrize("case, substeps", [
-    ("harmonic-130", 1), ("harmonic-130", 3), ("free", 1), ("leaving", 2), ("2d", 1)])
-def test_block_estimate_equals_the_per_interval_reference(case, substeps):
+@pytest.mark.parametrize("case", ["harmonic-130", "free", "leaving", "2d"])
+def test_block_estimate_equals_the_per_interval_reference(case):
     # 1d: 130 frames of 512 points come in blocks of 64, 64 and 2; 2d: one
     # 256 x 256 frame per block
     if case == "harmonic-130":
@@ -578,10 +574,10 @@ def test_block_estimate_equals_the_per_interval_reference(case, substeps):
         frames = collect_frames(gaussian_state(grid_2d(256, 40.0), sigma=1.0, center=(1.0, -0.5)),
                                 pot, PropagatorConfig(dt=1e-3, steps_per_frame=10), 40)
         p0 = sample_momenta(frames[0].psi_p, 200, 4)
-    hist = integrate_epstein(frames, pot, p0, substeps_per_frame=substeps)
+    hist = integrate_epstein(frames, pot, p0)
     block = FrameBlock(frames, pot, CurrentMethod.CLOSED_FORM)
     assert_history_equals_the_per_interval_reference(
-        hist, lambda f: _frames(block.velocity, f), substeps, cubic=case != "free")
+        hist, lambda f: _frames(block.velocity, f), cubic=case != "free")
     if case == "free":
         assert hist.error_estimate == 0.0
     else:
@@ -594,27 +590,16 @@ def test_block_estimate_equals_the_per_interval_reference(case, substeps):
 
 
 def test_block_estimate_equals_the_per_interval_reference_dbb():
-    # the guidance law at 20 substeps, its velocity one call per block
+    # the guidance law, its velocity one call per block
     sup = superposition_state(grid_1d(512, 40.0), 5.0)
     frames = collect_frames(sup.field, Free(), PropagatorConfig(dt=1e-3, steps_per_frame=20),
                             2000)
     x0 = np.linspace(-3.0, 3.0, 300)[:, None]
-    hist = integrate_dbb(frames, x0, substeps_per_frame=20)
+    hist = integrate_dbb(frames, x0)
     assert len(frames) == 101
     assert_history_equals_the_per_interval_reference(
-        hist, lambda f: velocity_field_dbb(frames[f].psi_x), 20)
+        hist, lambda f: velocity_field_dbb(frames[f].psi_x))
     assert hist.error_estimate > 0.0
-
-
-@pytest.mark.parametrize("substeps", [0, -1])
-def test_substeps_below_one_are_rejected(grid512, substeps):
-    frames = collect_frames(coherent_state(grid512, 2.0), Harmonic(1.0, 1.0),
-                            PropagatorConfig(dt=1e-3, steps_per_frame=10), 20)
-    with pytest.raises(ConfigurationError, match="substeps_per_frame must be >= 1"):
-        integrate_epstein(frames, Harmonic(1.0, 1.0), np.array([[0.5]]),
-                          substeps_per_frame=substeps)
-    with pytest.raises(ConfigurationError, match="substeps_per_frame must be >= 1"):
-        integrate_dbb(frames, np.array([[0.5]]), substeps_per_frame=substeps)
 
 
 def test_velocity_from_current_masks_nodes(grid512):
