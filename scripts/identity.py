@@ -33,12 +33,15 @@ import os
 import shutil
 import subprocess
 import sys
-import tarfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+import revtree  # noqa: E402
+
+ROOT = revtree.ROOT
 SCRATCH = ROOT / ".identity"
 
 CATALOG = ("collapse", "free-particle", "harmonic-coherent", "linear-drift", "macroscopic",
@@ -186,22 +189,15 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("rev", help="the git revision to compare the working tree against")
     ap.add_argument("--tol", type=float, help="accept numeric differences within this bound")
     args = ap.parse_args(argv)
-    commit = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{args.rev}^{{commit}}"],
-                            cwd=ROOT, capture_output=True, text=True)
-    if commit.returncode:
-        print(f"identity: not a commit: {args.rev}", file=sys.stderr)
-        return 2
     ref_tree = SCRATCH / "ref"
     shutil.rmtree(SCRATCH, ignore_errors=True)
-    ref_tree.mkdir(parents=True)
+    try:
+        revtree.extract(args.rev, ref_tree)
+    except ValueError as exc:
+        print(f"identity: {exc}", file=sys.stderr)
+        return 2
     ok = True
     try:
-        archive = subprocess.Popen(["git", "archive", "--format=tar", commit.stdout.strip()],
-                                   cwd=ROOT, stdout=subprocess.PIPE)
-        with tarfile.open(fileobj=archive.stdout, mode="r|") as tar:
-            tar.extractall(ref_tree, filter="data")
-        if archive.wait():
-            raise RuntimeError(f"git archive {args.rev} failed")
         print(f"src/momtraj/*.py: {source_lines(ref_tree)} lines at {args.rev}, "
               f"{source_lines(ROOT)} in the working tree")
         for i, (label, cmd) in enumerate(COMMANDS):

@@ -6,7 +6,8 @@ the cumulative cell masses in row-major order, and the point is placed
 uniformly inside that cell. Sampling is reproducible bit-for-bit for a fixed
 (seed, state, N).
 
-The suite checks, per frame:
+The suite checks every frame, the moment and equivariance checks a block of
+frames per call, each frame over its active rows:
 * the position expectation identity  mean(x_i) ~ <x_hat>  within 4 sigma_hat/sqrt(N),
 * the spread inequality              std(x_i) <= sigma_hat (1 + 4/sqrt(N)),
 * the exact second-moment identity   <x^2> = <x_hat^2> - hbar^2 * int (d|psi~|/dp)^2 dp
@@ -15,9 +16,10 @@ The suite checks, per frame:
   Kolmogorov-Smirnov statistic below the 99% band 1.63/sqrt(N),
 * macrostate occupancy frequencies with binomial standard errors.
 
-Each check returns plain dicts keyed as the frame rows of stats.json, which
-store them as they come (numpy leftovers are converted when the file is
-written); the suite reads its pass flags and worst cases from the same keys.
+Each check returns plain dicts (one per frame for a block) keyed as the
+frame rows of stats.json, which store them as they come (numpy leftovers are
+converted when the file is written); the suite reads its pass flags and worst
+cases from the same keys.
 """
 
 from __future__ import annotations
@@ -100,28 +102,37 @@ def ks_band(n: int, coefficient: float = KS_BAND_99) -> float:
     return float(coefficient / np.sqrt(n))
 
 
-def _grid_cdf_interp(density: np.ndarray, edges: np.ndarray, x: np.ndarray) -> np.ndarray:
-    w = np.clip(density, 0.0, None)
-    masses = w * np.diff(edges)
-    cdf_edges = np.concatenate([[0.0], np.cumsum(masses)])
-    cdf_edges /= cdf_edges[-1]
-    return np.interp(x, edges, cdf_edges)
+def _ks_rows(values: np.ndarray, active: np.ndarray, xp: np.ndarray,
+             cdf: np.ndarray) -> np.ndarray:
+    """KS distance max(D+, D-) per frame of the active `values` against `cdf` (normalized
+    here, in place) on the points `xp`; a retired row sorts last as +inf, uncounted."""
+    f = np.where(active, values, np.inf)
+    f.sort(axis=-1)
+    for row, ref in zip(f, cdf):
+        ref /= ref[-1]
+        row[:] = np.interp(row, xp, ref)
+    i, n = np.arange(f.shape[-1]), active.sum(axis=-1, keepdims=True)
+    live, count = i < n, np.maximum(n, 1)
+    d = np.divide(i + 1, count)
+    d -= f
+    d_plus = np.max(d, axis=-1, where=live, initial=-np.inf)
+    np.subtract(f, np.divide(i, count, out=d), out=d)
+    return np.maximum(d_plus, np.max(d, axis=-1, where=live, initial=-np.inf))
 
 
-def _ks_distance(f: np.ndarray) -> float:
-    """max(D+, D-) of n sorted samples whose reference CDF values are `f`."""
-    n = len(f)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+def ks_statistic(samples: np.ndarray, density: np.ndarray, edges: np.ndarray,
+                 active: np.ndarray | None = None) -> float | np.ndarray:
+    """One-sample KS distance of samples against the piecewise-linear grid CDF; with a
+    frame axis first on samples and density, one per frame over the `active` rows."""
+    q = np.atleast_2d(np.asarray(samples, dtype=float))
+    masses = np.clip(np.atleast_2d(density), 0.0, None) * np.diff(edges)
+    cdf = np.concatenate([np.zeros((len(masses), 1)), np.cumsum(masses, axis=-1)], axis=-1)
+    d = _ks_rows(q, np.ones(q.shape, bool) if active is None else active, edges, cdf)
+    return d if np.ndim(samples) > 1 else float(d[0])
 
 
-def ks_statistic(samples: np.ndarray, density: np.ndarray, edges: np.ndarray) -> float:
-    """One-sample KS distance of samples against the piecewise-linear grid CDF."""
-    s = np.sort(np.asarray(samples, dtype=float))
-    return _ks_distance(_grid_cdf_interp(density, edges, s))
-
-
-def equivariance_check(samples: np.ndarray, psi: ComplexField) -> dict[str, dict]:
+def equivariance_check(samples: np.ndarray, psi: ComplexField,
+                       active: np.ndarray | None = None) -> dict[str, dict] | list:
     """KS of propagated points against |psi(.,t)|^2 in psi's representation:
     {label: {"statistic", "band", "passed"}}, for momenta the `ks` entry of a
     stats.json frame row.
@@ -130,21 +141,29 @@ def equivariance_check(samples: np.ndarray, psi: ComplexField) -> dict[str, dict
     1d, the density itself). 2d adds the radial CDF (the full 2d KS is not
     used); the radial reference is refined 4x per axis so its quantization
     bias is far below the band.
+
+    A block of frames (psi with a frame axis) takes samples (B, N, dof) and
+    an `active` (B, N) mask, and gives one record per frame: that frame's
+    active rows' record, bit for bit, or None where no row is active.
     """
     grid, rep = psi.grid, psi.rep
-    rho = psi.density()
-    q = np.atleast_2d(samples)
-    band = ks_band(q.shape[0])
+    block = psi.values.ndim > grid.dof
+    rho = psi.density() if block else psi.density()[None]
+    q = np.asarray(samples) if block else np.atleast_2d(samples)[None]
+    active = np.ones(q.shape[:2], bool) if active is None else np.atleast_2d(active)
     prefix = "p" if rep is Representation.MOMENTUM else "x"
     stats = {}
     for a in range(grid.dof):
         others = tuple(b for b in range(grid.dof) if b != a)
-        marg = rho.sum(axis=others) * prod(grid.step(rep, b) for b in others)
-        stats[f"{prefix}{a}"] = ks_statistic(q[:, a], marg, _cell_edges(grid, rep, a))
+        marg = rho.sum(axis=tuple(1 + b for b in others)) * prod(grid.step(rep, b) for b in others)
+        stats[f"{prefix}{a}"] = ks_statistic(q[..., a], marg, _cell_edges(grid, rep, a),
+                                             active).tolist()
     if grid.dof == 2:
-        stats["radial"] = _radial_ks(q, rho, grid, rep)
-    return {label: {"statistic": d, "band": band, "passed": d <= band}
-            for label, d in stats.items()}
+        stats["radial"] = _radial_ks(q, active, rho, grid, rep).tolist()
+    bands = [ks_band(n) if n else None for n in active.sum(axis=-1).tolist()]
+    records = [{label: {"statistic": d[f], "band": band, "passed": d[f] <= band}
+                for label, d in stats.items()} if band else None for f, band in enumerate(bands)]
+    return records if block else records[0]
 
 
 @lru_cache(maxsize=8)
@@ -169,13 +188,12 @@ def _radial_order(grid: GridSpec, rep: Representation,
     return out
 
 
-def _radial_ks(q: np.ndarray, rho: np.ndarray, grid: GridSpec, rep: Representation,
-               refine: int = 4) -> float:
+def _radial_ks(q: np.ndarray, active: np.ndarray, rho: np.ndarray, grid: GridSpec,
+               rep: Representation, refine: int = 4) -> np.ndarray:
     r_sorted, cells = _radial_order(grid, rep, refine)
-    cdf = np.cumsum(rho.ravel()[cells] / refine**2)  # each sub-cell weighs 1/refine^2 of its cell
-    cdf /= cdf[-1]
-    r_samples = np.sort(np.sqrt(q[:, 0] ** 2 + q[:, 1] ** 2))
-    return _ks_distance(np.interp(r_samples, r_sorted, cdf))
+    # per frame; each sub-cell weighs 1/refine^2 of its cell
+    cdf = np.cumsum(rho.reshape(len(rho), -1)[:, cells] / refine**2, axis=-1)
+    return _ks_rows(np.sqrt(q[..., 0] ** 2 + q[..., 1] ** 2), active, r_sorted, cdf)
 
 
 # -- grid moments and the moment checks ----------------------------------------------
@@ -190,9 +208,6 @@ class GridMoments(NamedTuple):
     mean2: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
-
-    def frame(self, i: int) -> "GridMoments":
-        return GridMoments(*(m[:, i] for m in self))
 
 
 def grid_moments(psi_x: ComplexField, psi_p: ComplexField,
@@ -237,33 +252,35 @@ def moment_checks(
     x_samples: np.ndarray,
     grid: GridMoments,
     active: np.ndarray | None = None,
-) -> dict:
+) -> dict | list:
     """Expectation identity, spread inequality, and the quadrature second-moment identity
     of one frame, whose `grid_moments` are `grid`: the `moments` entry of a stats.json
-    frame row."""
-    xs = np.atleast_2d(x_samples)
-    if active is not None:
-        xs = xs[active]
-    n = xs.shape[0]
-    if n < 1:
-        raise ConfigurationError("moment checks need at least one active trajectory")
-    mean_grid, std_grid, mean2_grid, lhs, rhs = grid
-    mean_s = xs.mean(axis=0)
-    std_s = xs.std(axis=0)
-    band = 4.0 * std_grid / np.sqrt(n)
-    bound = std_grid * (1.0 + 4.0 / np.sqrt(n))
-    scale = np.maximum(np.abs(mean2_grid), 1e-30)
-    rel = float(np.max(np.abs(lhs - rhs) / scale))
+    frame row.
+
+    A block's `grid_moments` take samples (B, N, dof) and an `active` (B, N)
+    mask, and give one record per frame as `equivariance_check` does.
+    """
+    block = grid.mean.ndim > 1
+    xs = np.asarray(x_samples) if block else np.atleast_2d(x_samples)[None]
+    active = np.ones(xs.shape[:2], bool) if active is None else np.atleast_2d(active)
+    n = active.sum(axis=-1)
+    mean_s, std_s = xs.mean(axis=1), xs.std(axis=1)
+    for f in np.flatnonzero((n > 0) & (n < xs.shape[1])):  # retired rows drop out as before
+        mean_s[f], std_s[f] = xs[f][active[f]].mean(axis=0), xs[f][active[f]].std(axis=0)
+    mean_grid, std_grid, mean2_grid, lhs, rhs = (m.T if block else m[None] for m in grid)
+    root_n = np.sqrt(np.maximum(n, 1))[:, None]
+    band, bound = 4.0 * std_grid / root_n, std_grid * (1.0 + 4.0 / root_n)
+    rel = np.max(np.abs(lhs - rhs) / np.maximum(np.abs(mean2_grid), 1e-30), axis=-1)
     # per-axis values as lists: a row outlives its frame, and a list of one or two
     # floats takes less memory than an ndarray
-    return {
-        "mean_sample": mean_s.tolist(), "mean_grid": mean_grid.tolist(),
-        "mean_band": band.tolist(), "mean_ok": bool(np.all(np.abs(mean_s - mean_grid) <= band)),
-        "std_sample": std_s.tolist(), "std_grid": std_grid.tolist(),
-        "std_bound": bound.tolist(), "std_ok": bool(np.all(std_s <= bound)),
-        "second_moment_identity_rel_err": rel, "identity_ok": rel <= MOMENT_IDENTITY_TOL,
-        "n_used": n,
-    }
+    columns = {"mean_sample": mean_s, "mean_grid": mean_grid, "mean_band": band,
+               "mean_ok": np.all(np.abs(mean_s - mean_grid) <= band, axis=-1),
+               "std_sample": std_s, "std_grid": std_grid, "std_bound": bound,
+               "std_ok": np.all(std_s <= bound, axis=-1), "second_moment_identity_rel_err": rel,
+               "identity_ok": rel <= MOMENT_IDENTITY_TOL, "n_used": n}
+    records = [dict(zip(columns, row)) if row[-1] else None
+               for row in zip(*(c.tolist() for c in columns.values()))]
+    return records if block else records[0]
 
 
 # -- histograms and macrostates -------------------------------------------------------

@@ -33,7 +33,7 @@ from .ensemble import (
     sample_positions,
 )
 from .errors import ConfigurationError
-from .grid import ComplexField, GridSpec, grid_1d, grid_2d
+from .grid import ComplexField, GridSpec, Representation, grid_1d, grid_2d
 from .potentials import Free, Harmonic, Linear, Potential
 from .states import (
     gaussian_state,
@@ -221,13 +221,13 @@ class FrameSuite:
     """The statistical suite, fed each FrameBlock by the integrator once the
     trajectories have passed its frames.
 
-    `add` runs the block's grid-only checks in one batched call each, then
-    reads each frame of the block with its history rows, and keeps one stats
+    `add` checks a block at a time: the grid-only checks, equivariance,
+    moments and status counts take one call per block. It keeps one stats
     row per frame, which stores the checks' records as they come, and the
-    worst cases for `verdicts`, read from those records; `current` is the last
-    frame's current. `_simulate` sets `frames` and `ensemble`, and `result`
-    builds the RunResult. A Free potential's currents vanish, so it has no
-    cross-method check.
+    worst cases for `verdicts`, read from those records; `current` is the
+    last frame's current. `_simulate` sets `frames` and `ensemble`, and
+    `result` builds the RunResult. A Free potential's currents vanish, so it
+    has no cross-method check.
     """
 
     potential: Potential
@@ -250,36 +250,38 @@ class FrameSuite:
         history rows p, x and status."""
         self.current = block.current_at(-1)  # first, so that the previous one is freed early
         resids, dens, moments = _grid_checks(block, self.potential, self.config.mass)
+        active = status == TrajStatus.ACTIVE
+        ks_rows = equivariance_check(p, block.psi_p, active)
+        moment_rows = moment_checks(x, moments, active)
+        frozen = np.sum(status == TrajStatus.FROZEN_AT_NODE, axis=1).tolist()
+        left = np.sum(status == TrajStatus.LEFT_GRID, axis=1).tolist()
+        cross = not isinstance(self.potential, Free) and block.psi_p.grid.dof == 1
+        if cross:
+            jc = block.current_of(CurrentMethod.CLOSED_FORM).components[0]
+            jdiff = block.current_of(CurrentMethod.POISSON).components[0] - jc
         for f, fr in enumerate(block.frames):
-            active = status[f] == TrajStatus.ACTIVE
             x_mass, p_mass = fr.boundary_mass
-            row: dict = {
-                "time": fr.time,
-                "boundary_mass_position": x_mass,
-                "boundary_mass_momentum": p_mass,
-                "frozen_count": int(np.sum(status[f] == TrajStatus.FROZEN_AT_NODE)),
-                "left_grid_count": int(np.sum(status[f] == TrajStatus.LEFT_GRID)),
-            }
-            if active.any():
-                row["ks"] = equivariance_check(p[f][active], fr.psi_p)
+            row: dict = {"time": fr.time, "boundary_mass_position": x_mass,
+                         "boundary_mass_momentum": p_mass, "frozen_count": frozen[f],
+                         "left_grid_count": left[f]}
+            if ks_rows[f] is not None:  # a frame with no active row has no ks or moments
+                row["ks"] = ks_rows[f]
                 for ks in row["ks"].values():
                     self.all_ks_ok &= ks["passed"]
                     self.worst_ks_margin = max(self.worst_ks_margin, ks["statistic"] / ks["band"])
-                row["moments"] = m = moment_checks(x[f], moments.frame(f), active)
+                row["moments"] = m = moment_rows[f]
                 self.all_moments_ok &= m["mean_ok"] and m["std_ok"] and m["identity_ok"]
                 self.worst_identity = max(self.worst_identity, m["second_moment_identity_rel_err"])
                 if self.regions:
-                    row["macrostate_occupancy"] = macrostate_frequencies(x[f], self.regions, active)
+                    row["macrostate_occupancy"] = macrostate_frequencies(x[f], self.regions,
+                                                                         active[f])
 
             resid, den = float(resids[f]), float(dens[f])
             row["continuity_residual"] = resid
             self.continuity_pairs.append((resid * den if den >= 1e-14 else resid, den))
 
-            if not isinstance(self.potential, Free) and fr.psi_p.grid.dof == 1:
-                jc = block.current_of(CurrentMethod.CLOSED_FORM).components[:, f]
-                jp = block.current_of(CurrentMethod.POISSON).components[:, f]
-                diff = float(np.linalg.norm(jp - jc))
-                den = float(np.linalg.norm(jc))
+            if cross:
+                diff, den = float(np.linalg.norm(jdiff[f])), float(np.linalg.norm(jc[f]))
                 self.cross_pairs.append((diff, den))
                 row["current_cross_method_rel"] = diff / den if den > 0 else 0.0
             self.rows.append(row)
@@ -419,13 +421,16 @@ def _run_superposition(config: ScenarioConfig, grid: GridSpec, potential: Potent
         x0 = sample_positions(suite.frames[0].psi_x, config.n_samples, config.seed)
         dens = ensembles["dbb"] = Ensemble(integrate_dbb(suite.frames, x0, config.mass))
 
-        # both position sets against |psi(x, t)|^2 at every frame; the readout
+        # both position sets against |psi(x, t)|^2, one call per history; the readout
         # after t = 0, and only where two packets split |psi|^2 away from it
-        def ks(h: EnsembleHistory, f: int) -> float:
-            return equivariance_check(h.x[f][h.status[f] == TrajStatus.ACTIVE],
-                                      suite.frames[f].psi_x)["x0"]["statistic"]
+        psi_x = ComplexField(grid, Representation.POSITION,
+                             np.stack([fr.psi_x.values for fr in suite.frames]), hist.times)
 
-        guidance_ks = [ks(dens.history, f) for f in range(len(suite.frames))]
+        def ks(h: EnsembleHistory) -> list[float]:
+            return [r["x0"]["statistic"] for r in
+                    equivariance_check(h.x, psi_x, h.status == TrajStatus.ACTIVE)]
+
+        guidance_ks = ks(dens.history)
         if config.a != 0:  # at a = 0 there are no two packets to split between
             a = abs(config.a)  # the state is symmetric in a
             half = a / 2.0
@@ -440,7 +445,7 @@ def _run_superposition(config: ScenarioConfig, grid: GridSpec, potential: Potent
                         "guidance-model positions split between the shifted packets",
                         "max deviation of the +-a region frequencies from 1/2 at t=0")
             )
-            nearest = min(ks(hist, f) for f in range(1, len(suite.frames)))
+            nearest = min(ks(hist)[1:])
             margin = min(CONTRAST_BANDS * ks_band(config.n_samples), CONTRAST_KS_CAP)
             verdicts.append(
                 Verdict("readout-contrast", nearest >= margin, nearest, margin,
@@ -471,9 +476,8 @@ def _run_macroscopic(config: ScenarioConfig, grid: GridSpec, potential: Potentia
     ens = suite.ensemble
 
     verdicts = [_fringe_density_verdict(grid, suite.frames[0], config, sup.norm_factor)]
-    act0 = ens.history.status[0] == TrajStatus.ACTIVE
     if regions:
-        freqs = macrostate_frequencies(ens.history.x[0], regions, act0)
+        freqs = suite.rows[0]["macrostate_occupancy"]  # the suite's t = 0 occupancy
         occ = freqs["origin"]["frequency"]
         away = freqs["plus"]["frequency"] + freqs["minus"]["frequency"]
         verdicts += [
@@ -540,8 +544,7 @@ def _run_measurement(config: ScenarioConfig, grid: GridSpec, potential: Potentia
     mask = (term1 > 1e-10) | (term2 > 1e-10)
     dens_err = float(np.abs(suite.frames[0].psi_p.density() - pred)[mask].max())
 
-    act0 = ens.history.status[0] == TrajStatus.ACTIVE
-    freqs = macrostate_frequencies(ens.history.x[0], regions, act0)
+    freqs = suite.rows[0]["macrostate_occupancy"]  # the suite's t = 0 occupancy
     w1, w2 = ms.weights
     band1 = 4.0 * np.sqrt(w1 * (1 - w1) / config.n_samples)
     band2 = 4.0 * np.sqrt(w2 * (1 - w2) / config.n_samples)

@@ -311,3 +311,62 @@ def test_equivariance_linear_translation(grid512):
         assert res["passed"], (f, res["statistic"], res["band"])
     # and the samples really did translate by -c t
     assert np.abs(hist.p[-1] - (p0 - 2.0 * 1.0)).max() <= 1e-8
+
+
+# -- block checks ---------------------------------------------------------------------
+
+
+def _block_case(grid):
+    """Five frames (displaced, boosted packets) with their position and
+    momentum fields on a frame axis, samples (5, 300, dof) and a mask that
+    retires different rows in different frames, one row in frame 3 and every
+    row in frame 4. Retired rows hold NaN or points far below the grid, which
+    sort first where a mask is ignored."""
+    dof = grid.dof
+    psis = [gaussian_state(grid, sigma=1.0 + 0.1 * k, center=(0.3 * k,) * dof,
+                           boost=(0.5 - 0.2 * k,) * dof) for k in range(5)]
+    phis = [to_momentum(psi) for psi in psis]
+    times = np.arange(5.0)
+    psi_x, psi_p = (ComplexField(grid, fields[0].rep, np.stack([f.values for f in fields]), times)
+                    for fields in (psis, phis))
+    p = np.stack([sample_momenta(phi, 300, seed=k) for k, phi in enumerate(phis)])
+    x = np.stack([sample_positions(psi, 300, seed=10 + k) for k, psi in enumerate(psis)])
+    active = np.ones((5, 300), bool)
+    active[1, :50] = False
+    active[2, 100:250] = False
+    active[3] = np.arange(300) == 7
+    active[4] = False
+    for q in (p, x):
+        q[1, :50] = -1e3
+        q[2, 100:250] = np.nan
+    return psi_x, psi_p, p, x, active
+
+
+def _frame(field, f):
+    return ComplexField(field.grid, field.rep, field.values[f], field.time[f])
+
+
+@pytest.mark.parametrize("grid_name", ["grid512", "grid2d"])
+def test_block_records_equal_single_frame_records(request, grid_name):
+    grid = request.getfixturevalue(grid_name)
+    psi_x, psi_p, p, x, active = _block_case(grid)
+    moments = grid_moments(psi_x, psi_p)
+    ks = equivariance_check(p, psi_p, active)
+    mom = moment_checks(x, moments, active)
+    assert len(ks) == len(mom) == 5
+    assert ks[4] is None and mom[4] is None  # no active row: no record
+    for f in range(4):
+        assert list(ks[f]) == [f"p{a}" for a in range(grid.dof)] + ["radial"] * (grid.dof == 2)
+        one = ComplexField(grid, psi_p.rep, psi_p.values[f:f + 1], psi_p.time[f:f + 1])
+        moments_f = type(moments)(*(m[:, f] for m in moments))
+        # a block of one gives the same record, bit for bit
+        assert equivariance_check(p[f:f + 1], one, active[f:f + 1]) == [ks[f]]
+        assert moment_checks(x[f:f + 1], type(moments)(*(m[:, f:f + 1] for m in moments)),
+                             active[f:f + 1]) == [mom[f]]
+        # a retired row drops out as if its row were not there
+        kept = active[f]
+        assert equivariance_check(p[f][kept], _frame(psi_p, f)) == ks[f]
+        assert moment_checks(x[f][kept], moments_f) == mom[f]
+        assert mom[f]["n_used"] == kept.sum()
+        assert all(r["band"] == ks_band(int(kept.sum())) for r in ks[f].values())
+    assert equivariance_check(p[4][active[4]], _frame(psi_p, 4)) is None

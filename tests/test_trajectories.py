@@ -662,7 +662,7 @@ def _block_arrays(block, pot):
         out.append([block.grad[:, row], position.components, position.valid,
                     velocity.components, velocity.valid,
                     *(block.current_at(row, m).components for m in CurrentMethod),
-                    resid[row], den[row], *moments.frame(row)])
+                    resid[row], den[row], *(m[:, row] for m in moments)])
     return out
 
 
