@@ -9,18 +9,24 @@ potential factor diagonal in the position representation. The scheme is
 exactly unitary on the grid and second-order accurate in dt. For a free
 potential the kinetic phase alone is the exact propagator, so the loop skips
 the transforms entirely in that case.
+
+The steps run in place in one work buffer. Emitted states are gathered into
+blocks of max(1, BLOCK_POINTS // grid size) frames, the same blocks as the
+trajectories' FrameBlocks; each block takes one batched transform to position
+space and one boundary-mass call per representation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import BoundaryMassError, ConfigurationError, NormalizationError
 from .grid import (
+    BLOCK_POINTS,
     BOUNDARY_MASS_TOL,
     ComplexField,
     Representation,
@@ -50,17 +56,17 @@ class PropagatorConfig:
 
 @dataclass(frozen=True)
 class Frame:
-    """Immutable propagation snapshot delivered to frame subscribers."""
+    """Immutable propagation snapshot delivered to frame subscribers.
+
+    psi_x and psi_p are read-only rows of its emission block's arrays;
+    boundary_mass holds their boundary mass fractions, in that order.
+    """
 
     index: int
     time: float
     psi_x: ComplexField
     psi_p: ComplexField
-
-    @cached_property
-    def boundary_mass(self) -> tuple[float, float]:
-        """Boundary mass fractions of psi_x and psi_p, computed on first use."""
-        return boundary_mass_fraction(self.psi_x), boundary_mass_fraction(self.psi_p)
+    boundary_mass: tuple[float, float]
 
 
 FrameCallback = Callable[[Frame], None]
@@ -111,11 +117,15 @@ def _step_phases(grid, potential: Potential, masses: tuple[float, ...], dt: floa
     return kin, kin_half, pot_phase
 
 
-def _strang_step(grid, vals: np.ndarray, kin_half: np.ndarray, pot_phase: np.ndarray) -> np.ndarray:
-    """One split step of momentum values (one frame or a block); two transforms."""
-    pos = _transform(grid, kin_half * vals, backward=True)
-    back = _transform(grid, pot_phase * pos)
-    return kin_half * back
+def _strang_step(grid, vals: np.ndarray, kin_half: np.ndarray, pot_phase: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """One split step of momentum values (one frame or a block); two transforms, each
+    product in place in `out` (a new array by default), which may be `vals`."""
+    out = np.multiply(kin_half, vals, out=out)
+    _transform(grid, out, backward=True, out=out)
+    np.multiply(pot_phase, out, out=out)
+    _transform(grid, out, out=out)
+    return np.multiply(kin_half, out, out=out)
 
 
 def propagate(
@@ -129,54 +139,50 @@ def propagate(
     """Advance `psi` by n_steps of size config.dt, emitting frames.
 
     Frames (including the initial one) are emitted every steps_per_frame
-    steps and at the final step. The boundary-mass diagnostic runs in both
-    representations at every frame and aborts the run when mass approaches
-    the grid edge. Returns the final frame.
+    steps and at the final step, one block of frames at a time; on_frame sees
+    each in order. The boundary-mass diagnostic aborts the run when mass
+    approaches the grid edge, before on_frame sees the offending frame.
+    Returns the final frame.
     """
     grid = psi.grid
     if abs(psi.norm() - 1.0) > NORM_TOL:
         raise NormalizationError(f"initial state norm {psi.norm():.9f} deviates from 1")
     kin, kin_half, pot_phase = _step_phases(grid, potential, _masses(masses, grid.dof), config.dt)
-
-    if psi.rep is Representation.POSITION:
-        psi_p = to_momentum(psi)
-    else:
-        psi_p = psi
-
-    t0 = psi.time
-
-    def emit(index: int, step: int, values_p: np.ndarray) -> Frame:
-        t = t0 + step * config.dt
-        fp = ComplexField(grid, Representation.MOMENTUM, _frozen(values_p), t)
+    psi_p = to_momentum(psi) if psi.rep is Representation.POSITION else psi
+    # one emission schedule for both paths: step 0, every steps_per_frame steps and the last
+    steps = [0] + [s for s in range(1, n_steps + 1)
+                   if s % config.steps_per_frame == 0 or s == n_steps]
+    size = max(1, BLOCK_POINTS // grid.size)
+    work = np.array(psi_p.values)
+    done = 0
+    for lo in range(0, len(steps), size):
+        chunk = steps[lo:lo + size]
+        times = [psi.time + step * config.dt for step in chunk]
+        block = np.empty((len(chunk),) + grid.shape, dtype=complex)
+        for row, step in enumerate(chunk):
+            if pot_phase is None and step:
+                # exact phase multiplication from the initial state: no per-step
+                # roundoff accumulation, modulus stable to machine precision
+                block[row] = psi_p.values * np.exp(-1j * kin * (step * config.dt) / grid.hbar)
+            else:
+                for _ in range(step - done):
+                    _strang_step(grid, work, kin_half, pot_phase, out=work)
+                block[row] = work
+                done = step
+        fp = ComplexField(grid, Representation.MOMENTUM, _frozen(block), np.array(times))
         fx = to_position(fp)
-        fr = Frame(index, t, fx, fp)
-        if config.check_boundary:
-            for rep_field, frac in zip((fx, fp), fr.boundary_mass):
-                if frac > BOUNDARY_MASS_TOL:
+        edge = zip(boundary_mass_fraction(fx).tolist(), boundary_mass_fraction(fp).tolist())
+        for row, (t, masses_xp) in enumerate(zip(times, edge)):
+            frame = Frame(lo + row, t, ComplexField(grid, fx.rep, fx.values[row], t),
+                          ComplexField(grid, fp.rep, fp.values[row], t), masses_xp)
+            for rep, frac in zip((fx.rep, fp.rep), masses_xp):
+                if config.check_boundary and frac > BOUNDARY_MASS_TOL:
                     raise BoundaryMassError(
-                        f"boundary mass fraction {frac:.3e} in {rep_field.rep.value} "
+                        f"boundary mass fraction {frac:.3e} in {rep.value} "
                         f"representation at t={t:.6f} exceeds {BOUNDARY_MASS_TOL:.0e}"
                     )
-        if on_frame is not None:
-            on_frame(fr)
-        return fr
-
-    vals = psi_p.values
-    frame = emit(0, 0, vals)
-    # one emission schedule for both paths: every steps_per_frame steps and the last step
-    frame_steps = [s for s in range(1, n_steps + 1)
-                   if s % config.steps_per_frame == 0 or s == n_steps]
-    done = 0
-    for findex, step in enumerate(frame_steps, 1):
-        if pot_phase is None:
-            # exact phase multiplication from the initial state: no per-step
-            # roundoff accumulation, modulus stable to machine precision
-            vals = psi_p.values * np.exp(-1j * kin * (step * config.dt) / grid.hbar)
-        else:
-            for _ in range(step - done):
-                vals = _strang_step(grid, vals, kin_half, pot_phase)
-            done = step
-        frame = emit(findex, step, vals)
+            if on_frame is not None:
+                on_frame(frame)
     return frame
 
 

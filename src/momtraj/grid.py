@@ -217,6 +217,12 @@ def node_mask(density: np.ndarray, grid: GridSpec) -> np.ndarray:
     return (density >= NODE_DENSITY_FACTOR * peak) & (peak > 0.0)
 
 
+# Grid points per array of a block of frames, which batched calls take at once: 64
+# frames of a 512-point grid, one frame of a 256 x 256 grid, whose single frame is
+# already enough work per numpy call
+BLOCK_POINTS = 2**15
+
+
 # -- Fourier transform pair ----------------------------------------------------
 
 
@@ -250,11 +256,16 @@ def _outer(vectors: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _transform(grid: GridSpec, values: np.ndarray, backward: bool = False) -> np.ndarray:
-    """post_f * fftn(pre_f * values) over the grid axes, or post_b * ifftn(pre_b * values)."""
+def _transform(grid: GridSpec, values: np.ndarray, backward: bool = False,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """post_f * fftn(pre_f * values) over the grid axes, or post_b * ifftn(pre_b * values),
+    each step in place in `out` (a new array by default), which may be `values`."""
     pre, post = _transform_plan(grid)[2:] if backward else _transform_plan(grid)[:2]
-    out = (np.fft.ifftn if backward else np.fft.fftn)(pre * values, axes=grid_axes(grid))
-    # in place, since numpy's temporary elision may swap a complex product's operands
+    # factor first in every product: a*b and b*a may round differently (FMA)
+    out = np.multiply(pre, values, out=out)
+    fft = np.fft.ifft if backward else np.fft.fft
+    for axis in reversed(grid_axes(grid)):  # fftn's loop and bits, without its nd wrapper
+        fft(out, axis=axis, out=out)
     return np.multiply(post, out, out=out)
 
 
@@ -412,18 +423,19 @@ BOUNDARY_CELLS = 3
 BOUNDARY_MASS_TOL = 1e-8
 
 
-def boundary_mass_fraction(field: ComplexField) -> float:
-    """Largest per-axis probability fraction within BOUNDARY_CELLS of either edge."""
+def boundary_mass_fraction(field: ComplexField) -> np.ndarray:
+    """Largest per-axis probability fraction within BOUNDARY_CELLS of either edge, per
+    frame (0 for a zero frame)."""
     rho = field.density()
-    total = rho.sum()
-    if total == 0.0:
-        return 0.0
-    worst = 0.0
-    for a in range(field.grid.dof):
-        sl_lo = [slice(None)] * field.grid.dof
-        sl_hi = [slice(None)] * field.grid.dof
-        sl_lo[a] = slice(0, BOUNDARY_CELLS)
-        sl_hi[a] = slice(-BOUNDARY_CELLS, None)
-        frac = (rho[tuple(sl_lo)].sum() + rho[tuple(sl_hi)].sum()) / total
-        worst = max(worst, float(frac))
+    axes = grid_axes(field.grid)
+    total = rho.sum(axis=axes)
+    worst = np.zeros(total.shape)
+    for a in axes:
+        edge = [slice(None)] * rho.ndim
+        edge[a] = slice(0, BOUNDARY_CELLS)
+        lo = rho[tuple(edge)].sum(axis=axes)
+        edge[a] = slice(-BOUNDARY_CELLS, None)
+        frac = np.divide(lo + rho[tuple(edge)].sum(axis=axes), total,
+                         out=np.zeros(total.shape), where=total != 0.0)
+        worst = np.maximum(worst, frac)
     return worst

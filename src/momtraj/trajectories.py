@@ -37,6 +37,7 @@ from .currents import CurrentField, CurrentMethod, current_for
 from .dynamics import Frame, _masses
 from .errors import ConfigurationError
 from .grid import (
+    BLOCK_POINTS,
     ComplexField,
     GridSpec,
     MaskedVectorField,
@@ -235,11 +236,6 @@ def _readout_positions(
     vals, ok, inside = interpolate_masked(x_field, p[rows])
     x_store[rows[ok & inside]] = vals[ok & inside]
     _retire(status, rows, ok, inside)
-
-
-# Grid points per FrameBlock array: 64 frames of a 512-point grid, one frame of
-# a 256 x 256 grid, whose single frame is already enough work per numpy call
-BLOCK_POINTS = 2**15
 
 
 class FrameBlock:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import momtraj.grid
 from momtraj import (
     BoundaryMassError,
     ComplexField,
@@ -15,8 +16,9 @@ from momtraj import (
     to_momentum,
     total_energy,
 )
-from momtraj.dynamics import PropagatorConfig, collect_frames, continuity_probe, propagate
-from momtraj.grid import grid_1d
+from momtraj.dynamics import (PropagatorConfig, _step_phases, collect_frames, continuity_probe,
+                              propagate)
+from momtraj.grid import BLOCK_POINTS, BOUNDARY_MASS_TOL, grid_1d, grid_2d
 from momtraj.states import coherent_state, gaussian_state
 
 
@@ -154,6 +156,25 @@ def test_boundary_violation_aborts():
         propagate(psi, Free(), cfg, 3000)
 
 
+def test_boundary_violation_inside_a_block_stops_before_the_offending_frame():
+    grid = grid_1d(128, 16.0)
+    psi = gaussian_state(grid, sigma=1.0, boost=3.0)  # drifts into the wall
+    unchecked = collect_frames(psi, Free(), PropagatorConfig(1e-3, 10, check_boundary=False), 3000)
+    bad = next(fr for fr in unchecked if max(fr.boundary_mass) > BOUNDARY_MASS_TOL)
+    assert bad.index % (BLOCK_POINTS // grid.size) > 0  # not the first frame of its block
+    seen = []
+    with pytest.raises(BoundaryMassError) as err:
+        propagate(psi, Free(), PropagatorConfig(1e-3, 10), 3000, on_frame=seen.append)
+    assert [fr.index for fr in seen] == list(range(bad.index))
+    assert [fr.psi_p.values.tobytes() for fr in seen] == [
+        fr.psi_p.values.tobytes() for fr in unchecked[:bad.index]]
+    rep, frac = next((rep, frac) for rep, frac in zip(("position", "momentum"), bad.boundary_mass)
+                     if frac > BOUNDARY_MASS_TOL)
+    t = 0.0 + bad.index * 10 * 1e-3
+    assert str(err.value) == (f"boundary mass fraction {frac:.3e} in {rep} representation "
+                              f"at t={t:.6f} exceeds 1e-08")
+
+
 def test_kinetic_phase_wrap_rejected(grid512):
     psi = gaussian_state(grid512)
     with pytest.raises(ConfigurationError):
@@ -197,8 +218,8 @@ def test_continuity_probe_equals_two_half_step_propagations(grid512, pot, monkey
                          np.array([fr.time for fr in frames]))
 
     calls = []
-    ifftn = np.fft.ifftn
-    monkeypatch.setattr(np.fft, "ifftn", lambda *a, **kw: calls.append(1) or ifftn(*a, **kw))
+    ifft = np.fft.ifft  # an inverse transform calls it once per grid axis
+    monkeypatch.setattr(np.fft, "ifft", lambda *a, **kw: calls.append(1) or ifft(*a, **kw))
     mid_x, mid_p, after = continuity_probe(block, pot, 1e-3)
     assert len(frames) == 3
     for row, (mid_ref, after_ref) in enumerate(refs):
@@ -221,3 +242,82 @@ def test_tabulated_potential_steps_like_its_analytic_values(grid512):
     got = collect_frames(psi, tab, cfg, 10)
     assert [f.psi_p.values.tobytes() for f in got] == [f.psi_p.values.tobytes() for f in want]
     assert tab == tab and tab != Tabulated(tab.values)
+
+
+# -- block emission against the one-frame-at-a-time propagator -------------------------
+
+
+def _reference_transform(grid, values, backward=False):
+    """The transform of the propagator that emitted one frame at a time, expression for
+    expression: numpy's complex products round a*b and b*a differently."""
+    plan = momtraj.grid._transform_plan(grid)
+    pre, post = plan[2:] if backward else plan[:2]
+    out = (np.fft.ifftn if backward else np.fft.fftn)(pre * values,
+                                                       axes=tuple(range(-grid.dof, 0)))
+    return np.multiply(post, out, out=out)
+
+
+def _reference_boundary_mass(values):
+    """One frame's boundary mass fraction, summed as the one-frame propagator summed it."""
+    rho = np.abs(values) ** 2
+    total = rho.sum()
+    worst = 0.0
+    for a in range(rho.ndim):
+        lo = [slice(None)] * rho.ndim
+        hi = [slice(None)] * rho.ndim
+        lo[a] = slice(0, 3)
+        hi[a] = slice(-3, None)
+        worst = max(worst, float((rho[tuple(lo)].sum() + rho[tuple(hi)].sum()) / total))
+    return worst
+
+
+def _reference_frames(psi, potential, config, n_steps):
+    """(time, psi_x, psi_p, boundary masses) of each frame, stepped and emitted one
+    frame at a time with the one-frame propagator's expressions."""
+    grid = psi.grid
+    kin, kin_half, pot_phase = _step_phases(grid, potential, (1.0,) * grid.dof, config.dt)
+    psi_p = _reference_transform(grid, psi.values)
+    out = []
+
+    def emit(step, vals):
+        vals_x = _reference_transform(grid, vals, backward=True)
+        masses = (_reference_boundary_mass(vals_x), _reference_boundary_mass(vals))
+        out.append((0.0 + step * config.dt, vals_x, vals, masses))
+
+    vals = psi_p
+    emit(0, vals)
+    done = 0
+    for step in range(1, n_steps + 1):
+        if step % config.steps_per_frame and step != n_steps:
+            continue
+        if pot_phase is None:
+            vals = psi_p * np.exp(-1j * kin * (step * config.dt) / grid.hbar)
+        else:
+            for _ in range(step - done):
+                pos = _reference_transform(grid, kin_half * vals, backward=True)
+                back = _reference_transform(grid, pot_phase * pos)
+                vals = kin_half * back
+            done = step
+        emit(step, vals)
+    return out
+
+
+@pytest.mark.parametrize("grid, pot, steps_per_frame, n_steps", [
+    (grid_1d(512, 40.0), Harmonic(1.0, 1.0), 2, 301),  # 152 frames: blocks of 64, 64, 24
+    (grid_1d(512, 40.0), Free(), 3, 200),
+    (grid_2d(64, 20.0), Harmonic(1.0, 1.0), 1, 20),  # blocks of 8 frames
+    (grid_2d(256, 40.0), Free(), 2, 5),  # 2^16 points: products of 1 MiB, one frame a block
+    (grid_2d(256, 40.0), Harmonic(1.0, 1.0), 2, 5),
+])
+def test_block_emission_gives_the_one_frame_propagators_frames(grid, pot, steps_per_frame,
+                                                                 n_steps):
+    psi = coherent_state(grid, 1.0)
+    cfg = PropagatorConfig(1e-3, steps_per_frame)
+    frames = collect_frames(psi, pot, cfg, n_steps)
+    want = _reference_frames(psi, pot, cfg, n_steps)
+    assert len(frames) == len(want)
+    for index, (fr, (t, vals_x, vals_p, masses)) in enumerate(zip(frames, want)):
+        assert fr.index == index and fr.time == fr.psi_x.time == fr.psi_p.time == t
+        assert fr.psi_p.values.tobytes() == vals_p.tobytes()
+        assert fr.psi_x.values.tobytes() == vals_x.tobytes()
+        assert fr.boundary_mass == masses

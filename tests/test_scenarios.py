@@ -377,7 +377,7 @@ def test_step_phases_are_built_once_per_run():
 
 def test_each_frame_computes_its_boundary_mass_once(monkeypatch):
     # the propagator's boundary check and the suite's stats row share one
-    # value per representation
+    # value per representation, from one call per emission block
     calls = []
     original = momtraj.dynamics.boundary_mass_fraction
 
@@ -392,10 +392,10 @@ def test_each_frame_computes_its_boundary_mass_once(monkeypatch):
                          t_final=float(np.pi / 160.0), steps_per_frame=2)
     res = run_scenario(cfg)
     assert res.passed
-    assert len(res.frames) == 11
-    assert len(calls) == 2 * len(res.frames)
-    assert [row["boundary_mass_position"] for row in res.stats_rows] == [
-        fr.boundary_mass[0] for fr in res.frames]
+    assert len(res.frames) == 11  # one emission block
+    assert calls == [momtraj.grid.Representation.POSITION, momtraj.grid.Representation.MOMENTUM]
+    assert [(row["boundary_mass_position"], row["boundary_mass_momentum"])
+            for row in res.stats_rows] == [fr.boundary_mass for fr in res.frames]
 
 
 _CROSS_METHOD = {"collapse", "harmonic-coherent", "linear-drift"}

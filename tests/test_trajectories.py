@@ -22,7 +22,7 @@ from momtraj.dynamics import Frame, PropagatorConfig, collect_frames
 from momtraj.ensemble import sample_momenta
 from momtraj.grid import (GridAxis, GridSpec, MaskedVectorField, grid_1d, grid_2d,
                           local_position_field)
-from momtraj.grid import to_position
+from momtraj.grid import boundary_mass_fraction, to_position
 from momtraj.states import coherent_state, gaussian_state, superposition_state
 from momtraj.scenarios import _grid_checks
 from momtraj.trajectories import (
@@ -219,7 +219,8 @@ def fixed_frames(psi, t_end):
     """Two frames, at t = 0 and t_end, of one state that does not change."""
     psi_x = psi if psi.rep is Representation.POSITION else to_position(psi)
     psi_p = psi if psi.rep is Representation.MOMENTUM else to_momentum(psi)
-    return [Frame(0, 0.0, psi_x, psi_p), Frame(1, t_end, psi_x, psi_p)]
+    masses = (float(boundary_mass_fraction(psi_x)), float(boundary_mass_fraction(psi_p)))
+    return [Frame(0, 0.0, psi_x, psi_p, masses), Frame(1, t_end, psi_x, psi_p, masses)]
 
 
 def read_x(phi, p, x_before=0.0):
