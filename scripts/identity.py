@@ -1,32 +1,38 @@
 #!/usr/bin/env python3
-"""Compare the run artifacts of the working tree with those of a git revision.
+"""Compare the run artifacts and the validate report of the working tree with
+those of a git revision.
 
     python3 scripts/identity.py REV [--tol T]
 
 REV is extracted with git archive under .identity/ (ignored by git). The
-fixed command set runs on both trees, alternating which tree goes first,
-each with its own src/ on PYTHONPATH:
+fixed set of 10 commands runs on both trees, alternating which tree goes
+first, each with its own src/ on PYTHONPATH:
 
 * the 7 catalog scenarios at --n 10000 --seed 42;
 * run measurement --c1sq 0.64 --n 10000 --seed 42;
-* run harmonic-coherent --n 1000 --frames 1600 --current poisson --seed 42.
+* run harmonic-coherent --n 1000 --frames 1600 --current poisson --seed 42;
+* validate --n 2000 --seed 42 --threads 2.
 
-Every file that either run's manifest lists is compared. A file prints
-"identical", or for a CSV the max absolute and relative difference of each
-column that differs, or for JSON the numeric leaves that differ, with their
-paths. Each command's wall time on both trees is printed too, and first the
-line count of src/momtraj/*.py in each tree, as `wc -l` totals it. Outputs
-are deleted as soon as they are compared, and the extracted tree when the
-script ends.
+For a `run`, every file that either run's manifest lists is compared. A file
+prints "identical", or for a CSV the max absolute and relative difference of
+each column that differs, or for JSON the numeric leaves that differ, with
+their paths. `validate` writes no files, so its stdout report is compared
+byte for byte, and each differing line is printed. Each command's wall time
+and peak RSS (the child's own ru_maxrss) on both trees are printed too, and
+first the line count of src/momtraj/*.py in each tree, as `wc -l` totals it.
+Outputs are deleted as soon as they are compared, and the extracted tree when
+the script ends.
 
-Exit code 0: every file is identical. With --tol T, exit code 0 also when
-every numeric difference is within T, |a - b| <= T * max(1, |a|, |b|), and
-every non-numeric value is equal. Exit code 1 otherwise, 2 on a bad REV.
+Exit code 0: every file and the report are identical. With --tol T, exit code
+0 also when every numeric difference in a file is within T,
+|a - b| <= T * max(1, |a|, |b|), every non-numeric value is equal and the
+report is identical. Exit code 1 otherwise, 2 on a bad REV.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -51,6 +57,7 @@ COMMANDS = tuple((name, ("run", name) + ACCEPTANCE) for name in CATALOG) + (
     ("measurement-c1sq-0.64", ("run", "measurement", "--c1sq", "0.64") + ACCEPTANCE),
     ("frames-poisson", ("run", "harmonic-coherent", "--n", "1000", "--frames", "1600",
                         "--current", "poisson", "--seed", "42")),
+    ("validate", ("validate", "--n", "2000", "--seed", "42", "--threads", "2")),
 )
 
 SHOWN_LEAVES = 20  # differing JSON leaves printed per file; the rest are counted
@@ -170,18 +177,49 @@ def compare_dirs(ref: Path, new: Path) -> Report:
     return report
 
 
+def compare_reports(ref: bytes, new: bytes) -> Report:
+    """Compare two stdout reports byte for byte; any difference is a mismatch."""
+    report = Report()
+    if ref == new:
+        report.lines.append("stdout: identical")
+        return report
+    pairs = itertools.zip_longest(ref.decode(errors="replace").splitlines(),
+                                  new.decode(errors="replace").splitlines())
+    for i, (a, b) in enumerate(pairs, 1):
+        if a != b:
+            report.mismatch(f"stdout line {i}: {a!r} != {b!r}")
+    if report.identical:
+        report.mismatch("stdout: same lines, different line endings")
+    return report
+
+
 def source_lines(tree: Path) -> int:
     """Lines of src/momtraj/*.py in `tree`, counted as `wc -l` counts them."""
     return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "momtraj").glob("*.py"))
 
 
-def _run(tree: Path, argv: tuple[str, ...], out: Path) -> tuple[int, float]:
-    """Run one momtraj command on `tree`'s sources; returns (exit code, wall seconds)."""
+@dataclass(frozen=True)
+class Run:
+    """One momtraj command on one tree."""
+
+    code: int
+    wall_s: float
+    peak_mib: float  # the child's own ru_maxrss, not the maximum over all children
+    stdout: bytes
+
+
+def _run(tree: Path, argv: tuple[str, ...], out: Path) -> Run:
+    """Run one momtraj command on `tree`'s sources; a `run` writes its artifacts to `out`."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    flags = ("--out", str(out)) if argv[0] == "run" else ()
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "momtraj.cli", *argv, "--out", str(out)],
-                          cwd=tree, env=env, stdout=subprocess.DEVNULL)
-    return proc.returncode, time.perf_counter() - start
+    proc = subprocess.Popen([sys.executable, "-m", "momtraj.cli", *argv, *flags],
+                            cwd=tree, env=env, stdout=subprocess.PIPE)
+    with proc.stdout:
+        stdout = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return Run(proc.returncode, time.perf_counter() - start, usage.ru_maxrss / 1024, stdout)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -204,16 +242,20 @@ def main(argv: list[str] | None = None) -> int:
             trees = [("ref", ref_tree), ("new", ROOT)]
             runs = {side: _run(tree, cmd, SCRATCH / "out" / side / label)
                     for side, tree in (trees if i % 2 == 0 else trees[::-1])}
-            report = compare_dirs(SCRATCH / "out" / "ref" / label, SCRATCH / "out" / "new" / label)
-            if runs["ref"][0] != runs["new"][0]:
-                report.mismatch(f"exit code {runs['ref'][0]} at {args.rev}, "
-                                f"{runs['new'][0]} in the working tree")
+            ref, new = runs["ref"], runs["new"]
+            report = (compare_dirs(SCRATCH / "out" / "ref" / label,
+                                   SCRATCH / "out" / "new" / label)
+                      if cmd[0] == "run" else compare_reports(ref.stdout, new.stdout))
+            if ref.code != new.code:
+                report.mismatch(f"exit code {ref.code} at {args.rev}, "
+                                f"{new.code} in the working tree")
             passed = report.passes(args.tol)
             ok &= passed
             verdict = ("identical" if report.identical
                        else f"within {args.tol:g}" if passed else "DIFFERS")
-            print(f"{label}: {verdict} (wall {runs['ref'][1]:.2f} s at {args.rev}, "
-                  f"{runs['new'][1]:.2f} s in the working tree)")
+            print(f"{label}: {verdict} (wall {ref.wall_s:.2f} s, peak {ref.peak_mib:.1f} MiB "
+                  f"at {args.rev}; {new.wall_s:.2f} s, {new.peak_mib:.1f} MiB in the "
+                  "working tree)")
             for line in report.lines:
                 print(f"  {line}")
             sys.stdout.flush()  # one command's report at a time, also through a pipe

@@ -115,35 +115,27 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    """Run the catalog; each job keeps only its verdicts, so its run is freed on return."""
     if args.threads < 1:
         raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
-    jobs = []
-    for name in sorted(SCENARIOS):
-        cfg = default_config(name, n_samples=args.n, seed=args.seed)
-        jobs.append((name, cfg))
+    jobs = [default_config(name, n_samples=args.n, seed=args.seed) for name in sorted(SCENARIOS)]
 
-    def work(item):
-        name, cfg = item
-        return name, run_scenario(cfg)
+    def work(cfg):
+        return run_scenario(cfg).verdicts
 
-    results: dict[str, RunResult] = {}
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            for name, res in pool.map(work, jobs):
-                results[name] = res
+            verdicts = list(pool.map(work, jobs))
     else:
-        for item in jobs:
-            name, res = work(item)
-            results[name] = res
+        verdicts = [work(cfg) for cfg in jobs]
 
     all_ok = True
     print(f"validation suite (N={args.n}, seed={args.seed})")
-    for name in sorted(results):
-        res = results[name]
-        for v in res.verdicts:
+    for cfg, vs in zip(jobs, verdicts):
+        for v in vs:
             all_ok &= v.passed
             mark = "PASS" if v.passed else "FAIL"
-            print(f"  [{mark}] {name}: {v.name}  measured {v.measured:.3e}  "
+            print(f"  [{mark}] {cfg.name}: {v.name}  measured {v.measured:.3e}  "
                   f"tol {v.tolerance:.3e}")
     print(f"result: {'PASS' if all_ok else 'FAIL'}")
     return 0 if all_ok else 1

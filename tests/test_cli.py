@@ -1,6 +1,8 @@
+import gc
 import json
 import re
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momtraj import cli
 from momtraj.cli import main
 from momtraj.ensemble import Ensemble
 from momtraj.output import (
@@ -154,6 +157,27 @@ def test_validate_reduced(capsys):
     out = capsys.readouterr().out
     assert code == 0, out
     assert "result: PASS" in out
+
+
+def test_validate_frees_each_run_and_prints_one_report_at_any_thread_count(
+        capsys, monkeypatch):
+    """A job keeps its scenario's verdicts only: no earlier run is alive when a job starts."""
+    real, runs, alive = cli.run_scenario, [], []
+
+    def spy(cfg):
+        gc.collect()
+        alive.append([r().config.name for r in runs if r() is not None])
+        result = real(cfg)
+        runs.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(cli, "run_scenario", spy)
+    assert run_cli("validate", "--n", "300", "--threads", "1") == 0
+    serial = capsys.readouterr().out
+    assert alive == [[]] * len(SCENARIOS)
+    monkeypatch.undo()
+    assert run_cli("validate", "--n", "300", "--threads", "2") == 0
+    assert capsys.readouterr().out == serial
 
 
 def test_stats_json_sorted_keys(tmp_path):

@@ -56,3 +56,26 @@ def test_compare_dirs_rejects_a_changed_status_at_any_tolerance(tmp_path):
     assert not report.passes(1.0)
     assert "trajectories.csv: column status: 1 non-numeric values differ" in report.lines
     assert "stats.json: identical" in report.lines
+
+
+_REPORT = (b"validation suite (N=2000, seed=42)\n"
+           b"  [PASS] collapse: branch-current-split  measured 1.234e-05  tol 1.000e-03\n"
+           b"  [PASS] free-particle: exact-straight-lines  measured 0.000e+00  tol 1.000e-10\n"
+           b"result: PASS\n")
+
+
+def test_compare_reports_identical():
+    report = identity.compare_reports(_REPORT, bytes(_REPORT))
+    assert report.identical and report.passes(None)
+    assert report.lines == ["stdout: identical"]
+
+
+def test_compare_reports_rejects_a_changed_verdict_line_at_any_tolerance():
+    changed = _REPORT.replace(b"[PASS] collapse", b"[FAIL] collapse").replace(
+        b"1.234e-05", b"2.500e-03")
+    report = identity.compare_reports(_REPORT, changed)
+    assert not report.identical and report.other
+    assert not report.passes(1.0)
+    assert len(report.lines) == 1
+    assert report.lines[0].startswith("stdout line 2: '  [PASS] collapse: ")
+    assert "!= '  [FAIL] collapse: branch-current-split  measured 2.500e-03" in report.lines[0]
