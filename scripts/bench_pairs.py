@@ -14,7 +14,9 @@ each side's median and quartiles and the pairs the working tree won (a
 strictly better value), and whether the claim rule holds for it: the working
 tree wins at least 9 of every 10 pairs, over 10 pairs or more, and its median
 is better than REV's by more than the distance between REV's quartiles.
-Quartiles are statistics.quantiles' default (exclusive) cut points.
+The line also flags a regression: the working tree's median is worse than
+REV's by more than the metric's `bound` in BENCHMARK.json, a fraction of REV's
+median. Quartiles are statistics.quantiles' default (exclusive) cut points.
 
 Exit code 0 when every run finished and was correct, 1 otherwise, 2 on a bad
 REV. The extracted tree is deleted when the script ends.
@@ -42,13 +44,15 @@ RUN_TIMEOUT_S = 240.0  # perfbench/run.py ends its own runs within 180 s
 
 @dataclass(frozen=True)
 class Summary:
-    """One metric over the pairs: each side's median and quartiles, and the claim rule."""
+    """One metric over the pairs: each side's median and quartiles, the claim rule, and
+    whether the change's median is worse than the parent's by more than the bound."""
 
     parent: tuple[float, float, float]  # (Q1, median, Q3)
     change: tuple[float, float, float]
     wins: int
     pairs: int
     claim: bool
+    regressed: bool
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -58,14 +62,16 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(parent: list[float], change: list[float], better: str = "lower") -> Summary:
-    """Pair i is (parent[i], change[i]); `better` is "lower" or "higher"."""
+def summarize(parent: list[float], change: list[float], better: str = "lower",
+              bound: float = float("inf")) -> Summary:
+    """Pair i is (parent[i], change[i]); `better` is "lower" or "higher"; `bound` is
+    the worsening of the median, as a fraction of the parent's, that is flagged."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change, strict=True))
     ref, new = _quartiles(parent), _quartiles(change)
     gap = sign * (ref[1] - new[1])
     claim = len(parent) >= 10 and 10 * wins >= 9 * len(parent) and gap > ref[2] - ref[0]
-    return Summary(ref, new, wins, len(parent), claim)
+    return Summary(ref, new, wins, len(parent), claim, -gap > bound * abs(ref[1]))
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -113,10 +119,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{args.workload}, {args.pairs} pairs, {args.rev} -> working tree "
           "(median [Q1, Q3]):")
     for m in metrics:
-        s = summarize(values["ref"][m["name"]], values["new"][m["name"]], m["better"])
+        s = summarize(values["ref"][m["name"]], values["new"][m["name"]], m["better"],
+                      m["bound"])
         print(f"  {m['name']}: {s.parent[1]:.4g} [{s.parent[0]:.4g}, {s.parent[2]:.4g}] -> "
               f"{s.change[1]:.4g} [{s.change[0]:.4g}, {s.change[2]:.4g}], better in "
-              f"{s.wins} of {s.pairs}; claim rule {'holds' if s.claim else 'does not hold'}")
+              f"{s.wins} of {s.pairs}; claim rule {'holds' if s.claim else 'does not hold'}; "
+              f"{'WORSE than' if s.regressed else 'within'} the {m['bound']:g} bound")
     return 0 if ok else 1
 
 

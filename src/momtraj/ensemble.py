@@ -37,6 +37,7 @@ from .grid import (ComplexField, GridSpec, Representation, grid_axes, node_mask,
 from .trajectories import EnsembleHistory
 
 KS_BAND_99 = 1.63  # asymptotic one-sample KS critical coefficient at 99%
+RADIAL_SLICE = 1 << 16  # sorted sub-cells per slice of the radial reference's running sum
 
 
 # -- sampling ---------------------------------------------------------------------
@@ -140,7 +141,7 @@ def equivariance_check(samples: np.ndarray, psi: ComplexField,
     Each axis p<a> (x<a> for positions) is tested against its marginal (in
     1d, the density itself). 2d adds the radial CDF (the full 2d KS is not
     used); the radial reference is refined 4x per axis so its quantization
-    bias is far below the band.
+    bias is far below the band, and each frame sums it a slice at a time.
 
     A block of frames (psi with a frame axis) takes samples (B, N, dof) and
     an `active` (B, N) mask, and gives one record per frame: that frame's
@@ -170,30 +171,47 @@ def equivariance_check(samples: np.ndarray, psi: ComplexField,
 def _radial_order(grid: GridSpec, rep: Representation,
                   refine: int) -> tuple[np.ndarray, np.ndarray]:
     """The radial reference's sub-cell radii in ascending (stable) order, and
-    the flat grid cell each sub-cell belongs to, on the grid of `rep` refined
-    `refine` times per axis. Read-only: every frame on the grid shares them.
+    the flat grid cell (int32) each sub-cell belongs to, on the grid of `rep`
+    refined `refine` times per axis. Read-only: every frame on the grid shares
+    them. Both are filled from the argsort a slice at a time, the radii in place.
     """
-    pts0, pts1 = grid.axis_points(rep, 0), grid.axis_points(rep, 1)
-    s0, s1 = grid.step(rep, 0), grid.step(rep, 1)
     off = (np.arange(refine) + 0.5) / refine - 0.5
-    sub0 = (pts0[:, None] + off[None, :] * s0).ravel()
-    sub1 = (pts1[:, None] + off[None, :] * s1).ravel()
-    r_sub = np.sqrt(sub0[:, None] ** 2 + sub1[None, :] ** 2).ravel()
-    order = np.argsort(r_sub, kind="stable")
-    cells = np.repeat(np.repeat(np.arange(grid.size).reshape(grid.shape), refine, 0),
-                      refine, 1).ravel()
-    out = (r_sub[order], cells[order])
-    for arr in out:
+    sq0, sq1 = ((grid.axis_points(rep, a)[:, None] + off[None, :] * grid.step(rep, a)).ravel()
+                ** 2 for a in range(2))
+    r_sub = np.add.outer(sq0, sq1).ravel()
+    order = np.argsort(np.sqrt(r_sub, out=r_sub), kind="stable")
+    cells = np.empty(len(order), np.int32)
+    for s in range(0, len(order), RADIAL_SLICE):
+        row, col = np.divmod(order[s:s + RADIAL_SLICE], len(sq1))
+        np.sqrt(sq0[row] + sq1[col], out=r_sub[s:s + RADIAL_SLICE])
+        cells[s:s + RADIAL_SLICE] = row // refine * grid.shape[1] + col // refine
+    for arr in (r_sub, cells):
         arr.setflags(write=False)
-    return out
+    return r_sub, cells
 
 
 def _radial_ks(q: np.ndarray, active: np.ndarray, rho: np.ndarray, grid: GridSpec,
                rep: Representation, refine: int = 4) -> np.ndarray:
+    """Radial KS per frame against `_radial_order`'s sub-cells, each 1/refine^2 of its
+    cell, summed RADIAL_SLICE at a time with the carry added to each slice's first
+    term: one cumsum's additions. Only the nodes np.interp reads are kept, the ends
+    and each sample's bracket (j, j + 1), j the last node <= r (+inf, a retired row,
+    takes the last), so the statistic equals the one over every node, bit for bit."""
     r_sorted, cells = _radial_order(grid, rep, refine)
-    # per frame; each sub-cell weighs 1/refine^2 of its cell
-    cdf = np.cumsum(rho.reshape(len(rho), -1)[:, cells] / refine**2, axis=-1)
-    return _ks_rows(np.sqrt(q[..., 0] ** 2 + q[..., 1] ** 2), active, r_sorted, cdf)
+    r = np.where(active, np.sqrt(q[..., 0] ** 2 + q[..., 1] ** 2), np.inf)
+    last, d = len(cells) - 1, np.empty(len(r))
+    for f, (row, w) in enumerate(zip(r, rho.reshape(len(rho), -1))):
+        j = np.searchsorted(r_sorted, row, side="right") - 1
+        need = np.unique(np.concatenate(([0, last], j.clip(0), (j + 1).clip(max=last))))
+        cdf, carry = np.empty(len(need)), 0.0
+        for s in range(0, len(cells), RADIAL_SLICE):
+            part = w[cells[s:s + RADIAL_SLICE]] / refine**2
+            part[0] += carry
+            np.cumsum(part, out=part)
+            lo, hi = np.searchsorted(need, (s, s + RADIAL_SLICE))
+            cdf[lo:hi], carry = part[need[lo:hi] - s], part[-1]
+        d[f] = _ks_rows(row[None], active[f:f + 1], r_sorted[need], cdf[None])[0]
+    return d
 
 
 # -- grid moments and the moment checks ----------------------------------------------

@@ -46,3 +46,21 @@ def test_higher_is_better_flips_the_wins():
 
 def test_a_single_pair_has_its_value_for_quartiles():
     assert bench_pairs.summarize([2.0], [1.0]).parent == (2.0, 2.0, 2.0)
+
+
+@pytest.mark.parametrize("better,change,regressed", [
+    # the parent's median is 2.45; a 10 % bound flags a median beyond 2.695 (lower
+    # is better) or below 2.205 (higher is better)
+    ("lower", [2.69] * 10, False),
+    ("lower", [2.70] * 10, True),
+    ("higher", [2.21] * 10, False),
+    ("higher", [2.20] * 10, True),
+])
+def test_a_median_worse_by_more_than_the_bound_is_flagged(better, change, regressed):
+    s = bench_pairs.summarize(PARENT, change, better, bound=0.1)
+    assert s.regressed is regressed
+    assert not s.claim
+
+
+def test_without_a_bound_nothing_is_flagged():
+    assert not bench_pairs.summarize(PARENT, [100.0] * 10).regressed

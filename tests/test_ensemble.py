@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,8 +25,10 @@ from momtraj import (
     to_momentum,
 )
 from momtraj.dynamics import PropagatorConfig, collect_frames
-from momtraj.ensemble import _cell_edges, ks_statistic
-from momtraj.grid import GridAxis, GridSpec, grid_1d
+from momtraj import ensemble
+from momtraj.ensemble import _cell_edges, _radial_ks, _radial_order, ks_statistic
+from momtraj.grid import BLOCK_POINTS, GridAxis, GridSpec, grid_1d
+from momtraj.scenarios import _grid_for, default_config
 from momtraj.states import gaussian_state, superposition_state
 from momtraj.trajectories import integrate_epstein
 
@@ -164,6 +168,57 @@ def test_radial_ks_equals_a_fresh_sort_on_each_grid(grid2d):
         got = equivariance_check(q, phi)["radial"]
         assert got["statistic"] == radial_ks_reference(q, phi.density(), grid)
         assert got["passed"]
+
+
+@pytest.mark.parametrize("slice_size", [ensemble.RADIAL_SLICE, 10_007, 1 << 20],
+                         ids=["two-slices", "not-a-multiple", "one-partial-slice"])
+def test_sliced_radial_ks_equals_a_fresh_sort_per_frame(monkeypatch, slice_size):
+    # 64 x 128 refined 4x is 131 072 sub-cells: two default slices, 13.1 slices
+    # of 10 007, or one slice of 2**20 that the grid does not fill
+    grid = GridSpec((GridAxis(64, 30.0), GridAxis(128, 20.0)))
+    monkeypatch.setattr(ensemble, "RADIAL_SLICE", slice_size)
+    _radial_order.cache_clear()  # build the order with this slice too
+    _, psi_p, p, _, active = _block_case(grid)
+    sub = [grid.axis_points(Representation.MOMENTUM, a)[3]
+           + 0.125 * grid.step(Representation.MOMENTUM, a) for a in range(2)]
+    # samples inside the innermost sub-cell radius, past the outermost and on a
+    # sub-cell centre's radius
+    p[0, :3] = p[2, :3] = [(0.0, 0.0), (1e3, 0.0), sub]
+    rho, size = psi_p.density(), max(1, BLOCK_POINTS // grid.size)
+    assert size == 4
+    for b in range(0, 5, size):  # the blocks the propagator emits: frames 0-3, then 4
+        block = ComplexField(grid, psi_p.rep, psi_p.values[b:b + size], psi_p.time[b:b + size])
+        records = equivariance_check(p[b:b + size], block, active[b:b + size])
+        for f, rec in enumerate(records, start=b):
+            if not active[f].any():
+                assert rec is None
+                continue
+            ref = radial_ks_reference(p[f][active[f]], rho[f], grid)
+            assert rec["radial"]["statistic"] == ref
+
+
+def test_radial_reference_memory_is_bounded():
+    # measurement's 256 x 256 grid: 1 048 576 sub-cells
+    grid = _grid_for(default_config("measurement"), 2)
+    phi = to_momentum(gaussian_state(grid, sigma=1.0))
+    q = sample_momenta(phi, 2_000, seed=5)[None]
+    rho, active = phi.density()[None], np.ones(q.shape[:2], bool)
+    _radial_order.cache_clear()
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _radial_ks(q, active, rho, grid, Representation.MOMENTUM)
+            peaks.append((tracemalloc.get_traced_memory()[1] - start) / 2**20)
+    finally:
+        tracemalloc.stop()
+    cached = sum(a.nbytes for a in _radial_order(grid, Representation.MOMENTUM, 4)) / 2**20
+    _radial_order.cache_clear()
+    assert cached <= 12.5, cached
+    assert peaks[0] <= 26, peaks  # the first call builds the order
+    assert peaks[1] <= 2, peaks  # a later call holds no array of the sub-cells' size
 
 
 @settings(max_examples=10, deadline=None)
