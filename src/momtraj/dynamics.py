@@ -19,7 +19,6 @@ space and one boundary-mass call per representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -93,7 +92,6 @@ def kinetic_energy_grid(grid, masses) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=64)
 def _step_phases(grid, potential: Potential, masses: tuple[float, ...], dt: float):
     """Kinetic energy grid and the phase factors of one step of size dt (read-only).
 
@@ -147,7 +145,8 @@ def propagate(
     grid = psi.grid
     if abs(psi.norm() - 1.0) > NORM_TOL:
         raise NormalizationError(f"initial state norm {psi.norm():.9f} deviates from 1")
-    kin, kin_half, pot_phase = _step_phases(grid, potential, _masses(masses, grid.dof), config.dt)
+    kin, kin_half, pot_phase = grid.derived(_step_phases, potential, _masses(masses, grid.dof),
+                                           config.dt)
     psi_p = to_momentum(psi) if psi.rep is Representation.POSITION else psi
     # one emission schedule for both paths: step 0, every steps_per_frame steps and the last
     steps = [0] + [s for s in range(1, n_steps + 1)
@@ -223,7 +222,7 @@ def continuity_probe(
     """
     grid = psi_p.grid
     half = dt / 2.0
-    kin, kin_half, pot_phase = _step_phases(grid, potential, _masses(masses, grid.dof), half)
+    kin, kin_half, pot_phase = grid.derived(_step_phases, potential, _masses(masses, grid.dof), half)
 
     def step(vals: np.ndarray) -> np.ndarray:
         if pot_phase is None:

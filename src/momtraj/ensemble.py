@@ -25,7 +25,7 @@ cases from the same keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from math import prod
 from typing import NamedTuple
 
@@ -38,6 +38,7 @@ from .trajectories import EnsembleHistory
 
 KS_BAND_99 = 1.63  # asymptotic one-sample KS critical coefficient at 99%
 RADIAL_SLICE = 1 << 16  # sorted sub-cells per slice of the radial reference's running sum
+RADIAL_REFINE = 4  # sub-cells per grid cell and axis of the radial reference
 
 
 # -- sampling ---------------------------------------------------------------------
@@ -167,15 +168,13 @@ def equivariance_check(samples: np.ndarray, psi: ComplexField,
     return records if block else records[0]
 
 
-@lru_cache(maxsize=8)
-def _radial_order(grid: GridSpec, rep: Representation,
-                  refine: int) -> tuple[np.ndarray, np.ndarray]:
+def _radial_order(grid: GridSpec, rep: Representation) -> tuple[np.ndarray, np.ndarray]:
     """The radial reference's sub-cell radii in ascending (stable) order, and
     the flat grid cell (int32) each sub-cell belongs to, on the grid of `rep`
-    refined `refine` times per axis. Read-only: every frame on the grid shares
+    refined RADIAL_REFINE times per axis. Read-only: every frame on the grid shares
     them. Both are filled from the argsort a slice at a time, the radii in place.
     """
-    off = (np.arange(refine) + 0.5) / refine - 0.5
+    off = (np.arange(RADIAL_REFINE) + 0.5) / RADIAL_REFINE - 0.5
     sq0, sq1 = ((grid.axis_points(rep, a)[:, None] + off[None, :] * grid.step(rep, a)).ravel()
                 ** 2 for a in range(2))
     r_sub = np.add.outer(sq0, sq1).ravel()
@@ -184,20 +183,20 @@ def _radial_order(grid: GridSpec, rep: Representation,
     for s in range(0, len(order), RADIAL_SLICE):
         row, col = np.divmod(order[s:s + RADIAL_SLICE], len(sq1))
         np.sqrt(sq0[row] + sq1[col], out=r_sub[s:s + RADIAL_SLICE])
-        cells[s:s + RADIAL_SLICE] = row // refine * grid.shape[1] + col // refine
+        cells[s:s + RADIAL_SLICE] = row // RADIAL_REFINE * grid.shape[1] + col // RADIAL_REFINE
     for arr in (r_sub, cells):
         arr.setflags(write=False)
     return r_sub, cells
 
 
 def _radial_ks(q: np.ndarray, active: np.ndarray, rho: np.ndarray, grid: GridSpec,
-               rep: Representation, refine: int = 4) -> np.ndarray:
-    """Radial KS per frame against `_radial_order`'s sub-cells, each 1/refine^2 of its
+               rep: Representation) -> np.ndarray:
+    """Radial KS per frame against `_radial_order`'s sub-cells, each 1/RADIAL_REFINE^2 of its
     cell, summed RADIAL_SLICE at a time with the carry added to each slice's first
     term: one cumsum's additions. Only the nodes np.interp reads are kept, the ends
     and each sample's bracket (j, j + 1), j the last node <= r (+inf, a retired row,
     takes the last), so the statistic equals the one over every node, bit for bit."""
-    r_sorted, cells = _radial_order(grid, rep, refine)
+    r_sorted, cells = grid.derived(_radial_order, rep)
     r = np.where(active, np.sqrt(q[..., 0] ** 2 + q[..., 1] ** 2), np.inf)
     last, d = len(cells) - 1, np.empty(len(r))
     for f, (row, w) in enumerate(zip(r, rho.reshape(len(rho), -1))):
@@ -205,7 +204,7 @@ def _radial_ks(q: np.ndarray, active: np.ndarray, rho: np.ndarray, grid: GridSpe
         need = np.unique(np.concatenate(([0, last], j.clip(0), (j + 1).clip(max=last))))
         cdf, carry = np.empty(len(need)), 0.0
         for s in range(0, len(cells), RADIAL_SLICE):
-            part = w[cells[s:s + RADIAL_SLICE]] / refine**2
+            part = w[cells[s:s + RADIAL_SLICE]] / RADIAL_REFINE**2
             part[0] += carry
             np.cumsum(part, out=part)
             lo, hi = np.searchsorted(need, (s, s + RADIAL_SLICE))

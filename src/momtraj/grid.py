@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +78,16 @@ class GridSpec:
     @cached_property
     def size(self) -> int:
         return int(np.prod(self.shape))
+
+    def derived(self, build, *args):
+        """`build(self, *args)`, built on first use and kept in the instance dict like the
+        properties above, so it lives and dies with this grid, not with the process; an
+        equal grid builds its own. `args` must be hashable."""
+        memo = self.__dict__.setdefault("_derived", {})
+        key = (build, *args)
+        if key not in memo:
+            memo[key] = build(self, *args)
+        return memo[key]
 
     def spacing(self, axis: int) -> float:
         ax = self.axes[axis]
@@ -226,7 +236,6 @@ BLOCK_POINTS = 2**15
 # -- Fourier transform pair ----------------------------------------------------
 
 
-@lru_cache(maxsize=64)
 def _transform_plan(grid: GridSpec):
     """Read-only factors (pre_f, post_f, pre_b, post_b) of `_transform`; the post factors
     carry the scales."""
@@ -260,7 +269,8 @@ def _transform(grid: GridSpec, values: np.ndarray, backward: bool = False,
                out: np.ndarray | None = None) -> np.ndarray:
     """post_f * fftn(pre_f * values) over the grid axes, or post_b * ifftn(pre_b * values),
     each step in place in `out` (a new array by default), which may be `values`."""
-    pre, post = _transform_plan(grid)[2:] if backward else _transform_plan(grid)[:2]
+    plan = grid.derived(_transform_plan)
+    pre, post = plan[2:] if backward else plan[:2]
     # factor first in every product: a*b and b*a may round differently (FMA)
     out = np.multiply(pre, values, out=out)
     fft = np.fft.ifft if backward else np.fft.fft
@@ -292,37 +302,23 @@ def to_position(field: ComplexField) -> ComplexField:
 # -- spectral calculus -----------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _wavenumbers(grid: GridSpec, rep: Representation):
-    """Angular frequencies conjugate to each axis, Nyquist mode zeroed for
-    odd-derivative use."""
-    ws = []
-    for a in range(grid.dof):
-        n = grid.axes[a].points
-        w = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.step(rep, a))
-        ws.append(w)
-    return ws
+def _wavenumbers(grid: GridSpec, rep: Representation, axis: int) -> np.ndarray:
+    """Angular frequencies conjugate to one axis, a fresh array shaped to broadcast
+    over the grid."""
+    shape = [1] * grid.dof
+    shape[axis] = n = grid.axes[axis].points
+    return (2.0 * np.pi * np.fft.fftfreq(n, d=grid.step(rep, axis))).reshape(shape)
 
 
-@lru_cache(maxsize=64)
 def _k_squared(grid: GridSpec, rep: Representation) -> np.ndarray:
-    """|k|^2 on the grid, the Laplacian's symbol up to sign (read-only)."""
-    k2 = np.zeros(grid.shape)
-    for a, w in enumerate(_wavenumbers(grid, rep)):
-        shape = [1] * grid.dof
-        shape[a] = len(w)
-        k2 = k2 + (w**2).reshape(shape)
-    k2.setflags(write=False)
-    return k2
+    """|k|^2 on the grid, the Laplacian's symbol up to sign."""
+    return sum(_wavenumbers(grid, rep, a) ** 2 for a in range(grid.dof))
 
 
 def _axis_multiplier(grid: GridSpec, rep: Representation, axis: int) -> np.ndarray:
-    w = _wavenumbers(grid, rep)[axis].copy()
-    n = grid.axes[axis].points
-    w[n // 2] = 0.0  # drop the unpaired Nyquist mode in first derivatives
-    shape = [1] * grid.dof
-    shape[axis] = n
-    return (1j * w).reshape(shape)
+    w = _wavenumbers(grid, rep, axis)
+    w.flat[grid.axes[axis].points // 2] = 0.0  # drop the unpaired Nyquist mode in first derivatives
+    return 1j * w
 
 
 def spectral_gradient(values: np.ndarray, grid: GridSpec, rep: Representation) -> np.ndarray:

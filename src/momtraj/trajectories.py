@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache, reduce
+from functools import reduce
 from math import prod
 from typing import Callable
 
@@ -59,7 +59,6 @@ class TrajStatus(IntEnum):
 # -- masked multilinear interpolation -------------------------------------------
 
 
-@lru_cache(maxsize=64)
 def _stencil_geometry(grid: GridSpec, rep: Representation):
     """The interpolation stencil's geometry on one grid representation.
 
@@ -86,7 +85,7 @@ def interpolate_masked(
     Returns (values (N, k), stencil_ok (N,), inside (N,)). Values are only
     meaningful where stencil_ok & inside.
     """
-    axes, corners = _stencil_geometry(fld.grid, fld.rep)
+    axes, corners = fld.grid.derived(_stencil_geometry, fld.rep)
     q = np.atleast_2d(np.asarray(query, dtype=float))
     weights = []  # per axis: (weight of the lower neighbour, of the upper)
     base = None  # row-major flat index

@@ -175,9 +175,8 @@ def test_radial_ks_equals_a_fresh_sort_on_each_grid(grid2d):
 def test_sliced_radial_ks_equals_a_fresh_sort_per_frame(monkeypatch, slice_size):
     # 64 x 128 refined 4x is 131 072 sub-cells: two default slices, 13.1 slices
     # of 10 007, or one slice of 2**20 that the grid does not fill
-    grid = GridSpec((GridAxis(64, 30.0), GridAxis(128, 20.0)))
+    grid = GridSpec((GridAxis(64, 30.0), GridAxis(128, 20.0)))  # builds its order with this slice
     monkeypatch.setattr(ensemble, "RADIAL_SLICE", slice_size)
-    _radial_order.cache_clear()  # build the order with this slice too
     _, psi_p, p, _, active = _block_case(grid)
     sub = [grid.axis_points(Representation.MOMENTUM, a)[3]
            + 0.125 * grid.step(Representation.MOMENTUM, a) for a in range(2)]
@@ -203,7 +202,6 @@ def test_radial_reference_memory_is_bounded():
     phi = to_momentum(gaussian_state(grid, sigma=1.0))
     q = sample_momenta(phi, 2_000, seed=5)[None]
     rho, active = phi.density()[None], np.ones(q.shape[:2], bool)
-    _radial_order.cache_clear()
     peaks = []
     tracemalloc.start()
     try:
@@ -214,8 +212,7 @@ def test_radial_reference_memory_is_bounded():
             peaks.append((tracemalloc.get_traced_memory()[1] - start) / 2**20)
     finally:
         tracemalloc.stop()
-    cached = sum(a.nbytes for a in _radial_order(grid, Representation.MOMENTUM, 4)) / 2**20
-    _radial_order.cache_clear()
+    cached = sum(a.nbytes for a in grid.derived(_radial_order, Representation.MOMENTUM)) / 2**20
     assert cached <= 12.5, cached
     assert peaks[0] <= 26, peaks  # the first call builds the order
     assert peaks[1] <= 2, peaks  # a later call holds no array of the sub-cells' size

@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -358,21 +361,65 @@ def test_force_checks_read_the_history_frame_by_frame():
     assert linear == float(np.abs(dpdt + 2.0).max())
 
 
-def test_step_phases_are_built_once_per_run():
+def test_step_phases_are_built_once_per_run(monkeypatch):
     # one set for the propagator's step and one for the continuity probe's
     # half step, however many frames the suite probes
-    momtraj.dynamics._step_phases.cache_clear()
+    built = []
+    original = momtraj.dynamics._step_phases
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(momtraj.dynamics, "_step_phases", counted)
     cfg = default_config("harmonic-coherent", n_samples=100,
                          t_final=float(np.pi / 160.0), steps_per_frame=2)
     res = run_scenario(cfg)
     assert res.passed
     assert len(res.frames) == 11
-    info = momtraj.dynamics._step_phases.cache_info()
-    assert (info.misses, info.currsize) == (2, 2)
-    kin, kin_half, pot_phase = momtraj.dynamics._step_phases(
-        res.frames[0].psi_p.grid, SCENARIOS[cfg.name].potential(cfg), (cfg.mass,), cfg.dt)
-    assert momtraj.dynamics._step_phases.cache_info().misses == 2
+    assert len(built) == 2
+    kin, kin_half, pot_phase = res.frames[0].psi_p.grid.derived(
+        counted, SCENARIOS[cfg.name].potential(cfg), (cfg.mass,), cfg.dt)
+    assert len(built) == 2
     assert not (kin.flags.writeable or kin_half.flags.writeable or pot_phase.flags.writeable)
+
+
+def test_a_dropped_run_frees_its_grid_constants():
+    # the transform plan, stencil geometry, step phases and 2d radial order live
+    # on the run's grid, so nothing of the run outlives its result; a grid no
+    # other test runs, so that no constant could come from an earlier run
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        res = run_scenario(default_config("measurement", n_samples=200, seed=0,
+                                          grid_extent2=36.0))
+        assert res.passed
+        grid = weakref.ref(res.frames[0].psi_p.grid)
+        del res
+        gc.collect()
+        held = (tracemalloc.get_traced_memory()[0] - start) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert grid() is None
+    assert held <= 4, held
+
+
+def test_equal_grids_build_their_own_derived_values():
+    built = []
+
+    def build(grid, rep):
+        built.append(rep)
+        return np.zeros(grid.shape)
+
+    a, b = (_grid_for(default_config("measurement"), 2) for _ in range(2))
+    assert a == b and a is not b
+    position, momentum = momtraj.grid.Representation
+    first = a.derived(build, momentum)
+    assert a.derived(build, momentum) is first
+    assert len(built) == 1
+    assert b.derived(build, momentum) is not first
+    a.derived(build, position)
+    assert len(built) == 3
 
 
 def test_each_frame_computes_its_boundary_mass_once(monkeypatch):

@@ -7,6 +7,10 @@ re-exports) and import statements: a read of the name, an attribute of that
 name, or a string equal to it (perfbench patches functions by name). A name
 found nowhere is surface that only tests reach; give it a caller or delete
 it. TEST_ONLY lists the names kept on purpose, each with its reason.
+
+No module of the package imports or applies a process-wide cache
+(`functools.lru_cache` or `functools.cache`): a constant derived from a grid
+is kept by `GridSpec.derived` and freed with the grid.
 """
 
 import ast
@@ -73,3 +77,19 @@ def test_test_only_names_are_still_test_only():
     for name in TEST_ONLY:
         assert name in defined, f"{name} is gone; drop it from TEST_ONLY"
         assert name not in refs, f"{name} has a reader now; drop it from TEST_ONLY"
+
+
+def test_no_process_wide_cache():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "functools"):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: functools.{name}" for name in names
+                      if name in ("lru_cache", "cache")]
+    assert not found, found
