@@ -21,7 +21,8 @@ byte for byte, and each differing line is printed. Each command's wall time
 and peak RSS (the child's own ru_maxrss) on both trees are printed too, and
 first the line count of src/momtraj/*.py in each tree, as `wc -l` totals it.
 Outputs are deleted as soon as they are compared, and the extracted tree when
-the script ends.
+the script ends. Next to the line counts it prints each tree's count of
+settable values (`settable_values`).
 
 Exit code 0: every file and the report are identical. With --tol T, exit code
 0 also when every numeric difference in a file is within T,
@@ -32,6 +33,7 @@ report is identical. Exit code 1 otherwise, 2 on a bad REV.
 from __future__ import annotations
 
 import argparse
+import ast
 import itertools
 import json
 import math
@@ -198,6 +200,44 @@ def source_lines(tree: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "momtraj").glob("*.py"))
 
 
+def _decorator_names(node: ast.ClassDef):
+    """The name each decorator of `node` calls or is: `dataclass` for `@dataclass`,
+    `@dataclass(frozen=True)` and `@dataclasses.dataclass`."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        yield getattr(target, "id", getattr(target, "attr", None))
+
+
+def _defaults(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> int:
+    return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+
+def settable_values(source: str) -> int:
+    """Settable values of one module: the parameters with defaults of its public
+    functions and of the public methods (`__init__` included) of its public classes,
+    plus the fields with defaults of its public dataclasses. A name is public unless
+    it starts with an underscore."""
+    count = 0
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.parse(source).body:
+        if isinstance(node, functions) and not node.name.startswith("_"):
+            count += _defaults(node)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            fields = "dataclass" in _decorator_names(node)
+            for item in node.body:
+                if isinstance(item, functions) and (not item.name.startswith("_")
+                                                    or item.name == "__init__"):
+                    count += _defaults(item)
+                elif fields and isinstance(item, ast.AnnAssign) and item.value is not None:
+                    count += 1
+    return count
+
+
+def source_settable_values(tree: Path) -> int:
+    """`settable_values` summed over src/momtraj/*.py in `tree`."""
+    return sum(settable_values(p.read_text()) for p in (tree / "src" / "momtraj").glob("*.py"))
+
+
 @dataclass(frozen=True)
 class Run:
     """One momtraj command on one tree."""
@@ -238,6 +278,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         print(f"src/momtraj/*.py: {source_lines(ref_tree)} lines at {args.rev}, "
               f"{source_lines(ROOT)} in the working tree")
+        print(f"settable values: {source_settable_values(ref_tree)} at {args.rev}, "
+              f"{source_settable_values(ROOT)} in the working tree")
         for i, (label, cmd) in enumerate(COMMANDS):
             trees = [("ref", ref_tree), ("new", ROOT)]
             runs = {side: _run(tree, cmd, SCRATCH / "out" / side / label)

@@ -44,7 +44,6 @@ NORM_TOL = 1e-6
 class PropagatorConfig:
     dt: float
     steps_per_frame: int = 10
-    check_boundary: bool = True
 
     def __post_init__(self) -> None:
         if not self.dt > 0:
@@ -175,7 +174,7 @@ def propagate(
             frame = Frame(lo + row, t, ComplexField(grid, fx.rep, fx.values[row], t),
                           ComplexField(grid, fp.rep, fp.values[row], t), masses_xp)
             for rep, frac in zip((fx.rep, fp.rep), masses_xp):
-                if config.check_boundary and frac > BOUNDARY_MASS_TOL:
+                if frac > BOUNDARY_MASS_TOL:
                     raise BoundaryMassError(
                         f"boundary mass fraction {frac:.3e} in {rep.value} "
                         f"representation at t={t:.6f} exceeds {BOUNDARY_MASS_TOL:.0e}"

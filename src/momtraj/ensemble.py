@@ -6,8 +6,9 @@ the cumulative cell masses in row-major order, and the point is placed
 uniformly inside that cell. Sampling is reproducible bit-for-bit for a fixed
 (seed, state, N).
 
-The suite checks every frame, the moment and equivariance checks a block of
-frames per call, each frame over its active rows:
+The suite checks every frame over its active rows, which each check takes
+as a mask; the moment and equivariance checks take a block of frames, frame
+axis first, per call:
 * the position expectation identity  mean(x_i) ~ <x_hat>  within 4 sigma_hat/sqrt(N),
 * the spread inequality              std(x_i) <= sigma_hat (1 + 4/sqrt(N)),
 * the exact second-moment identity   <x^2> = <x_hat^2> - hbar^2 * int (d|psi~|/dp)^2 dp
@@ -16,7 +17,7 @@ frames per call, each frame over its active rows:
   Kolmogorov-Smirnov statistic below the 99% band 1.63/sqrt(N),
 * macrostate occupancy frequencies with binomial standard errors.
 
-Each check returns plain dicts (one per frame for a block) keyed as the
+Each check returns plain dicts (the block checks one per frame) keyed as the
 frame rows of stats.json, which store them as they come (numpy leftovers are
 converted when the file is written); the suite reads its pass flags and worst
 cases from the same keys.
@@ -100,8 +101,8 @@ def _sample_grid_density(fld: ComplexField, n: int, rng: np.random.Generator) ->
 # -- Kolmogorov-Smirnov machinery ---------------------------------------------------
 
 
-def ks_band(n: int, coefficient: float = KS_BAND_99) -> float:
-    return float(coefficient / np.sqrt(n))
+def ks_band(n: int) -> float:
+    return float(KS_BAND_99 / np.sqrt(n))
 
 
 def _ks_rows(values: np.ndarray, active: np.ndarray, xp: np.ndarray,
@@ -123,49 +124,42 @@ def _ks_rows(values: np.ndarray, active: np.ndarray, xp: np.ndarray,
 
 
 def ks_statistic(samples: np.ndarray, density: np.ndarray, edges: np.ndarray,
-                 active: np.ndarray | None = None) -> float | np.ndarray:
-    """One-sample KS distance of samples against the piecewise-linear grid CDF; with a
-    frame axis first on samples and density, one per frame over the `active` rows."""
-    q = np.atleast_2d(np.asarray(samples, dtype=float))
-    masses = np.clip(np.atleast_2d(density), 0.0, None) * np.diff(edges)
+                 active: np.ndarray) -> np.ndarray:
+    """One-sample KS distance of samples (B, N) against the piecewise-linear grid CDF of
+    density (B, cells), one per frame over its `active` (B, N) rows."""
+    masses = np.clip(density, 0.0, None) * np.diff(edges)
     cdf = np.concatenate([np.zeros((len(masses), 1)), np.cumsum(masses, axis=-1)], axis=-1)
-    d = _ks_rows(q, np.ones(q.shape, bool) if active is None else active, edges, cdf)
-    return d if np.ndim(samples) > 1 else float(d[0])
+    return _ks_rows(samples, active, edges, cdf)
 
 
 def equivariance_check(samples: np.ndarray, psi: ComplexField,
-                       active: np.ndarray | None = None) -> dict[str, dict] | list:
-    """KS of propagated points against |psi(.,t)|^2 in psi's representation:
-    {label: {"statistic", "band", "passed"}}, for momenta the `ks` entry of a
-    stats.json frame row.
+                       active: np.ndarray) -> list[dict[str, dict] | None]:
+    """KS of propagated points against |psi(.,t)|^2 in psi's representation, per frame
+    of a block: psi with a frame axis first, samples (B, N, dof) and the `active` (B, N)
+    rows of each frame. Each frame's record is {label: {"statistic", "band",
+    "passed"}}, for momenta the `ks` entry of a stats.json frame row, and equals bit
+    for bit the record of that frame's active rows alone; it is None where no row is
+    active.
 
     Each axis p<a> (x<a> for positions) is tested against its marginal (in
     1d, the density itself). 2d adds the radial CDF (the full 2d KS is not
     used); the radial reference is refined 4x per axis so its quantization
     bias is far below the band, and each frame sums it a slice at a time.
-
-    A block of frames (psi with a frame axis) takes samples (B, N, dof) and
-    an `active` (B, N) mask, and gives one record per frame: that frame's
-    active rows' record, bit for bit, or None where no row is active.
     """
     grid, rep = psi.grid, psi.rep
-    block = psi.values.ndim > grid.dof
-    rho = psi.density() if block else psi.density()[None]
-    q = np.asarray(samples) if block else np.atleast_2d(samples)[None]
-    active = np.ones(q.shape[:2], bool) if active is None else np.atleast_2d(active)
+    rho = psi.density()
     prefix = "p" if rep is Representation.MOMENTUM else "x"
     stats = {}
     for a in range(grid.dof):
         others = tuple(b for b in range(grid.dof) if b != a)
         marg = rho.sum(axis=tuple(1 + b for b in others)) * prod(grid.step(rep, b) for b in others)
-        stats[f"{prefix}{a}"] = ks_statistic(q[..., a], marg, _cell_edges(grid, rep, a),
+        stats[f"{prefix}{a}"] = ks_statistic(samples[..., a], marg, _cell_edges(grid, rep, a),
                                              active).tolist()
     if grid.dof == 2:
-        stats["radial"] = _radial_ks(q, active, rho, grid, rep).tolist()
+        stats["radial"] = _radial_ks(samples, active, rho, grid, rep).tolist()
     bands = [ks_band(n) if n else None for n in active.sum(axis=-1).tolist()]
-    records = [{label: {"statistic": d[f], "band": band, "passed": d[f] <= band}
-                for label, d in stats.items()} if band else None for f, band in enumerate(bands)]
-    return records if block else records[0]
+    return [{label: {"statistic": d[f], "band": band, "passed": d[f] <= band}
+             for label, d in stats.items()} if band else None for f, band in enumerate(bands)]
 
 
 def _radial_order(grid: GridSpec, rep: Representation) -> tuple[np.ndarray, np.ndarray]:
@@ -265,26 +259,18 @@ def grid_moments(psi_x: ComplexField, psi_p: ComplexField,
 MOMENT_IDENTITY_TOL = 1e-6
 
 
-def moment_checks(
-    x_samples: np.ndarray,
-    grid: GridMoments,
-    active: np.ndarray | None = None,
-) -> dict | list:
+def moment_checks(xs: np.ndarray, grid: GridMoments,
+                  active: np.ndarray) -> list[dict | None]:
     """Expectation identity, spread inequality, and the quadrature second-moment identity
-    of one frame, whose `grid_moments` are `grid`: the `moments` entry of a stats.json
-    frame row.
-
-    A block's `grid_moments` take samples (B, N, dof) and an `active` (B, N)
-    mask, and give one record per frame as `equivariance_check` does.
+    per frame of a block whose `grid_moments` are `grid`, over samples (B, N, dof) and
+    the `active` (B, N) rows of each frame: the `moments` entry of a stats.json frame
+    row, one record per frame as `equivariance_check` gives them.
     """
-    block = grid.mean.ndim > 1
-    xs = np.asarray(x_samples) if block else np.atleast_2d(x_samples)[None]
-    active = np.ones(xs.shape[:2], bool) if active is None else np.atleast_2d(active)
     n = active.sum(axis=-1)
     mean_s, std_s = xs.mean(axis=1), xs.std(axis=1)
     for f in np.flatnonzero((n > 0) & (n < xs.shape[1])):  # retired rows drop out as before
         mean_s[f], std_s[f] = xs[f][active[f]].mean(axis=0), xs[f][active[f]].std(axis=0)
-    mean_grid, std_grid, mean2_grid, lhs, rhs = (m.T if block else m[None] for m in grid)
+    mean_grid, std_grid, mean2_grid, lhs, rhs = (m.T for m in grid)
     root_n = np.sqrt(np.maximum(n, 1))[:, None]
     band, bound = 4.0 * std_grid / root_n, std_grid * (1.0 + 4.0 / root_n)
     rel = np.max(np.abs(lhs - rhs) / np.maximum(np.abs(mean2_grid), 1e-30), axis=-1)
@@ -295,9 +281,8 @@ def moment_checks(
                "std_sample": std_s, "std_grid": std_grid, "std_bound": bound,
                "std_ok": np.all(std_s <= bound, axis=-1), "second_moment_identity_rel_err": rel,
                "identity_ok": rel <= MOMENT_IDENTITY_TOL, "n_used": n}
-    records = [dict(zip(columns, row)) if row[-1] else None
-               for row in zip(*(c.tolist() for c in columns.values()))]
-    return records if block else records[0]
+    return [dict(zip(columns, row)) if row[-1] else None
+            for row in zip(*(c.tolist() for c in columns.values()))]
 
 
 # -- histograms and macrostates -------------------------------------------------------
@@ -307,19 +292,16 @@ def rho_histogram(
     x_samples: np.ndarray,
     bins: int,
     bounds: list[tuple[float, float]],
-    active: np.ndarray | None = None,
+    active: np.ndarray,
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Normalized histogram density of the ensemble positions.
+    """Normalized histogram density of the `active` rows of the ensemble positions (N, dof).
 
     `bounds` holds one (lo, hi) range per axis. Returns (edges, density):
     the bin edges of each axis and the density, with one array dimension per
     axis, that integrates to 1 over the bounds (all zero when no sample falls
     inside them).
     """
-    xs = np.atleast_2d(x_samples)
-    if active is not None:
-        xs = xs[active]
-    counts, edges = np.histogramdd(xs, bins=bins, range=bounds)
+    counts, edges = np.histogramdd(x_samples[active], bins=bins, range=bounds)
     cell = prod(e[1] - e[0] for e in edges)
     density = counts / (counts.sum() * cell) if counts.sum() else counts
     return edges, density
@@ -359,10 +341,11 @@ def _regions_overlap(a: Region, b: Region) -> bool:
 def macrostate_frequencies(
     x_samples: np.ndarray,
     regions: list[Region],
-    active: np.ndarray | None = None,
+    active: np.ndarray,
 ) -> dict[str, dict[str, float]]:
-    """Occupancy fraction and binomial standard error, {"frequency", "stderr"}, per
-    region plus 'other': the `macrostate_occupancy` entry of a stats.json frame row.
+    """Occupancy fraction and binomial standard error, {"frequency", "stderr"}, of the
+    `active` rows of the positions (N, dof) per region plus 'other': the
+    `macrostate_occupancy` entry of a stats.json frame row.
 
     Regions must be disjoint; overlap raises a configuration error.
     """
@@ -372,9 +355,7 @@ def macrostate_frequencies(
                 raise ConfigurationError(
                     f"macrostate regions {a.name!r} and {b.name!r} overlap"
                 )
-    xs = np.atleast_2d(x_samples)
-    if active is not None:
-        xs = xs[active]
+    xs = x_samples[active]
     n = xs.shape[0]
     hit = np.zeros(n, dtype=int)
     counts = {}

@@ -11,9 +11,9 @@ respect to the grid quadrature norms (Plancherel holds to roundoff).
 
 Spectral derivatives on the momentum grid treat fields as periodic; they are
 exact for states whose position-space content lies inside the centered
-window [-extent/2, extent/2). Keep grids centered at the origin and keep
-probability mass away from the edges (the propagator enforces this) and the
-spectral calculus is accurate to machine precision.
+window [-extent/2, extent/2), which every grid axis is. Keep probability
+mass away from the edges (the propagator enforces this) and the spectral
+calculus is accurate to machine precision.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ class Representation(Enum):
 
 @dataclass(frozen=True)
 class GridAxis:
-    """One scalar degree of freedom: point count, full width, window center."""
+    """One scalar degree of freedom: point count and full width of a window centered
+    at the origin."""
 
     points: int
     extent: float
-    center: float = 0.0
 
     def __post_init__(self) -> None:
         if self.points < 64 or self.points & (self.points - 1) != 0:
@@ -99,7 +99,7 @@ class GridSpec:
 
     def positions(self, axis: int) -> np.ndarray:
         ax = self.axes[axis]
-        return ax.center + (np.arange(ax.points) - ax.points // 2) * self.spacing(axis)
+        return (np.arange(ax.points) - ax.points // 2) * self.spacing(axis)
 
     def momenta(self, axis: int) -> np.ndarray:
         ax = self.axes[axis]
@@ -123,8 +123,8 @@ class GridSpec:
         return out
 
 
-def grid_1d(points: int, extent: float, center: float = 0.0, hbar: float = 1.0) -> GridSpec:
-    return GridSpec(axes=(GridAxis(points, extent, center),), hbar=hbar)
+def grid_1d(points: int, extent: float, hbar: float = 1.0) -> GridSpec:
+    return GridSpec(axes=(GridAxis(points, extent),), hbar=hbar)
 
 
 def grid_2d(
@@ -191,8 +191,8 @@ class ComplexField:
             raise ConfigurationError("cannot normalize a zero field")
         return ComplexField(self.grid, self.rep, self.values / n, self.time)
 
-    def with_values(self, values: np.ndarray, time: float | None = None) -> "ComplexField":
-        return ComplexField(self.grid, self.rep, values, self.time if time is None else time)
+    def with_values(self, values: np.ndarray) -> "ComplexField":
+        return ComplexField(self.grid, self.rep, values, self.time)
 
 
 @dataclass(frozen=True)
@@ -398,16 +398,24 @@ def local_position_field(field: ComplexField, grad: np.ndarray | None = None) ->
     """
     if field.rep is not Representation.MOMENTUM:
         raise ConfigurationError("local_position_field expects a momentum-representation field")
-    rho = field.density()
-    valid = node_mask(rho, field.grid)
     if grad is None:
         grad = spectral_gradient(field.values, field.grid, field.rep)
-    comps = np.zeros((field.grid.dof,) + rho.shape)
+    numerator = np.real(np.conj(field.values) * (1j * field.grid.hbar * grad))
+    return _masked_ratio(field.grid, field.rep, numerator, field.density())
+
+
+def _masked_ratio(grid: GridSpec, rep: Representation, numerator: np.ndarray,
+                 density: np.ndarray, masses: tuple[float, ...] | None = None
+                 ) -> MaskedVectorField:
+    """numerator[a] / density, or numerator[a] / (masses[a] * density), per axis a, and 0
+    at the points `node_mask` flags: the read-only x(p) readout and velocity fields."""
+    valid = node_mask(density, grid)
+    comps = np.zeros(numerator.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for a in range(field.grid.dof):
-            raw = np.real(np.conj(field.values) * (1j * field.grid.hbar * grad[a])) / rho
-            comps[a] = np.where(valid, raw, 0.0)
-    return MaskedVectorField(field.grid, field.rep, _frozen(comps), _frozen(valid))
+        for a in range(grid.dof):
+            divisor = density if masses is None else masses[a] * density
+            comps[a] = np.where(valid, numerator[a] / divisor, 0.0)
+    return MaskedVectorField(grid, rep, _frozen(comps), _frozen(valid))
 
 
 # -- diagnostics -----------------------------------------------------------------

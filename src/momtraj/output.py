@@ -197,16 +197,18 @@ def _ini_number(key: str, text: str, kind: type) -> int | float:
 
 def read_config_ini(path: str | Path) -> ScenarioConfig:
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigurationError(f"config file not found or unreadable: {path}")
+    try:
+        if not cp.read(path, encoding="utf-8"):
+            raise ConfigurationError(f"config file not found or unreadable: {path}")
+        items = [(section, k, v) for section in cp.sections() for k, v in cp[section].items()]
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"malformed config file {path}: {exc}") from None
     types = {f.name: type(f.default) for f in dataclasses.fields(ScenarioConfig)}
     flat: dict = {}
-    for section in cp.sections():
-        for k, v in cp[section].items():
-            if k not in types:
-                raise ConfigurationError(f"unknown config key {k!r} in [{section}]")
-            flat[k] = v if types[k] is str else _ini_number(k, v, types[k])
+    for section, k, v in items:
+        if k not in types:
+            raise ConfigurationError(f"unknown config key {k!r} in [{section}]")
+        flat[k] = v if types[k] is str else _ini_number(k, v, types[k])
     return ScenarioConfig.from_dict(flat)
 
 

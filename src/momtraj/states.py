@@ -27,7 +27,6 @@ def gaussian_state(
     sigma: float = 1.0,
     center: float | tuple[float, ...] = 0.0,
     boost: float | tuple[float, ...] = 0.0,
-    time: float = 0.0,
 ) -> ComplexField:
     """Product Gaussian packet, optionally shifted and momentum-boosted per axis."""
     centers = np.broadcast_to(np.asarray(center, dtype=float), (grid.dof,))
@@ -38,7 +37,7 @@ def gaussian_state(
         shape = [1] * grid.dof
         shape[a] = grid.axes[a].points
         vals = vals * axis_vals.reshape(shape)
-    return ComplexField(grid, Representation.POSITION, vals, time).normalized()
+    return ComplexField(grid, Representation.POSITION, vals).normalized()
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,8 @@ from .grid import (
     MaskedVectorField,
     Representation,
     _frozen,
+    _masked_ratio,
     local_position_field,
-    node_mask,
     spectral_gradient,
 )
 from .potentials import Free, Potential
@@ -122,12 +122,7 @@ def interpolate_masked(
 
 def velocity_from_current(current: CurrentField, density: np.ndarray) -> MaskedVectorField:
     """w = j / |psi~|^2 with node-flagged points masked out."""
-    valid = node_mask(density, current.grid)
-    comps = np.zeros_like(current.components)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for a in range(current.grid.dof):
-            comps[a] = np.where(valid, current.components[a] / density, 0.0)
-    return MaskedVectorField(current.grid, Representation.MOMENTUM, _frozen(comps), _frozen(valid))
+    return _masked_ratio(current.grid, Representation.MOMENTUM, current.components, density)
 
 
 def velocity_field_dbb(
@@ -138,16 +133,10 @@ def velocity_field_dbb(
     if psi_x.rep is not Representation.POSITION:
         raise ConfigurationError("guidance velocity expects a position-representation field")
     grid = psi_x.grid
-    ms = _masses(masses, grid.dof)
-    rho = psi_x.density()
-    valid = node_mask(rho, grid)
     grad = spectral_gradient(psi_x.values, grid, Representation.POSITION)
-    comps = np.zeros((grid.dof,) + rho.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for a in range(grid.dof):
-            raw = np.real(np.conj(psi_x.values) * (-1j * grid.hbar) * grad[a]) / (ms[a] * rho)
-            comps[a] = np.where(valid, raw, 0.0)
-    return MaskedVectorField(grid, Representation.POSITION, comps, valid)
+    numerator = np.real(np.conj(psi_x.values) * (-1j * grid.hbar) * grad)
+    return _masked_ratio(grid, Representation.POSITION, numerator, psi_x.density(),
+                         _masses(masses, grid.dof))
 
 
 # -- RK4 over interpolated fields --------------------------------------------------
@@ -244,7 +233,8 @@ class FrameBlock:
     of psi~, the readout field x(p), the configured current and the velocity
     j/|psi~|^2, all read-only. `current_of` gives the current of either
     construction, built at most once per block; `position_at` and
-    `current_at` give one frame's row of them as read-only views.
+    `current_at` give one frame's row of the readout and of the configured
+    current as read-only views.
     """
 
     def __init__(self, frames: list[Frame], potential: Potential, method: CurrentMethod):
@@ -272,9 +262,9 @@ class FrameBlock:
     def position_at(self, row: int) -> MaskedVectorField:
         return _frames(self.position, row)
 
-    def current_at(self, row: int, method: CurrentMethod | None = None) -> CurrentField:
-        """Frame `row`'s current by `method`, the block's configured one by default."""
-        cur = self.current_of(method or self.method)
+    def current_at(self, row: int) -> CurrentField:
+        """Frame `row`'s current by the block's configured method."""
+        cur = self.current_of(self.method)
         return CurrentField(cur.grid, cur.components[:, row], cur.method, cur.time[row])
 
 

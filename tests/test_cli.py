@@ -307,6 +307,24 @@ def test_bad_config_file_value_exits_two(tmp_path, capsys, key, value, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text", [
+    b"model = free\n",
+    b"[run]\nmodel = free\n[run]\n",
+    b"[run]\nn_samples = 50\nn_samples = 60\n",
+    b"[run]\nmodel\n",
+    b"[run]\nmodel = %(x)s\n",
+    b"[run]\nmodel = \xff\n",
+], ids=["no-section-header", "repeated-section", "repeated-key", "no-equals-sign",
+        "missing-interpolation-key", "not-utf-8"])
+def test_malformed_config_file_exits_two(tmp_path, capsys, text):
+    (tmp_path / "bad.ini").write_bytes(text)
+    code = run_cli("run", str(tmp_path / "bad.ini"), "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_file_key_the_scenario_ignores_exits_two(tmp_path, capsys):
     # the measurement histogram artifact has fixed 2d bins, so histogram_bins
     # would be recorded in config.ini and change nothing

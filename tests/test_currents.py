@@ -145,7 +145,7 @@ def test_current_for_dispatch(grid512):
 
 def test_continuity_free_particle(grid512):
     phi = to_momentum(gaussian_state(grid512))
-    cfg = PropagatorConfig(dt=1e-3, steps_per_frame=1, check_boundary=False)
+    cfg = PropagatorConfig(dt=1e-3, steps_per_frame=1)
     after = propagate(phi, Free(), cfg, 1).psi_p
     j = current_closed_form(Free(), phi)
     resid, div_norm = continuity_residual(phi, after, j, 1e-3)
@@ -161,7 +161,7 @@ def test_continuity_free_particle(grid512):
 )
 def test_continuity_residual_second_order(grid512, pot, state_kw):
     psi = gaussian_state(grid512, **state_kw)
-    cfg = PropagatorConfig(dt=1e-3, steps_per_frame=100, check_boundary=False)
+    cfg = PropagatorConfig(dt=1e-3, steps_per_frame=100)
     frame = propagate(psi, pot, cfg, 300)
     _, mid_p, after = continuity_probe(frame.psi_p, pot, 1e-3)
     j = current_closed_form(pot, mid_p)

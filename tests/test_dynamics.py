@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import momtraj.dynamics
 import momtraj.grid
 from momtraj import (
     BoundaryMassError,
@@ -156,10 +157,12 @@ def test_boundary_violation_aborts():
         propagate(psi, Free(), cfg, 3000)
 
 
-def test_boundary_violation_inside_a_block_stops_before_the_offending_frame():
+def test_boundary_violation_inside_a_block_stops_before_the_offending_frame(monkeypatch):
     grid = grid_1d(128, 16.0)
     psi = gaussian_state(grid, sigma=1.0, boost=3.0)  # drifts into the wall
-    unchecked = collect_frames(psi, Free(), PropagatorConfig(1e-3, 10, check_boundary=False), 3000)
+    with monkeypatch.context() as m:  # an unchecked propagation as the oracle
+        m.setattr(momtraj.dynamics, "BOUNDARY_MASS_TOL", np.inf)
+        unchecked = collect_frames(psi, Free(), PropagatorConfig(1e-3, 10), 3000)
     bad = next(fr for fr in unchecked if max(fr.boundary_mass) > BOUNDARY_MASS_TOL)
     assert bad.index % (BLOCK_POINTS // grid.size) > 0  # not the first frame of its block
     seen = []
@@ -208,7 +211,7 @@ def test_continuity_probe_equals_two_half_step_propagations(grid512, pot, monkey
     # half-step propagations of each frame
     frames = collect_frames(coherent_state(grid512, 2.0), pot,
                             PropagatorConfig(dt=1e-3, steps_per_frame=5), 10)
-    half = PropagatorConfig(dt=1e-3 / 2.0, steps_per_frame=1, check_boundary=False)
+    half = PropagatorConfig(dt=1e-3 / 2.0, steps_per_frame=1)
     refs = []
     for frame in frames:
         mid_ref = propagate(frame.psi_p, pot, half, 1)

@@ -33,6 +33,34 @@ from momtraj.states import gaussian_state, superposition_state
 from momtraj.trajectories import integrate_epstein
 
 
+def _block_of_one(field):
+    """`field` as a block of one frame."""
+    return ComplexField(field.grid, field.rep, field.values[None], np.array([field.time]))
+
+
+def _all_rows(q):
+    """A mask that keeps every row of the samples q (N, ...), for a block of one."""
+    return np.ones((1, len(q)), bool)
+
+
+def _equivariance(q, psi):
+    """The `equivariance_check` record of every row of q (N, dof) against one frame."""
+    (record,) = equivariance_check(q[None], _block_of_one(psi), _all_rows(q))
+    return record
+
+
+def _ks(q, density, edges):
+    """The KS distance of every sample of q (N,) against one frame's density."""
+    return ks_statistic(q[None], density[None], edges, _all_rows(q))[0]
+
+
+def _moment_record(xs, psi, phi):
+    """The `moment_checks` record of every row of xs (N, dof) against one frame."""
+    moments = grid_moments(_block_of_one(psi), _block_of_one(phi))
+    (record,) = moment_checks(xs[None], moments, _all_rows(xs))
+    return record
+
+
 # -- sampling ----------------------------------------------------------------------
 
 
@@ -102,7 +130,7 @@ def test_ks_self_consistency(grid512, seed):
     n = 10_000
     samples = sample_momenta(phi, n, seed=seed)
     edges = _cell_edges(grid512, Representation.MOMENTUM, 0)
-    d = ks_statistic(samples[:, 0], phi.density(), edges)
+    d = _ks(samples[:, 0], phi.density(), edges)
     assert d <= ks_band(n)
 
 
@@ -111,14 +139,14 @@ def test_ks_detects_wrong_density(grid512):
     shifted = to_momentum(gaussian_state(grid512, sigma=1.0, boost=0.5))
     samples = sample_momenta(phi, 10_000, seed=0)
     edges = _cell_edges(grid512, Representation.MOMENTUM, 0)
-    d = ks_statistic(samples[:, 0], shifted.density(), edges)
+    d = _ks(samples[:, 0], shifted.density(), edges)
     assert d > 5 * ks_band(10_000)
 
 
 def test_equivariance_2d_self_consistency(grid2d):
     phi = to_momentum(gaussian_state(grid2d, sigma=1.0, boost=(1.0, -0.5)))
     samples = sample_momenta(phi, 10_000, seed=3)
-    results = equivariance_check(samples, phi)
+    results = _equivariance(samples, phi)
     assert list(results) == ["p0", "p1", "radial"]  # two marginals plus the radial CDF
     for label, r in results.items():
         assert r["passed"], (label, r["statistic"], r["band"])
@@ -130,13 +158,13 @@ def test_equivariance_tests_each_axis_marginal_in_any_dof(grid512, grid2d):
         phi = to_momentum(gaussian_state(grid, sigma=1.0))
         q = sample_momenta(phi, 2_000, seed=4)
         rho = phi.density()
-        got = equivariance_check(q, phi)
+        got = _equivariance(q, phi)
         assert list(got) == [f"p{a}" for a in range(grid.dof)] + ["radial"] * (grid.dof == 2)
         for a in range(grid.dof):
             marg = rho if grid.dof == 1 else (
                 rho.sum(axis=1 - a) * grid.step(Representation.MOMENTUM, 1 - a))
             edges = _cell_edges(grid, Representation.MOMENTUM, a)
-            assert got[f"p{a}"]["statistic"] == ks_statistic(q[:, a], marg, edges)
+            assert got[f"p{a}"]["statistic"] == _ks(q[:, a], marg, edges)
 
 
 def radial_ks_reference(q, rho, grid, refine=4):
@@ -165,7 +193,7 @@ def test_radial_ks_equals_a_fresh_sort_on_each_grid(grid2d):
         phi = to_momentum(gaussian_state(grid, sigma=1.0, boost=(1.0, -0.5)))
         cases.append((sample_momenta(phi, 2_000, seed=seed), phi, grid))
     for q, phi, grid in cases + cases:
-        got = equivariance_check(q, phi)["radial"]
+        got = _equivariance(q, phi)["radial"]
         assert got["statistic"] == radial_ks_reference(q, phi.density(), grid)
         assert got["passed"]
 
@@ -242,7 +270,8 @@ def test_rho_histogram_free_t0_all_mass_at_origin(grid_wide):
     frames = collect_frames(psi, Free(), PropagatorConfig(dt=1e-3, steps_per_frame=1), 1)
     p0 = sample_momenta(frames[0].psi_p, 2000, 0)
     hist = integrate_epstein(frames, Free(), p0)
-    (edges,), density = rho_histogram(hist.x[0], bins=200, bounds=[(-40.0, 40.0)])
+    (edges,), density = rho_histogram(hist.x[0], bins=200, bounds=[(-40.0, 40.0)],
+                                      active=np.ones(2000, bool))
     centers = 0.5 * (edges[:-1] + edges[1:])
     width = edges[1] - edges[0]
     occupied = density > 0
@@ -259,7 +288,8 @@ def test_rho_histogram_change_of_variables(grid_wide):
     p0 = sample_momenta(frames[0].psi_p, n, 1)
     hist = integrate_epstein(frames, Free(), p0)
     bins = 100
-    (edges,), density = rho_histogram(hist.x[-1], bins=bins, bounds=[(-40.0, 40.0)])
+    (edges,), density = rho_histogram(hist.x[-1], bins=bins, bounds=[(-40.0, 40.0)],
+                                      active=np.ones(n, bool))
     centers = 0.5 * (edges[:-1] + edges[1:])
     rho_p = frames[-1].psi_p.density()
     p = grid_wide.momenta(0)
@@ -271,7 +301,7 @@ def test_rho_histogram_change_of_variables(grid_wide):
 
 def test_macrostate_frequencies_single_packet():
     xs = np.full((500, 1), 3.2)
-    freqs = macrostate_frequencies(xs, [region_1d("here", 3.0, 3.5)])
+    freqs = macrostate_frequencies(xs, [region_1d("here", 3.0, 3.5)], np.ones(500, bool))
     assert freqs["here"] == {"frequency": 1.0, "stderr": 0.0}
     assert freqs["other"] == {"frequency": 0.0, "stderr": 0.0}
 
@@ -279,7 +309,7 @@ def test_macrostate_frequencies_single_packet():
 def test_macrostate_frequencies_binomial_se():
     xs = np.concatenate([np.full((640, 1), 1.0), np.full((360, 1), -1.0)])
     freqs = macrostate_frequencies(
-        xs, [region_1d("plus", 0.5, 1.5), region_1d("minus", -1.5, -0.5)]
+        xs, [region_1d("plus", 0.5, 1.5), region_1d("minus", -1.5, -0.5)], np.ones(1000, bool)
     )
     assert freqs["plus"]["frequency"] == pytest.approx(0.64)
     assert freqs["plus"]["stderr"] == pytest.approx(np.sqrt(0.64 * 0.36 / 1000))
@@ -291,7 +321,7 @@ def test_macrostate_overlapping_regions_rejected():
     xs = np.zeros((10, 1))
     with pytest.raises(ConfigurationError):
         macrostate_frequencies(
-            xs, [region_1d("a", -1.0, 1.0), region_1d("b", 0.5, 2.0)]
+            xs, [region_1d("a", -1.0, 1.0), region_1d("b", 0.5, 2.0)], np.ones(10, bool)
         )
 
 
@@ -320,7 +350,7 @@ def test_moment_checks_boosted_packet(grid512):
     samples = sample_momenta(phi, 5000, seed=2)
     # positions of the flow at t=0 all equal the packet center
     xs = np.full((5000, 1), x0)
-    rep = moment_checks(xs, grid_moments(psi, phi))
+    rep = _moment_record(xs, psi, phi)
     assert rep["mean_ok"] and rep["std_ok"] and rep["identity_ok"]
     assert rep["mean_grid"][0] == pytest.approx(x0, abs=1e-9)
     assert rep["second_moment_identity_rel_err"] <= 1e-6
@@ -336,7 +366,7 @@ def test_second_moment_identity_superposition(a):
     psi = sup.field if sup else gaussian_state(grid)
     phi = to_momentum(psi)
     xs = np.zeros((1000, 1))
-    rep = moment_checks(xs, grid_moments(psi, phi))
+    rep = _moment_record(xs, psi, phi)
     assert rep["identity_ok"], rep["second_moment_identity_rel_err"]
 
 
@@ -344,7 +374,7 @@ def test_moment_checks_detect_displaced_ensemble(grid512):
     psi = gaussian_state(grid512, sigma=1.0)
     phi = to_momentum(psi)
     xs = np.full((5000, 1), 2.0)  # grossly displaced ensemble
-    rep = moment_checks(xs, grid_moments(psi, phi))
+    rep = _moment_record(xs, psi, phi)
     assert not rep["mean_ok"]
 
 
@@ -359,7 +389,7 @@ def test_equivariance_linear_translation(grid512):
     p0 = sample_momenta(frames[0].psi_p, n, seed=11)
     hist = integrate_epstein(frames, pot, p0)
     for f in (0, 5, 10):
-        res = equivariance_check(hist.p[f], frames[f].psi_p)["p0"]
+        res = _equivariance(hist.p[f], frames[f].psi_p)["p0"]
         assert res["passed"], (f, res["statistic"], res["band"])
     # and the samples really did translate by -c t
     assert np.abs(hist.p[-1] - (p0 - 2.0 * 1.0)).max() <= 1e-8
@@ -394,10 +424,6 @@ def _block_case(grid):
     return psi_x, psi_p, p, x, active
 
 
-def _frame(field, f):
-    return ComplexField(field.grid, field.rep, field.values[f], field.time[f])
-
-
 @pytest.mark.parametrize("grid_name", ["grid512", "grid2d"])
 def test_block_records_equal_single_frame_records(request, grid_name):
     grid = request.getfixturevalue(grid_name)
@@ -410,15 +436,16 @@ def test_block_records_equal_single_frame_records(request, grid_name):
     for f in range(4):
         assert list(ks[f]) == [f"p{a}" for a in range(grid.dof)] + ["radial"] * (grid.dof == 2)
         one = ComplexField(grid, psi_p.rep, psi_p.values[f:f + 1], psi_p.time[f:f + 1])
-        moments_f = type(moments)(*(m[:, f] for m in moments))
+        moments_f = type(moments)(*(m[:, f:f + 1] for m in moments))
         # a block of one gives the same record, bit for bit
         assert equivariance_check(p[f:f + 1], one, active[f:f + 1]) == [ks[f]]
-        assert moment_checks(x[f:f + 1], type(moments)(*(m[:, f:f + 1] for m in moments)),
-                             active[f:f + 1]) == [mom[f]]
-        # a retired row drops out as if its row were not there
+        assert moment_checks(x[f:f + 1], moments_f, active[f:f + 1]) == [mom[f]]
+        # a retired row drops out as if its row were not there: the record equals
+        # that of a block of one that holds only the active rows, all of them kept
         kept = active[f]
-        assert equivariance_check(p[f][kept], _frame(psi_p, f)) == ks[f]
-        assert moment_checks(x[f][kept], moments_f) == mom[f]
+        assert equivariance_check(p[f][kept][None], one, _all_rows(p[f][kept])) == [ks[f]]
+        assert moment_checks(x[f][kept][None], moments_f, _all_rows(x[f][kept])) == [mom[f]]
         assert mom[f]["n_used"] == kept.sum()
         assert all(r["band"] == ks_band(int(kept.sum())) for r in ks[f].values())
-    assert equivariance_check(p[4][active[4]], _frame(psi_p, 4)) is None
+    one = ComplexField(grid, psi_p.rep, psi_p.values[4:5], psi_p.time[4:5])
+    assert equivariance_check(p[4][active[4]][None], one, _all_rows(p[4][active[4]])) == [None]

@@ -79,3 +79,52 @@ def test_compare_reports_rejects_a_changed_verdict_line_at_any_tolerance():
     assert len(report.lines) == 1
     assert report.lines[0].startswith("stdout line 2: '  [PASS] collapse: ")
     assert "!= '  [FAIL] collapse: branch-current-split  measured 2.500e-03" in report.lines[0]
+
+
+def test_settable_values_counts_public_defaults_and_dataclass_fields():
+    source = '''
+import dataclasses
+from dataclasses import dataclass
+
+
+def run(n, seed=0, *, threads=1, verbose):
+    def inner(x=1):
+        return x
+
+
+def _private(a=1, b=2):
+    pass
+
+
+@dataclass(frozen=True)
+class Config:
+    name: str
+    dt: float = 1e-3
+    steps: int = dataclasses.field(default=10)
+    total = 5
+
+    def scaled(self, factor=2.0):
+        pass
+
+    def _helper(self, k=3):
+        pass
+
+
+@dataclasses.dataclass
+class Other:
+    flag: bool = True
+
+
+class Plain:
+    size: int = 4
+
+    def __init__(self, size=4):
+        self.size = size
+
+
+class _Hidden:
+    def method(self, x=1):
+        pass
+'''
+    # run: seed, threads; Config: dt, steps, scaled's factor; Other: flag; Plain: __init__'s size
+    assert identity.settable_values(source) == 7

@@ -134,7 +134,7 @@ def test_source_operator_route_agrees_2d(grid2d):
 
 def test_source_rejects_mismatched_time_stamps(grid512):
     psi = gaussian_state(grid512)
-    phi = to_momentum(psi).with_values(to_momentum(psi).values, time=1.0)
+    phi = ComplexField(grid512, Representation.MOMENTUM, to_momentum(psi).values, 1.0)
     with pytest.raises(ConfigurationError, match="time stamps"):
         interaction_source(Linear(1.0), psi, phi)
 
@@ -150,11 +150,10 @@ def test_source_continuity_finite_difference_oracle(grid512):
     for pot in (Linear(2.0), Harmonic(1.0, 1.0)):
         psi = gaussian_state(grid512, sigma=1.0, center=1.0)
         delta = 1e-3
-        cfg = PropagatorConfig(dt=delta, steps_per_frame=1, check_boundary=False)
+        cfg = PropagatorConfig(dt=delta, steps_per_frame=1)
         after = propagate(to_momentum(psi), pot, cfg, 1).psi_p
         mid = propagate(to_momentum(psi), pot,
-                        PropagatorConfig(dt=delta / 2, steps_per_frame=1,
-                                         check_boundary=False), 1)
+                        PropagatorConfig(dt=delta / 2, steps_per_frame=1), 1)
         src = interaction_source(pot, mid.psi_x, mid.psi_p)
         fd = (after.density() - to_momentum(psi).density()) / delta
         resid = np.linalg.norm(fd + src) / np.linalg.norm(src)

@@ -4,6 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+import momtraj.dynamics
 import momtraj.trajectories
 from momtraj import (
     ComplexField,
@@ -22,7 +23,7 @@ from momtraj.dynamics import Frame, PropagatorConfig, collect_frames
 from momtraj.ensemble import sample_momenta
 from momtraj.grid import (GridAxis, GridSpec, MaskedVectorField, grid_1d, grid_2d,
                           local_position_field)
-from momtraj.grid import boundary_mass_fraction, to_position
+from momtraj.grid import boundary_mass_fraction, node_mask, to_position
 from momtraj.states import coherent_state, gaussian_state, superposition_state
 from momtraj.scenarios import _grid_checks
 from momtraj.trajectories import (
@@ -184,13 +185,13 @@ def interpolate_reference(fld, q):
 
 
 def test_interpolation_equals_the_axis_points_reference():
-    # grids that differ only in their window center, and a second
-    # representation of each, called in turn: a stencil geometry cached under
-    # the wrong key reads another grid's origin
+    # grids that differ only in their extent, and a second representation of
+    # each, called in turn: a stencil geometry cached under the wrong key reads
+    # another grid's origin
     rng = np.random.default_rng(11)
-    grids = [grid_1d(128, 20.0), grid_1d(128, 20.0, center=1.7),
-             GridSpec((GridAxis(64, 12.0, 0.5), GridAxis(128, 16.0, -1.25))),
-             GridSpec((GridAxis(64, 12.0, -0.5), GridAxis(128, 16.0, 2.0)))]
+    grids = [grid_1d(128, 20.0), grid_1d(128, 23.4),
+             GridSpec((GridAxis(64, 12.0), GridAxis(128, 16.0))),
+             GridSpec((GridAxis(64, 13.0), GridAxis(128, 18.5)))]
     cases = []
     for grid in grids:
         for rep in Representation:
@@ -375,14 +376,15 @@ def test_node_freeze_counted_on_commensurate_fringes():
     assert not np.isnan(hist.x[-1][active]).any()
 
 
-def test_batch_momenta_leaving_the_grid_stay_retired():
+def test_batch_momenta_leaving_the_grid_stay_retired(monkeypatch):
     # under Linear(c) every momentum falls at the rate c and the density moves
     # with it, so the low momenta run off the lower edge of the grid (the
     # boundary check, which would stop the propagation, is off on purpose)
+    monkeypatch.setattr(momtraj.dynamics, "BOUNDARY_MASS_TOL", np.inf)
     grid = grid_1d(128, 40.0)
     c = 10.0
     pot = Linear(c)
-    prop = PropagatorConfig(dt=1e-3, steps_per_frame=50, check_boundary=False)
+    prop = PropagatorConfig(dt=1e-3, steps_per_frame=50)
     frames = collect_frames(gaussian_state(grid, sigma=0.5), pot, prop, 500)
     p0 = np.linspace(-9.5, 2.0, 24)[:, None]
     hist = integrate_epstein(frames, pot, p0)
@@ -551,7 +553,7 @@ def assert_history_equals_the_per_interval_reference(hist, velocity, cubic=True)
 
 
 @pytest.mark.parametrize("case", ["harmonic-130", "free", "leaving", "2d"])
-def test_block_estimate_equals_the_per_interval_reference(case):
+def test_block_estimate_equals_the_per_interval_reference(case, monkeypatch):
     # 1d: 130 frames of 512 points come in blocks of 64, 64 and 2; 2d: one
     # 256 x 256 frame per block
     if case == "harmonic-130":
@@ -565,9 +567,10 @@ def test_block_estimate_equals_the_per_interval_reference(case):
                                 PropagatorConfig(dt=1e-3, steps_per_frame=2), 258)
         p0 = np.linspace(-2.0, 2.0, 300)[:, None]
     elif case == "leaving":  # under Linear(10) momenta run off the lower edge of the grid
+        monkeypatch.setattr(momtraj.dynamics, "BOUNDARY_MASS_TOL", np.inf)  # unchecked on purpose
         pot = Linear(10.0)
         frames = collect_frames(gaussian_state(grid_1d(128, 40.0), sigma=0.5), pot,
-                                PropagatorConfig(dt=1e-3, steps_per_frame=5, check_boundary=False),
+                                PropagatorConfig(dt=1e-3, steps_per_frame=5),
                                 500)
         p0 = np.linspace(-9.5, 2.0, 150)[:, None]
     else:
@@ -611,6 +614,22 @@ def test_velocity_from_current_masks_nodes(grid512):
     assert np.all(np.abs(w.components[0][w.valid] + 1.0) <= 1e-9)
 
 
+def test_guidance_velocity_divides_each_axis_by_its_mass(grid2d):
+    # catalog runs use unit mass; per-axis masses must reach their own axis
+    masses = (2.0, 0.5)
+    psi = gaussian_state(grid2d, sigma=1.0, center=(1.0, -0.5), boost=(0.7, -0.3))
+    w = velocity_field_dbb(psi, masses)
+    rho = psi.density()
+    valid = node_mask(rho, grid2d)
+    grad = spectral_gradient(psi.values, grid2d, Representation.POSITION)
+    assert np.array_equal(w.valid, valid) and not valid.all()
+    for a, m in enumerate(masses):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            raw = np.real(np.conj(psi.values) * (-1j * grid2d.hbar) * grad[a]) / (m * rho)
+        assert np.array_equal(w.components[a], np.where(valid, raw, 0.0))
+    assert not np.array_equal(w.components, velocity_field_dbb(psi).components)
+
+
 # -- shared per-frame fields ------------------------------------------------------------
 
 
@@ -631,10 +650,10 @@ def _assert_frame_fields_exact(frames, pot, method):
         assert got.components.tobytes() == cur.components.tobytes()
         for other in CurrentMethod:  # either construction, built once per block
             want = current_for(pot, frame.psi_x, frame.psi_p, other)
-            got = block.current_at(row, other)
-            assert got.method is other and got.time == frame.time
-            assert block.current_of(other) is block.current_of(other)
-            assert got.components.tobytes() == want.components.tobytes()
+            got = block.current_of(other)
+            assert got.method is other and got.time[row] == frame.time
+            assert block.current_of(other) is got
+            assert got.components[:, row].tobytes() == want.components.tobytes()
 
 
 @pytest.mark.parametrize("method", list(CurrentMethod))
@@ -662,7 +681,7 @@ def _block_arrays(block, pot):
         position, velocity = block.position_at(row), _frames(block.velocity, row)
         out.append([block.grad[:, row], position.components, position.valid,
                     velocity.components, velocity.valid,
-                    *(block.current_at(row, m).components for m in CurrentMethod),
+                    *(block.current_of(m).components[:, row] for m in CurrentMethod),
                     resid[row], den[row], *(m[:, row] for m in moments)])
     return out
 
