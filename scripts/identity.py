@@ -5,29 +5,30 @@ those of a git revision.
     python3 scripts/identity.py REV [--tol T]
 
 REV is extracted with git archive under .identity/ (ignored by git). The
-fixed set of 10 commands runs on both trees, alternating which tree goes
+fixed set of 11 commands runs on both trees, alternating which tree goes
 first, each with its own src/ on PYTHONPATH:
 
 * the 7 catalog scenarios at --n 10000 --seed 42;
 * run measurement --c1sq 0.64 --n 10000 --seed 42;
 * run harmonic-coherent --n 1000 --frames 1600 --current poisson --seed 42;
-* validate --n 2000 --seed 42 --threads 2.
+* validate --n 2000 --seed 42, with --threads 2 and with --threads 1.
 
 For a `run`, every file that either run's manifest lists is compared. A file
 prints "identical", or for a CSV the max absolute and relative difference of
 each column that differs, or for JSON the numeric leaves that differ, with
 their paths. `validate` writes no files, so its stdout report is compared
-byte for byte, and each differing line is printed. Each command's wall time
-and peak RSS (the child's own ru_maxrss) on both trees are printed too, and
-first the line count of src/momtraj/*.py in each tree, as `wc -l` totals it.
+byte for byte, and each differing line is printed; each tree's --threads 1
+report is also compared with its own --threads 2 report. Each command's wall
+time and peak RSS (the child's own ru_maxrss) on both trees are printed too,
+and first the line count of src/momtraj/*.py in each tree, as `wc -l` totals it.
 Outputs are deleted as soon as they are compared, and the extracted tree when
 the script ends. Next to the line counts it prints each tree's count of
 settable values (`settable_values`).
 
-Exit code 0: every file and the report are identical. With --tol T, exit code
+Exit code 0: every file and every report are identical. With --tol T, exit code
 0 also when every numeric difference in a file is within T,
 |a - b| <= T * max(1, |a|, |b|), every non-numeric value is equal and the
-report is identical. Exit code 1 otherwise, 2 on a bad REV.
+reports are identical. Exit code 1 otherwise, 2 on a bad REV.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ COMMANDS = tuple((name, ("run", name) + ACCEPTANCE) for name in CATALOG) + (
     ("measurement-c1sq-0.64", ("run", "measurement", "--c1sq", "0.64") + ACCEPTANCE),
     ("frames-poisson", ("run", "harmonic-coherent", "--n", "1000", "--frames", "1600",
                         "--current", "poisson", "--seed", "42")),
-    ("validate", ("validate", "--n", "2000", "--seed", "42", "--threads", "2")),
+    ("validate-threads-2", ("validate", "--n", "2000", "--seed", "42", "--threads", "2")),
+    ("validate-threads-1", ("validate", "--n", "2000", "--seed", "42", "--threads", "1")),
 )
 
 SHOWN_LEAVES = 20  # differing JSON leaves printed per file; the rest are counted
@@ -275,6 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"identity: {exc}", file=sys.stderr)
         return 2
     ok = True
+    reports: dict[str, dict[str, bytes]] = {}  # validate label -> side -> stdout
     try:
         print(f"src/momtraj/*.py: {source_lines(ref_tree)} lines at {args.rev}, "
               f"{source_lines(ROOT)} in the working tree")
@@ -285,6 +288,8 @@ def main(argv: list[str] | None = None) -> int:
             runs = {side: _run(tree, cmd, SCRATCH / "out" / side / label)
                     for side, tree in (trees if i % 2 == 0 else trees[::-1])}
             ref, new = runs["ref"], runs["new"]
+            if cmd[0] == "validate":
+                reports[label] = {side: run.stdout for side, run in runs.items()}
             report = (compare_dirs(SCRATCH / "out" / "ref" / label,
                                    SCRATCH / "out" / "new" / label)
                       if cmd[0] == "run" else compare_reports(ref.stdout, new.stdout))
@@ -302,6 +307,14 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"  {line}")
             sys.stdout.flush()  # one command's report at a time, also through a pipe
             shutil.rmtree(SCRATCH / "out", ignore_errors=True)
+        for side, where in (("ref", f"at {args.rev}"), ("new", "in the working tree")):
+            report = compare_reports(reports["validate-threads-1"][side],
+                                     reports["validate-threads-2"][side])
+            ok &= report.identical
+            print(f"validate --threads 1 against --threads 2 {where}: "
+                  f"{'identical' if report.identical else 'DIFFERS'}")
+            for line in report.lines:
+                print(f"  {line}")
     finally:
         shutil.rmtree(SCRATCH, ignore_errors=True)
     return 0 if ok else 1

@@ -99,7 +99,7 @@ def _step_phases(grid, potential: Potential, masses: tuple[float, ...], dt: floa
     multiplications by kin alone.
     """
     kin = kinetic_energy_grid(grid, masses)
-    max_phase = float(kin.max()) * dt / grid.hbar
+    max_phase = float(kin.max()) * abs(dt) / grid.hbar
     if max_phase >= np.pi:
         raise ConfigurationError(
             f"kinetic phase per step {max_phase:.3f} >= pi; reduce dt or the momentum extent"
@@ -219,6 +219,8 @@ def continuity_probe(
     half-steps compose to the full step up to O(dt^3), far below the
     continuity tolerance; the midpoint state centers the finite difference.
     """
+    if not dt > 0:
+        raise ConfigurationError(f"continuity probe dt must be positive, got {dt}")
     grid = psi_p.grid
     half = dt / 2.0
     kin, kin_half, pot_phase = grid.derived(_step_phases, potential, _masses(masses, grid.dof), half)

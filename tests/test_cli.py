@@ -2,8 +2,11 @@ import gc
 import json
 import re
 import tempfile
+import threading
+import time
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from momtraj import cli
 from momtraj.cli import main
+from momtraj.errors import BoundaryMassError
 from momtraj.ensemble import Ensemble
 from momtraj.output import (
     fmt,
@@ -20,7 +24,7 @@ from momtraj.output import (
     write_config_ini,
     write_trajectories_csv,
 )
-from momtraj.scenarios import SCENARIOS, default_config
+from momtraj.scenarios import SCENARIOS, _grid_for, default_config
 from momtraj.trajectories import EnsembleHistory, TrajStatus
 
 
@@ -152,11 +156,49 @@ def test_list_scenarios(capsys):
     assert "claims:" in out
 
 
-def test_validate_reduced(capsys):
+def test_validate_reduced(capsys, monkeypatch):
+    """Measurement runs on a lane of its own; the 1d jobs take turns on one other
+    thread, smallest n_frames x grid size first; every thread count prints one report."""
+    real, spans = cli.run_scenario, {}
+
+    def spy(cfg):
+        start = time.perf_counter()
+        result = real(cfg)
+        spans[cfg.name] = (threading.get_ident(), start, time.perf_counter())
+        return result
+
+    monkeypatch.setattr(cli, "run_scenario", spy)
     code = run_cli("validate", "--n", "300", "--threads", "2")
     out = capsys.readouterr().out
     assert code == 0, out
     assert "result: PASS" in out
+    shared = sorted((name for name in SCENARIOS if SCENARIOS[name].dof == 1),
+                    key=lambda name: spans[name][1])
+    lane_thread = spans[shared[0]][0]
+    assert {spans[name][0] for name in shared} == {lane_thread}
+    assert spans["measurement"][0] != lane_thread
+    assert all(spans[a][2] <= spans[b][1] for a, b in zip(shared, shared[1:]))
+    cost = [default_config(name).n_frames() * _grid_for(default_config(name), 1).size
+            for name in shared]
+    assert cost == sorted(cost)
+    monkeypatch.undo()
+    # more threads than lanes; the next test compares --threads 1 with 2
+    assert run_cli("validate", "--n", "300", "--threads", "3") == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("failing", ["collapse", "measurement"])
+def test_a_failing_job_on_either_lane_exits_two(capsys, monkeypatch, failing):
+    def fake(cfg):
+        if cfg.name == failing:
+            raise BoundaryMassError(f"{cfg.name} reached the edge")
+        return SimpleNamespace(verdicts=[])
+
+    monkeypatch.setattr(cli, "run_scenario", fake)
+    assert run_cli("validate", "--n", "300", "--threads", "2") == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {failing} reached the edge\n"
+    assert "result:" not in captured.out
 
 
 def test_validate_frees_each_run_and_prints_one_report_at_any_thread_count(

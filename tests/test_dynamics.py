@@ -184,6 +184,20 @@ def test_kinetic_phase_wrap_rejected(grid512):
         propagate(psi, Free(), PropagatorConfig(dt=1.0, steps_per_frame=1), 1)
 
 
+@pytest.mark.parametrize("dt", [1.0, -1.0])
+def test_kinetic_phase_guard_reads_the_step_size_not_its_sign(grid512, dt):
+    # |kin.max() * dt| is about 257 pi on this grid either way
+    with pytest.raises(ConfigurationError, match="kinetic phase per step"):
+        _step_phases(grid512, Harmonic(1.0, 1.0), (1.0,), dt)
+
+
+@pytest.mark.parametrize("dt", [0.0, -2.0, float("nan")])
+def test_continuity_probe_rejects_a_step_that_is_not_positive(grid512, dt):
+    psi_p = to_momentum(gaussian_state(grid512))
+    with pytest.raises(ConfigurationError, match="dt must be positive"):
+        continuity_probe(psi_p, Harmonic(1.0, 1.0), dt)
+
+
 def test_unnormalized_state_rejected(grid512):
     vals = 2.0 * gaussian_state(grid512).values
     psi = ComplexField(grid512, Representation.POSITION, vals)
