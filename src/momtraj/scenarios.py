@@ -631,7 +631,7 @@ def _run_collapse(config: ScenarioConfig, grid: GridSpec, potential: Potential) 
                                    float(np.linalg.norm((j_full - j_br)[supp]) / den))
             act = (status[f] == TrajStatus.ACTIVE) & in_branch
             if act.any():
-                vals, ok, inside = interpolate_masked(br.position_at(f), p_traj[f][act])
+                vals, ok, inside, _ = interpolate_masked(br.position_at(f), p_traj[f][act])
                 good = ok & inside
                 if good.any():
                     track_worst = max(track_worst,

@@ -14,8 +14,9 @@ spacing, and the cubic through the next four frames over gives the error
 estimate. Shorter runs lerp, with no estimate unless the field is zero. The
 momentum-flow model builds its velocity, readout field x(p) and currents a
 FrameBlock at a time and hands each finished block, with its frames' history
-rows, to its consumers. An interval's fields are stacked into one masked
-field, so an RK4 stage builds one interpolation stencil for all of them.
+rows, to its consumers. One interpolation stencil serves each point set:
+an RK4 stage reads all of an interval's fields, stage 1 reads the x(p)
+readout's stencil, and a zero field's step (a free particle's) builds none.
 Stencils touching node-flagged grid points freeze the trajectory
 (conservative; freezes are counted and reported, never silently
 extrapolated). Trajectories that leave the grid are likewise retired.
@@ -63,58 +64,70 @@ def _stencil_geometry(grid: GridSpec, rep: Representation):
     """The interpolation stencil's geometry on one grid representation.
 
     Returns (axes, corners): per axis (first point, step, point count), and
-    per stencil corner (the upper-neighbour bit of each axis, the corner's
-    offset in the row-major flat index). Corner 0 is the all-lower one, at
-    offset 0.
+    per stencil corner (each axis's tap, 1 for the upper neighbour, and the
+    corner's offset in the row-major flat index). Corner 0 is at offset 0.
     """
     axes = tuple((grid.axis_points(rep, a)[0], grid.step(rep, a), grid.axes[a].points)
                  for a in range(grid.dof))
     strides = [prod(grid.shape[a + 1:]) for a in range(grid.dof)]
     corners = []
     for corner in range(2**grid.dof):
-        upper = tuple((corner >> a) & 1 for a in range(grid.dof))
-        corners.append((upper, sum(u * s for u, s in zip(upper, strides))))
+        taps = tuple((corner >> a) & 1 for a in range(grid.dof))
+        corners.append((taps, sum(t * s for t, s in zip(taps, strides))))
     return axes, tuple(corners)
+
+
+class Stencil:
+    """The multilinear stencil of query points (N, dof) on one grid representation:
+    `base`, each point's row-major flat index of its all-lower corner, `weights[a, t]`,
+    the weight of axis a's tap t (0 the lower neighbour, 1 the upper), and `inside`.
+    Only `interpolate_masked` builds one, so that its calls count every stencil."""
+
+    def __init__(self, grid: GridSpec, rep: Representation, query: np.ndarray):
+        axes, self.corners = grid.derived(_stencil_geometry, rep)
+        q = np.atleast_2d(np.asarray(query, dtype=float))
+        self.weights = np.empty((grid.dof, 2, len(q)))
+        for a, (p0, step, n) in enumerate(axes):
+            u = (q[:, a] - p0) / step
+            in_a = (u >= 0.0) & (u <= n - 1)
+            lower = np.floor(u)  # clamped in float before the one cast; fmax takes NaN to 0
+            np.fmin(np.fmax(lower, 0.0, out=lower), n - 2, out=lower)
+            frac = np.subtract(u, lower, out=self.weights[a, 1])
+            np.minimum(np.maximum(frac, 0.0, out=frac), 1.0, out=frac)
+            np.subtract(1.0, frac, out=self.weights[a, 0])
+            i = lower.astype(np.intp)
+            self.inside = in_a if a == 0 else self.inside & in_a
+            self.base = i if a == 0 else self.base * n + i
+
+    def apply(self, fld: MaskedVectorField) -> tuple[np.ndarray, np.ndarray]:
+        """(values (N, k), stencil_ok (N,)) of a field of k components on the
+        stencil's grid representation; corner 0's term starts the sum."""
+        valid = fld.valid.ravel()
+        comps = fld.components.reshape(len(fld.components), -1)
+        for taps, offset in self.corners:
+            flat = self.base + offset if offset else self.base
+            term = comps.take(flat, axis=1) * reduce(
+                np.multiply, [self.weights[a, t] for a, t in enumerate(taps)])
+            vals, ok = (vals + term, ok & valid[flat]) if offset else (term, valid[flat])
+        return vals.T, ok
+
+    def keep(self, rows: np.ndarray | slice) -> Stencil:
+        """Keep, in place, only the points that `rows` (a boolean mask or a slice) selects."""
+        self.base, self.weights, self.inside = (
+            self.base[rows], self.weights[:, :, rows], self.inside[rows])
+        return self
 
 
 def interpolate_masked(
     fld: MaskedVectorField, query: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Stencil]:
     """Evaluate a masked field of k components at query points (N, dof).
 
-    Returns (values (N, k), stencil_ok (N,), inside (N,)). Values are only
-    meaningful where stencil_ok & inside.
+    Returns (values (N, k), stencil_ok (N,), inside (N,), the stencil, which
+    reads other fields there). Values are only meaningful where stencil_ok & inside.
     """
-    axes, corners = fld.grid.derived(_stencil_geometry, fld.rep)
-    q = np.atleast_2d(np.asarray(query, dtype=float))
-    weights = []  # per axis: (weight of the lower neighbour, of the upper)
-    base = None  # row-major flat index
-    for a, (p0, step, n) in enumerate(axes):
-        u = (q[:, a] - p0) / step
-        in_a = (u >= 0.0) & (u <= n - 1)
-        # np.minimum/np.maximum rather than np.clip, whose Python-level
-        # dispatch costs microseconds per call on RK4's small batches
-        i = np.minimum(np.maximum(np.floor(u).astype(np.intp), 0), n - 2)
-        frac = np.minimum(np.maximum(u - i, 0.0), 1.0)
-        weights.append((1.0 - frac, frac))
-        inside = in_a if a == 0 else inside & in_a
-        base = i if base is None else base * n + i
-
-    # Sum over the 2^dof stencil corners. Starting from -0.0, the additive
-    # identity, keeps the sum equal bit for bit to the corner terms added in
-    # order.
-    valid = fld.valid.ravel()
-    comps = fld.components.reshape(len(fld.components), -1)
-    vals = np.full((len(comps), len(q)), -0.0)
-    ok = valid[base]  # corner 0's mask
-    for upper, offset in corners:
-        flat = base
-        if offset:
-            flat = base + offset
-            ok &= valid[flat]
-        weight = reduce(np.multiply, [weights[a][u] for a, u in enumerate(upper)])
-        vals += comps.take(flat, axis=1) * weight
-    return vals.T, ok, inside
+    stencil = Stencil(fld.grid, fld.rep, query)
+    return (*stencil.apply(fld), stencil.inside, stencil)
 
 
 # -- velocity fields --------------------------------------------------------------
@@ -142,49 +155,61 @@ def velocity_field_dbb(
 # -- RK4 over interpolated fields --------------------------------------------------
 
 
-def _retire(status: np.ndarray, rows: np.ndarray, ok: np.ndarray, inside: np.ndarray) -> None:
-    """Mark rows whose stencil left the grid LEFT_GRID, other failed ones FROZEN_AT_NODE."""
+def _settle(status: np.ndarray, rows: np.ndarray, ok: np.ndarray, inside: np.ndarray,
+            whole: bool) -> tuple[np.ndarray | slice, np.ndarray | slice]:
+    """Retire the rows whose read failed, LEFT_GRID off the grid, else FROZEN_AT_NODE.
+    Returns (the rows to write, the reads that go there): slices where none failed."""
+    good = ok & inside
+    if good.all():
+        return (slice(None) if whole else rows), slice(None)
     status[rows[~inside]] = TrajStatus.LEFT_GRID
     status[rows[inside & ~ok]] = TrajStatus.FROZEN_AT_NODE
+    return rows[good], good
+
+
+def _read(fld: MaskedVectorField, q: np.ndarray, stencil: Stencil | None):
+    """interpolate_masked(fld, q), through `stencil`, the stencil of q, where one is given."""
+    if stencil is None:
+        return interpolate_masked(fld, q)
+    return (*stencil.apply(fld), stencil.inside, stencil)
 
 
 def _rk4_step(q: np.ndarray, status: np.ndarray, w: MaskedVectorField, dt: float,
-              error: np.ndarray | None) -> None:
+              error: np.ndarray | None, stencil: Stencil | None = None) -> Stencil | None:
     """One RK4 step of the active rows of q over one frame interval, in place.
 
     w stacks the interval's fields (w0, w1, mid, diff), dof components each,
     under one mask: the stages read w0, (mid, diff) twice, then w1, and
     `error`, unless None, gains per moved row |the step's RK4 sum of diff|.
     A row whose stencil fails at any stage keeps its point and is retired.
-    On a field that is zero everywhere, one stencil at the start point stands
-    in for the four stages.
+    `stencil`, if given, is the active rows' stencil (the readout's) and
+    serves stage 1. A zero field moves no row, so it returns that stencil,
+    less the rows it retires, for the next read; any other returns None.
     """
     rows = np.flatnonzero(status == TrajStatus.ACTIVE)
     if rows.size == 0:
-        return
-    qa = q[rows]
+        return None
+    qa = q if rows.size == len(q) else q[rows]
     if not w.components.any():
-        # A zero field (a free particle's current): every stage reads +-0 at the
-        # start point, so the four stages leave q as it is (bar turning an exact
-        # -0.0 coordinate into +0.0) and one stencil gives the statuses.
-        _, ok, inside = interpolate_masked(w, qa)
-        _retire(status, rows, ok, inside)
-        return
+        # A zero field (a free particle's current): every stage reads +-0, so the
+        # four stages leave q as it is (bar turning an exact -0.0 into +0.0).
+        _, ok, inside, stencil = _read(w, qa, stencil)
+        return stencil.keep(_settle(status, rows, ok, inside, False)[1])
     dof = q.shape[1]
     w0, middle, w1 = (MaskedVectorField(w.grid, w.rep, w.components[lo * dof:hi * dof], w.valid)
                       for lo, hi in ((0, 1), (2, 4), (1, 2)))
-    k1, ok1, in1 = interpolate_masked(w0, qa)
-    m2, ok2, in2 = interpolate_masked(middle, qa + 0.5 * dt * k1)  # (k2, diff)
-    m3, ok3, in3 = interpolate_masked(middle, qa + 0.5 * dt * m2[:, :dof])
-    k4, ok4, in4 = interpolate_masked(w1, qa + dt * m3[:, :dof])
+    k1, ok1, in1, _ = _read(w0, qa, stencil)
+    m2, ok2, in2, _ = interpolate_masked(middle, qa + 0.5 * dt * k1)  # (k2, diff)
+    m3, ok3, in3, _ = interpolate_masked(middle, qa + 0.5 * dt * m2[:, :dof])
+    k4, ok4, in4, _ = interpolate_masked(w1, qa + dt * m3[:, :dof])
     ok, inside = ok1 & ok2 & ok3 & ok4, in1 & in2 & in3 & in4
-    moved = ok & inside
+    rows, moved = _settle(status, rows, ok, inside, qa is q)
     total = k1 + 2.0 * m2[:, :dof] + 2.0 * m3[:, :dof] + k4
-    q[rows[moved]] = (qa + (dt / 6.0) * total)[moved]
+    q[rows] = (qa + (dt / 6.0) * total)[moved]
     if error is not None:
         change = 2.0 * m2[:, dof:] + 2.0 * m3[:, dof:]
-        error[rows[moved]] += (dt / 6.0 * np.abs(change).max(axis=1))[moved]
-    _retire(status, rows, ok, inside)
+        error[rows] += (dt / 6.0 * np.abs(change).max(axis=1))[moved]
+    return None
 
 
 def _frames(fld: MaskedVectorField, sel: int | slice) -> MaskedVectorField:
@@ -214,16 +239,18 @@ class EnsembleHistory:
     error_estimate: float | None = 0.0
 
 
-def _readout_positions(
-    x_store: np.ndarray, status: np.ndarray, x_field: MaskedVectorField, p: np.ndarray
-) -> None:
-    """Read x(p) off x_field in place for active rows; freeze on bad stencils."""
+def _readout_positions(x_store: np.ndarray, status: np.ndarray, x_field: MaskedVectorField,
+                       p: np.ndarray, stencil: Stencil | None = None) -> Stencil | None:
+    """Read x(p) off x_field in place for active rows, through their `stencil` if given;
+    freeze on bad stencils. Returns the stencil of the rows still active."""
     rows = np.flatnonzero(status == TrajStatus.ACTIVE)
     if rows.size == 0:
-        return
-    vals, ok, inside = interpolate_masked(x_field, p[rows])
-    x_store[rows[ok & inside]] = vals[ok & inside]
-    _retire(status, rows, ok, inside)
+        return None
+    whole = rows.size == len(p)
+    vals, ok, inside, stencil = _read(x_field, p if whole else p[rows], stencil)
+    rows, good = _settle(status, rows, ok, inside, whole)
+    x_store[rows] = vals[good]
+    return stencil.keep(good)
 
 
 class FrameBlock:
@@ -283,13 +310,14 @@ class _Stepper:
     stacks the fields of the frame intervals whose frames are now loaded, and
     returns the frames they end at. For each in order, `advance()` takes the
     active rows through its interval in one RK4 step and returns the live
-    (q, status), whose rows the caller may still retire, and `record()`
-    writes the history rows. With `cubic` and n >= 4 frames, interval g
-    (frames g - 1, g) takes its midpoint from the cubic through frames
-    g - 2 .. g + 1, kept within 0 .. n - 1, valid where all four frames are,
-    and its diff from the cubic one frame earlier (later where none
-    precedes); so it waits for frame max(g + 1, 4). Otherwise its midpoint is
-    the lerp's, its diff 0, and a non-zero field leaves no error estimate.
+    (q, status), whose rows the caller may retire if it sets `stencil`, which
+    the next step's stage 1 reads, to the rest's or None; `record()` writes
+    the history rows. With `cubic` and n >= 4 frames, interval g (frames
+    g - 1, g) takes its midpoint from the cubic through frames g - 2 .. g + 1,
+    kept within 0 .. n - 1, valid where all four frames are, and its diff
+    from the cubic one frame earlier (later where none precedes); so it
+    waits for frame max(g + 1, 4). Otherwise its midpoint is the lerp's, its
+    diff 0, and a non-zero field leaves no error estimate.
     """
 
     def __init__(self, q0: np.ndarray, frames: list[Frame], cubic: bool = True):
@@ -308,6 +336,7 @@ class _Stepper:
         self.q_hist = np.empty((len(frames), n, dof))
         self.status_hist = np.empty((len(frames), n), dtype=np.int8)
         self.error: np.ndarray | None = np.zeros(n)
+        self.stencil: Stencil | None = None  # of the active rows of q, where one is known
         # (components, valid) of the loaded frames from frame self.base on
         self.window = np.empty((dof, 0) + grid.shape), np.empty((0,) + grid.shape, bool)
         self.base = 0
@@ -346,8 +375,8 @@ class _Stepper:
     def advance(self) -> tuple[np.ndarray, np.ndarray]:
         f = self.f
         if f:
-            _rk4_step(self.q, self.status, _frames(self.intervals, f - self.first),
-                      self.times[f] - self.times[f - 1], self.error)
+            self.stencil = _rk4_step(self.q, self.status, _frames(self.intervals, f - self.first),
+                                     self.times[f] - self.times[f - 1], self.error, self.stencil)
         return self.q, self.status
 
     def record(self) -> None:
@@ -392,7 +421,8 @@ def integrate_epstein(
             p, status = stepper.advance()
             if f:
                 x[f] = x[f - 1]
-            _readout_positions(x[f], status, oldest.position_at(f - first), p)
+            stepper.stencil = _readout_positions(x[f], status, oldest.position_at(f - first), p,
+                                                 stepper.stencil)
             stepper.record()
             if f + 1 == first + len(oldest.frames):
                 if on_block is not None:

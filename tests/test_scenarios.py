@@ -298,6 +298,22 @@ def test_collapse_builds_each_frames_currents_once(monkeypatch):
     assert calls["current_poisson"] <= len(res.frames)
 
 
+@pytest.mark.parametrize("name", ["collapse", "superposition", "measurement"])
+def test_every_stencil_is_built_by_a_counted_call(monkeypatch, name):
+    # the benchmark counts interpolation stencils by wrapping interpolate_masked
+    # where its callers import it; a stencil built anywhere else goes uncounted
+    built, calls = [], []
+    init = momtraj.trajectories.Stencil.__init__
+    monkeypatch.setattr(momtraj.trajectories.Stencil, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    for module in (momtraj.trajectories, momtraj.scenarios):
+        monkeypatch.setattr(module, "interpolate_masked",
+                            lambda *args, fn=module.interpolate_masked: calls.append(1) or fn(*args))
+    res = run_scenario(default_config(name, n_samples=200, seed=0))
+    assert res.passed
+    assert len(built) == len(calls) > 0
+
+
 def test_suite_checks_each_block_of_frames_in_one_call(monkeypatch):
     # the equivariance and moment checks take a whole FrameBlock per call; the
     # names matter, since perfbench traces these two functions by name in the

@@ -28,6 +28,7 @@ from momtraj.states import coherent_state, gaussian_state, superposition_state
 from momtraj.scenarios import _grid_checks
 from momtraj.trajectories import (
     FrameBlock,
+    Stencil,
     TrajStatus,
     _frames,
     _readout_positions,
@@ -68,9 +69,9 @@ def lerp_interval(w0, w1):
 
 def assert_endpoint_pair_matches(w0, w1, q):
     """One stencil over the stacked pair equals the two separate calls bit for bit."""
-    v0, ok0, in0 = interpolate_masked(w0, q)
-    v1, ok1, in1 = interpolate_masked(w1, q)
-    vals, ok, inside = interpolate_masked(_endpoints(w0, w1), q)
+    v0, ok0, in0, _ = interpolate_masked(w0, q)
+    v1, ok1, in1, _ = interpolate_masked(w1, q)
+    vals, ok, inside, _ = interpolate_masked(_endpoints(w0, w1), q)
     dof = w0.grid.dof
     assert vals.shape == (len(q), 2 * dof)
     assert vals[:, :dof].tobytes() == v0.tobytes()
@@ -84,7 +85,7 @@ def test_interpolation_exact_on_linear_field(grid512):
     fld = MaskedVectorField(grid512, Representation.MOMENTUM,
                             (3.0 * p + 1.0)[None, :], np.ones(512, bool))
     q = np.array([[0.123], [-4.567], [7.7]])
-    vals, ok, inside = interpolate_masked(fld, q)
+    vals, ok, inside, _ = interpolate_masked(fld, q)
     assert ok.all() and inside.all()
     assert np.abs(vals[:, 0] - (3.0 * q[:, 0] + 1.0)).max() <= 1e-12
 
@@ -93,7 +94,7 @@ def test_interpolation_detects_outside(grid512):
     fld = MaskedVectorField(grid512, Representation.MOMENTUM,
                             np.zeros((1, 512)), np.ones(512, bool))
     p_max = grid512.momenta(0)[-1]
-    _, _, inside = interpolate_masked(fld, np.array([[p_max + 1.0]]))
+    _, _, inside, _ = interpolate_masked(fld, np.array([[p_max + 1.0]]))
     assert not inside[0]
 
 
@@ -104,7 +105,7 @@ def test_interpolation_respects_mask(grid512):
                             np.zeros((1, 512)), valid)
     p = grid512.momenta(0)
     mid = 0.5 * (p[299] + p[300])
-    _, ok, _ = interpolate_masked(fld, np.array([[mid], [p[100]]]))
+    _, ok, _, _ = interpolate_masked(fld, np.array([[mid], [p[100]]]))
     assert not ok[0] and ok[1]
 
     # a stacked endpoint pair of random masked fields, some points off the grid
@@ -123,7 +124,7 @@ def test_interpolation_bilinear_2d():
     fld = MaskedVectorField(grid, Representation.MOMENTUM, comps,
                             np.ones(grid.shape, bool))
     q = np.array([[0.3, -1.1], [2.2, 3.3]])
-    vals, ok, inside = interpolate_masked(fld, q)
+    vals, ok, inside, _ = interpolate_masked(fld, q)
     assert ok.all() and inside.all()
     assert np.abs(vals[:, 0] - (q[:, 0] + 2 * q[:, 1])).max() <= 1e-12
     assert np.abs(vals[:, 1] - 5.0).max() <= 1e-12
@@ -137,7 +138,7 @@ def test_interpolation_bilinear_2d():
     p = grid.momenta(0)
     dp = grid.dual_spacing(0)
     q = rng.uniform(p[0] - 2 * dp, p[-1] + 2 * dp, size=(3000, 2))
-    vals, ok, inside = interpolate_masked(fld, q)
+    vals, ok, inside, _ = interpolate_masked(fld, q)
     u = (q - p[0]) / dp
     expect_inside = np.all((u >= 0) & (u <= len(p) - 1), axis=1)
     assert np.array_equal(inside, expect_inside)
@@ -345,7 +346,7 @@ def test_epstein_history_readout_consistency(grid_wide):
     hist = integrate_epstein(frames, Free(), p0)
     for f, fr in enumerate(frames):
         xf = local_position_field(fr.psi_p)
-        vals, ok, inside = interpolate_masked(xf, hist.p[f])
+        vals, ok, inside, _ = interpolate_masked(xf, hist.p[f])
         assert ok.all() and inside.all()
         assert np.abs(vals - hist.x[f]).max() <= 1e-12
 
@@ -470,7 +471,8 @@ def test_error_estimate_shrinks_with_the_frame_spacing(grid512):
 def test_zero_field_step_equals_the_four_stage_step(grid512, monkeypatch):
     # a zero interval takes the one-stencil short circuit; the same interval
     # with one node of w1 far from every row nudged takes the four stages,
-    # which read zero at every row, so both must agree bit for bit
+    # which read zero at every row, so both must agree bit for bit, with or
+    # without the readout's stencil of the start points handed in for stage 1
     p = grid512.momenta(0)
     valid = np.ones(512, bool)
     valid[300] = False
@@ -490,21 +492,60 @@ def test_zero_field_step_equals_the_four_stage_step(grid512, monkeypatch):
                         lambda w, q: calls.append(w) or interp(w, q))
     results = {}
     for name, interval in (("zero", zero), ("nudged", nudged)):
-        q = q0.copy()
-        status = np.zeros(len(q), np.int8)
-        status[3] = TrajStatus.FROZEN_AT_NODE  # retired rows are left alone
-        counts = []
-        for _ in range(2):
-            calls.clear()
-            _rk4_step(q, status, interval, 0.015, None)
-            counts.append(len(calls))
-        results[name] = (q.tobytes(), status.tobytes(), counts)
-    assert results["zero"][:2] == results["nudged"][:2]
-    assert (results["zero"][2], results["nudged"][2]) == ([1, 1], [4, 4])
-    status = np.frombuffer(results["zero"][1], np.int8)
+        for shared in (False, True):
+            q = q0.copy()
+            status = np.zeros(len(q), np.int8)
+            status[3] = TrajStatus.FROZEN_AT_NODE  # retired rows are left alone
+            counts = []
+            for _ in range(2):
+                active = status == TrajStatus.ACTIVE
+                stencil = interp(interval, q[active])[3] if shared else None
+                calls.clear()
+                kept = _rk4_step(q, status, interval, 0.015, None, stencil)
+                counts.append(len(calls))
+                if name == "nudged":
+                    assert kept is None
+                else:  # the start points' stencil, less the rows the step retired
+                    fresh = Stencil(grid512, Representation.MOMENTUM,
+                                    q[status == TrajStatus.ACTIVE])
+                    for attr in ("base", "weights", "inside"):
+                        assert getattr(kept, attr).tobytes() == getattr(fresh, attr).tobytes()
+            results[name, shared] = (q.tobytes(), status.tobytes(), counts)
+    for key in results:
+        assert results[key][:2] == results["nudged", False][:2]
+    assert [results[key][2] for key in results] == [[1, 1], [0, 0], [4, 4], [3, 3]]
+    status = np.frombuffer(results["zero", False][1], np.int8)
     assert (status[:40] == TrajStatus.ACTIVE).sum() == 39
     assert (status[40:43] == TrajStatus.LEFT_GRID).all()
     assert (status[43:46] == TrajStatus.FROZEN_AT_NODE).all()
+
+
+@pytest.mark.parametrize("pot", [Harmonic(1.0, 1.0), Free()], ids=["harmonic", "free"])
+def test_rows_the_readout_retires_leave_stage_1_a_subset(pot, monkeypatch):
+    # momenta over the fringes of a commensurate superposition: the stencils
+    # of about half of them touch an exact node at frame 0, where only the
+    # readout reads, so stage 1 of the first step reads the readout's stencil
+    # less those rows
+    frames = collect_frames(superposition_state(grid_1d(512, 40.0), 5.0).field, pot,
+                            PropagatorConfig(dt=1e-3, steps_per_frame=2), 258)
+    p0 = np.linspace(-2.0, 2.0, 300)[:, None]
+    calls = []
+    interp = momtraj.trajectories.interpolate_masked
+    monkeypatch.setattr(momtraj.trajectories, "interpolate_masked",
+                        lambda w, q: calls.append(w) or interp(w, q))
+    hist = integrate_epstein(frames, pot, p0)
+    frozen = hist.status[0] == TrajStatus.FROZEN_AT_NODE
+    assert 0 < frozen.sum() < len(p0) and not (hist.status[0] == TrajStatus.LEFT_GRID).any()
+    if isinstance(pot, Free):  # no point moves: the run's one stencil is the first readout's
+        assert len(calls) == 1
+    block = FrameBlock(frames, pot, CurrentMethod.CLOSED_FORM)
+    assert_history_equals_the_per_interval_reference(
+        hist, lambda f: _frames(block.velocity, f), cubic=not isinstance(pot, Free))
+    for f in range(len(frames)):
+        active = hist.status[f] == TrajStatus.ACTIVE
+        vals, ok, inside, _ = interp(block.position_at(f), hist.p[f][active])
+        assert ok.all() and inside.all()
+        assert vals.tobytes() == hist.x[f][active].tobytes()
 
 
 # -- the interval fields and the embedded error estimate ------------------------------
