@@ -11,9 +11,9 @@ potential the kinetic phase alone is the exact propagator, so the loop skips
 the transforms entirely in that case.
 
 The steps run in place in one work buffer. Emitted states are gathered into
-blocks of max(1, BLOCK_POINTS // grid size) frames, the same blocks as the
-trajectories' FrameBlocks; each block takes one batched transform to position
-space and one boundary-mass call per representation.
+blocks of max(1, BLOCK_POINTS // grid size) frames, as FrameBlocks are. Frames
+keep psi~ only: a block's psi(x), one batched transform, serves its boundary-mass
+call, and a reader of psi(x) transforms a frame or a `momentum_block` itself.
 """
 
 from __future__ import annotations
@@ -56,18 +56,28 @@ class PropagatorConfig:
 class Frame:
     """Immutable propagation snapshot delivered to frame subscribers.
 
-    psi_x and psi_p are read-only rows of its emission block's arrays;
-    boundary_mass holds their boundary mass fractions, in that order.
+    psi_p is a read-only row of its emission block's array; psi_x, its transform, is
+    derived on each read. boundary_mass holds their boundary mass fractions, in that order.
     """
 
     index: int
     time: float
-    psi_x: ComplexField
     psi_p: ComplexField
     boundary_mass: tuple[float, float]
 
+    @property
+    def psi_x(self) -> ComplexField:
+        return to_position(self.psi_p)
+
 
 FrameCallback = Callable[[Frame], None]
+
+
+def momentum_block(frames: list[Frame]) -> ComplexField:
+    """The frames' psi~ on a frame axis. Transforms act on each row alone, so psi(x) of
+    row f of this block has the bits of frame f's psi_x."""
+    return ComplexField(frames[0].psi_p.grid, Representation.MOMENTUM, _frozen(
+        np.stack([fr.psi_p.values for fr in frames])), np.array([fr.time for fr in frames]))
 
 
 def _masses(masses, dof: int) -> tuple[float, ...]:
@@ -168,12 +178,10 @@ def propagate(
                 block[row] = work
                 done = step
         fp = ComplexField(grid, Representation.MOMENTUM, _frozen(block), np.array(times))
-        fx = to_position(fp)
-        edge = zip(boundary_mass_fraction(fx).tolist(), boundary_mass_fraction(fp).tolist())
+        edge = zip(*(boundary_mass_fraction(fld).tolist() for fld in (to_position(fp), fp)))
         for row, (t, masses_xp) in enumerate(zip(times, edge)):
-            frame = Frame(lo + row, t, ComplexField(grid, fx.rep, fx.values[row], t),
-                          ComplexField(grid, fp.rep, fp.values[row], t), masses_xp)
-            for rep, frac in zip((fx.rep, fp.rep), masses_xp):
+            frame = Frame(lo + row, t, ComplexField(grid, fp.rep, fp.values[row], t), masses_xp)
+            for rep, frac in zip((Representation.POSITION, fp.rep), masses_xp):
                 if frac > BOUNDARY_MASS_TOL:
                     raise BoundaryMassError(
                         f"boundary mass fraction {frac:.3e} in {rep.value} "

@@ -331,9 +331,7 @@ def spectral_gradient(values: np.ndarray, grid: GridSpec, rep: Representation) -
     comps = np.empty((grid.dof,) + fhat.shape, dtype=np.complex128)
     for a in range(grid.dof):
         comps[a] = np.fft.ifftn(_axis_multiplier(grid, rep, a) * fhat, axes=axes)
-    if not np.iscomplexobj(values):
-        return comps.real
-    return comps
+    return comps.real if not np.iscomplexobj(values) else comps
 
 
 def spectral_divergence(components: np.ndarray, grid: GridSpec, rep: Representation) -> np.ndarray:
@@ -342,9 +340,7 @@ def spectral_divergence(components: np.ndarray, grid: GridSpec, rep: Representat
     for a in range(grid.dof):
         fhat = np.fft.fftn(components[a], axes=axes)
         out += np.fft.ifftn(_axis_multiplier(grid, rep, a) * fhat, axes=axes)
-    if not np.iscomplexobj(components):
-        return out.real
-    return out
+    return out.real if not np.iscomplexobj(components) else out
 
 
 def spectral_laplacian(values: np.ndarray, grid: GridSpec, rep: Representation) -> np.ndarray:

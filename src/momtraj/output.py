@@ -262,7 +262,7 @@ def write_run_outputs(result: RunResult, out_dir: str | Path, tool_version: str,
     files.append(write_field_csv(final.psi_p, out / "field_final_momentum.csv"))
     files.append(write_current_csv(result.current, out / "current_final.csv"))
 
-    grid = final.psi_x.grid
+    grid = final.psi_p.grid
     bins = result.config.histogram_bins if grid.dof == 1 else HISTOGRAM_BINS_2D
     bounds = [(grid.positions(a)[0], grid.positions(a)[-1]) for a in range(grid.dof)]
     for model, ens in result.ensembles.items():

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .currents import CurrentField, CurrentMethod, continuity_residual, current_for
-from .dynamics import Frame, PropagatorConfig, collect_frames, continuity_probe
+from .dynamics import Frame, PropagatorConfig, collect_frames, continuity_probe, momentum_block
 from .ensemble import (
     Ensemble,
     GridMoments,
@@ -33,7 +33,7 @@ from .ensemble import (
     sample_positions,
 )
 from .errors import ConfigurationError
-from .grid import ComplexField, GridSpec, Representation, grid_1d, grid_2d
+from .grid import ComplexField, GridSpec, grid_1d, grid_2d, to_position
 from .potentials import Free, Harmonic, Linear, Potential
 from .states import (
     gaussian_state,
@@ -423,8 +423,7 @@ def _run_superposition(config: ScenarioConfig, grid: GridSpec, potential: Potent
 
         # both position sets against |psi(x, t)|^2, one call per history; the readout
         # after t = 0, and only where two packets split |psi|^2 away from it
-        psi_x = ComplexField(grid, Representation.POSITION,
-                             np.stack([fr.psi_x.values for fr in suite.frames]), hist.times)
+        psi_x = to_position(momentum_block(suite.frames))
 
         def ks(h: EnsembleHistory) -> list[float]:
             return [r["x0"]["statistic"] for r in

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .currents import CurrentField, CurrentMethod, current_for
-from .dynamics import Frame, _masses
+from .dynamics import Frame, _masses, momentum_block
 from .errors import ConfigurationError
 from .grid import (
     BLOCK_POINTS,
@@ -47,6 +47,7 @@ from .grid import (
     _masked_ratio,
     local_position_field,
     spectral_gradient,
+    to_position,
 )
 from .potentials import Free, Potential
 
@@ -241,13 +242,14 @@ class EnsembleHistory:
 
 def _readout_positions(x_store: np.ndarray, status: np.ndarray, x_field: MaskedVectorField,
                        p: np.ndarray, stencil: Stencil | None = None) -> Stencil | None:
-    """Read x(p) off x_field in place for active rows, through their `stencil` if given;
-    freeze on bad stencils. Returns the stencil of the rows still active."""
+    """Read x(p) off x_field in place for active rows, through their `stencil` (and no
+    gather of p) if given; freeze on bad stencils. Returns the active rows' stencil."""
     rows = np.flatnonzero(status == TrajStatus.ACTIVE)
     if rows.size == 0:
         return None
     whole = rows.size == len(p)
-    vals, ok, inside, stencil = _read(x_field, p if whole else p[rows], stencil)
+    q = p if whole or stencil is not None else p[rows]
+    vals, ok, inside, stencil = _read(x_field, q, stencil)
     rows, good = _settle(status, rows, ok, inside, whole)
     x_store[rows] = vals[good]
     return stencil.keep(good)
@@ -256,12 +258,12 @@ def _readout_positions(x_store: np.ndarray, status: np.ndarray, x_field: MaskedV
 class FrameBlock:
     """Consecutive frames' derived fields, each built by one batched call per block.
 
-    Holds the frames' states stacked on a frame axis, the momentum gradient
-    of psi~, the readout field x(p), the configured current and the velocity
-    j/|psi~|^2, all read-only. `current_of` gives the current of either
-    construction, built at most once per block; `position_at` and
-    `current_at` give one frame's row of the readout and of the configured
-    current as read-only views.
+    Holds the frames' psi~ stacked on a frame axis, psi(x) from one batched
+    transform of it, the momentum gradient of psi~, the readout field x(p),
+    the configured current and the velocity j/|psi~|^2, all read-only.
+    `current_of` gives the current of either construction, built at most
+    once per block; `position_at` and `current_at` give one frame's row of
+    the readout and of the configured current as read-only views.
     """
 
     def __init__(self, frames: list[Frame], potential: Potential, method: CurrentMethod):
@@ -269,11 +271,8 @@ class FrameBlock:
         self.potential = potential
         self.method = method
         grid = frames[0].psi_p.grid
-        times = np.array([fr.time for fr in frames])
-        self.psi_p = ComplexField(grid, Representation.MOMENTUM,
-                                  _frozen(np.stack([fr.psi_p.values for fr in frames])), times)
-        self.psi_x = ComplexField(grid, Representation.POSITION,
-                                  _frozen(np.stack([fr.psi_x.values for fr in frames])), times)
+        self.psi_p = momentum_block(frames)
+        self.psi_x = to_position(self.psi_p)
         self.grad = _frozen(spectral_gradient(self.psi_p.values, grid, Representation.MOMENTUM))
         self.position = local_position_field(self.psi_p, self.grad)
         self._currents: dict[CurrentMethod, CurrentField] = {}
@@ -442,11 +441,8 @@ def integrate_dbb(
     """Advance guidance-law trajectories through a propagated frame sequence,
     one velocity_field_dbb call per block of frames, as in integrate_epstein."""
     stepper = _Stepper(x_initial, frames)
-    for lo, run in stepper.blocks:
-        psi_x = ComplexField(run[0].psi_x.grid, Representation.POSITION,
-                             _frozen(np.stack([fr.psi_x.values for fr in run])),
-                             stepper.times[lo:lo + len(run)])
-        for _ in stepper.load(velocity_field_dbb(psi_x, masses)):
+    for _, run in stepper.blocks:
+        for _ in stepper.load(velocity_field_dbb(to_position(momentum_block(run)), masses)):
             stepper.advance()
             stepper.record()
     return stepper.history(stepper.q_hist, None)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from momtraj import (
     BoundaryMassError,
     ComplexField,
     ConfigurationError,
+    CurrentMethod,
     Free,
     Harmonic,
     Linear,
@@ -18,9 +21,10 @@ from momtraj import (
     total_energy,
 )
 from momtraj.dynamics import (PropagatorConfig, _step_phases, collect_frames, continuity_probe,
-                              propagate)
-from momtraj.grid import BLOCK_POINTS, BOUNDARY_MASS_TOL, grid_1d, grid_2d
+                              momentum_block, propagate)
+from momtraj.grid import BLOCK_POINTS, BOUNDARY_MASS_TOL, grid_1d, grid_2d, to_position
 from momtraj.states import coherent_state, gaussian_state
+from momtraj.trajectories import FrameBlock
 
 
 def free_gaussian_exact(x, t, sigma=1.0, mass=1.0, hbar=1.0):
@@ -238,14 +242,15 @@ def test_continuity_probe_equals_two_half_step_propagations(grid512, pot, monkey
     ifft = np.fft.ifft  # an inverse transform calls it once per grid axis
     monkeypatch.setattr(np.fft, "ifft", lambda *a, **kw: calls.append(1) or ifft(*a, **kw))
     mid_x, mid_p, after = continuity_probe(block, pot, 1e-3)
+    # inverse transforms for the whole block: the midpoint's position state,
+    # plus one per split step (Free has none); counted before the references'
+    # psi_x, which each read transforms again
+    assert len(calls) == (1 if isinstance(pot, Free) else 3)
     assert len(frames) == 3
     for row, (mid_ref, after_ref) in enumerate(refs):
         for got, want in ((mid_x, mid_ref.psi_x), (mid_p, mid_ref.psi_p), (after, after_ref)):
             assert got.rep is want.rep and got.time[row] == want.time
             assert got.values[row].tobytes() == want.values.tobytes()
-    # inverse transforms for the whole block: the midpoint's position state,
-    # plus one per split step (Free has none)
-    assert len(calls) == (1 if isinstance(pot, Free) else 3)
 
 
 def test_tabulated_potential_steps_like_its_analytic_values(grid512):
@@ -338,3 +343,44 @@ def test_block_emission_gives_the_one_frame_propagators_frames(grid, pot, steps_
         assert fr.psi_p.values.tobytes() == vals_p.tobytes()
         assert fr.psi_x.values.tobytes() == vals_x.tobytes()
         assert fr.boundary_mass == masses
+
+
+@pytest.mark.parametrize("grid, n_steps", [
+    (grid_1d(512, 40.0), 301),  # 152 frames: blocks of 64, 64, 24
+    (grid_2d(256, 40.0), 5),  # measurement's grid: one frame a block
+])
+def test_frame_psi_x_equals_its_row_of_every_batched_transform(grid, n_steps):
+    # frames keep psi~ only; psi(x) derived from one row, from the frame's emission
+    # block (FrameBlock's and a plain batched transform) or from the whole run's
+    # stack (the guidance reference's) has the same bits
+    pot = Harmonic(1.0, 1.0)
+    frames = collect_frames(coherent_state(grid, 1.0), pot, PropagatorConfig(1e-3, 2), n_steps)
+    size = max(1, BLOCK_POINTS // grid.size)
+    whole = to_position(momentum_block(frames)).values
+    for lo in range(0, len(frames), size):
+        run = frames[lo:lo + size]
+        block = FrameBlock(run, pot, CurrentMethod.CLOSED_FORM).psi_x.values
+        batched = to_position(momentum_block(run)).values
+        for row, fr in enumerate(run):
+            got = fr.psi_x.values.tobytes()
+            assert got == block[row].tobytes() == batched[row].tobytes()
+            assert got == whole[lo + row].tobytes()
+
+
+def test_frames_retain_only_their_momentum_rows():
+    # 3 emission blocks (16, 16, 8 frames); the warm-up run builds the grid's step
+    # phases and transform plans, so the traced run retains its frames alone, and
+    # reading each frame's psi_x keeps nothing
+    grid, pot = grid_1d(2048, 80.0), Harmonic(1.0, 1.0)
+    psi, cfg = coherent_state(grid, 1.0), PropagatorConfig(5e-4, 1)
+    collect_frames(psi, pot, cfg, 39)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        frames = collect_frames(psi, pot, cfg, 39)
+        assert all(fr.psi_x.grid is grid for fr in frames)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(frames) == 40
+    assert held <= 1.1 * len(frames) * grid.size * 16
