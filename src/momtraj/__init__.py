@@ -31,7 +31,6 @@ from .errors import (
     IllPosedSourceError,
     NormalizationError,
     SimulationError,
-    UnsupportedPotentialError,
 )
 from .grid import (
     ComplexField,
@@ -54,7 +53,6 @@ from .potentials import (
     Harmonic,
     Linear,
     Potential,
-    Tabulated,
     apply_potential,
     apply_potential_momentum_operator,
     evaluate_potential,

@@ -3,12 +3,13 @@
 The momentum density obeys d|psi~|^2/dt + div j = 0. Two constructions of j
 are provided:
 
-* closed form, for potentials of polynomial degree <= 2:
+* closed form, for every potential of the catalog:
     Free            j = 0
     Linear(c)       j_k = -c_k |psi~|^2
     Harmonic(m, w)  j_k = m_k w_k^2 hbar Im(psi~* d psi~/dp_k)
-* Poisson route, for any potential: solve laplacian(F) = I on the momentum
-  grid and take j = grad F (curl-free by construction).
+* Poisson route: solve laplacian(F) = I on the momentum grid and take
+  j = grad F (curl-free by construction). Runs under `current = "poisson"`,
+  the 1d cross-method check and collapse's leakage report build it.
 
 In 1d the additive constant of the Poisson current is fixed by the no-flux
 convention: the current must die off where the state is silent, so the far-
@@ -25,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigurationError, UnsupportedPotentialError
+from .errors import ConfigurationError
 from .grid import (
     ComplexField,
     GridSpec,
@@ -36,8 +37,9 @@ from .grid import (
     spectral_divergence,
     spectral_gradient,
     spectral_inverse_laplacian,
+    to_position,
 )
-from .potentials import Free, Harmonic, Linear, Potential, _per_axis, interaction_source
+from .potentials import Free, Linear, Potential, _per_axis, interaction_source
 
 
 class CurrentMethod(Enum):
@@ -68,7 +70,7 @@ class CurrentField:
 
 def current_closed_form(potential: Potential, psi_p: ComplexField,
                         grad: np.ndarray | None = None) -> CurrentField:
-    """Closed-form current for Free, Linear, or Harmonic potentials; `grad` as in
+    """Closed-form current of a Free, Linear or Harmonic potential; `grad` as in
     `local_position_field`."""
     if psi_p.rep is not Representation.MOMENTUM:
         raise ConfigurationError("current construction expects a momentum-representation field")
@@ -79,7 +81,7 @@ def current_closed_form(potential: Potential, psi_p: ComplexField,
         cs = _per_axis(potential.c, grid.dof, "linear coefficients")
         rho = psi_p.density()
         comps = np.stack([-cs[a] * rho for a in range(grid.dof)])
-    elif isinstance(potential, Harmonic):
+    else:
         ms = _per_axis(potential.mass, grid.dof, "harmonic masses")
         ws = _per_axis(potential.omega, grid.dof, "harmonic frequencies")
         if grad is None:
@@ -89,10 +91,6 @@ def current_closed_form(potential: Potential, psi_p: ComplexField,
                 ms[a] * ws[a] ** 2 * grid.hbar * np.imag(np.conj(psi_p.values) * grad[a])
                 for a in range(grid.dof)
             ]
-        )
-    else:
-        raise UnsupportedPotentialError(
-            "closed-form currents exist only for free, linear, and harmonic potentials"
         )
     return CurrentField(grid, _frozen(comps), CurrentMethod.CLOSED_FORM, psi_p.time)
 
@@ -119,15 +117,16 @@ def current_poisson(source: np.ndarray, grid: GridSpec, time: float = 0.0) -> Cu
 
 def current_for(
     potential: Potential,
-    psi_x: ComplexField,
+    psi_x: ComplexField | None,
     psi_p: ComplexField,
     method: CurrentMethod,
     grad: np.ndarray | None = None,
 ) -> CurrentField:
-    """Dispatch on the configured current construction; `grad` as in `local_position_field`."""
+    """Dispatch on the configured current construction; `grad` as in `local_position_field`.
+    Only the Poisson route reads psi_x, and transforms psi_p when it is None."""
     if method is CurrentMethod.CLOSED_FORM:
         return current_closed_form(potential, psi_p, grad)
-    src = interaction_source(potential, psi_x, psi_p)
+    src = interaction_source(potential, to_position(psi_p) if psi_x is None else psi_x, psi_p)
     return current_poisson(src, psi_p.grid, psi_p.time)
 
 

@@ -219,12 +219,12 @@ def continuity_probe(
     potential: Potential,
     dt: float,
     masses: float | tuple[float, ...] = 1.0,
-) -> tuple[ComplexField, ComplexField, ComplexField]:
-    """Midpoint psi and psi~, and psi~ at t + dt, of a momentum state or a block of them.
+) -> tuple[ComplexField, ComplexField]:
+    """psi~ at the midpoint and at t + dt, of a momentum state or a block of them.
 
-    Two steps of dt/2, the same as two one-step `propagate` calls, but the
-    only position-space state transformed is the midpoint's. The two
-    half-steps compose to the full step up to O(dt^3), far below the
+    Two steps of dt/2, the same as two one-step `propagate` calls, with no
+    position-space state: the Poisson current transforms the midpoint's. The
+    two half-steps compose to the full step up to O(dt^3), far below the
     continuity tolerance; the midpoint state centers the finite difference.
     """
     if not dt > 0:
@@ -241,4 +241,4 @@ def continuity_probe(
     t_mid = psi_p.time + half
     mid_p = ComplexField(grid, Representation.MOMENTUM, _frozen(step(psi_p.values)), t_mid)
     after = ComplexField(grid, Representation.MOMENTUM, _frozen(step(mid_p.values)), t_mid + half)
-    return to_position(mid_p), mid_p, after
+    return mid_p, after

@@ -9,10 +9,6 @@ class ConfigurationError(SimulationError):
     """Invalid grid, scenario, or run configuration."""
 
 
-class UnsupportedPotentialError(ConfigurationError):
-    """Closed-form current requested for a potential without an operator form."""
-
-
 class NormalizationError(ConfigurationError):
     """State norm deviates from 1 beyond the allowed tolerance."""
 

@@ -1,14 +1,11 @@
 """Potential variants, their application, and the interaction source.
 
-The catalog of potentials with a momentum-space differential-operator form is
-restricted to polynomial degree <= 2:
+The catalog is exactly the potentials with a momentum-space differential-
+operator form, the polynomials of degree <= 2:
 
+    Free     0          <->  0
     Linear   c.x        <->  c . (i hbar d/dp)
     Harmonic m w^2 x^2/2 <-> -(m w^2 hbar^2 / 2) d^2/dp^2   (per axis)
-
-Tabulated potentials carry no operator form; they are served by the Poisson
-current route. Tabulated values must be smooth at grid scale: sharp features
-alias under the spectral propagator and the spectral calculus.
 
 The interaction source is the divergence source of the momentum-density
 continuity equation:
@@ -67,19 +64,7 @@ class Harmonic:
         object.__setattr__(self, "omega", w)
 
 
-@dataclass(frozen=True, eq=False)
-class Tabulated:
-    """Real potential values on the scenario's position grid; hashed by identity."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float, copy=True)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
-Potential = Free | Linear | Harmonic | Tabulated
+Potential = Free | Linear | Harmonic
 
 
 def _per_axis(values: tuple[float, ...], dof: int, name: str) -> tuple[float, ...]:
@@ -101,19 +86,13 @@ def evaluate_potential(potential: Potential, grid: GridSpec) -> np.ndarray:
         for a in range(grid.dof):
             out = out + cs[a] * mesh[a]
         return out
-    if isinstance(potential, Harmonic):
-        ms = _per_axis(potential.mass, grid.dof, "harmonic masses")
-        ws = _per_axis(potential.omega, grid.dof, "harmonic frequencies")
-        mesh = grid.mesh(Representation.POSITION)
-        out = np.zeros(grid.shape)
-        for a in range(grid.dof):
-            out = out + 0.5 * ms[a] * ws[a] ** 2 * mesh[a] ** 2
-        return out
-    if potential.values.shape != grid.shape:
-        raise ConfigurationError(
-            f"tabulated potential shape {potential.values.shape} does not match grid {grid.shape}"
-        )
-    return potential.values
+    ms = _per_axis(potential.mass, grid.dof, "harmonic masses")
+    ws = _per_axis(potential.omega, grid.dof, "harmonic frequencies")
+    mesh = grid.mesh(Representation.POSITION)
+    out = np.zeros(grid.shape)
+    for a in range(grid.dof):
+        out = out + 0.5 * ms[a] * ws[a] ** 2 * mesh[a] ** 2
+    return out
 
 
 def apply_potential(potential: Potential, psi_x: ComplexField) -> ComplexField:
@@ -125,11 +104,8 @@ def apply_potential(potential: Potential, psi_x: ComplexField) -> ComplexField:
 
 
 def apply_potential_momentum_operator(potential: Potential, psi_p: ComplexField) -> ComplexField:
-    """F[V psi] computed directly in the momentum representation.
-
-    Only available for operator-form potentials; used as the independent
-    route when cross-checking the interaction source.
-    """
+    """F[V psi] computed directly in the momentum representation: the
+    independent route when cross-checking the interaction source."""
     if psi_p.rep is not Representation.MOMENTUM:
         raise ConfigurationError("expected a momentum-representation field")
     grid = psi_p.grid
@@ -142,16 +118,14 @@ def apply_potential_momentum_operator(potential: Potential, psi_p: ComplexField)
         for a in range(grid.dof):
             out += cs[a] * (1j * grid.hbar) * grad[a]
         return psi_p.with_values(out)
-    if isinstance(potential, Harmonic):
-        ms = _per_axis(potential.mass, grid.dof, "harmonic masses")
-        ws = _per_axis(potential.omega, grid.dof, "harmonic frequencies")
-        grad = spectral_gradient(psi_p.values, grid, Representation.MOMENTUM)
-        out = np.zeros(grid.shape, dtype=np.complex128)
-        for a in range(grid.dof):
-            grad2 = spectral_gradient(grad[a], grid, Representation.MOMENTUM)[a]
-            out += -0.5 * ms[a] * ws[a] ** 2 * grid.hbar**2 * grad2
-        return psi_p.with_values(out)
-    raise ConfigurationError("tabulated potentials have no momentum operator form")
+    ms = _per_axis(potential.mass, grid.dof, "harmonic masses")
+    ws = _per_axis(potential.omega, grid.dof, "harmonic frequencies")
+    grad = spectral_gradient(psi_p.values, grid, Representation.MOMENTUM)
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    for a in range(grid.dof):
+        grad2 = spectral_gradient(grad[a], grid, Representation.MOMENTUM)[a]
+        out += -0.5 * ms[a] * ws[a] ** 2 * grid.hbar**2 * grad2
+    return psi_p.with_values(out)
 
 
 def interaction_source(

@@ -199,8 +199,8 @@ def _grid_checks(block: FrameBlock, potential: Potential,
                  mass: float) -> tuple[np.ndarray, np.ndarray, GridMoments]:
     """Per frame of a block, in one batched call each: the continuity residual and
     its denominator, and the grid moments of the moment checks."""
-    mid_x, mid_p, after = continuity_probe(block.psi_p, potential, CONTINUITY_DT, mass)
-    cur = current_for(potential, mid_x, mid_p, block.method)
+    mid_p, after = continuity_probe(block.psi_p, potential, CONTINUITY_DT, mass)
+    cur = current_for(potential, None, mid_p, block.method)
     resid, den = continuity_residual(block.psi_p, after, cur, CONTINUITY_DT)
     return resid, den, grid_moments(block.psi_x, block.psi_p, block.grad)
 

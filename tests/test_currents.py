@@ -8,14 +8,13 @@ from momtraj import (
     Harmonic,
     Linear,
     Representation,
-    Tabulated,
-    UnsupportedPotentialError,
     continuity_residual,
     current_closed_form,
     current_for,
     current_poisson,
     interaction_source,
     to_momentum,
+    to_position,
 )
 from momtraj.dynamics import PropagatorConfig, continuity_probe, propagate
 from momtraj.grid import spectral_gradient
@@ -53,12 +52,6 @@ def test_harmonic_current_vanishes_for_real_profile(grid512):
     phi = momentum_state(grid512)  # real Gaussian: ground-state-like profile
     j = current_closed_form(Harmonic(1.0, 1.0), phi)
     assert np.abs(j.components[0]).max() <= 1e-14
-
-
-def test_closed_form_rejects_tabulated(grid512):
-    phi = momentum_state(grid512)
-    with pytest.raises(UnsupportedPotentialError):
-        current_closed_form(Tabulated(np.zeros(512)), phi)
 
 
 @pytest.mark.parametrize("pot", [Linear(2.0), Harmonic(1.0, 1.0)])
@@ -138,6 +131,10 @@ def test_current_for_dispatch(grid512):
     jp = current_for(Linear(1.0), psi, phi, CurrentMethod.POISSON)
     assert jc.method is CurrentMethod.CLOSED_FORM
     assert jp.method is CurrentMethod.POISSON
+    # without psi(x), the Poisson route transforms psi~ itself
+    derived = current_for(Linear(1.0), None, phi, CurrentMethod.POISSON)
+    given = current_for(Linear(1.0), to_position(phi), phi, CurrentMethod.POISSON)
+    assert derived.components.tobytes() == given.components.tobytes()
 
 
 # -- continuity residual ---------------------------------------------------------------
@@ -163,7 +160,7 @@ def test_continuity_residual_second_order(grid512, pot, state_kw):
     psi = gaussian_state(grid512, **state_kw)
     cfg = PropagatorConfig(dt=1e-3, steps_per_frame=100)
     frame = propagate(psi, pot, cfg, 300)
-    _, mid_p, after = continuity_probe(frame.psi_p, pot, 1e-3)
+    mid_p, after = continuity_probe(frame.psi_p, pot, 1e-3)
     j = current_closed_form(pot, mid_p)
     resid, div_norm = continuity_residual(frame.psi_p, after, j, 1e-3)
     assert resid <= 1e-4 and div_norm > 0.0

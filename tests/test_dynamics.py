@@ -15,8 +15,6 @@ from momtraj import (
     Linear,
     NormalizationError,
     Representation,
-    Tabulated,
-    evaluate_potential,
     to_momentum,
     total_energy,
 )
@@ -241,29 +239,16 @@ def test_continuity_probe_equals_two_half_step_propagations(grid512, pot, monkey
     calls = []
     ifft = np.fft.ifft  # an inverse transform calls it once per grid axis
     monkeypatch.setattr(np.fft, "ifft", lambda *a, **kw: calls.append(1) or ifft(*a, **kw))
-    mid_x, mid_p, after = continuity_probe(block, pot, 1e-3)
-    # inverse transforms for the whole block: the midpoint's position state,
-    # plus one per split step (Free has none); counted before the references'
-    # psi_x, which each read transforms again
-    assert len(calls) == (1 if isinstance(pot, Free) else 3)
+    mid_p, after = continuity_probe(block, pot, 1e-3)
+    # inverse transforms for the whole block: one per split step (Free has
+    # none); the probe keeps no position-space state
+    assert len(calls) == (0 if isinstance(pot, Free) else 2)
     assert len(frames) == 3
+    mid_x = to_position(mid_p)  # what the Poisson current reads
     for row, (mid_ref, after_ref) in enumerate(refs):
         for got, want in ((mid_x, mid_ref.psi_x), (mid_p, mid_ref.psi_p), (after, after_ref)):
             assert got.rep is want.rep and got.time[row] == want.time
             assert got.values[row].tobytes() == want.values.tobytes()
-
-
-def test_tabulated_potential_steps_like_its_analytic_values(grid512):
-    # hashed by identity, a Tabulated potential keys its own step-phase cache
-    # entry; its frames equal those of the potential whose values it holds
-    harmonic = Harmonic(1.0, 1.0)
-    tab = Tabulated(evaluate_potential(harmonic, grid512))
-    cfg = PropagatorConfig(dt=1e-3, steps_per_frame=5)
-    psi = coherent_state(grid512, 2.0)
-    want = collect_frames(psi, harmonic, cfg, 10)
-    got = collect_frames(psi, tab, cfg, 10)
-    assert [f.psi_p.values.tobytes() for f in got] == [f.psi_p.values.tobytes() for f in want]
-    assert tab == tab and tab != Tabulated(tab.values)
 
 
 # -- block emission against the one-frame-at-a-time propagator -------------------------

@@ -1,3 +1,5 @@
+import typing
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,10 @@ from momtraj import (
     Free,
     Harmonic,
     Linear,
+    Potential,
     Representation,
-    Tabulated,
     apply_potential,
-    apply_potential_momentum_operator,
+    current_closed_form,
     evaluate_potential,
     interaction_source,
     interaction_source_operator,
@@ -72,12 +74,6 @@ def test_apply_requires_position_rep(grid512):
         apply_potential(Linear(1.0), phi)
 
 
-def test_tabulated_shape_mismatch(grid512):
-    tab = Tabulated(np.zeros(100))
-    with pytest.raises(ConfigurationError):
-        evaluate_potential(tab, grid512)
-
-
 def test_evaluate_2d_harmonic(grid2d):
     v = evaluate_potential(Harmonic((1.0, 2.0), (1.0, 0.5)), grid2d)
     x0, x1 = grid2d.mesh(Representation.POSITION)
@@ -114,13 +110,19 @@ def test_source_is_real_and_balanced(grid512):
 
 
 def test_source_operator_route_agrees(grid512):
+    # one instance per member of the Potential alias: a potential added without a
+    # momentum operator form or a closed-form current fails here
+    pots = (Free(), Linear(1.3), Harmonic(1.0, 1.2))
+    assert tuple(type(pot) for pot in pots) == typing.get_args(Potential)
     psi = gaussian_state(grid512, sigma=0.8, center=1.5, boost=0.7)
     phi = to_momentum(psi)
-    for pot in (Free(), Linear(1.3), Harmonic(1.0, 1.2)):
+    for pot in pots:
         a = interaction_source(pot, psi, phi)
         b = interaction_source_operator(pot, phi)
         scale = max(np.abs(a).max(), 1e-30)
         assert np.abs(a - b).max() <= 1e-8 * scale
+        j = current_closed_form(pot, phi).components
+        assert j.shape == (grid512.dof,) + grid512.shape and np.all(np.isfinite(j))
 
 
 def test_source_operator_route_agrees_2d(grid2d):
@@ -137,12 +139,6 @@ def test_source_rejects_mismatched_time_stamps(grid512):
     phi = ComplexField(grid512, Representation.MOMENTUM, to_momentum(psi).values, 1.0)
     with pytest.raises(ConfigurationError, match="time stamps"):
         interaction_source(Linear(1.0), psi, phi)
-
-
-def test_operator_route_rejects_tabulated(grid512):
-    phi = to_momentum(gaussian_state(grid512))
-    with pytest.raises(ConfigurationError):
-        apply_potential_momentum_operator(Tabulated(np.zeros(512)), phi)
 
 
 def test_source_continuity_finite_difference_oracle(grid512):

@@ -4,9 +4,11 @@ The scan parses each module of the package and collects its public top-level
 functions, classes and assignments. It then looks for the name in the code of
 src/, scripts/ and perfbench/, leaving out the package's __init__.py (which
 re-exports) and import statements: a read of the name, an attribute of that
-name, or a string equal to it (perfbench patches functions by name). A name
-found nowhere is surface that only tests reach; give it a caller or delete
-it. TEST_ONLY lists the names kept on purpose, each with its reason.
+name, or a string equal to it (perfbench patches functions by name). A
+module-level union type alias (`Potential = A | B | C`) does not count as a
+reader of its members: a class that only an alias names is built nowhere. A
+name found nowhere is surface that only tests reach; give it a caller or
+delete it. TEST_ONLY lists the names kept on purpose, each with its reason.
 
 No module of the package imports or applies a process-wide cache
 (`functools.lru_cache` or `functools.cache`): a constant derived from a grid
@@ -48,13 +50,20 @@ def _public_definitions() -> dict[str, str]:
     return found
 
 
+def _is_union_alias(node: ast.stmt) -> bool:
+    return (isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp)
+            and isinstance(node.value.op, ast.BitOr))
+
+
 def _referenced_names() -> set[str]:
     refs = set()
     for tree in READERS:
         for path in tree.rglob("*.py"):
             if path == PACKAGE / "__init__.py":
                 continue
-            for node in ast.walk(ast.parse(path.read_text())):
+            module = ast.parse(path.read_text())
+            module.body = [node for node in module.body if not _is_union_alias(node)]
+            for node in ast.walk(module):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     refs.add(node.id)
                 elif isinstance(node, ast.Attribute):
