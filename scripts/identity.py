@@ -15,12 +15,15 @@ first, each with its own src/ on PYTHONPATH:
 
 For a `run`, every file that either run's manifest lists is compared. A file
 prints "identical", or for a CSV the max absolute and relative difference of
-each column that differs, or for JSON the numeric leaves that differ, with
-their paths. `validate` writes no files, so its stdout report is compared
-byte for byte, and each differing line is printed; each tree's --threads 1
-report is also compared with its own --threads 2 report. Each command's wall
-time and peak RSS (the child's own ru_maxrss) on both trees are printed too,
-and first the line count of src/momtraj/*.py in each tree, as `wc -l` totals it.
+each column that differs, or for JSON the leaves that differ, grouped by path
+pattern with list indices shown as `*`: one line per pattern and kind (added,
+removed or changed), with its count and its first leaf, so that a key added
+to every frame row of a stats.json prints one line. `validate` writes no
+files, so its stdout report is compared byte for byte, and each differing
+line is printed; each tree's --threads 1 report is also compared with its
+own --threads 2 report. Each command's wall time and peak RSS (the child's
+own ru_maxrss) on both trees are printed too, and first the line count of
+src/momtraj/*.py in each tree, as `wc -l` totals it.
 Outputs are deleted as soon as they are compared, and the extracted tree when
 the script ends. Next to the line counts it prints each tree's count of
 settable values (`settable_values`).
@@ -64,7 +67,7 @@ COMMANDS = tuple((name, ("run", name) + ACCEPTANCE) for name in CATALOG) + (
     ("validate-threads-1", ("validate", "--n", "2000", "--seed", "42", "--threads", "1")),
 )
 
-SHOWN_LEAVES = 20  # differing JSON leaves printed per file; the rest are counted
+MISSING = object()  # the value of a JSON key that one side lacks
 
 
 @dataclass
@@ -129,29 +132,36 @@ def _compare_csv(name: str, a: str, b: str, report: Report) -> None:
                        max(_scaled(x, y) for x, y in nums))
 
 
-def _json_leaves(a, b, path: str, out: list[tuple[str, object, object]]) -> None:
-    """Append (path, a, b) for every leaf or branch at which a and b differ."""
+def _json_leaves(a, b, path: str, pattern: str,
+                 out: list[tuple[str, str, object, object]]) -> None:
+    """Append (path, pattern, a, b) for every leaf or branch at which a and b differ;
+    the pattern is the path with list indices as `*`, and a key one side lacks is MISSING."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
-            _json_leaves(a.get(key), b.get(key), f"{path}/{key}", out)
+            _json_leaves(a.get(key, MISSING), b.get(key, MISSING), f"{path}/{key}",
+                         f"{pattern}/{key}", out)
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for i, (x, y) in enumerate(zip(a, b)):
-            _json_leaves(x, y, f"{path}/{i}", out)
+            _json_leaves(x, y, f"{path}/{i}", f"{pattern}/*", out)
     elif a != b and not (_is_number(a) and _is_number(b) and math.isnan(a) and math.isnan(b)):
-        out.append((path, a, b))
+        out.append((path, pattern, a, b))
 
 
 def _compare_json(name: str, a: str, b: str, report: Report) -> None:
-    leaves: list[tuple[str, object, object]] = []
-    _json_leaves(json.loads(a), json.loads(b), "", leaves)
-    for i, (path, x, y) in enumerate(leaves):
-        text = f"{name}: {path}: {_short(x)} != {_short(y)}" if i < SHOWN_LEAVES else None
+    leaves: list[tuple[str, str, object, object]] = []
+    _json_leaves(json.loads(a), json.loads(b), "", "", leaves)
+    groups: dict[tuple[str, str], list[tuple[str, object, object]]] = {}
+    for path, pattern, x, y in leaves:
+        kind = "added" if x is MISSING else "removed" if y is MISSING else "changed"
+        groups.setdefault((pattern, kind), []).append((path, x, y))
         if _is_number(x) and _is_number(y) and math.isfinite(x - y):
-            report.numeric(text, _scaled(x, y))
+            report.numeric(None, _scaled(x, y))
         else:
-            report.mismatch(text)
-    if len(leaves) > SHOWN_LEAVES:
-        report.lines.append(f"{name}: ... and {len(leaves) - SHOWN_LEAVES} more differing leaves")
+            report.mismatch(None)
+    for (pattern, kind), group in groups.items():
+        path, x, y = group[0]
+        first = {"added": _short(y), "removed": _short(x)}.get(kind, f"{_short(x)} != {_short(y)}")
+        report.lines.append(f"{name}: {pattern}: {len(group)} {kind}, first {path}: {first}")
 
 
 def _listed(out_dir: Path) -> set[str]:

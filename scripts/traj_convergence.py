@@ -7,10 +7,8 @@ wavefunctions and only the frame spacing that the velocity field is
 interpolated over changes. Every ensemble is compared with the spf = 1 rung
 on the shared frames: max |dp| and max |dx| over those frames and the rows
 active in both, and the number of trajectories whose status differs at some
-shared frame. The default rung also prints the run's reported
-`trajectory_error_estimate` (`-` where the run has none) and its ratio to the
-measured max |dp| (or |dx| for the guidance law). A scenario's second
-ensemble of one model (macroscopic's reference run) is labelled model#2.
+shared frame. A scenario's second ensemble of one model (macroscopic's
+reference run) is labelled model#2.
 
     PYTHONPATH=src python3 scripts/traj_convergence.py [--n N] [--seed S]
         [--scenarios NAME ...]
@@ -48,13 +46,9 @@ def compare(h, ref):
     return dp, max_diff(h.x, ref.x, both), statuses
 
 
-def num(value, width, spec=".2e"):
-    """value in `width` columns, `-` for None."""
-    return f"{'-':>{width}}" if value is None else f"{value:{width}{spec}}"
-
-
-def row(name, label, rung, dp, dx, statuses, tail=""):
-    return f"{name:<18} {label:<10} {rung:8d} {num(dp, 10)} {dx:10.2e} {statuses:8d}{tail}"
+def row(name, label, rung, dp, dx, statuses):
+    dp = f"{'-':>10}" if dp is None else f"{dp:10.2e}"  # the guidance law has no p
+    return f"{name:<18} {label:<10} {rung:8d} {dp} {dx:10.2e} {statuses:8d}"
 
 
 def frame_ladder(config):
@@ -69,14 +63,7 @@ def frame_ladder(config):
             full = ref.ensembles[model].history
             shared = type(h)(full.times[::r], full.x[::r], full.status[::r],
                              None if full.p is None else full.p[::r])
-            dp, dx, statuses = compare(h, shared)
-            tail = ""
-            if r == spf:
-                est = res.diagnostics["trajectory_error_estimate"][model]
-                err = dx if dp is None else dp
-                ratio = est / err if est is not None and err > 0 else None
-                tail = f"  estimate {num(est, 9)}  ratio {num(ratio, 8, '.1f')}"
-            print(row(config.name, label, r, dp, dx, statuses, tail))
+            print(row(config.name, label, r, *compare(h, shared)))
 
 
 def main():

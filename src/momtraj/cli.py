@@ -107,12 +107,15 @@ def _print_verdicts(result: RunResult) -> None:
 def _cmd_run(args) -> int:
     started = utc_now()
     config = _config_from_args(args)
+    out_dir = Path(args.out or f"run_{config.name}")
+    # checked before the run, which would otherwise fail only in the write
+    if any(path.exists() and not path.is_dir() for path in (out_dir, *out_dir.parents)):
+        raise ConfigurationError(f"output path {out_dir} is a file or lies under one")
     result = run_scenario(config)
     finished = utc_now()
-    out_dir = args.out or f"run_{config.name}"
     manifest = write_run_outputs(result, out_dir, __version__, started, finished)
     _print_verdicts(result)
-    print(f"artifacts: {Path(out_dir).resolve()} (manifest {manifest.name})")
+    print(f"artifacts: {out_dir.resolve()} (manifest {manifest.name})")
     return 0 if result.passed else 1
 
 

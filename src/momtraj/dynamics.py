@@ -31,6 +31,7 @@ from .grid import (
     Representation,
     _frozen,
     _transform,
+    _transform_plan,
     boundary_mass_fraction,
     to_momentum,
     to_position,
@@ -124,14 +125,14 @@ def _step_phases(grid, potential: Potential, masses: tuple[float, ...], dt: floa
     return kin, kin_half, pot_phase
 
 
-def _strang_step(grid, vals: np.ndarray, kin_half: np.ndarray, pot_phase: np.ndarray,
+def _strang_step(plan: tuple, vals: np.ndarray, kin_half: np.ndarray, pot_phase: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """One split step of momentum values (one frame or a block); two transforms, each
-    product in place in `out` (a new array by default), which may be `vals`."""
+    """One split step of momentum values (one frame or a block): two transforms by `plan`,
+    each product in place in `out` (a new array by default), which may be `vals`."""
     out = np.multiply(kin_half, vals, out=out)
-    _transform(grid, out, backward=True, out=out)
+    _transform(plan, out, backward=True, out=out)
     np.multiply(pot_phase, out, out=out)
-    _transform(grid, out, out=out)
+    _transform(plan, out, out=out)
     return np.multiply(kin_half, out, out=out)
 
 
@@ -156,6 +157,7 @@ def propagate(
         raise NormalizationError(f"initial state norm {psi.norm():.9f} deviates from 1")
     kin, kin_half, pot_phase = grid.derived(_step_phases, potential, _masses(masses, grid.dof),
                                            config.dt)
+    plan = grid.derived(_transform_plan)
     psi_p = to_momentum(psi) if psi.rep is Representation.POSITION else psi
     # one emission schedule for both paths: step 0, every steps_per_frame steps and the last
     steps = [0] + [s for s in range(1, n_steps + 1)
@@ -174,7 +176,7 @@ def propagate(
                 block[row] = psi_p.values * np.exp(-1j * kin * (step * config.dt) / grid.hbar)
             else:
                 for _ in range(step - done):
-                    _strang_step(grid, work, kin_half, pot_phase, out=work)
+                    _strang_step(plan, work, kin_half, pot_phase, out=work)
                 block[row] = work
                 done = step
         fp = ComplexField(grid, Representation.MOMENTUM, _frozen(block), np.array(times))
@@ -232,11 +234,12 @@ def continuity_probe(
     grid = psi_p.grid
     half = dt / 2.0
     kin, kin_half, pot_phase = grid.derived(_step_phases, potential, _masses(masses, grid.dof), half)
+    plan = grid.derived(_transform_plan)
 
     def step(vals: np.ndarray) -> np.ndarray:
         if pot_phase is None:
             return vals * np.exp(-1j * kin * half / grid.hbar)
-        return _strang_step(grid, vals, kin_half, pot_phase)
+        return _strang_step(plan, vals, kin_half, pot_phase)
 
     t_mid = psi_p.time + half
     mid_p = ComplexField(grid, Representation.MOMENTUM, _frozen(step(psi_p.values)), t_mid)

@@ -237,8 +237,8 @@ BLOCK_POINTS = 2**15
 
 
 def _transform_plan(grid: GridSpec):
-    """Read-only factors (pre_f, post_f, pre_b, post_b) of `_transform`; the post factors
-    carry the scales."""
+    """`_transform`'s read-only factors pre_f, post_f, pre_b and post_b, the post factors
+    carrying the scales, then the grid's array axes in the order its 1d FFTs take them."""
     pre_f, post_f, pre_b, post_b = [], [], [], []
     scale_f = scale_b = 1.0
     for a in range(grid.dof):
@@ -255,7 +255,8 @@ def _transform_plan(grid: GridSpec):
         scale_f *= dx / np.sqrt(2.0 * np.pi * hb)
         scale_b *= dp * n / np.sqrt(2.0 * np.pi * hb)
     return tuple(_frozen(arr) for arr in (_outer(pre_f), scale_f * _outer(post_f),
-                                          _outer(pre_b), scale_b * _outer(post_b)))
+                                          _outer(pre_b), scale_b * _outer(post_b))) + (
+        tuple(reversed(grid_axes(grid))),)
 
 
 def _outer(vectors: list[np.ndarray]) -> np.ndarray:
@@ -265,16 +266,16 @@ def _outer(vectors: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _transform(grid: GridSpec, values: np.ndarray, backward: bool = False,
+def _transform(plan: tuple, values: np.ndarray, backward: bool = False,
                out: np.ndarray | None = None) -> np.ndarray:
     """post_f * fftn(pre_f * values) over the grid axes, or post_b * ifftn(pre_b * values),
-    each step in place in `out` (a new array by default), which may be `values`."""
-    plan = grid.derived(_transform_plan)
-    pre, post = plan[2:] if backward else plan[:2]
+    by a grid's `_transform_plan`, each step in place in `out` (a new array by default),
+    which may be `values`."""
+    pre, post = plan[2:4] if backward else plan[:2]
     # factor first in every product: a*b and b*a may round differently (FMA)
     out = np.multiply(pre, values, out=out)
     fft = np.fft.ifft if backward else np.fft.fft
-    for axis in reversed(grid_axes(grid)):  # fftn's loop and bits, without its nd wrapper
+    for axis in plan[4]:  # fftn's loop and bits, without its nd wrapper
         fft(out, axis=axis, out=out)
     return np.multiply(post, out, out=out)
 
@@ -287,7 +288,7 @@ def to_momentum(field: ComplexField) -> ComplexField:
     """
     if field.rep is not Representation.POSITION:
         raise ConfigurationError("to_momentum expects a position-representation field")
-    out = _transform(field.grid, field.values)
+    out = _transform(field.grid.derived(_transform_plan), field.values)
     return ComplexField(field.grid, Representation.MOMENTUM, _frozen(out), field.time)
 
 
@@ -295,7 +296,7 @@ def to_position(field: ComplexField) -> ComplexField:
     """Backward transform, momentum -> position representation."""
     if field.rep is not Representation.MOMENTUM:
         raise ConfigurationError("to_position expects a momentum-representation field")
-    out = _transform(field.grid, field.values, backward=True)
+    out = _transform(field.grid.derived(_transform_plan), field.values, backward=True)
     return ComplexField(field.grid, Representation.POSITION, _frozen(out), field.time)
 
 

@@ -227,7 +227,10 @@ class FrameSuite:
     worst cases for `verdicts`, read from those records; `current` is the
     last frame's current. `_simulate` sets `frames` and `ensemble`, and
     `result` builds the RunResult. A Free potential's currents vanish, so it
-    has no cross-method check.
+    has no cross-method check. In 1d, where no trajectory can overtake
+    another, each row counts `out_of_order_pairs`: the pairs of rows adjacent
+    in frame 0's momentum order, both active, whose momenta are out of that
+    order; `run_scenario` adds the run's total to the diagnostics.
     """
 
     potential: Potential
@@ -244,6 +247,9 @@ class FrameSuite:
     frames: list[Frame] = field(default_factory=list)
     ensemble: Ensemble | None = None
 
+    def __post_init__(self) -> None:
+        self._order: np.ndarray | None = None  # frame 0's momentum order (1d), from block 0
+
     def add(self, block: FrameBlock, lo: int, p: np.ndarray, x: np.ndarray,
             status: np.ndarray) -> None:
         """Read the frames of `block`, the first of which is frame lo, and their
@@ -255,6 +261,11 @@ class FrameSuite:
         moment_rows = moment_checks(x, moments, active)
         frozen = np.sum(status == TrajStatus.FROZEN_AT_NODE, axis=1).tolist()
         left = np.sum(status == TrajStatus.LEFT_GRID, axis=1).tolist()
+        if lo == 0 and block.psi_p.grid.dof == 1:
+            self._order = np.argsort(p[0, :, 0], kind="stable")
+        if self._order is not None:
+            q, act = p[:, self._order, 0], active[:, self._order]
+            disorder = ((np.diff(q, axis=1) < 0.0) & act[:, 1:] & act[:, :-1]).sum(axis=1).tolist()
         cross = not isinstance(self.potential, Free) and block.psi_p.grid.dof == 1
         if cross:
             jc = block.current_of(CurrentMethod.CLOSED_FORM).components[0]
@@ -264,6 +275,8 @@ class FrameSuite:
             row: dict = {"time": fr.time, "boundary_mass_position": x_mass,
                          "boundary_mass_momentum": p_mass, "frozen_count": frozen[f],
                          "left_grid_count": left[f]}
+            if self._order is not None:
+                row["out_of_order_pairs"] = disorder[f]
             if ks_rows[f] is not None:  # a frame with no active row has no ks or moments
                 row["ks"] = ks_rows[f]
                 for ks in row["ks"].values():
@@ -904,9 +917,9 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
             f"steps_per_frame={config.steps_per_frame}"
         )
     result = sdef.runner(config, _grid_for(config, sdef.dof), sdef.potential(config))
-    result.diagnostics["trajectory_error_estimate"] = {
-        model: ens.history.error_estimate for model, ens in result.ensembles.items()
-    }
+    if sdef.dof == 1:
+        result.diagnostics["out_of_order_pairs"] = sum(row["out_of_order_pairs"]
+                                                       for row in result.stats_rows)
     return result
 
 

@@ -10,13 +10,12 @@ Both models run through one RK4 stepper over velocity fields derived on the
 grid a block of frames at a time, interpolated multilinearly in space and,
 in time, by the cubic through four frames around each frame interval, so the
 one RK4 step each interval takes is Simpson's rule, fourth order in the frame
-spacing, and the cubic through the next four frames over gives the error
-estimate. Shorter runs lerp, with no estimate unless the field is zero. The
-momentum-flow model builds its velocity, readout field x(p) and currents a
-FrameBlock at a time and hands each finished block, with its frames' history
-rows, to its consumers. One interpolation stencil serves each point set:
-an RK4 stage reads all of an interval's fields, stage 1 reads the x(p)
-readout's stencil, and a zero field's step (a free particle's) builds none.
+spacing. Shorter runs and zero fields lerp. The momentum-flow model builds
+its velocity, readout field x(p) and currents a FrameBlock at a time and
+hands each finished block, with its frames' history rows, to its consumers.
+One interpolation stencil serves each point set: an RK4 stage reads its
+field through one, stage 1 reads the x(p) readout's stencil, and a zero
+field's step (a free particle's) builds none.
 Stencils touching node-flagged grid points freeze the trajectory
 (conservative; freezes are counted and reported, never silently
 extrapolated). Trajectories that leave the grid are likewise retired.
@@ -176,13 +175,12 @@ def _read(fld: MaskedVectorField, q: np.ndarray, stencil: Stencil | None):
 
 
 def _rk4_step(q: np.ndarray, status: np.ndarray, w: MaskedVectorField, dt: float,
-              error: np.ndarray | None, stencil: Stencil | None = None) -> Stencil | None:
+              stencil: Stencil | None = None) -> Stencil | None:
     """One RK4 step of the active rows of q over one frame interval, in place.
 
-    w stacks the interval's fields (w0, w1, mid, diff), dof components each,
-    under one mask: the stages read w0, (mid, diff) twice, then w1, and
-    `error`, unless None, gains per moved row |the step's RK4 sum of diff|.
-    A row whose stencil fails at any stage keeps its point and is retired.
+    w stacks the interval's fields (w0, w1, mid), dof components each, under
+    one mask: the stages read w0, mid twice, then w1. A row whose stencil
+    fails at any stage keeps its point and is retired.
     `stencil`, if given, is the active rows' stencil (the readout's) and
     serves stage 1. A zero field moves no row, so it returns that stencil,
     less the rows it retires, for the next read; any other returns None.
@@ -197,19 +195,15 @@ def _rk4_step(q: np.ndarray, status: np.ndarray, w: MaskedVectorField, dt: float
         _, ok, inside, stencil = _read(w, qa, stencil)
         return stencil.keep(_settle(status, rows, ok, inside, False)[1])
     dof = q.shape[1]
-    w0, middle, w1 = (MaskedVectorField(w.grid, w.rep, w.components[lo * dof:hi * dof], w.valid)
-                      for lo, hi in ((0, 1), (2, 4), (1, 2)))
+    w0, w1, mid = (MaskedVectorField(w.grid, w.rep, w.components[i * dof:(i + 1) * dof], w.valid)
+                   for i in range(3))
     k1, ok1, in1, _ = _read(w0, qa, stencil)
-    m2, ok2, in2, _ = interpolate_masked(middle, qa + 0.5 * dt * k1)  # (k2, diff)
-    m3, ok3, in3, _ = interpolate_masked(middle, qa + 0.5 * dt * m2[:, :dof])
-    k4, ok4, in4, _ = interpolate_masked(w1, qa + dt * m3[:, :dof])
+    k2, ok2, in2, _ = interpolate_masked(mid, qa + 0.5 * dt * k1)
+    k3, ok3, in3, _ = interpolate_masked(mid, qa + 0.5 * dt * k2)
+    k4, ok4, in4, _ = interpolate_masked(w1, qa + dt * k3)
     ok, inside = ok1 & ok2 & ok3 & ok4, in1 & in2 & in3 & in4
     rows, moved = _settle(status, rows, ok, inside, qa is q)
-    total = k1 + 2.0 * m2[:, :dof] + 2.0 * m3[:, :dof] + k4
-    q[rows] = (qa + (dt / 6.0) * total)[moved]
-    if error is not None:
-        change = 2.0 * m2[:, dof:] + 2.0 * m3[:, dof:]
-        error[rows] += (dt / 6.0 * np.abs(change).max(axis=1))[moved]
+    q[rows] = (qa + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))[moved]
     return None
 
 
@@ -228,16 +222,13 @@ class EnsembleHistory:
     For the momentum-flow model `p` holds the auxiliary momenta and `x` the
     derived positions; for the guidance reference `p` is None and `x` holds
     the integrated positions. Status is recorded per frame; ACTIVE rows of
-    the final frame are the statistically usable ensemble. `error_estimate`
-    is the largest row sum of the time-interpolation error estimate, or None
-    where a non-zero field was lerped (`_Stepper`).
+    the final frame are the statistically usable ensemble.
     """
 
     times: np.ndarray
     x: np.ndarray
     status: np.ndarray
     p: np.ndarray | None = None
-    error_estimate: float | None = 0.0
 
 
 def _readout_positions(x_store: np.ndarray, status: np.ndarray, x_field: MaskedVectorField,
@@ -295,11 +286,11 @@ class FrameBlock:
 
 
 # Lagrange weights, at a frame interval's midpoint, of the cubic through four
-# frames, by the offset (-3 .. 1) of its first frame from the interval's first
+# frames, by the offset (-2 .. 0) of its first frame from the interval's first
 # frame: (-1, 9, 9, -1)/16 at -1, (5, 15, -5, 1)/16 at 0. Each is k/16, exact.
 MIDPOINT_WEIGHTS = np.array([
     [prod(0.5 - b for b in nodes if b != a) / prod(a - b for b in nodes if b != a) for a in nodes]
-    for nodes in (range(offset, offset + 4) for offset in range(-3, 2))])
+    for nodes in (range(offset, offset + 4) for offset in range(-2, 1))])
 
 
 class _Stepper:
@@ -313,10 +304,8 @@ class _Stepper:
     the next step's stage 1 reads, to the rest's or None; `record()` writes
     the history rows. With `cubic` and n >= 4 frames, interval g (frames
     g - 1, g) takes its midpoint from the cubic through frames g - 2 .. g + 1,
-    kept within 0 .. n - 1, valid where all four frames are, and its diff
-    from the cubic one frame earlier (later where none precedes); so it
-    waits for frame max(g + 1, 4). Otherwise its midpoint is the lerp's, its
-    diff 0, and a non-zero field leaves no error estimate.
+    kept within 0 .. n - 1, valid where all four frames are; so it waits for
+    frame max(g + 1, 3). Otherwise its midpoint is the lerp's.
     """
 
     def __init__(self, q0: np.ndarray, frames: list[Frame], cubic: bool = True):
@@ -334,7 +323,6 @@ class _Stepper:
         self.status = np.zeros(n, dtype=np.int8)
         self.q_hist = np.empty((len(frames), n, dof))
         self.status_hist = np.empty((len(frames), n), dtype=np.int8)
-        self.error: np.ndarray | None = np.zeros(n)
         self.stencil: Stencil | None = None  # of the active rows of q, where one is known
         # (components, valid) of the loaded frames from frame self.base on
         self.window = np.empty((dof, 0) + grid.shape), np.empty((0,) + grid.shape, bool)
@@ -345,29 +333,20 @@ class _Stepper:
         comps = np.concatenate([self.window[0], w.components], axis=1)
         valid = np.concatenate([self.window[1], w.valid])
         n, loaded, base = len(self.times), self.base + len(valid), self.base
-        ready = loaded if loaded == n or not self.cubic else (loaded - 1 if loaded > 4 else 1)
+        ready = loaded if loaded == n or not self.cubic else (loaded - 1 if loaded > 3 else 1)
         self.first = max(self.f, 1)  # the frame the first built interval ends at
         g = np.arange(self.first, ready)
         w0, w1 = comps[:, g - 1 - base], comps[:, g - base]
-        ok = valid[g - 1 - base] & valid[g - base]
         if self.cubic:
-            def midpoint(first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                weights = MIDPOINT_WEIGHTS[first - g + 4].T.reshape(
-                    (4,) + g.shape + (1,) * w.grid.dof)
-                return (sum(weights[i] * comps[:, first + i - base] for i in range(4)),
-                        np.logical_and.reduce([valid[first + i - base] for i in range(4)]))
-
-            start = np.clip(g - 2, 0, n - 4)
-            (mid, ok), (other, ok_other) = midpoint(start), midpoint(
-                start if n == 4 else np.where(start > 0, start - 1, start + 1))
-            diff = np.where(ok_other, mid - other, 0.0)
+            start = np.clip(g - 2, 0, n - 4)  # the first of the frames the interval reads
+            weights = MIDPOINT_WEIGHTS[start - g + 3].T.reshape((4,) + g.shape + (1,) * w.grid.dof)
+            mid = sum(weights[i] * comps[:, start + i - base] for i in range(4))
         else:
-            mid, diff = 0.5 * (w0 + w1), np.zeros_like(w0)
-            if w.components.any():  # a lerp's error goes unseen
-                self.error = None
-        self.intervals = MaskedVectorField(w.grid, w.rep, np.concatenate([w0, w1, mid, diff]), ok)
+            start, mid = g - 1, 0.5 * (w0 + w1)
+        ok = np.logical_and.reduce([valid[start + i - base] for i in range(4 if self.cubic else 2)])
+        self.intervals = MaskedVectorField(w.grid, w.rep, np.concatenate([w0, w1, mid]), ok)
         # keep from the first frame a later interval reads
-        self.base = max(0, min(ready - 3, n - 5)) if self.cubic else ready - 1
+        self.base = max(0, min(ready - 2, n - 4)) if self.cubic else ready - 1
         self.window = comps[:, self.base - base:].copy(), valid[self.base - base:].copy()
         return range(self.f, ready)
 
@@ -375,7 +354,7 @@ class _Stepper:
         f = self.f
         if f:
             self.stencil = _rk4_step(self.q, self.status, _frames(self.intervals, f - self.first),
-                                     self.times[f] - self.times[f - 1], self.error, self.stencil)
+                                     self.times[f] - self.times[f - 1], self.stencil)
         return self.q, self.status
 
     def record(self) -> None:
@@ -384,8 +363,7 @@ class _Stepper:
         self.f += 1
 
     def history(self, x: np.ndarray, p: np.ndarray | None) -> EnsembleHistory:
-        error = None if self.error is None else float(self.error.max(initial=0.0))
-        return EnsembleHistory(self.times, x, self.status_hist, p, error)
+        return EnsembleHistory(self.times, x, self.status_hist, p)
 
 
 BlockHook = Callable[[FrameBlock, int, np.ndarray, np.ndarray, np.ndarray], None]

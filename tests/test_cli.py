@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momtraj import cli
+from momtraj import cli, trajectories
 from momtraj.cli import main
 from momtraj.errors import BoundaryMassError
 from momtraj.ensemble import Ensemble
@@ -58,31 +58,50 @@ def test_same_seed_runs_are_digest_identical(tmp_path):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_error_estimate_is_in_stats_and_repeats(tmp_path):
-    estimates = []
+def test_out_of_order_total_is_in_stats_and_repeats(tmp_path):
+    stats = []
     for d in ("a", "b"):
         code = run_cli("run", "superposition", "--model", "both", "--n", "300",
                        "--seed", "7", "--t-final", "0.1", "--out", str(tmp_path / d))
         assert code == 0
-        stats = json.loads((tmp_path / d / "stats.json").read_text())
-        estimates.append(stats["diagnostics"]["trajectory_error_estimate"])
-    assert set(estimates[0]) == {"epstein", "dbb"}
-    assert all(np.isfinite(v) and v >= 0.0 for v in estimates[0].values())
-    assert estimates[0]["dbb"] > 0.0
-    assert estimates[0] == estimates[1]
+        stats.append(json.loads((tmp_path / d / "stats.json").read_text()))
+    diagnostics = stats[0]["diagnostics"]
+    assert "trajectory_error_estimate" not in diagnostics
+    assert diagnostics["out_of_order_pairs"] == sum(
+        row["out_of_order_pairs"] for row in stats[0]["frames"]) == 0
+    assert diagnostics == stats[1]["diagnostics"]
 
 
 @pytest.mark.parametrize("name", ["superposition", "collapse"])
-def test_runs_of_fewer_than_four_frames_have_no_error_estimate(tmp_path, name):
-    # two frame intervals are three frames, too few for the cubic: the stepper
-    # lerps, which has no second interpolant, so a non-zero field's estimate
-    # is null; superposition's momentum flow runs in a zero field, exactly
+def test_runs_of_fewer_than_four_frames_have_no_error_estimate(tmp_path, name, monkeypatch):
+    # two frame intervals are three frames, too few for the cubic: every
+    # ensemble's stepper lerps, and the run completes
+    cubic = []
+    init = trajectories._Stepper.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        cubic.append(self.cubic)
+
+    monkeypatch.setattr(trajectories._Stepper, "__init__", spy)
     code = run_cli("run", name, "--frames", "2", "--n", "200", "--seed", "42",
                    "--out", str(tmp_path / name))
     assert code == 0
+    assert cubic == [False] * (2 if name == "superposition" else 1)
     stats = json.loads((tmp_path / name / "stats.json").read_text())
-    expected = {"dbb": None, "epstein": 0.0} if name == "superposition" else {"epstein": None}
-    assert stats["diagnostics"]["trajectory_error_estimate"] == expected
+    assert "trajectory_error_estimate" not in stats["diagnostics"]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_run_out_that_is_not_a_directory_exits_two_before_the_run(tmp_path, capsys, monkeypatch,
+                                                                  under):
+    monkeypatch.setattr(cli, "run_scenario", lambda config: pytest.fail("the run started"))
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "run" if under else blocker
+    assert run_cli("run", "linear-drift", "--n", "100", "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: output path {out} is a file or lies under one\n"
+    assert blocker.read_text() == ""
 
 
 def test_measurement_zero_dpe_exits_two(tmp_path, capsys):

@@ -258,7 +258,7 @@ def _reference_transform(grid, values, backward=False):
     """The transform of the propagator that emitted one frame at a time, expression for
     expression: numpy's complex products round a*b and b*a differently."""
     plan = grid.derived(momtraj.grid._transform_plan)
-    pre, post = plan[2:] if backward else plan[:2]
+    pre, post = plan[2:4] if backward else plan[:2]
     out = (np.fft.ifftn if backward else np.fft.fftn)(pre * values,
                                                        axes=tuple(range(-grid.dof, 0)))
     return np.multiply(post, out, out=out)

@@ -44,7 +44,8 @@ def test_compare_dirs_numeric_offsets(tmp_path, offset, identical, within):
     else:
         assert any(line.startswith("trajectories.csv: column p0: 1 values differ, max abs")
                    for line in report.lines)
-        assert any(line.startswith("stats.json: /frames/0/continuity_residual: 0.5 != ")
+        assert any(line.startswith("stats.json: /frames/*/continuity_residual: 1 changed, "
+                                   "first /frames/0/continuity_residual: 0.5 != ")
                    for line in report.lines)
 
 
@@ -56,6 +57,31 @@ def test_compare_dirs_rejects_a_changed_status_at_any_tolerance(tmp_path):
     assert not report.passes(1.0)
     assert "trajectories.csv: column status: 1 non-numeric values differ" in report.lines
     assert "stats.json: identical" in report.lines
+
+
+def test_compare_dirs_groups_json_leaves_by_path_pattern(tmp_path):
+    # a key added to every frame row, one removed and one changed print one line each
+    stats = {"frames": [{"time": t, "frozen": 0} for t in (0.0, 0.5, 1.0)],
+             "diagnostics": {"estimate": {"epstein": 0.25}, "total": 3}}
+    ref, new = (tmp_path / "ref", tmp_path / "new")
+    for path in (ref, new):
+        path.mkdir()
+        (path / "manifest.json").write_text(json.dumps({"outputs": {"stats.json": "unused"}}))
+    (ref / "stats.json").write_text(json.dumps(stats))
+    for row in stats["frames"]:
+        row["pairs"] = 0
+    stats["frames"][1]["frozen"] = 2
+    stats["diagnostics"] = {"total": 3, "pairs": 0}
+    (new / "stats.json").write_text(json.dumps(stats))
+    report = identity.compare_dirs(ref, new)
+    assert not report.identical and report.other and not report.passes(1.0)
+    assert report.lines == [
+        "stats.json: /diagnostics/estimate: 1 removed, first /diagnostics/estimate: "
+        "{'epstein': 0.25}",
+        "stats.json: /diagnostics/pairs: 1 added, first /diagnostics/pairs: 0",
+        "stats.json: /frames/*/pairs: 3 added, first /frames/0/pairs: 0",
+        "stats.json: /frames/*/frozen: 1 changed, first /frames/1/frozen: 0 != 2",
+    ]
 
 
 _REPORT = (b"validation suite (N=2000, seed=42)\n"

@@ -15,7 +15,10 @@ import momtraj.scenarios
 import momtraj.trajectories
 from momtraj import (
     SCENARIOS,
+    ComplexField,
     ConfigurationError,
+    Harmonic,
+    Representation,
     coverage_manifest,
     default_config,
     run_scenario,
@@ -577,6 +580,26 @@ def test_one_dof_trajectories_never_change_order(name):
         for f in range(len(hist.times)):
             active = hist.status[f][order] == TrajStatus.ACTIVE
             assert np.all(np.diff(q[f, order[active], 0]) >= 0.0), (model, f)
+    assert res.diagnostics["out_of_order_pairs"] == 0
+    assert all(row["out_of_order_pairs"] == 0 for row in res.stats_rows)
+
+
+def test_out_of_order_pairs_count_the_overtakes_of_a_two_packet_state():
+    # a generic two-packet state under the oscillator: its trajectories
+    # overtake each other near a near-node, with no row retired, and the suite
+    # counts the adjacent out-of-order pairs of each frame
+    grid = _grid_for(ScenarioConfig(), 1)
+    vals = ((0.16 - 0.59j) * gaussian_state(grid, 0.81, 3.66, 1.89).values
+            + (0.99 - 0.16j) * gaussian_state(grid, 0.93, -0.16, 1.21).values)
+    psi = ComplexField(grid, Representation.POSITION, vals).normalized()
+    config = ScenarioConfig(n_samples=300, seed=1)
+    suite = momtraj.scenarios._simulate(config, psi, Harmonic(1.0, 1.04))
+    hist = suite.ensemble.history
+    assert (hist.status == TrajStatus.ACTIVE).all()
+    order = np.argsort(hist.p[0, :, 0])
+    counts = [int(np.sum(np.diff(p[order, 0]) < 0.0)) for p in hist.p]
+    assert [row["out_of_order_pairs"] for row in suite.rows] == counts
+    assert sum(counts) == 66
 
 
 def test_superposition_contrast_verdicts():
