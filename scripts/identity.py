@@ -26,7 +26,8 @@ own ru_maxrss) on both trees are printed too, and first the line count of
 src/momtraj/*.py in each tree, as `wc -l` totals it.
 Outputs are deleted as soon as they are compared, and the extracted tree when
 the script ends. Next to the line counts it prints each tree's count of
-settable values (`settable_values`).
+settable values (`settable_values`) and, when the totals differ, each module
+whose count changed, as `scenarios.py: 40 → 30`.
 
 Exit code 0: every file and every report are identical. With --tol T, exit code
 0 also when every numeric difference in a file is within T,
@@ -245,9 +246,17 @@ def settable_values(source: str) -> int:
     return count
 
 
-def source_settable_values(tree: Path) -> int:
-    """`settable_values` summed over src/momtraj/*.py in `tree`."""
-    return sum(settable_values(p.read_text()) for p in (tree / "src" / "momtraj").glob("*.py"))
+def source_settable_values(tree: Path) -> dict[str, int]:
+    """`settable_values` of each module of src/momtraj/*.py in `tree`, by file name."""
+    return {p.name: settable_values(p.read_text())
+            for p in sorted((tree / "src" / "momtraj").glob("*.py"))}
+
+
+def settable_changes(ref: dict[str, int], new: dict[str, int]) -> list[str]:
+    """One line per module whose count differs, as `scenarios.py: 40 → 30`; a module
+    that one tree lacks counts 0 there."""
+    return [f"{name}: {ref.get(name, 0)} → {new.get(name, 0)}"
+            for name in sorted(set(ref) | set(new)) if ref.get(name, 0) != new.get(name, 0)]
 
 
 @dataclass(frozen=True)
@@ -291,8 +300,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         print(f"src/momtraj/*.py: {source_lines(ref_tree)} lines at {args.rev}, "
               f"{source_lines(ROOT)} in the working tree")
-        print(f"settable values: {source_settable_values(ref_tree)} at {args.rev}, "
-              f"{source_settable_values(ROOT)} in the working tree")
+        settable = source_settable_values(ref_tree), source_settable_values(ROOT)
+        print(f"settable values: {sum(settable[0].values())} at {args.rev}, "
+              f"{sum(settable[1].values())} in the working tree")
+        for line in settable_changes(*settable):
+            print(f"  {line}")
         for i, (label, cmd) in enumerate(COMMANDS):
             trees = [("ref", ref_tree), ("new", ROOT)]
             runs = {side: _run(tree, cmd, SCRATCH / "out" / side / label)

@@ -61,7 +61,6 @@ class Frame:
     derived on each read. boundary_mass holds their boundary mass fractions, in that order.
     """
 
-    index: int
     time: float
     psi_p: ComplexField
     boundary_mass: tuple[float, float]
@@ -182,7 +181,7 @@ def propagate(
         fp = ComplexField(grid, Representation.MOMENTUM, _frozen(block), np.array(times))
         edge = zip(*(boundary_mass_fraction(fld).tolist() for fld in (to_position(fp), fp)))
         for row, (t, masses_xp) in enumerate(zip(times, edge)):
-            frame = Frame(lo + row, t, ComplexField(grid, fp.rep, fp.values[row], t), masses_xp)
+            frame = Frame(t, ComplexField(grid, fp.rep, fp.values[row], t), masses_xp)
             for rep, frac in zip((Representation.POSITION, fp.rep), masses_xp):
                 if frac > BOUNDARY_MASS_TOL:
                     raise BoundaryMassError(

@@ -36,6 +36,7 @@ from .errors import ConfigurationError
 from .grid import ComplexField, GridSpec, grid_1d, grid_2d, to_position
 from .potentials import Free, Harmonic, Linear, Potential
 from .states import (
+    coherent_state,
     gaussian_state,
     measurement_state,
     superposition_state,
@@ -223,9 +224,9 @@ class FrameSuite:
 
     `add` checks a block at a time: the grid-only checks, equivariance,
     moments and status counts take one call per block. It keeps one stats
-    row per frame, which stores the checks' records as they come, and the
-    worst cases for `verdicts`, read from those records; `current` is the
-    last frame's current. `_simulate` sets `frames` and `ensemble`, and
+    row per frame, which stores the checks' records as they come, and
+    `verdicts` reads its pass flags and worst cases from those rows; `current`
+    is the last frame's current. `_simulate` sets `frames` and `ensemble`, and
     `result` builds the RunResult. A Free potential's currents vanish, so it
     has no cross-method check. In 1d, where no trajectory can overtake
     another, each row counts `out_of_order_pairs`: the pairs of rows adjacent
@@ -236,18 +237,14 @@ class FrameSuite:
     potential: Potential
     config: ScenarioConfig
     regions: list[Region] | None = None
-    rows: list[dict] = field(default_factory=list)
-    all_ks_ok: bool = True
-    worst_ks_margin: float = 0.0
-    all_moments_ok: bool = True
-    worst_identity: float = 0.0
-    cross_pairs: list[tuple[float, float]] = field(default_factory=list)
-    continuity_pairs: list[tuple[float, float]] = field(default_factory=list)
-    current: CurrentField | None = None
-    frames: list[Frame] = field(default_factory=list)
-    ensemble: Ensemble | None = None
 
     def __post_init__(self) -> None:
+        self.rows: list[dict] = []
+        self.cross_pairs: list[tuple[float, float]] = []
+        self.continuity_pairs: list[tuple[float, float]] = []
+        self.current: CurrentField | None = None
+        self.frames: list[Frame] = []
+        self.ensemble: Ensemble | None = None
         self._order: np.ndarray | None = None  # frame 0's momentum order (1d), from block 0
 
     def add(self, block: FrameBlock, lo: int, p: np.ndarray, x: np.ndarray,
@@ -279,12 +276,7 @@ class FrameSuite:
                 row["out_of_order_pairs"] = disorder[f]
             if ks_rows[f] is not None:  # a frame with no active row has no ks or moments
                 row["ks"] = ks_rows[f]
-                for ks in row["ks"].values():
-                    self.all_ks_ok &= ks["passed"]
-                    self.worst_ks_margin = max(self.worst_ks_margin, ks["statistic"] / ks["band"])
-                row["moments"] = m = moment_rows[f]
-                self.all_moments_ok &= m["mean_ok"] and m["std_ok"] and m["identity_ok"]
-                self.worst_identity = max(self.worst_identity, m["second_moment_identity_rel_err"])
+                row["moments"] = moment_rows[f]
                 if self.regions:
                     row["macrostate_occupancy"] = macrostate_frequencies(x[f], self.regions,
                                                                          active[f])
@@ -300,13 +292,19 @@ class FrameSuite:
             self.rows.append(row)
 
     def verdicts(self) -> list[Verdict]:
+        ks = [k for row in self.rows for k in row.get("ks", {}).values()]
+        moments = [row["moments"] for row in self.rows if "moments" in row]
+        ks_margin = max((k["statistic"] / k["band"] for k in ks), default=0.0)
+        identity = max((m["second_moment_identity_rel_err"] for m in moments), default=0.0)
         continuity = _robust_max_ratio(self.continuity_pairs)
         out = [
-            Verdict("equivariance-all-frames", self.all_ks_ok, self.worst_ks_margin, 1.0,
+            Verdict("equivariance-all-frames", all(k["passed"] for k in ks), ks_margin, 1.0,
                     "equivariance of the momentum ensemble",
                     "worst KS statistic / 99% band over all frames "
                     f"(band {ks_band(self.config.n_samples):.4f})"),
-            Verdict("moment-checks-all-frames", self.all_moments_ok, self.worst_identity, 1e-6,
+            Verdict("moment-checks-all-frames",
+                    all(m["mean_ok"] and m["std_ok"] and m["identity_ok"] for m in moments),
+                    identity, 1e-6,
                     "position expectation identity, spread inequality, second-moment identity",
                     "worst second-moment identity relative error; mean/std bands per frame"),
             Verdict("continuity-residual", continuity <= 1e-4, continuity, 1e-4,
@@ -339,11 +337,31 @@ def _trajectories(config: ScenarioConfig, psi: ComplexField, potential: Potentia
 
 
 def _simulate(config: ScenarioConfig, psi: ComplexField, potential: Potential,
-              regions: list[Region] | None = None) -> FrameSuite:
-    """Run psi through every scenario's pipeline, the suite fed every block of frames."""
+              regions: list[Region] | None = None,
+              on_block: BlockHook | None = None) -> FrameSuite:
+    """Run psi through every scenario's pipeline, the suite fed every block of frames
+    and `on_block`, if given, each block after the suite."""
     suite = FrameSuite(potential, config, regions)
-    suite.frames, suite.ensemble = _trajectories(config, psi, potential, suite.add)
+
+    def hook(*args) -> None:
+        suite.add(*args)
+        if on_block is not None:
+            on_block(*args)
+
+    suite.frames, suite.ensemble = _trajectories(config, psi, potential, hook)
     return suite
+
+
+def _worst(hist: EnsembleHistory, residual: Callable[[int], np.ndarray],
+           frames: range | None = None, rows: np.ndarray | None = None) -> float:
+    """max |residual(f)| over `frames` (every frame by default), at each frame f over
+    the `rows` mask if given, else over the rows active at f. residual(f) holds
+    every row of frame f, so the rows outside the mask may hold anything."""
+    worst = 0.0
+    for f in range(len(hist.times)) if frames is None else frames:
+        mask = hist.status[f] == TrajStatus.ACTIVE if rows is None else rows
+        worst = max(worst, float(np.abs(residual(f)[mask]).max()))
+    return worst
 
 
 # -- scenario: free particle ---------------------------------------------------------
@@ -352,21 +370,15 @@ def _simulate(config: ScenarioConfig, psi: ComplexField, potential: Potential,
 def _run_free_particle(config: ScenarioConfig, grid: GridSpec, potential: Potential) -> RunResult:
     suite = _simulate(config, gaussian_state(grid, sigma=config.sigma), potential)
     hist = suite.ensemble.history
-    active_always = hist.status[-1] == TrajStatus.ACTIVE
-    times = hist.times
-    p0 = hist.p[0]
-    law_err = 0.0
-    drift = 0.0
-    for f, t in enumerate(times):
-        act = hist.status[f] == TrajStatus.ACTIVE
-        law_err = max(law_err, float(np.abs(hist.x[f][act] - hist.p[f][act] * t / config.mass).max()))
-        drift = max(drift, float(np.abs(hist.p[f][act] - p0[act]).max()))
-    origin = float(np.abs(hist.x[0][hist.status[0] == TrajStatus.ACTIVE]).max())
+    law_err = _worst(hist, lambda f: hist.x[f] - hist.p[f] * hist.times[f] / config.mass)
+    drift = _worst(hist, lambda f: hist.p[f] - hist.p[0])
+    origin = _worst(hist, lambda f: hist.x[f], range(1))
 
     # final-frame position histogram against the transported momentum density
-    t_end = times[-1]
+    t_end = hist.times[-1]
     (edges,), emp = rho_histogram(hist.x[-1], config.histogram_bins,
-                                  [(grid.positions(0)[0], grid.positions(0)[-1])], active_always)
+                                  [(grid.positions(0)[0], grid.positions(0)[-1])],
+                                  hist.status[-1] == TrajStatus.ACTIVE)
     width = edges[1] - edges[0]
     centers = 0.5 * (edges[:-1] + edges[1:])
     rho_p = suite.frames[-1].psi_p.density()
@@ -394,12 +406,18 @@ def _run_free_particle(config: ScenarioConfig, grid: GridSpec, potential: Potent
 # -- scenario: superposition (and the macroscopic variant) ----------------------------
 
 
+def _momentum_gaussian(p: np.ndarray, sigma: float, hbar: float,
+                       center: float = 0.0) -> np.ndarray:
+    """The momentum density of a width-sigma Gaussian packet centred at p = center."""
+    return (sigma**2 / (np.pi * hbar**2)) ** 0.5 * np.exp(-((p - center) ** 2) * sigma**2
+                                                            / hbar**2)
+
+
 def _fringe_density_verdict(grid: GridSpec, frame0: Frame, config: ScenarioConfig,
                             norm_factor: float) -> Verdict:
     p = grid.momenta(0)
     hb = grid.hbar
-    sig = config.sigma
-    base = (sig**2 / (np.pi * hb**2)) ** 0.5 * np.exp(-(p**2) * sig**2 / hb**2)
+    base = _momentum_gaussian(p, config.sigma, hb)
     c = np.sqrt(0.5)  # superposition_state's equal weights
     # |c e^{-iap} + c e^{+iap}|^2 = 2 cos^2(ap)
     mod = (c**2 + c**2) + 2.0 * c * c * np.cos(2.0 * config.a * p / hb)
@@ -422,7 +440,7 @@ def _run_superposition(config: ScenarioConfig, grid: GridSpec, potential: Potent
     suite = _simulate(config, sup.field, potential)
     hist = suite.ensemble.history
 
-    origin = float(np.abs(hist.x[0][hist.status[0] == TrajStatus.ACTIVE]).max())
+    origin = _worst(hist, lambda f: hist.x[f], range(1))
     verdicts = [
         _fringe_density_verdict(grid, suite.frames[0], config, sup.norm_factor),
         Verdict("origin-concentration", origin <= 1e-8, origin, 1e-8,
@@ -541,15 +559,8 @@ def _run_measurement(config: ScenarioConfig, grid: GridSpec, potential: Potentia
     ens = suite.ensemble
 
     # factorized momentum density against the analytic mixture
-    p0g = grid.momenta(0)
-    p1g = grid.momenta(1)
-    hb = grid.hbar
-    pointer = (config.sigma**2 / (np.pi * hb**2)) ** 0.5 * np.exp(
-        -(p0g**2) * config.sigma**2 / hb**2
-    )
-    env = lambda b: (config.sigma_env**2 / (np.pi * hb**2)) ** 0.5 * np.exp(
-        -((p1g - b) ** 2) * config.sigma_env**2 / hb**2
-    )
+    pointer = _momentum_gaussian(grid.momenta(0), config.sigma, grid.hbar)
+    env = lambda b: _momentum_gaussian(grid.momenta(1), config.sigma_env, grid.hbar, b)
     term1 = ms.weights[0] * np.outer(pointer, env(config.dpe / 2.0))
     term2 = ms.weights[1] * np.outer(pointer, env(-config.dpe / 2.0))
     pred = term1 + term2
@@ -606,7 +617,6 @@ def _run_collapse(config: ScenarioConfig, grid: GridSpec, potential: Potential) 
 
     # Collapse's checks read each block of frames after the suite; the branch's
     # block of the same frames gives the branch's x(p) and closed-form current.
-    suite = FrameSuite(potential, config)
     p = grid.momenta(0)
     weight = state.branch_weights[0]
     in_branch = None  # rows seeded in the branch, set at frame 0
@@ -619,7 +629,6 @@ def _run_collapse(config: ScenarioConfig, grid: GridSpec, potential: Potential) 
     def on_block(block: FrameBlock, lo: int, p_traj: np.ndarray, x: np.ndarray,
                  status: np.ndarray) -> None:
         nonlocal in_branch, decomp_worst, track_worst
-        suite.add(block, lo, p_traj, x, status)
         if lo == 0:
             in_branch = p_traj[0, :, 0] > 0.0
         br = FrameBlock(branch_frames[lo:lo + len(block.frames)], potential,
@@ -656,7 +665,7 @@ def _run_collapse(config: ScenarioConfig, grid: GridSpec, potential: Potential) 
                                      float(np.abs(j_full).max())))
                 pairs_poisson.append((float(np.abs(jp[gap]).max()), float(np.abs(jp).max())))
 
-    suite.frames, suite.ensemble = _trajectories(config, state.field, potential, on_block)
+    suite = _simulate(config, state.field, potential, on_block=on_block)
     scale = config.grid_extent / 2.0
     min_gap = min(gap_cells)
     verdicts = [
@@ -697,23 +706,17 @@ def _run_collapse(config: ScenarioConfig, grid: GridSpec, potential: Potential) 
 def _force_residual(hist: EnsembleHistory,
                     restoring: Callable[[np.ndarray], np.ndarray | float]) -> float:
     """max |dp/dt + restoring(x)| over the frames two or more from either end and
-    the rows active at the last frame, dp/dt by 5-point central differences,
-    read from the history frame by frame through a window of five frames'
-    momenta, each gathered once.
+    the rows active at the last frame, dp/dt by 5-point central differences;
+    `_worst` takes it frame by frame.
 
     Needs at least 5 frames, which run_scenario checks against
     ScenarioDef.min_frames before the run starts.
     """
-    always = hist.status[-1] == TrajStatus.ACTIVE
+    p, x = hist.p[..., 0], hist.x[..., 0]
     twelve_dt = 12.0 * float(hist.times[1] - hist.times[0])
-    window = [hist.p[f, always, 0] for f in range(4)]
-    worst = 0.0
-    for f in range(2, len(hist.times) - 2):
-        window = window[-4:] + [hist.p[f + 2, always, 0]]
-        pm2, pm1, _, pp1, pp2 = window
-        dpdt = (pm2 - 8.0 * pm1 + 8.0 * pp1 - pp2) / twelve_dt
-        worst = max(worst, float(np.abs(dpdt + restoring(hist.x[f, always, 0])).max()))
-    return worst
+    return _worst(hist, lambda f: (p[f - 2] - 8.0 * p[f - 1] + 8.0 * p[f + 1] - p[f + 2])
+                  / twelve_dt + restoring(x[f]),
+                  range(2, len(hist.times) - 2), hist.status[-1] == TrajStatus.ACTIVE)
 
 
 def _classical_force_verdicts(hist: EnsembleHistory, config: ScenarioConfig) -> list[Verdict]:
@@ -726,9 +729,8 @@ def _classical_force_verdicts(hist: EnsembleHistory, config: ScenarioConfig) -> 
     ]
     if config.displacement == 0.0:
         always = hist.status[-1] == TrajStatus.ACTIVE
-        p0 = hist.p[0, always, 0]
-        xmax = max(float(np.abs(x[always, 0]).max()) for x in hist.x)
-        pdrift = max(float(np.abs(p[always, 0] - p0).max()) for p in hist.p)
+        xmax = _worst(hist, lambda f: hist.x[f], rows=always)
+        pdrift = _worst(hist, lambda f: hist.p[f] - hist.p[0], rows=always)
         out += [
             Verdict("ground-position-frozen", xmax <= 1e-4, xmax, 1e-4,
                     "ground-state trajectories sit at the origin", "max |x_i(t)|"),
@@ -739,9 +741,8 @@ def _classical_force_verdicts(hist: EnsembleHistory, config: ScenarioConfig) -> 
 
 
 def _run_harmonic(config: ScenarioConfig, grid: GridSpec, potential: Potential) -> RunResult:
-    sigma = np.sqrt(config.hbar / (config.mass * config.omega))
-    suite = _simulate(config, gaussian_state(grid, sigma=sigma, center=config.displacement),
-                      potential)
+    suite = _simulate(config, coherent_state(grid, config.displacement, config.mass,
+                                             config.omega), potential)
 
     # the grid mean, which the suite computed at every frame, tracks the classical orbit
     worst_mean = max(abs(row["moments"]["mean_grid"][0]
@@ -761,11 +762,7 @@ def _run_harmonic(config: ScenarioConfig, grid: GridSpec, potential: Potential) 
 def _run_linear(config: ScenarioConfig, grid: GridSpec, potential: Potential) -> RunResult:
     suite = _simulate(config, gaussian_state(grid, sigma=config.sigma), potential)
     hist = suite.ensemble.history
-    law = 0.0
-    for f, t in enumerate(hist.times):
-        act = hist.status[f] == TrajStatus.ACTIVE
-        expected = hist.p[0][act] - config.linear_coeff * t
-        law = max(law, float(np.abs(hist.p[f][act] - expected).max()))
+    law = _worst(hist, lambda f: hist.p[f] - (hist.p[0] - config.linear_coeff * hist.times[f]))
     force = _force_residual(hist, lambda x: config.linear_coeff)
 
     verdicts = [

@@ -165,17 +165,18 @@ def test_boundary_violation_inside_a_block_stops_before_the_offending_frame(monk
     with monkeypatch.context() as m:  # an unchecked propagation as the oracle
         m.setattr(momtraj.dynamics, "BOUNDARY_MASS_TOL", np.inf)
         unchecked = collect_frames(psi, Free(), PropagatorConfig(1e-3, 10), 3000)
-    bad = next(fr for fr in unchecked if max(fr.boundary_mass) > BOUNDARY_MASS_TOL)
-    assert bad.index % (BLOCK_POINTS // grid.size) > 0  # not the first frame of its block
+    index = next(i for i, fr in enumerate(unchecked) if max(fr.boundary_mass) > BOUNDARY_MASS_TOL)
+    assert index % (BLOCK_POINTS // grid.size) > 0  # not the first frame of its block
     seen = []
     with pytest.raises(BoundaryMassError) as err:
         propagate(psi, Free(), PropagatorConfig(1e-3, 10), 3000, on_frame=seen.append)
-    assert [fr.index for fr in seen] == list(range(bad.index))
+    assert [fr.time for fr in seen] == [fr.time for fr in unchecked[:index]]
     assert [fr.psi_p.values.tobytes() for fr in seen] == [
-        fr.psi_p.values.tobytes() for fr in unchecked[:bad.index]]
-    rep, frac = next((rep, frac) for rep, frac in zip(("position", "momentum"), bad.boundary_mass)
+        fr.psi_p.values.tobytes() for fr in unchecked[:index]]
+    rep, frac = next((rep, frac) for rep, frac in
+                     zip(("position", "momentum"), unchecked[index].boundary_mass)
                      if frac > BOUNDARY_MASS_TOL)
-    t = 0.0 + bad.index * 10 * 1e-3
+    t = 0.0 + index * 10 * 1e-3
     assert str(err.value) == (f"boundary mass fraction {frac:.3e} in {rep} representation "
                               f"at t={t:.6f} exceeds 1e-08")
 
@@ -218,7 +219,7 @@ def test_masses_validation(grid2d):
 def test_zero_steps_emit_only_the_initial_frame(grid512, pot):
     # the free path and the split-step path share one emission schedule
     frames = collect_frames(gaussian_state(grid512), pot, PropagatorConfig(1e-3, 10), 0)
-    assert [(fr.index, fr.time) for fr in frames] == [(0, 0.0)]
+    assert [fr.time for fr in frames] == [0.0]
 
 
 @pytest.mark.parametrize("pot", [Free(), Linear(2.0), Harmonic(1.0, 1.0)])
@@ -323,8 +324,8 @@ def test_block_emission_gives_the_one_frame_propagators_frames(grid, pot, steps_
     frames = collect_frames(psi, pot, cfg, n_steps)
     want = _reference_frames(psi, pot, cfg, n_steps)
     assert len(frames) == len(want)
-    for index, (fr, (t, vals_x, vals_p, masses)) in enumerate(zip(frames, want)):
-        assert fr.index == index and fr.time == fr.psi_x.time == fr.psi_p.time == t
+    for fr, (t, vals_x, vals_p, masses) in zip(frames, want):
+        assert fr.time == fr.psi_x.time == fr.psi_p.time == t
         assert fr.psi_p.values.tobytes() == vals_p.tobytes()
         assert fr.psi_x.values.tobytes() == vals_x.tobytes()
         assert fr.boundary_mass == masses

@@ -154,3 +154,18 @@ class _Hidden:
 '''
     # run: seed, threads; Config: dt, steps, scaled's factor; Other: flag; Plain: __init__'s size
     assert identity.settable_values(source) == 7
+
+
+def test_settable_changes_name_each_module_whose_count_changed(tmp_path):
+    for tree, counts in (("ref", {"a.py": 2, "b.py": 1, "gone.py": 1}),
+                         ("new", {"a.py": 2, "b.py": 3, "added.py": 1})):
+        src = tmp_path / tree / "src" / "momtraj"
+        src.mkdir(parents=True)
+        for name, n in counts.items():
+            params = ", ".join(f"k{i}=0" for i in range(n))
+            (src / name).write_text(f"def run({params}):\n    pass\n")
+    ref, new = (identity.source_settable_values(tmp_path / tree) for tree in ("ref", "new"))
+    assert ref == {"a.py": 2, "b.py": 1, "gone.py": 1}
+    assert identity.settable_changes(ref, new) == ["added.py: 0 → 1", "b.py: 1 → 3",
+                                                   "gone.py: 1 → 0"]
+    assert identity.settable_changes(ref, ref) == []

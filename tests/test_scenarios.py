@@ -26,7 +26,7 @@ from momtraj import (
 from momtraj.dynamics import PropagatorConfig, collect_frames
 from momtraj.ensemble import sample_momenta
 from momtraj.scenarios import CURRENTS, COMMON_FIELDS, FrameSuite, ScenarioConfig, _grid_for
-from momtraj.states import gaussian_state, two_packet_momentum_state
+from momtraj.states import coherent_state, gaussian_state, two_packet_momentum_state
 from momtraj.trajectories import TrajStatus, integrate_epstein
 
 SMALL_N = 600
@@ -345,7 +345,7 @@ def test_collapse_branch_blocks_cover_the_main_blocks_frames(monkeypatch):
     def recording(kind):
         class Recorded(original):
             def __init__(self, frames, *args):
-                built[kind].append([fr.index for fr in frames])
+                built[kind].append([fr.time for fr in frames])
                 super().__init__(frames, *args)
         return Recorded
 
@@ -353,7 +353,9 @@ def test_collapse_branch_blocks_cover_the_main_blocks_frames(monkeypatch):
     monkeypatch.setattr(momtraj.scenarios, "FrameBlock", recording("branch"))
     res = run_scenario(default_config("collapse", n_samples=100, steps_per_frame=5))
     assert res.passed
-    assert built["main"] == [list(range(64)), list(range(64, 81))]
+    times = [fr.time for fr in res.frames]
+    assert len(times) == 81
+    assert built["main"] == [times[:64], times[64:81]]
     assert built["branch"] == built["main"]
 
 
@@ -378,6 +380,36 @@ def test_force_checks_read_the_history_frame_by_frame():
                         "ground-momentum-frozen": float(np.abs(p - p[0]).max())}
     linear = momtraj.scenarios._force_residual(hist, lambda x: 2.0)
     assert linear == float(np.abs(dpdt + 2.0).max())
+
+    # the reduction's two masks: row 2 reads 10 + f at frames 0-3 and NaN once
+    # retired, the other rows f / 10
+    def residual(f):
+        r = np.full((5, 1), f / 10.0)
+        r[2] = 10.0 + f if f < 4 else np.nan
+        return r
+
+    worst = momtraj.scenarios._worst
+    assert worst(hist, residual) == 13.0  # per frame: row 2 counts in frames 0-3 only
+    assert worst(hist, residual, range(4, 7)) == 0.6
+    assert worst(hist, residual, rows=always) == 0.6  # the last frame's mask: nowhere
+    assert worst(hist, residual, range(2), always) == 0.1
+
+
+def test_suite_verdicts_read_the_stats_rows():
+    # each suite verdict is a reduction over the rows stats.json stores: a flag
+    # flipped in one row fails the matching verdict and no other
+    cfg = default_config("linear-drift", n_samples=200, seed=0, t_final=0.1)
+    grid = _grid_for(cfg, 1)
+    suite = momtraj.scenarios._simulate(cfg, gaussian_state(grid, sigma=cfg.sigma),
+                                        SCENARIOS["linear-drift"].potential(cfg))
+
+    assert all(v.passed for v in suite.verdicts())
+    row = suite.rows[5]
+    for record, flag, verdict in ((row["ks"]["p0"], "passed", "equivariance-all-frames"),
+                                  (row["moments"], "identity_ok", "moment-checks-all-frames")):
+        record[flag] = False
+        assert [v.name for v in suite.verdicts() if not v.passed] == [verdict]
+        record[flag] = True
 
 
 def test_step_phases_are_built_once_per_run(monkeypatch):
@@ -536,8 +568,8 @@ def test_mirrored_state_gives_mirrored_trajectories_and_the_same_verdicts(name, 
                               cfg.n_steps(), cfg.mass)
 
     if name == "harmonic-coherent":
-        sigma = np.sqrt(cfg.hbar / (cfg.mass * cfg.omega))
-        frames, mirror = (frames_of(gaussian_state(grid, sigma=sigma, center=c * cfg.displacement))
+        frames, mirror = (frames_of(coherent_state(grid, c * cfg.displacement, cfg.mass,
+                                                   cfg.omega))
                           for c in (1, -1))
     else:
         frames = mirror = frames_of(two_packet_momentum_state(grid, cfg.delta_p, cfg.sigma).field)

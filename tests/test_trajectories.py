@@ -222,7 +222,7 @@ def fixed_frames(psi, t_end):
     psi_x = psi if psi.rep is Representation.POSITION else to_position(psi)
     psi_p = psi if psi.rep is Representation.MOMENTUM else to_momentum(psi)
     masses = (float(boundary_mass_fraction(psi_x)), float(boundary_mass_fraction(psi_p)))
-    return [Frame(0, 0.0, psi_p, masses), Frame(1, t_end, psi_p, masses)]
+    return [Frame(0.0, psi_p, masses), Frame(t_end, psi_p, masses)]
 
 
 def read_x(phi, p, x_before=0.0):
