@@ -23,7 +23,8 @@ files, so its stdout report is compared byte for byte, and each differing
 line is printed; each tree's --threads 1 report is also compared with its
 own --threads 2 report. Each command's wall time and peak RSS (the child's
 own ru_maxrss) on both trees are printed too, and first the line count of
-src/momtraj/*.py in each tree, as `wc -l` totals it.
+src/momtraj/*.py in each tree, as `wc -l` totals it, and each module whose
+line count changed, as `grid.py: 442 → 437`.
 Outputs are deleted as soon as they are compared, and the extracted tree when
 the script ends. Next to the line counts it prints each tree's count of
 settable values (`settable_values`) and, when the totals differ, each module
@@ -208,9 +209,11 @@ def compare_reports(ref: bytes, new: bytes) -> Report:
     return report
 
 
-def source_lines(tree: Path) -> int:
-    """Lines of src/momtraj/*.py in `tree`, counted as `wc -l` counts them."""
-    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "momtraj").glob("*.py"))
+def source_lines(tree: Path) -> dict[str, int]:
+    """Lines of each module of src/momtraj/*.py in `tree`, by file name, counted as
+    `wc -l` counts them."""
+    return {p.name: p.read_bytes().count(b"\n")
+            for p in sorted((tree / "src" / "momtraj").glob("*.py"))}
 
 
 def _decorator_names(node: ast.ClassDef):
@@ -252,9 +255,9 @@ def source_settable_values(tree: Path) -> dict[str, int]:
             for p in sorted((tree / "src" / "momtraj").glob("*.py"))}
 
 
-def settable_changes(ref: dict[str, int], new: dict[str, int]) -> list[str]:
-    """One line per module whose count differs, as `scenarios.py: 40 → 30`; a module
-    that one tree lacks counts 0 there."""
+def count_changes(ref: dict[str, int], new: dict[str, int]) -> list[str]:
+    """One line per module whose count (of lines or of settable values) differs, as
+    `scenarios.py: 40 → 30`; a module that one tree lacks counts 0 there."""
     return [f"{name}: {ref.get(name, 0)} → {new.get(name, 0)}"
             for name in sorted(set(ref) | set(new)) if ref.get(name, 0) != new.get(name, 0)]
 
@@ -298,13 +301,13 @@ def main(argv: list[str] | None = None) -> int:
     ok = True
     reports: dict[str, dict[str, bytes]] = {}  # validate label -> side -> stdout
     try:
-        print(f"src/momtraj/*.py: {source_lines(ref_tree)} lines at {args.rev}, "
-              f"{source_lines(ROOT)} in the working tree")
-        settable = source_settable_values(ref_tree), source_settable_values(ROOT)
-        print(f"settable values: {sum(settable[0].values())} at {args.rev}, "
-              f"{sum(settable[1].values())} in the working tree")
-        for line in settable_changes(*settable):
-            print(f"  {line}")
+        for what, unit, count in (("src/momtraj/*.py", " lines", source_lines),
+                                  ("settable values", "", source_settable_values)):
+            ref_counts, new_counts = count(ref_tree), count(ROOT)
+            print(f"{what}: {sum(ref_counts.values())}{unit} at {args.rev}, "
+                  f"{sum(new_counts.values())} in the working tree")
+            for line in count_changes(ref_counts, new_counts):
+                print(f"  {line}")
         for i, (label, cmd) in enumerate(COMMANDS):
             trees = [("ref", ref_tree), ("new", ROOT)]
             runs = {side: _run(tree, cmd, SCRATCH / "out" / side / label)

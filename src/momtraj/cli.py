@@ -18,8 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
+from .currents import CurrentMethod
 from .errors import ConfigurationError, SimulationError
-from .grid import BLOCK_POINTS
 from .output import read_config_ini, utc_now, write_run_outputs
 from .scenarios import (
     COMMON_FIELDS,
@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="frame intervals over the run; must divide the step count")
     runp.add_argument("--grid-points", type=int, dest="grid_points")
     runp.add_argument("--grid-extent", type=float, dest="grid_extent")
-    runp.add_argument("--current", choices=["closed", "poisson"])
+    runp.add_argument("--current", choices=[m.value for m in CurrentMethod])
     runp.add_argument("--model", help="epstein, or both to add the guidance-law ensemble")
     runp.add_argument("--out", type=str, help="output directory (default run_<scenario>)")
     runp.add_argument("--a", type=float, help="packet shift")
@@ -123,19 +123,19 @@ def _cmd_validate(args) -> int:
     """Run the catalog on lanes; each job keeps only its verdicts, so its run is freed on return.
 
     A lane is a list of jobs that one pool thread runs one after another. A job whose grid
-    has at least BLOCK_POINTS points (measurement) gets a lane of its own: its numpy calls
-    are large enough to overlap a 1d job. The 1d jobs share one lane, since two of them on
-    two threads convoy on the GIL. It runs them smallest n_frames x grid size first, so the
-    largest histories (free-particle's) are built after measurement's peak, not beside it.
-    `--threads` above the number of lanes adds nothing; `--threads 1` runs the lanes in turn.
+    takes one frame a block (`GridSpec.block_frames`; measurement) gets a lane of its own:
+    its numpy calls are large enough to overlap a 1d job. The 1d jobs share one lane, since
+    two of them on two threads convoy on the GIL. It runs them smallest n_frames x grid size
+    first, so the largest histories (free-particle's) come after measurement's peak, not
+    beside it. `--threads` above the lane count adds nothing; `--threads 1` runs them in turn.
     """
     if args.threads < 1:
         raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
     jobs = [default_config(name, n_samples=args.n, seed=args.seed) for name in sorted(SCENARIOS)]
-    points = {cfg.name: _grid_for(cfg, SCENARIOS[cfg.name].dof).size for cfg in jobs}
-    shared = sorted((cfg for cfg in jobs if points[cfg.name] < BLOCK_POINTS),
-                    key=lambda cfg: cfg.n_frames() * points[cfg.name])
-    lanes = [[cfg] for cfg in jobs if points[cfg.name] >= BLOCK_POINTS] + [shared]
+    grids = {cfg.name: _grid_for(cfg, SCENARIOS[cfg.name].dof) for cfg in jobs}
+    shared = sorted((cfg for cfg in jobs if grids[cfg.name].block_frames > 1),
+                    key=lambda cfg: cfg.n_frames() * grids[cfg.name].size)
+    lanes = [[cfg] for cfg in jobs if grids[cfg.name].block_frames == 1] + [shared]
 
     def run_lane(lane):
         return {cfg.name: run_scenario(cfg).verdicts for cfg in lane}

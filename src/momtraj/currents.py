@@ -70,8 +70,8 @@ class CurrentField:
 
 def current_closed_form(potential: Potential, psi_p: ComplexField,
                         grad: np.ndarray | None = None) -> CurrentField:
-    """Closed-form current of a Free, Linear or Harmonic potential; `grad` as in
-    `local_position_field`."""
+    """Closed-form current of a Free, Linear or Harmonic potential; `grad`, psi_p's
+    `spectral_gradient`, is computed here when not given."""
     if psi_p.rep is not Representation.MOMENTUM:
         raise ConfigurationError("current construction expects a momentum-representation field")
     grid = psi_p.grid
@@ -96,6 +96,7 @@ def current_closed_form(potential: Potential, psi_p: ComplexField,
 
 
 EDGE_GAUGE_CELLS = 3
+VANISHING_DIVERGENCE = 1e-14  # ||div j|| below which a frame's current vanishes (Free)
 
 
 def current_poisson(source: np.ndarray, grid: GridSpec, time: float = 0.0) -> CurrentField:
@@ -122,7 +123,7 @@ def current_for(
     method: CurrentMethod,
     grad: np.ndarray | None = None,
 ) -> CurrentField:
-    """Dispatch on the configured current construction; `grad` as in `local_position_field`.
+    """Dispatch on the configured current construction; `grad` as in `current_closed_form`.
     Only the Poisson route reads psi_x, and transforms psi_p when it is None."""
     if method is CurrentMethod.CLOSED_FORM:
         return current_closed_form(potential, psi_p, grad)
@@ -139,7 +140,7 @@ def continuity_residual(
     """Relative L2 residual of (rho_after - rho_before)/dt + div j, and ||div j||,
     one of each per frame.
 
-    The residual is absolute when ||div j|| < 1e-14 (free evolution).
+    The residual is absolute when ||div j|| < VANISHING_DIVERGENCE.
     """
     grid = psi_p_before.grid
     vol = grid.cell_volume(Representation.MOMENTUM)
@@ -148,4 +149,4 @@ def continuity_residual(
     num = np.sqrt(np.sum((drho + div) ** 2, axis=grid_axes(grid)) * vol)
     den = np.sqrt(np.sum(div**2, axis=grid_axes(grid)) * vol)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den < 1e-14, num, num / den), den
+        return np.where(den < VANISHING_DIVERGENCE, num, num / den), den

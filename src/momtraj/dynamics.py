@@ -11,8 +11,8 @@ potential the kinetic phase alone is the exact propagator, so the loop skips
 the transforms entirely in that case.
 
 The steps run in place in one work buffer. Emitted states are gathered into
-blocks of max(1, BLOCK_POINTS // grid size) frames, as FrameBlocks are. Frames
-keep psi~ only: a block's psi(x), one batched transform, serves its boundary-mass
+blocks of `GridSpec.block_frames` frames, as FrameBlocks are. Frames keep
+psi~ only: a block's psi(x), one batched transform, serves its boundary-mass
 call, and a reader of psi(x) transforms a frame or a `momentum_block` itself.
 """
 
@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import BoundaryMassError, ConfigurationError, NormalizationError
 from .grid import (
-    BLOCK_POINTS,
     BOUNDARY_MASS_TOL,
     ComplexField,
     Representation,
@@ -36,21 +35,21 @@ from .grid import (
     to_momentum,
     to_position,
 )
-from .potentials import Free, Potential, evaluate_potential
+from .potentials import Free, Potential, _per_axis, evaluate_potential
 
-NORM_TOL = 1e-6
+NORM_TOL = 1e-6  # how far from 1 the norm of a state that must be normalized may be
 
 
 @dataclass(frozen=True)
 class PropagatorConfig:
+    """Step size dt and frame interval steps_per_frame, which must divide a run's steps."""
+
     dt: float
-    steps_per_frame: int = 10
+    steps_per_frame: int
 
     def __post_init__(self) -> None:
         if not self.dt > 0:
             raise ConfigurationError("dt must be positive")
-        if self.steps_per_frame < 1:
-            raise ConfigurationError("steps_per_frame must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,14 @@ class Frame:
 FrameCallback = Callable[[Frame], None]
 
 
+def frame_steps(n_steps: int, steps_per_frame: int) -> range:
+    """The steps of a run's frames, 0, steps_per_frame, ..., n_steps: evenly spaced."""
+    if steps_per_frame < 1 or n_steps < 0 or n_steps % steps_per_frame:
+        raise ConfigurationError(f"frames must be evenly spaced: {n_steps} steps do not "
+                                 f"split into frame intervals of {steps_per_frame} steps")
+    return range(0, n_steps + 1, steps_per_frame)
+
+
 def momentum_block(frames: list[Frame]) -> ComplexField:
     """The frames' psi~ on a frame axis. Transforms act on each row alone, so psi(x) of
     row f of this block has the bits of frame f's psi_x."""
@@ -81,11 +88,7 @@ def momentum_block(frames: list[Frame]) -> ComplexField:
 
 
 def _masses(masses, dof: int) -> tuple[float, ...]:
-    ms = tuple(np.atleast_1d(np.asarray(masses, dtype=float)))
-    if len(ms) == 1:
-        ms = ms * dof
-    if len(ms) != dof:
-        raise ConfigurationError(f"need 1 or {dof} masses, got {len(ms)}")
+    ms = _per_axis(masses, dof, "masses")
     if any(m <= 0 for m in ms):
         raise ConfigurationError("masses must be positive")
     return ms
@@ -146,22 +149,22 @@ def propagate(
     """Advance `psi` by n_steps of size config.dt, emitting frames.
 
     Frames (including the initial one) are emitted every steps_per_frame
-    steps and at the final step, one block of frames at a time; on_frame sees
-    each in order. The boundary-mass diagnostic aborts the run when mass
-    approaches the grid edge, before on_frame sees the offending frame.
-    Returns the final frame.
+    steps, one block of frames at a time; on_frame sees each in order.
+    Frames must be evenly spaced, as the trajectories' cubic in time and the
+    force checks' differences assume: `frame_steps` raises ConfigurationError
+    when steps_per_frame does not divide n_steps.
+    The boundary-mass diagnostic aborts the run when mass approaches the grid
+    edge, before on_frame sees the offending frame. Returns the final frame.
     """
     grid = psi.grid
+    steps = frame_steps(n_steps, config.steps_per_frame)
     if abs(psi.norm() - 1.0) > NORM_TOL:
         raise NormalizationError(f"initial state norm {psi.norm():.9f} deviates from 1")
     kin, kin_half, pot_phase = grid.derived(_step_phases, potential, _masses(masses, grid.dof),
                                            config.dt)
     plan = grid.derived(_transform_plan)
     psi_p = to_momentum(psi) if psi.rep is Representation.POSITION else psi
-    # one emission schedule for both paths: step 0, every steps_per_frame steps and the last
-    steps = [0] + [s for s in range(1, n_steps + 1)
-                   if s % config.steps_per_frame == 0 or s == n_steps]
-    size = max(1, BLOCK_POINTS // grid.size)
+    size = grid.block_frames
     work = np.array(psi_p.values)
     done = 0
     for lo in range(0, len(steps), size):

@@ -32,9 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dynamics import NORM_TOL
 from .errors import ConfigurationError, NormalizationError
-from .grid import (ComplexField, GridSpec, Representation, grid_axes, node_mask,
-                   spectral_gradient)
+from .grid import ComplexField, GridSpec, Representation, grid_axes, node_mask
 from .trajectories import EnsembleHistory
 
 KS_BAND_99 = 1.63  # asymptotic one-sample KS critical coefficient at 99%
@@ -52,8 +52,8 @@ def _cell_edges(grid: GridSpec, rep: Representation, axis: int) -> np.ndarray:
 
 
 def _check_normalized(fld: ComplexField) -> None:
-    if abs(fld.norm() - 1.0) > 1e-6:
-        raise NormalizationError(f"state norm {fld.norm():.9f} deviates from 1 beyond 1e-6")
+    if abs(fld.norm() - 1.0) > NORM_TOL:
+        raise NormalizationError(f"state norm {fld.norm():.9f} deviates from 1 beyond {NORM_TOL}")
 
 
 def sample_momenta(psi_p: ComplexField, n: int, seed: int) -> np.ndarray:
@@ -221,9 +221,8 @@ class GridMoments(NamedTuple):
     rhs: np.ndarray
 
 
-def grid_moments(psi_x: ComplexField, psi_p: ComplexField,
-                 grad: np.ndarray | None = None) -> GridMoments:
-    """Grid moments of one frame or a block of frames (`grad` as in `local_position_field`).
+def grid_moments(psi_x: ComplexField, psi_p: ComplexField, grad: np.ndarray) -> GridMoments:
+    """Grid moments of one frame or a block of frames, `grad` psi_p's `spectral_gradient`.
 
     <x_hat>, sigma_hat and <x_hat^2> come from position-grid quadrature. The
     identity's sides come from the momentum gradient:
@@ -237,8 +236,6 @@ def grid_moments(psi_x: ComplexField, psi_p: ComplexField,
     axes = grid_axes(grid)
     rho_x, rho = psi_x.density(), psi_p.density()
     valid = node_mask(rho, grid)
-    if grad is None:
-        grad = spectral_gradient(psi_p.values, grid, Representation.MOMENTUM)
     vol_x = grid.cell_volume(Representation.POSITION)
     vol = grid.cell_volume(Representation.MOMENTUM)
     mesh = grid.mesh(Representation.POSITION)

@@ -20,13 +20,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .errors import ConfigurationError, IllPosedSourceError
 
 MAX_DOF = 2
+
+# Grid points per array of a block of frames, which batched calls take at once: 64
+# frames of a 512-point grid, one frame of a 256 x 256 grid, whose single frame is
+# already enough work per numpy call
+BLOCK_POINTS = 2**15
 
 
 class Representation(Enum):
@@ -78,6 +83,11 @@ class GridSpec:
     @cached_property
     def size(self) -> int:
         return int(np.prod(self.shape))
+
+    @cached_property
+    def block_frames(self) -> int:
+        """Frames per block of frames: as many as fit in BLOCK_POINTS points, at least one."""
+        return max(1, BLOCK_POINTS // self.size)
 
     def derived(self, build, *args):
         """`build(self, *args)`, built on first use and kept in the instance dict like the
@@ -227,12 +237,6 @@ def node_mask(density: np.ndarray, grid: GridSpec) -> np.ndarray:
     return (density >= NODE_DENSITY_FACTOR * peak) & (peak > 0.0)
 
 
-# Grid points per array of a block of frames, which batched calls take at once: 64
-# frames of a 512-point grid, one frame of a 256 x 256 grid, whose single frame is
-# already enough work per numpy call
-BLOCK_POINTS = 2**15
-
-
 # -- Fourier transform pair ----------------------------------------------------
 
 
@@ -254,16 +258,10 @@ def _transform_plan(grid: GridSpec):
         post_b.append(np.exp(1j * x * p[0] / hb))
         scale_f *= dx / np.sqrt(2.0 * np.pi * hb)
         scale_b *= dp * n / np.sqrt(2.0 * np.pi * hb)
-    return tuple(_frozen(arr) for arr in (_outer(pre_f), scale_f * _outer(post_f),
-                                          _outer(pre_b), scale_b * _outer(post_b))) + (
+    pre_f, post_f, pre_b, post_b = (reduce(np.multiply.outer, factors)
+                                    for factors in (pre_f, post_f, pre_b, post_b))
+    return tuple(_frozen(arr) for arr in (pre_f, scale_f * post_f, pre_b, scale_b * post_b)) + (
         tuple(reversed(grid_axes(grid))),)
-
-
-def _outer(vectors: list[np.ndarray]) -> np.ndarray:
-    out = vectors[0]
-    for v in vectors[1:]:
-        out = out[..., None] * v
-    return out
 
 
 def _transform(plan: tuple, values: np.ndarray, backward: bool = False,
@@ -385,18 +383,16 @@ def spectral_inverse_laplacian(
     return out.real if not np.iscomplexobj(values) else out
 
 
-def local_position_field(field: ComplexField, grad: np.ndarray | None = None) -> MaskedVectorField:
+def local_position_field(field: ComplexField, grad: np.ndarray) -> MaskedVectorField:
     """Position readout x(p) = Re(psi~* (i hbar grad) psi~) / |psi~|^2.
 
     Equals minus the momentum-space phase gradient, computed in ratio form
     (never by phase unwrapping, which is ill-defined at nodes). Grid points
-    with density below the node threshold are flagged invalid. `grad` passes
-    in the field's `spectral_gradient` when the caller already has it.
+    with density below the node threshold are flagged invalid. `grad` is the
+    field's `spectral_gradient`, which a FrameBlock computes once for all its readers.
     """
     if field.rep is not Representation.MOMENTUM:
         raise ConfigurationError("local_position_field expects a momentum-representation field")
-    if grad is None:
-        grad = spectral_gradient(field.values, field.grid, field.rep)
     numerator = np.real(np.conj(field.values) * (1j * field.grid.hbar * grad))
     return _masked_ratio(field.grid, field.rep, numerator, field.density())
 

@@ -67,7 +67,9 @@ class Harmonic:
 Potential = Free | Linear | Harmonic
 
 
-def _per_axis(values: tuple[float, ...], dof: int, name: str) -> tuple[float, ...]:
+def _per_axis(values: float | tuple[float, ...], dof: int, name: str) -> tuple[float, ...]:
+    """`values`, a scalar or 1 or `dof` of them, as a tuple of `dof` floats, one per axis."""
+    values = tuple(np.atleast_1d(np.asarray(values, dtype=float)))
     if len(values) == 1:
         return values * dof
     if len(values) != dof:

@@ -16,8 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from .currents import CurrentField, CurrentMethod, continuity_residual, current_for
-from .dynamics import Frame, PropagatorConfig, collect_frames, continuity_probe, momentum_block
+from .currents import (VANISHING_DIVERGENCE, CurrentField, CurrentMethod, continuity_residual,
+                       current_for)
+from .dynamics import (Frame, PropagatorConfig, collect_frames, continuity_probe, frame_steps,
+                       momentum_block)
 from .ensemble import (
     Ensemble,
     GridMoments,
@@ -53,7 +55,6 @@ from .trajectories import (
 )
 
 MODELS = ("epstein", "both")  # "both" adds the guidance-law ensemble
-CURRENTS = {"closed": CurrentMethod.CLOSED_FORM, "poisson": CurrentMethod.POISSON}
 
 
 @dataclass
@@ -99,21 +100,16 @@ class ScenarioConfig:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.model not in MODELS:
             raise ConfigurationError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.current not in CURRENTS:
-            raise ConfigurationError(f"current must be one of {tuple(CURRENTS)}, got {self.current!r}")
+        currents = tuple(m.value for m in CurrentMethod)
+        if self.current not in currents:
+            raise ConfigurationError(f"current must be one of {currents}, got {self.current!r}")
         if self.n_samples < 1:
             raise ConfigurationError("n_samples must be >= 1")
         if self.histogram_bins < 1:
             raise ConfigurationError(f"histogram_bins must be >= 1, got {self.histogram_bins}")
         if self.traj_csv_limit < 0:
             raise ConfigurationError(f"traj_csv_limit must be >= 0, got {self.traj_csv_limit}")
-        if self.steps_per_frame < 1:
-            raise ConfigurationError("steps_per_frame must be >= 1")
-        if self.n_steps() % self.steps_per_frame:
-            raise ConfigurationError(
-                f"frames must be evenly spaced: steps_per_frame={self.steps_per_frame} "
-                f"does not divide the run's {self.n_steps()} steps"
-            )
+        frame_steps(self.n_steps(), self.steps_per_frame)
         if not (self.sigma > 0 and self.sigma_env > 0):
             raise ConfigurationError("packet widths sigma and sigma_env must be positive")
         if not 0.0 <= self.c1_sq <= 1.0:
@@ -140,7 +136,7 @@ class ScenarioConfig:
 
     def n_frames(self) -> int:
         """Frames a run emits: the initial one plus one per frame interval."""
-        return 1 + self.n_steps() // self.steps_per_frame
+        return len(frame_steps(self.n_steps(), self.steps_per_frame))
 
 
 @dataclass(frozen=True)
@@ -227,8 +223,10 @@ class FrameSuite:
     row per frame, which stores the checks' records as they come, and
     `verdicts` reads its pass flags and worst cases from those rows; `current`
     is the last frame's current. `_simulate` sets `frames` and `ensemble`, and
-    `result` builds the RunResult. A Free potential's currents vanish, so it
-    has no cross-method check. In 1d, where no trajectory can overtake
+    `result` builds the RunResult. The cross-method check compares the two
+    currents in 1d under a potential other than Free, whose currents vanish;
+    in 2d only their divergences compare. `add` records its pairs and
+    `verdicts` reports it only there. In 1d, where no trajectory can overtake
     another, each row counts `out_of_order_pairs`: the pairs of rows adjacent
     in frame 0's momentum order, both active, whose momenta are out of that
     order; `run_scenario` adds the run's total to the diagnostics.
@@ -283,7 +281,8 @@ class FrameSuite:
 
             resid, den = float(resids[f]), float(dens[f])
             row["continuity_residual"] = resid
-            self.continuity_pairs.append((resid * den if den >= 1e-14 else resid, den))
+            self.continuity_pairs.append((resid * den if den >= VANISHING_DIVERGENCE else resid,
+                                          den))
 
             if cross:
                 diff, den = float(np.linalg.norm(jdiff[f])), float(np.linalg.norm(jc[f]))
@@ -311,7 +310,7 @@ class FrameSuite:
                     "momentum-density continuity equation",
                     "max over frames of the central-difference residual at dt=1e-3"),
         ]
-        if not isinstance(self.potential, Free):
+        if self.cross_pairs:
             cross = _robust_max_ratio(self.cross_pairs)
             out.append(Verdict("current-cross-method", cross <= 1e-6, cross, 1e-6,
                                "1d Poisson current equals the closed form",
@@ -332,8 +331,8 @@ def _trajectories(config: ScenarioConfig, psi: ComplexField, potential: Potentia
     frames = collect_frames(psi, potential, PropagatorConfig(config.dt, config.steps_per_frame),
                             config.n_steps(), config.mass)
     p0 = sample_momenta(frames[0].psi_p, config.n_samples, config.seed)
-    return frames, Ensemble(integrate_epstein(frames, potential, p0, CURRENTS[config.current],
-                                              on_block=on_block))
+    return frames, Ensemble(integrate_epstein(frames, potential, p0,
+                                              CurrentMethod(config.current), on_block=on_block))
 
 
 def _simulate(config: ScenarioConfig, psi: ComplexField, potential: Potential,

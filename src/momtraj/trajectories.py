@@ -37,7 +37,6 @@ from .currents import CurrentField, CurrentMethod, current_for
 from .dynamics import Frame, _masses, momentum_block
 from .errors import ConfigurationError
 from .grid import (
-    BLOCK_POINTS,
     ComplexField,
     GridSpec,
     MaskedVectorField,
@@ -316,7 +315,7 @@ class _Stepper:
         n, dof = self.q.shape
         if dof != grid.dof:
             raise ConfigurationError(f"initial points must have shape (N, {grid.dof})")
-        size = max(1, BLOCK_POINTS // grid.size)
+        size = grid.block_frames
         self.blocks = [(lo, frames[lo:lo + size]) for lo in range(0, len(frames), size)]
         self.times = np.array([fr.time for fr in frames])
         self.cubic = cubic and len(frames) >= 4
@@ -383,10 +382,10 @@ def integrate_epstein(
     no look-ahead. Positions are read out at every frame; a row that cannot
     be read out keeps its last position (NaN before the first).
 
-    The frames' fields come in FrameBlocks of max(1, BLOCK_POINTS // grid size)
-    frames. on_block(block, lo, p, x, status), when given, runs once the last
-    frame of each block is recorded, with the index lo of its first frame and
-    views of its frames' history rows, which it reads without changing.
+    The frames' fields come in FrameBlocks of `GridSpec.block_frames` frames.
+    on_block(block, lo, p, x, status), when given, runs once the last frame of
+    each block is recorded, with the index lo of its first frame and views of
+    its frames' history rows, which it reads without changing.
     """
     stepper = _Stepper(p_initial, frames, not isinstance(potential, Free))
     x = np.full(stepper.q_hist.shape, np.nan)

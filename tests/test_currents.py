@@ -179,8 +179,8 @@ def test_two_packet_free_potential_trivially_collapsed(grid512):
     supp = np.abs(branch.values) >= 1e-5 * np.abs(branch.values).max()
     from momtraj import local_position_field
 
-    xf_full = local_position_field(phi)
-    xf_branch = local_position_field(branch)
+    xf_full, xf_branch = (local_position_field(
+        f, spectral_gradient(f.values, grid512, Representation.MOMENTUM)) for f in (phi, branch))
     diff = np.abs(xf_full.components[0] - xf_branch.components[0])
     assert diff[supp & xf_full.valid].max() <= 1e-8
 

@@ -136,13 +136,21 @@ def test_free_modulus_is_static(grid_wide):
 def test_frame_cadence_and_reps():
     grid = grid_1d(128, 40.0)
     psi = gaussian_state(grid)
-    frames = collect_frames(psi, Free(), PropagatorConfig(dt=1e-3, steps_per_frame=10), 25)
+    frames = collect_frames(psi, Free(), PropagatorConfig(dt=1e-3, steps_per_frame=10), 30)
     times = [fr.time for fr in frames]
-    assert times == pytest.approx([0.0, 0.01, 0.02, 0.025])
+    assert times == pytest.approx([0.0, 0.01, 0.02, 0.03])
     for fr in frames:
         assert fr.psi_x.rep is Representation.POSITION
         assert fr.psi_p.rep is Representation.MOMENTUM
         assert fr.psi_x.time == fr.psi_p.time == fr.time
+
+
+@pytest.mark.parametrize("run", [propagate, collect_frames])
+def test_frame_interval_must_divide_the_step_count(run):
+    # frames are evenly spaced: no short last interval at 0.025 after 0.02
+    psi = gaussian_state(grid_1d(128, 40.0))
+    with pytest.raises(ConfigurationError, match="frames must be evenly spaced"):
+        run(psi, Free(), PropagatorConfig(dt=1e-3, steps_per_frame=10), 25)
 
 
 def test_propagate_accepts_momentum_input(grid512):
@@ -295,9 +303,7 @@ def _reference_frames(psi, potential, config, n_steps):
     vals = psi_p
     emit(0, vals)
     done = 0
-    for step in range(1, n_steps + 1):
-        if step % config.steps_per_frame and step != n_steps:
-            continue
+    for step in range(config.steps_per_frame, n_steps + 1, config.steps_per_frame):
         if pot_phase is None:
             vals = psi_p * np.exp(-1j * kin * (step * config.dt) / grid.hbar)
         else:
@@ -311,11 +317,11 @@ def _reference_frames(psi, potential, config, n_steps):
 
 
 @pytest.mark.parametrize("grid, pot, steps_per_frame, n_steps", [
-    (grid_1d(512, 40.0), Harmonic(1.0, 1.0), 2, 301),  # 152 frames: blocks of 64, 64, 24
-    (grid_1d(512, 40.0), Free(), 3, 200),
+    (grid_1d(512, 40.0), Harmonic(1.0, 1.0), 2, 300),  # 151 frames: blocks of 64, 64, 23
+    (grid_1d(512, 40.0), Free(), 3, 201),  # 68 frames: blocks of 64, 4
     (grid_2d(64, 20.0), Harmonic(1.0, 1.0), 1, 20),  # blocks of 8 frames
-    (grid_2d(256, 40.0), Free(), 2, 5),  # 2^16 points: products of 1 MiB, one frame a block
-    (grid_2d(256, 40.0), Harmonic(1.0, 1.0), 2, 5),
+    (grid_2d(256, 40.0), Free(), 2, 6),  # 2^16 points: products of 1 MiB, one frame a block
+    (grid_2d(256, 40.0), Harmonic(1.0, 1.0), 2, 6),
 ])
 def test_block_emission_gives_the_one_frame_propagators_frames(grid, pot, steps_per_frame,
                                                                  n_steps):
@@ -332,8 +338,8 @@ def test_block_emission_gives_the_one_frame_propagators_frames(grid, pot, steps_
 
 
 @pytest.mark.parametrize("grid, n_steps", [
-    (grid_1d(512, 40.0), 301),  # 152 frames: blocks of 64, 64, 24
-    (grid_2d(256, 40.0), 5),  # measurement's grid: one frame a block
+    (grid_1d(512, 40.0), 300),  # 151 frames: blocks of 64, 64, 23
+    (grid_2d(256, 40.0), 6),  # measurement's grid: one frame a block
 ])
 def test_frame_psi_x_equals_its_row_of_every_batched_transform(grid, n_steps):
     # frames keep psi~ only; psi(x) derived from one row, from the frame's emission

@@ -22,6 +22,7 @@ from momtraj import (
     rho_histogram,
     sample_momenta,
     sample_positions,
+    spectral_gradient,
     to_momentum,
 )
 from momtraj.dynamics import PropagatorConfig, collect_frames
@@ -56,7 +57,9 @@ def _ks(q, density, edges):
 
 def _moment_record(xs, psi, phi):
     """The `moment_checks` record of every row of xs (N, dof) against one frame."""
-    moments = grid_moments(_block_of_one(psi), _block_of_one(phi))
+    phi = _block_of_one(phi)
+    moments = grid_moments(_block_of_one(psi), phi,
+                           spectral_gradient(phi.values, phi.grid, Representation.MOMENTUM))
     (record,) = moment_checks(xs[None], moments, _all_rows(xs))
     return record
 
@@ -337,7 +340,9 @@ def test_region_2d_contains():
 def test_grid_moments_match_analytic(grid512):
     x0, sigma = 1.5, 0.8
     psi = gaussian_state(grid512, sigma=sigma, center=x0)
-    mean, std, mean2 = grid_moments(psi, to_momentum(psi))[:3]
+    phi = to_momentum(psi)
+    mean, std, mean2 = grid_moments(
+        psi, phi, spectral_gradient(phi.values, grid512, Representation.MOMENTUM))[:3]
     assert mean[0] == pytest.approx(x0, abs=1e-9)
     assert std[0] == pytest.approx(sigma / np.sqrt(2), rel=1e-9)
     assert mean2[0] == pytest.approx(x0**2 + sigma**2 / 2, rel=1e-9)
@@ -428,7 +433,8 @@ def _block_case(grid):
 def test_block_records_equal_single_frame_records(request, grid_name):
     grid = request.getfixturevalue(grid_name)
     psi_x, psi_p, p, x, active = _block_case(grid)
-    moments = grid_moments(psi_x, psi_p)
+    moments = grid_moments(psi_x, psi_p,
+                           spectral_gradient(psi_p.values, grid, Representation.MOMENTUM))
     ks = equivariance_check(p, psi_p, active)
     mom = moment_checks(x, moments, active)
     assert len(ks) == len(mom) == 5

@@ -170,7 +170,8 @@ def test_position_field_free_drift(grid_wide):
         grid_wide, Representation.MOMENTUM,
         phi0 * np.exp(-1j * p**2 * t / (2 * mass * grid_wide.hbar)), time=t,
     )
-    xf = local_position_field(phi_t)
+    xf = local_position_field(phi_t, spectral_gradient(phi_t.values, grid_wide,
+                                                       Representation.MOMENTUM))
     sampled = np.abs(p) < 3.2
     err = np.abs(xf.components[0] - p * t / mass)
     assert err[sampled & xf.valid].max() <= 1e-8
@@ -179,7 +180,7 @@ def test_position_field_free_drift(grid_wide):
 def test_position_field_zero_for_real_profile(grid512):
     phi = ComplexField(grid512, Representation.MOMENTUM,
                        analytic_gaussian_p(grid512.momenta(0)))
-    xf = local_position_field(phi)
+    xf = local_position_field(phi, spectral_gradient(phi.values, grid512, Representation.MOMENTUM))
     assert np.abs(xf.components[0][xf.valid]).max() <= 1e-9
 
 
@@ -188,7 +189,7 @@ def test_position_field_shift_theorem(grid512):
     p = grid512.momenta(0)
     phi = ComplexField(grid512, Representation.MOMENTUM,
                        analytic_gaussian_p(p) * np.exp(-1j * p * x0 / grid512.hbar))
-    xf = local_position_field(phi)
+    xf = local_position_field(phi, spectral_gradient(phi.values, grid512, Representation.MOMENTUM))
     core = np.abs(p) < 3.0
     assert np.abs(xf.components[0][core] - x0).max() <= 1e-9
 
@@ -196,10 +197,9 @@ def test_position_field_shift_theorem(grid512):
 def test_position_field_global_phase_invariance(grid512):
     p = grid512.momenta(0)
     base = analytic_gaussian_p(p, x0=1.0, p0=0.5)
-    a = local_position_field(ComplexField(grid512, Representation.MOMENTUM, base))
-    b = local_position_field(
-        ComplexField(grid512, Representation.MOMENTUM, base * np.exp(1j * 0.7312))
-    )
+    a, b = (local_position_field(ComplexField(grid512, Representation.MOMENTUM, vals),
+                                 spectral_gradient(vals, grid512, Representation.MOMENTUM))
+            for vals in (base, base * np.exp(1j * 0.7312)))
     assert np.array_equal(a.valid, b.valid)
     core = np.abs(p) < 4.0
     assert np.abs(a.components - b.components)[0][core].max() <= 1e-10
@@ -209,14 +209,16 @@ def test_position_field_flags_nodes(grid512):
     vals = analytic_gaussian_p(grid512.momenta(0))
     vals = vals.copy()
     vals[254:258] = 0.0  # punch a hole at the packet core
-    xf = local_position_field(ComplexField(grid512, Representation.MOMENTUM, vals))
+    xf = local_position_field(ComplexField(grid512, Representation.MOMENTUM, vals),
+                              spectral_gradient(vals, grid512, Representation.MOMENTUM))
     assert not xf.valid[254:258].any()
     assert xf.valid[247]
 
 
 def test_position_field_requires_momentum_rep(grid512):
+    psi = gaussian_state(grid512)
     with pytest.raises(ConfigurationError):
-        local_position_field(gaussian_state(grid512))
+        local_position_field(psi, spectral_gradient(psi.values, grid512, psi.rep))
 
 
 # -- spectral calculus ----------------------------------------------------------------

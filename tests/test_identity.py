@@ -166,6 +166,20 @@ def test_settable_changes_name_each_module_whose_count_changed(tmp_path):
             (src / name).write_text(f"def run({params}):\n    pass\n")
     ref, new = (identity.source_settable_values(tmp_path / tree) for tree in ("ref", "new"))
     assert ref == {"a.py": 2, "b.py": 1, "gone.py": 1}
-    assert identity.settable_changes(ref, new) == ["added.py: 0 → 1", "b.py: 1 → 3",
-                                                   "gone.py: 1 → 0"]
-    assert identity.settable_changes(ref, ref) == []
+    assert identity.count_changes(ref, new) == ["added.py: 0 → 1", "b.py: 1 → 3",
+                                                "gone.py: 1 → 0"]
+    assert identity.count_changes(ref, ref) == []
+
+
+def test_line_changes_name_each_module_whose_line_count_changed(tmp_path):
+    for tree, counts in (("ref", {"a.py": 2, "grid.py": 442, "gone.py": 1}),
+                         ("new", {"a.py": 2, "grid.py": 437, "added.py": 3})):
+        src = tmp_path / tree / "src" / "momtraj"
+        src.mkdir(parents=True)
+        for name, n in counts.items():
+            (src / name).write_text("pass\n" * n)
+    ref, new = (identity.source_lines(tmp_path / tree) for tree in ("ref", "new"))
+    assert ref == {"a.py": 2, "gone.py": 1, "grid.py": 442}
+    assert sum(new.values()) == 442
+    assert identity.count_changes(ref, new) == ["added.py: 0 → 3", "gone.py: 1 → 0",
+                                                "grid.py: 442 → 437"]

@@ -8,7 +8,6 @@ import pytest
 
 import momtraj.currents
 import momtraj.dynamics
-import momtraj.ensemble
 import momtraj.grid
 import momtraj.potentials
 import momtraj.scenarios
@@ -17,15 +16,17 @@ from momtraj import (
     SCENARIOS,
     ComplexField,
     ConfigurationError,
+    CurrentMethod,
     Harmonic,
     Representation,
     coverage_manifest,
     default_config,
+    grid_2d,
     run_scenario,
 )
 from momtraj.dynamics import PropagatorConfig, collect_frames
 from momtraj.ensemble import sample_momenta
-from momtraj.scenarios import CURRENTS, COMMON_FIELDS, FrameSuite, ScenarioConfig, _grid_for
+from momtraj.scenarios import COMMON_FIELDS, FrameSuite, ScenarioConfig, _grid_for
 from momtraj.states import coherent_state, gaussian_state, two_packet_momentum_state
 from momtraj.trajectories import TrajStatus, integrate_epstein
 
@@ -266,8 +267,7 @@ def test_each_frame_derives_its_momentum_gradients_once(monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for module in (momtraj.grid, momtraj.currents, momtraj.ensemble, momtraj.potentials,
-                   momtraj.trajectories):
+    for module in (momtraj.grid, momtraj.currents, momtraj.potentials, momtraj.trajectories):
         monkeypatch.setattr(module, "spectral_gradient", counted)
     cfg = default_config("harmonic-coherent", n_samples=100, current="poisson",
                          t_final=float(np.pi / 160.0), steps_per_frame=2)
@@ -410,6 +410,19 @@ def test_suite_verdicts_read_the_stats_rows():
         record[flag] = False
         assert [v.name for v in suite.verdicts() if not v.passed] == [verdict]
         record[flag] = True
+
+
+def test_cross_method_verdict_only_where_the_rows_compare_the_currents():
+    # in 2d only divergences compare, so no row holds the relative difference and
+    # the suite reports no cross-method verdict, rather than a pass at 0.0
+    cfg = ScenarioConfig(n_samples=50, seed=1, dt=1e-3, steps_per_frame=5, t_final=0.02)
+    psi = gaussian_state(grid_2d(64, 20.0), sigma=1.0, center=(1.0, -0.5))
+    suite = momtraj.scenarios._simulate(cfg, psi, Harmonic(1.0, (1.0, 0.5)))
+    assert len(suite.rows) == 5
+    assert not any("current_cross_method_rel" in row for row in suite.rows)
+    names = [v.name for v in suite.verdicts()]
+    assert names == ["equivariance-all-frames", "moment-checks-all-frames",
+                     "continuity-residual"]
 
 
 def test_step_phases_are_built_once_per_run(monkeypatch):
@@ -577,7 +590,7 @@ def test_mirrored_state_gives_mirrored_trajectories_and_the_same_verdicts(name, 
     runs = []
     for fr, start in ((frames, p0), (mirror, -p0)):
         suite = FrameSuite(pot, cfg)
-        runs.append((integrate_epstein(fr, pot, start, CURRENTS[cfg.current],
+        runs.append((integrate_epstein(fr, pot, start, CurrentMethod(cfg.current),
                                        on_block=suite.add), suite))
     (hist, suite), (hist_m, suite_m) = runs
     assert np.array_equal(hist.status, hist_m.status)

@@ -229,7 +229,8 @@ def read_x(phi, p, x_before=0.0):
     """x(p) read off phi for one row, and the row's status after the readout."""
     x = np.array([[x_before]])
     status = np.zeros(1, dtype=np.int8)
-    _readout_positions(x, status, local_position_field(phi), np.array([[p]]))
+    grad = spectral_gradient(phi.values, phi.grid, Representation.MOMENTUM)
+    _readout_positions(x, status, local_position_field(phi, grad), np.array([[p]]))
     return x[0], TrajStatus(int(status[0]))
 
 
@@ -345,7 +346,8 @@ def test_epstein_history_readout_consistency(grid_wide):
     p0 = np.array([[0.5], [1.0], [-1.5]])
     hist = integrate_epstein(frames, Free(), p0)
     for f, fr in enumerate(frames):
-        xf = local_position_field(fr.psi_p)
+        xf = local_position_field(fr.psi_p, spectral_gradient(fr.psi_p.values, grid_wide,
+                                                              Representation.MOMENTUM))
         vals, ok, inside, _ = interpolate_masked(xf, hist.p[f])
         assert ok.all() and inside.all()
         assert np.abs(vals - hist.x[f]).max() <= 1e-12
@@ -667,7 +669,8 @@ def _assert_frame_fields_exact(frames, pot, method):
     block = FrameBlock(frames, pot, method)
     assert block.frames is frames
     for row, frame in enumerate(frames):
-        xf = local_position_field(frame.psi_p)
+        xf = local_position_field(frame.psi_p, spectral_gradient(
+            frame.psi_p.values, frame.psi_p.grid, Representation.MOMENTUM))
         cur = current_for(pot, frame.psi_x, frame.psi_p, method)
         w = velocity_from_current(cur, frame.psi_p.density())
         for got, want in ((block.position_at(row), xf), (_frames(block.velocity, row), w)):
