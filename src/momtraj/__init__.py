@@ -64,7 +64,6 @@ from .scenarios import (
     RunResult,
     ScenarioConfig,
     Verdict,
-    coverage_manifest,
     default_config,
     run_scenario,
 )

@@ -27,7 +27,6 @@ from .scenarios import (
     RunResult,
     ScenarioConfig,
     _grid_for,
-    coverage_manifest,
     default_config,
     run_scenario,
 )
@@ -156,7 +155,6 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_list(_args) -> int:
-    manifest = coverage_manifest()
     print(f"every scenario reads: {', '.join(COMMON_FIELDS)}")
     for name in sorted(SCENARIOS):
         d = SCENARIOS[name]
@@ -166,7 +164,7 @@ def _cmd_list(_args) -> int:
             print(f"    {pname}: {doc}")
         defaults = ", ".join(f"{k}={v}" for k, v in sorted(d.defaults.items()))
         print(f"  defaults: {defaults or '(none)'}")
-        print(f"  claims: {', '.join(manifest[name]['claims'])}")
+        print(f"  claims: {', '.join(d.claims)}")
     return 0
 
 

@@ -35,7 +35,7 @@ from .grid import (
     to_momentum,
     to_position,
 )
-from .potentials import Free, Potential, _per_axis, evaluate_potential
+from .potentials import Free, Potential, evaluate_potential
 
 NORM_TOL = 1e-6  # how far from 1 the norm of a state that must be normalized may be
 
@@ -87,31 +87,29 @@ def momentum_block(frames: list[Frame]) -> ComplexField:
         np.stack([fr.psi_p.values for fr in frames])), np.array([fr.time for fr in frames]))
 
 
-def _masses(masses, dof: int) -> tuple[float, ...]:
-    ms = _per_axis(masses, dof, "masses")
-    if any(m <= 0 for m in ms):
-        raise ConfigurationError("masses must be positive")
-    return ms
+def _positive_mass(mass: float) -> float:
+    if not mass > 0:
+        raise ConfigurationError(f"mass must be positive, got {mass}")
+    return mass
 
 
-def kinetic_energy_grid(grid, masses) -> np.ndarray:
-    """sum_k p_k^2 / 2 m_k on the momentum grid."""
-    ms = _masses(masses, grid.dof)
+def kinetic_energy_grid(grid, mass: float) -> np.ndarray:
+    """sum_k p_k^2 / 2m on the momentum grid."""
+    _positive_mass(mass)
     mesh = grid.mesh(Representation.MOMENTUM)
     out = np.zeros(grid.shape)
     for a in range(grid.dof):
-        out = out + mesh[a] ** 2 / (2.0 * ms[a])
+        out = out + mesh[a] ** 2 / (2.0 * mass)
     return out
 
 
-def _step_phases(grid, potential: Potential, masses: tuple[float, ...], dt: float):
+def _step_phases(grid, potential: Potential, mass: float, dt: float):
     """Kinetic energy grid and the phase factors of one step of size dt (read-only).
 
-    masses is `_masses`'s per-axis tuple. Returns (kin, kin_half, pot_phase);
-    the two phases are None for a Free potential, whose steps are exact phase
-    multiplications by kin alone.
+    Returns (kin, kin_half, pot_phase); the two phases are None for a Free
+    potential, whose steps are exact phase multiplications by kin alone.
     """
-    kin = kinetic_energy_grid(grid, masses)
+    kin = kinetic_energy_grid(grid, mass)
     max_phase = float(kin.max()) * abs(dt) / grid.hbar
     if max_phase >= np.pi:
         raise ConfigurationError(
@@ -143,7 +141,7 @@ def propagate(
     potential: Potential,
     config: PropagatorConfig,
     n_steps: int,
-    masses: float | tuple[float, ...] = 1.0,
+    mass: float = 1.0,
     on_frame: FrameCallback | None = None,
 ) -> Frame:
     """Advance `psi` by n_steps of size config.dt, emitting frames.
@@ -160,8 +158,7 @@ def propagate(
     steps = frame_steps(n_steps, config.steps_per_frame)
     if abs(psi.norm() - 1.0) > NORM_TOL:
         raise NormalizationError(f"initial state norm {psi.norm():.9f} deviates from 1")
-    kin, kin_half, pot_phase = grid.derived(_step_phases, potential, _masses(masses, grid.dof),
-                                           config.dt)
+    kin, kin_half, pot_phase = grid.derived(_step_phases, potential, mass, config.dt)
     plan = grid.derived(_transform_plan)
     psi_p = to_momentum(psi) if psi.rep is Representation.POSITION else psi
     size = grid.block_frames
@@ -201,17 +198,17 @@ def collect_frames(
     potential: Potential,
     config: PropagatorConfig,
     n_steps: int,
-    masses: float | tuple[float, ...] = 1.0,
+    mass: float = 1.0,
 ) -> list[Frame]:
     frames: list[Frame] = []
-    propagate(psi, potential, config, n_steps, masses, frames.append)
+    propagate(psi, potential, config, n_steps, mass, frames.append)
     return frames
 
 
-def total_energy(frame: Frame, potential: Potential, masses: float | tuple[float, ...] = 1.0) -> float:
+def total_energy(frame: Frame, potential: Potential, mass: float = 1.0) -> float:
     """<H> from momentum-rep kinetic quadrature plus position-rep potential quadrature."""
     grid = frame.psi_p.grid
-    kin = kinetic_energy_grid(grid, masses)
+    kin = kinetic_energy_grid(grid, mass)
     e_kin = np.sum(kin * frame.psi_p.density()) * grid.cell_volume(Representation.MOMENTUM)
     v = evaluate_potential(potential, grid)
     e_pot = np.sum(v * frame.psi_x.density()) * grid.cell_volume(Representation.POSITION)
@@ -222,7 +219,7 @@ def continuity_probe(
     psi_p: ComplexField,
     potential: Potential,
     dt: float,
-    masses: float | tuple[float, ...] = 1.0,
+    mass: float = 1.0,
 ) -> tuple[ComplexField, ComplexField]:
     """psi~ at the midpoint and at t + dt, of a momentum state or a block of them.
 
@@ -235,7 +232,7 @@ def continuity_probe(
         raise ConfigurationError(f"continuity probe dt must be positive, got {dt}")
     grid = psi_p.grid
     half = dt / 2.0
-    kin, kin_half, pot_phase = grid.derived(_step_phases, potential, _masses(masses, grid.dof), half)
+    kin, kin_half, pot_phase = grid.derived(_step_phases, potential, mass, half)
     plan = grid.derived(_transform_plan)
 
     def step(vals: np.ndarray) -> np.ndarray:

@@ -398,15 +398,14 @@ def local_position_field(field: ComplexField, grad: np.ndarray) -> MaskedVectorF
 
 
 def _masked_ratio(grid: GridSpec, rep: Representation, numerator: np.ndarray,
-                 density: np.ndarray, masses: tuple[float, ...] | None = None
-                 ) -> MaskedVectorField:
-    """numerator[a] / density, or numerator[a] / (masses[a] * density), per axis a, and 0
-    at the points `node_mask` flags: the read-only x(p) readout and velocity fields."""
+                 density: np.ndarray, mass: float = 1.0) -> MaskedVectorField:
+    """numerator[a] / (mass * density) per axis a, and 0 at the points `node_mask`
+    flags: the read-only x(p) readout and velocity fields."""
     valid = node_mask(density, grid)
     comps = np.zeros(numerator.shape)
+    divisor = mass * density
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(grid.dof):
-            divisor = density if masses is None else masses[a] * density
             comps[a] = np.where(valid, numerator[a] / divisor, 0.0)
     return MaskedVectorField(grid, rep, _frozen(comps), _frozen(valid))
 

@@ -19,10 +19,9 @@ from typing import Iterable
 import numpy as np
 
 from .currents import CurrentField
-from .ensemble import rho_histogram
 from .errors import ConfigurationError
 from .grid import ComplexField, Representation
-from .scenarios import RunResult, ScenarioConfig
+from .scenarios import RunResult, ScenarioConfig, final_histogram
 from .trajectories import TrajStatus
 
 
@@ -209,7 +208,7 @@ def read_config_ini(path: str | Path) -> ScenarioConfig:
         if k not in types:
             raise ConfigurationError(f"unknown config key {k!r} in [{section}]")
         flat[k] = v if types[k] is str else _ini_number(k, v, types[k])
-    return ScenarioConfig.from_dict(flat)
+    return ScenarioConfig(**flat)
 
 
 # -- manifest and full run output --------------------------------------------------------
@@ -221,11 +220,6 @@ def sha256_of(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-# Bins per axis of the 2-dof histogram artifact; `histogram_bins` sets the
-# 1-dof binning only.
-HISTOGRAM_BINS_2D = 50
 
 
 def _remove_listed_outputs(out: Path) -> None:
@@ -262,16 +256,12 @@ def write_run_outputs(result: RunResult, out_dir: str | Path, tool_version: str,
     files.append(write_field_csv(final.psi_p, out / "field_final_momentum.csv"))
     files.append(write_current_csv(result.current, out / "current_final.csv"))
 
-    grid = final.psi_p.grid
-    bins = result.config.histogram_bins if grid.dof == 1 else HISTOGRAM_BINS_2D
-    bounds = [(grid.positions(a)[0], grid.positions(a)[-1]) for a in range(grid.dof)]
     for model, ens in result.ensembles.items():
         files.append(
             write_trajectories_csv(ens, out / f"trajectories_{model}.csv",
                                    result.config.traj_csv_limit)
         )
-        act = ens.history.status[-1] == TrajStatus.ACTIVE
-        edges, dens = rho_histogram(ens.history.x[-1], bins, bounds, act)
+        edges, dens = final_histogram(ens.history, final.psi_p.grid, result.config)
         files.append(write_histogram_csv(edges, dens, out / f"histogram_{model}.csv"))
 
     manifest = {

@@ -21,6 +21,7 @@ from .currents import (VANISHING_DIVERGENCE, CurrentField, CurrentMethod, contin
 from .dynamics import (Frame, PropagatorConfig, collect_frames, continuity_probe, frame_steps,
                        momentum_block)
 from .ensemble import (
+    MOMENT_IDENTITY_TOL,
     Ensemble,
     GridMoments,
     Region,
@@ -118,14 +119,6 @@ class ScenarioConfig:
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioConfig":
-        fields = {f.name: f.type for f in dataclasses.fields(cls)}
-        unknown = set(data) - set(fields)
-        if unknown:
-            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
-
     def n_steps(self) -> int:
         if not (0 < self.t_final < math.inf and 0 < self.dt < math.inf):
             raise ConfigurationError("t_final and dt must be positive and finite")
@@ -184,12 +177,26 @@ def _grid_for(config: ScenarioConfig, dof: int) -> GridSpec:
     )
 
 
+# Bins per axis of the 2-dof final histogram; `histogram_bins` sets the 1-dof binning only.
+HISTOGRAM_BINS_2D = 50
+
+
+def final_histogram(hist: EnsembleHistory, grid: GridSpec,
+                    config: ScenarioConfig) -> tuple[list[np.ndarray], np.ndarray]:
+    """`rho_histogram` of the positions active at the last frame over each axis's span
+    of grid points: `histogram_bins` bins in 1d, HISTOGRAM_BINS_2D per axis in 2d."""
+    bins = config.histogram_bins if grid.dof == 1 else HISTOGRAM_BINS_2D
+    bounds = [(grid.positions(a)[0], grid.positions(a)[-1]) for a in range(grid.dof)]
+    return rho_histogram(hist.x[-1], bins, bounds, hist.status[-1] == TrajStatus.ACTIVE)
+
+
 # Frames whose reference quantity has quadrature norm below this floor carry no
 # relative information (stationary states: currents and density rates vanish);
 # their residuals are measured against the floor or the run's own scale instead.
 VANISHING_SCALE_FLOOR = 1e-6
 
 CONTINUITY_DT = 1e-3  # step of the continuity residual's central difference
+CONTINUITY_TOL = 1e-4  # bound of its relative residual
 
 
 def _grid_checks(block: FrameBlock, potential: Potential,
@@ -296,6 +303,7 @@ class FrameSuite:
         ks_margin = max((k["statistic"] / k["band"] for k in ks), default=0.0)
         identity = max((m["second_moment_identity_rel_err"] for m in moments), default=0.0)
         continuity = _robust_max_ratio(self.continuity_pairs)
+        probe_dt = np.format_float_scientific(CONTINUITY_DT, trim="-", exp_digits=1)
         out = [
             Verdict("equivariance-all-frames", all(k["passed"] for k in ks), ks_margin, 1.0,
                     "equivariance of the momentum ensemble",
@@ -303,16 +311,16 @@ class FrameSuite:
                     f"(band {ks_band(self.config.n_samples):.4f})"),
             Verdict("moment-checks-all-frames",
                     all(m["mean_ok"] and m["std_ok"] and m["identity_ok"] for m in moments),
-                    identity, 1e-6,
+                    identity, MOMENT_IDENTITY_TOL,
                     "position expectation identity, spread inequality, second-moment identity",
                     "worst second-moment identity relative error; mean/std bands per frame"),
-            Verdict("continuity-residual", continuity <= 1e-4, continuity, 1e-4,
-                    "momentum-density continuity equation",
-                    "max over frames of the central-difference residual at dt=1e-3"),
+            Verdict("continuity-residual", continuity <= CONTINUITY_TOL, continuity,
+                    CONTINUITY_TOL, "momentum-density continuity equation",
+                    f"max over frames of the central-difference residual at dt={probe_dt}"),
         ]
         if self.cross_pairs:
-            cross = _robust_max_ratio(self.cross_pairs)
-            out.append(Verdict("current-cross-method", cross <= 1e-6, cross, 1e-6,
+            cross, tol = _robust_max_ratio(self.cross_pairs), 1e-6
+            out.append(Verdict("current-cross-method", cross <= tol, cross, tol,
                                "1d Poisson current equals the closed form",
                                "max over frames of the L2-relative difference"))
         return out
@@ -375,9 +383,7 @@ def _run_free_particle(config: ScenarioConfig, grid: GridSpec, potential: Potent
 
     # final-frame position histogram against the transported momentum density
     t_end = hist.times[-1]
-    (edges,), emp = rho_histogram(hist.x[-1], config.histogram_bins,
-                                  [(grid.positions(0)[0], grid.positions(0)[-1])],
-                                  hist.status[-1] == TrajStatus.ACTIVE)
+    (edges,), emp = final_histogram(hist, grid, config)
     width = edges[1] - edges[0]
     centers = 0.5 * (edges[:-1] + edges[1:])
     rho_p = suite.frames[-1].psi_p.density()
@@ -520,12 +526,10 @@ def _run_macroscopic(config: ScenarioConfig, grid: GridSpec, potential: Potentia
 
     # bin-wise density bound against a reference single-packet run
     _, ref_ens = _trajectories(config, gaussian_state(grid, sigma=config.sigma), potential)
-    bounds = [(grid.positions(0)[0], grid.positions(0)[-1])]
     n = config.n_samples
 
     def bin_fractions(e: Ensemble) -> np.ndarray:
-        (edges,), density = rho_histogram(e.history.x[-1], config.histogram_bins, bounds,
-                                          e.history.status[-1] == TrajStatus.ACTIVE)
+        (edges,), density = final_histogram(e.history, grid, config)
         return density * (edges[1] - edges[0])
 
     f_sup = bin_fractions(ens)
@@ -576,10 +580,10 @@ def _run_measurement(config: ScenarioConfig, grid: GridSpec, potential: Potentia
     confined = f_plus + f_minus
 
     # pointer-region transition counts over the run (reported, no claim tested)
-    region_ids = np.full(ens.history.x.shape[:2], -1, dtype=np.int8)
+    shape = ens.history.x.shape[:2]
+    region_ids = np.full(shape, -1, dtype=np.int8)
     for rid, reg in enumerate(regions):
-        for f in range(len(suite.frames)):
-            region_ids[f][reg.contains(ens.history.x[f])] = rid
+        region_ids[reg.contains(ens.history.x.reshape(-1, grid.dof)).reshape(shape)] = rid
     transitions = int(np.sum(region_ids[1:] != region_ids[:-1]))
 
     verdicts = [
@@ -789,7 +793,6 @@ _BINS_DOC = "bins of the final position histogram"
 class ScenarioDef:
     """A catalog entry; run_scenario hands `runner` a `dof`-axis grid and the `potential`."""
 
-    name: str
     runner: Callable[[ScenarioConfig, GridSpec, Potential], RunResult]
     dof: int
     potential: Callable[[ScenarioConfig], Potential]
@@ -802,7 +805,7 @@ class ScenarioDef:
 
 SCENARIOS: dict[str, ScenarioDef] = {
     "free-particle": ScenarioDef(
-        "free-particle", _run_free_particle, 1, lambda c: Free(),
+        _run_free_particle, 1, lambda c: Free(),
         {"grid_extent": 80.0, "t_final": 5.0},
         "Free Gaussian: straight-line trajectories x = p t / m through the origin.",
         ("free-trajectory-law", "origin-concentration", "transported-density",
@@ -810,7 +813,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
         (("sigma", "packet width"), ("histogram_bins", _BINS_DOC)),
     ),
     "superposition": ScenarioDef(
-        "superposition", _run_superposition, 1, lambda c: Free(),
+        _run_superposition, 1, lambda c: Free(),
         {"a": 5.0, "grid_extent": 45.0, "t_final": 1.0, "steps_per_frame": 20,
          "model": "both"},
         "Two shifted free packets: fringe-modulated momentum density, all t=0 "
@@ -823,7 +826,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
          ("histogram_bins", _BINS_DOC)),
     ),
     "macroscopic": ScenarioDef(
-        "macroscopic", _run_macroscopic, 1, lambda c: Free(),
+        _run_macroscopic, 1, lambda c: Free(),
         {"a": 6.0, "grid_extent": 45.0, "t_final": 1.0, "steps_per_frame": 20},
         "Superposed pointer without environment: occupancy concentrates at the "
         "origin and the density obeys the twice-bare-pointer bound.",
@@ -832,7 +835,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
          ("histogram_bins", _BINS_DOC)),
     ),
     "measurement": ScenarioDef(
-        "measurement", _run_measurement, 2, lambda c: Free(),
+        _run_measurement, 2, lambda c: Free(),
         {"a": 6.0, "dpe": 12.0, "grid_points": 256, "t_final": 0.5,
          "steps_per_frame": 100, "c1_sq": 0.5},
         "Pointer plus momentum-kicked environment: factorized momentum density "
@@ -847,7 +850,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
          ("grid_extent2", "environment axis extent (0: grid_extent)")),
     ),
     "collapse": ScenarioDef(
-        "collapse", _run_collapse, 1, lambda c: Harmonic(c.mass, c.omega),
+        _run_collapse, 1, lambda c: Harmonic(c.mass, c.omega),
         {"delta_p": 18.0, "t_final": 0.4, "omega": 1.0},
         "Two separated momentum packets under a harmonic potential: branch-wise "
         "current decomposition, single-branch trajectory dependence, and the "
@@ -859,7 +862,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
          ("histogram_bins", _BINS_DOC)),
     ),
     "harmonic-coherent": ScenarioDef(
-        "harmonic-coherent", _run_harmonic, 1, lambda c: Harmonic(c.mass, c.omega),
+        _run_harmonic, 1, lambda c: Harmonic(c.mass, c.omega),
         {"displacement": 2.0, "dt": float(np.pi / 3200.0), "t_final": float(np.pi),
          "steps_per_frame": 10},
         "Coherent state: equivariance under oscillation, classical-force relation, "
@@ -870,7 +873,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
         min_frames=5,  # 5-point central-difference dp/dt
     ),
     "linear-drift": ScenarioDef(
-        "linear-drift", _run_linear, 1, lambda c: Linear(c.linear_coeff),
+        _run_linear, 1, lambda c: Linear(c.linear_coeff),
         {"linear_coeff": 2.0, "t_final": 1.0},
         "Uniform-force drift: p(t) = p(0) - c t, translation-covariant equivariance, "
         "continuity residual, and the 1d current cross-validation.",
@@ -917,11 +920,3 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         result.diagnostics["out_of_order_pairs"] = sum(row["out_of_order_pairs"]
                                                        for row in result.stats_rows)
     return result
-
-
-def coverage_manifest() -> dict[str, dict]:
-    """Map each scenario to the physics claims its verdicts exercise."""
-    return {
-        name: {"summary": d.summary, "claims": list(d.claims)}
-        for name, d in SCENARIOS.items()
-    }

@@ -386,6 +386,16 @@ def test_malformed_config_file_exits_two(tmp_path, capsys, text):
     assert not (tmp_path / "o").exists()
 
 
+def test_unknown_config_file_key_exits_two(tmp_path, capsys):
+    path = write_config_ini(default_config("linear-drift", n_samples=50), tmp_path / "run.ini")
+    path.write_text(path.read_text() + "bogus_key = 1\n")
+    code = run_cli("run", str(path), "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "unknown config key 'bogus_key'" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_file_key_the_scenario_ignores_exits_two(tmp_path, capsys):
     # the measurement histogram artifact has fixed 2d bins, so histogram_bins
     # would be recorded in config.ini and change nothing

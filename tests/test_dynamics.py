@@ -22,7 +22,7 @@ from momtraj.dynamics import (PropagatorConfig, _step_phases, collect_frames, co
                               momentum_block, propagate)
 from momtraj.grid import BLOCK_POINTS, BOUNDARY_MASS_TOL, grid_1d, grid_2d, to_position
 from momtraj.states import coherent_state, gaussian_state
-from momtraj.trajectories import FrameBlock
+from momtraj.trajectories import FrameBlock, velocity_field_dbb
 
 
 def free_gaussian_exact(x, t, sigma=1.0, mass=1.0, hbar=1.0):
@@ -199,7 +199,7 @@ def test_kinetic_phase_wrap_rejected(grid512):
 def test_kinetic_phase_guard_reads_the_step_size_not_its_sign(grid512, dt):
     # |kin.max() * dt| is about 257 pi on this grid either way
     with pytest.raises(ConfigurationError, match="kinetic phase per step"):
-        _step_phases(grid512, Harmonic(1.0, 1.0), (1.0,), dt)
+        _step_phases(grid512, Harmonic(1.0, 1.0), 1.0, dt)
 
 
 @pytest.mark.parametrize("dt", [0.0, -2.0, float("nan")])
@@ -216,11 +216,15 @@ def test_unnormalized_state_rejected(grid512):
         propagate(psi, Free(), PropagatorConfig(dt=1e-3, steps_per_frame=1), 1)
 
 
-def test_masses_validation(grid2d):
+def test_mass_validation(grid2d):
     psi = gaussian_state(grid2d)
-    with pytest.raises(ConfigurationError):
-        propagate(psi, Free(), PropagatorConfig(dt=1e-3, steps_per_frame=1), 1,
-                  masses=(1.0, 1.0, 1.0))
+    for mass in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigurationError, match="mass must be positive"):
+            propagate(psi, Free(), PropagatorConfig(dt=1e-3, steps_per_frame=1), 1, mass)
+        with pytest.raises(ConfigurationError, match="mass must be positive"):
+            continuity_probe(to_momentum(psi), Harmonic(1.0, 1.0), 1e-3, mass)
+        with pytest.raises(ConfigurationError, match="mass must be positive"):
+            velocity_field_dbb(psi, mass)
 
 
 @pytest.mark.parametrize("pot", [Free(), Harmonic(1.0, 1.0)])
@@ -291,7 +295,7 @@ def _reference_frames(psi, potential, config, n_steps):
     """(time, psi_x, psi_p, boundary masses) of each frame, stepped and emitted one
     frame at a time with the one-frame propagator's expressions."""
     grid = psi.grid
-    kin, kin_half, pot_phase = _step_phases(grid, potential, (1.0,) * grid.dof, config.dt)
+    kin, kin_half, pot_phase = _step_phases(grid, potential, 1.0, config.dt)
     psi_p = _reference_transform(grid, psi.values)
     out = []
 

@@ -8,6 +8,7 @@ import pytest
 
 import momtraj.currents
 import momtraj.dynamics
+import momtraj.ensemble
 import momtraj.grid
 import momtraj.potentials
 import momtraj.scenarios
@@ -19,7 +20,6 @@ from momtraj import (
     CurrentMethod,
     Harmonic,
     Representation,
-    coverage_manifest,
     default_config,
     grid_2d,
     run_scenario,
@@ -81,14 +81,6 @@ def test_uneven_frames_rejected():
     cfg = default_config("linear-drift", steps_per_frame=333)
     with pytest.raises(ConfigurationError, match="frames"):
         run_scenario(cfg)
-
-
-def test_config_dict_round_trip():
-    cfg = default_config("collapse", n_samples=123, seed=7)
-    back = ScenarioConfig.from_dict(cfg.as_dict())
-    assert back == cfg
-    with pytest.raises(ConfigurationError):
-        ScenarioConfig.from_dict({"bogus_key": 1})
 
 
 # -- declared inputs ------------------------------------------------------------------
@@ -234,11 +226,9 @@ def test_harmonic_ground_state_verdicts():
 
 
 def test_coverage_manifest_complete():
-    cov = coverage_manifest()
-    assert set(cov) == set(SCENARIOS)
-    for name, entry in cov.items():
-        assert entry["claims"], name
-        assert entry["summary"], name
+    for name, sdef in SCENARIOS.items():
+        assert sdef.claims, name
+        assert sdef.summary, name
 
 
 def test_stats_rows_carry_diagnostics():
@@ -425,6 +415,22 @@ def test_cross_method_verdict_only_where_the_rows_compare_the_currents():
                      "continuity-residual"]
 
 
+def test_suite_verdicts_report_the_bounds_that_set_their_pass_flags(monkeypatch):
+    # the moment and continuity verdicts read their tolerance, and the continuity
+    # note its step, from the constants that decide their pass flags
+    assert momtraj.scenarios.MOMENT_IDENTITY_TOL is momtraj.ensemble.MOMENT_IDENTITY_TOL
+    for module in (momtraj.ensemble, momtraj.scenarios):
+        monkeypatch.setattr(module, "MOMENT_IDENTITY_TOL", 1e-300)
+    monkeypatch.setattr(momtraj.scenarios, "CONTINUITY_TOL", 1e-300)
+    monkeypatch.setattr(momtraj.scenarios, "CONTINUITY_DT", 2.5e-3)
+    res = run_scenario(default_config("linear-drift", n_samples=50, t_final=0.05))
+    verdicts = {v.name: v for v in res.verdicts}
+    moments, continuity = verdicts["moment-checks-all-frames"], verdicts["continuity-residual"]
+    assert (moments.tolerance, moments.passed) == (1e-300, False)
+    assert (continuity.tolerance, continuity.passed) == (1e-300, False)
+    assert continuity.note.endswith("residual at dt=2.5e-3")
+
+
 def test_step_phases_are_built_once_per_run(monkeypatch):
     # one set for the propagator's step and one for the continuity probe's
     # half step, however many frames the suite probes
@@ -443,7 +449,7 @@ def test_step_phases_are_built_once_per_run(monkeypatch):
     assert len(res.frames) == 11
     assert len(built) == 2
     kin, kin_half, pot_phase = res.frames[0].psi_p.grid.derived(
-        counted, SCENARIOS[cfg.name].potential(cfg), (cfg.mass,), cfg.dt)
+        counted, SCENARIOS[cfg.name].potential(cfg), cfg.mass, cfg.dt)
     assert len(built) == 2
     assert not (kin.flags.writeable or kin_half.flags.writeable or pot_phase.flags.writeable)
 

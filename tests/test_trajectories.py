@@ -1,4 +1,5 @@
 import re
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -644,20 +645,40 @@ def test_velocity_from_current_masks_nodes(grid512):
     assert np.all(np.abs(w.components[0][w.valid] + 1.0) <= 1e-9)
 
 
-def test_guidance_velocity_divides_each_axis_by_its_mass(grid2d):
-    # catalog runs use unit mass; per-axis masses must reach their own axis
-    masses = (2.0, 0.5)
+def test_guidance_velocity_divides_every_axis_by_the_mass(grid2d):
+    # catalog runs use unit mass; another mass must reach every axis
+    mass = 2.5
     psi = gaussian_state(grid2d, sigma=1.0, center=(1.0, -0.5), boost=(0.7, -0.3))
-    w = velocity_field_dbb(psi, masses)
+    w = velocity_field_dbb(psi, mass)
     rho = psi.density()
     valid = node_mask(rho, grid2d)
     grad = spectral_gradient(psi.values, grid2d, Representation.POSITION)
     assert np.array_equal(w.valid, valid) and not valid.all()
-    for a, m in enumerate(masses):
+    for a in range(grid2d.dof):
         with np.errstate(divide="ignore", invalid="ignore"):
-            raw = np.real(np.conj(psi.values) * (-1j * grid2d.hbar) * grad[a]) / (m * rho)
+            raw = np.real(np.conj(psi.values) * (-1j * grid2d.hbar) * grad[a]) / (mass * rho)
         assert np.array_equal(w.components[a], np.where(valid, raw, 0.0))
     assert not np.array_equal(w.components, velocity_field_dbb(psi).components)
+
+
+def test_a_free_run_holds_one_frame_block_at_a_time(monkeypatch):
+    # a zero field moves the same under the cubic in time, but the lerp that Free
+    # takes frees each block before the next is built; with one frame a block,
+    # the cubic's look-ahead would keep three live
+    grid = grid_2d(256, 40.0, 128)
+    assert grid.block_frames == 1
+    live, counts = weakref.WeakSet(), []
+    init = FrameBlock.__init__
+
+    def counted(self, *args):
+        init(self, *args)
+        live.add(self)
+        counts.append(len(live))
+
+    monkeypatch.setattr(FrameBlock, "__init__", counted)
+    frames = collect_frames(gaussian_state(grid), Free(), PropagatorConfig(1e-3, 1), 6)
+    integrate_epstein(frames, Free(), sample_momenta(frames[0].psi_p, 100, 1))
+    assert counts == [1] * len(frames)
 
 
 # -- shared per-frame fields ------------------------------------------------------------
