@@ -2,7 +2,9 @@
 
 All numeric output uses round-trip decimal formatting (shortest string that
 parses back to the identical IEEE-754 double), so identical runs produce
-byte-identical data files. Wall-clock timestamps appear only in the manifest,
+byte-identical data files. Every float cell of a CSV is Python's `repr` text:
+orjson writes zeros and 1e-4 <= |x| < 1e16, where its text is `repr`'s, and
+`repr` every other value. Wall-clock timestamps appear only in the manifest,
 never in data files.
 """
 
@@ -35,22 +37,31 @@ def fmt(x: float) -> str:
 _CSV_BLOCK_ROWS = 4096
 
 
+def _cells(column: np.ndarray) -> list:
+    """A column's values for orjson, each float it would write unlike `repr` as `repr`'s text."""
+    cells = column.tolist()
+    if column.dtype.kind == "f":
+        mag = np.abs(column)
+        for i in np.flatnonzero(~(((mag >= 1e-4) & (mag < 1e16)) | (column == 0))).tolist():
+            cells[i] = repr(cells[i])
+    return cells
+
+
 def _write_csv(path: str | Path, header: list[str], blocks: Iterable[list[np.ndarray]]) -> Path:
     """`header`, then one row per entry of each block's equal-length columns.
 
-    Float columns are written as `fmt` writes them, any other column with str.
-    Each run of at most _CSV_BLOCK_ROWS rows is formatted column by column,
-    then joined in one write.
+    Float cells are written as `fmt` writes them, any other cell with str. Each run of
+    at most _CSV_BLOCK_ROWS rows is one `orjson.dumps` of its row tuples, less its quotes.
     """
+    import orjson  # here, not at module level: `validate` writes no file, so it never pays for it
     path = Path(path)
-    with path.open("w") as fh:
-        fh.write(",".join(header) + "\n")
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for columns in blocks:
-            formats = [repr if c.dtype.kind == "f" else str for c in columns]
             for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-                cells = [list(map(f, c[lo:lo + _CSV_BLOCK_ROWS].tolist()))
-                         for f, c in zip(formats, columns)]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+                text = orjson.dumps(list(zip(*[_cells(c[lo:lo + _CSV_BLOCK_ROWS])
+                                               for c in columns])))[2:-2]
+                fh.write(text.replace(b"],[", b"\n").replace(b'"', b"") + b"\n")
     return path
 
 
@@ -102,13 +113,12 @@ def write_trajectories_csv(ensemble, path: str | Path, limit: int = 200) -> Path
     n = hist.x.shape[1] if limit == 0 else min(limit, hist.x.shape[1])
     n_frames, dof = hist.x.shape[0], hist.x.shape[2]
     variables = {"x": hist.x} if hist.p is None else {"p": hist.p, "x": hist.x}
-    times = np.array([fmt(t) for t in hist.times], dtype=object)  # formatted once per frame
     per = max(1, _CSV_BLOCK_ROWS // n_frames)  # trajectories per block of rows
 
     def blocks():  # one row per (trajectory, frame), trajectory-major
         for lo in range(0, n, per):
             hi = min(lo + per, n)
-            yield ([np.repeat(np.arange(lo, hi), n_frames), np.tile(times, hi - lo)]
+            yield ([np.repeat(np.arange(lo, hi), n_frames), np.tile(hist.times, hi - lo)]
                    + [h[:, lo:hi, a].T.ravel() for h in variables.values() for a in range(dof)]
                    + [_STATUS_NAMES[hist.status[:, lo:hi].T.ravel()]])
 

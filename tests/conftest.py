@@ -22,3 +22,15 @@ def grid2d():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def _plain_csv(header, rows):
+    """CSV text joined cell by cell: a float cell as `repr` writes it, any other cell as `str`."""
+    return "".join(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+                   for row in [header, *rows])
+
+
+@pytest.fixture
+def plain_csv():
+    """The reference CSV writer that the artifact writers must match byte for byte."""
+    return _plain_csv

@@ -1,6 +1,9 @@
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -18,6 +21,7 @@ from momtraj.cli import main
 from momtraj.errors import BoundaryMassError
 from momtraj.ensemble import Ensemble
 from momtraj.output import (
+    _write_csv,
     fmt,
     read_config_ini,
     to_json,
@@ -282,24 +286,56 @@ def test_json_artifacts_write_numpy_leaves_as_python_values():
 
 
 @pytest.mark.parametrize("with_p", [True, False])
-def test_trajectories_csv_rows(tmp_path, with_p):
+def test_trajectories_csv_rows(tmp_path, with_p, plain_csv):
     rng = np.random.default_rng(5)
     times = np.array([0.0, 0.1, 0.2])
     x = rng.normal(size=(3, 4, 1))
+    x[:, 1, 0] = np.nan  # trajectory 1 froze before its first readout
+    x[:, 0, 0] = (-0.0, 3e-7, 2e16)
     p = rng.normal(size=(3, 4, 1)) if with_p else None
+    if with_p:
+        p[:, 2, 0] = (2e16, -0.0, -3e-7)
     status = np.zeros((3, 4), dtype=np.int8)
-    status[1:, 1] = TrajStatus.FROZEN_AT_NODE
+    status[:, 1] = TrajStatus.FROZEN_AT_NODE
     status[2, 2] = TrajStatus.LEFT_GRID
     ens = Ensemble(EnsembleHistory(times, x, status, p))
     names = {0: "active", 1: "frozen_at_node", 2: "left_grid"}
-    expected = ["traj_id,t," + ("p0," if with_p else "") + "x0,status"]
-    for i in range(3):  # limit 3 leaves trajectory 3 out
-        for f, t in enumerate(times):
-            row = [str(i), fmt(t)] + ([fmt(p[f, i, 0])] if with_p else [])
-            expected.append(",".join(row + [fmt(x[f, i, 0]), names[status[f, i]]]))
+    header = ["traj_id", "t"] + (["p0"] if with_p else []) + ["x0", "status"]
+    rows = [(i, float(t)) + ((float(p[f, i, 0]),) if with_p else ())
+            + (float(x[f, i, 0]), names[status[f, i]])
+            for i in range(3) for f, t in enumerate(times)]  # limit 3 leaves trajectory 3 out
     path = write_trajectories_csv(ens, tmp_path / "t.csv", limit=3)
-    assert path.read_text() == "\n".join(expected) + "\n"
-    assert "left_grid" in path.read_text()
+    assert path.read_text() == plain_csv(header, rows)
+    assert {"nan", "-0.0", "3e-07", "2e+16", "left_grid", "frozen_at_node"} <= set(
+        path.read_text().replace("\n", ",").split(","))
+
+
+# Every float orjson writes unlike `repr` lies outside [1e-4, 1e16): the bounds
+# themselves and their neighbours, of both signs, besides what st.floats draws
+# (zeros, NaN, infinities, subnormals).
+_REPR_EDGES = [s * float(v) for s in (1.0, -1.0) for b in (1e-4, 1e16)
+               for v in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf))]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(rows=st.lists(st.tuples(st.one_of(st.floats(), st.sampled_from(_REPR_EDGES),
+                                         st.floats(1e-4, 1e16)),
+                               st.integers(-2**63, 2**63 - 1)), min_size=1, max_size=64))
+def test_csv_float_cells_are_repr_and_int_cells_str(rows):
+    floats, ints = (np.array(c) for c in zip(*rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_csv(Path(tmp) / "c.csv", ["f", "i"], [[floats, ints]])
+        lines = path.read_text().splitlines()
+    assert lines == ["f,i"] + [f"{float(x)!r},{i}" for x, i in rows]
+
+
+def test_importing_the_cli_leaves_orjson_unloaded():
+    """Only the CSV writer imports orjson, so `validate`, which writes no file, never pays for it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    check = "import sys, momtraj.cli; sys.exit('orjson' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", check], timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0
 
 
 def test_current_csv_format(tmp_path):

@@ -366,7 +366,15 @@ def test_field_csv_round_trip(tmp_path, grid512):
     assert np.array_equal(back.values, psi.values)
 
 
-def test_field_csv_2d_header(tmp_path, grid2d):
+def test_field_csv_2d_header(tmp_path, grid2d, plain_csv):
     psi = gaussian_state(grid2d)
+    values = psi.values.copy()
+    values[0, :3] = (complex(np.nan, -0.0), complex(3e-7, 2e16), complex(np.inf, -np.inf))
+    psi = psi.with_values(values)
     path = write_field_csv(psi, tmp_path / "field2.csv")
     assert path.read_text().splitlines()[0] == "axis0,axis1,re,im"
+    # 128 x 128 rows: four blocks of the writer, compared byte for byte
+    axes = [grid2d.axis_points(Representation.POSITION, a).tolist() for a in range(2)]
+    rows = [(a0, a1, v.real, v.imag)
+            for a0, line in zip(axes[0], psi.values.tolist()) for a1, v in zip(axes[1], line)]
+    assert path.read_text() == plain_csv(["axis0", "axis1", "re", "im"], rows)
