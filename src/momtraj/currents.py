@@ -1,15 +1,21 @@
 """Momentum-space probability currents and the continuity residual.
 
-The momentum density obeys d|psi~|^2/dt + div j = 0. Two constructions of j
-are provided:
+The momentum density obeys d|psi~|^2/dt + div j = 0, and i hbar d psi~/dt =
+H psi~ gives d|psi~|^2/dt = -I at each frame, with I the interaction source
+of `potentials`: the kinetic term is real and drops out. So div j = I, and
+the continuity residual of a frame is ||div j - I|| / ||div j||, with no step
+size. Two constructions of j are provided:
 
 * closed form, for every potential of the catalog:
     Free            j = 0
     Linear(c)       j_k = -c_k |psi~|^2
     Harmonic(m, w)  j_k = m_k w_k^2 hbar Im(psi~* d psi~/dp_k)
+  It goes through the momentum derivative and I through position space
+  (F[V psi]), so the residual compares two independent routes.
 * Poisson route: solve laplacian(F) = I on the momentum grid and take
-  j = grad F (curl-free by construction). Runs under `current = "poisson"`,
-  the 1d cross-method check and collapse's leakage report build it.
+  j = grad F (curl-free by construction), so its residual checks the solve.
+  Runs under `current = "poisson"`, the 1d cross-method check and collapse's
+  leakage report build it.
 
 In 1d the additive constant of the Poisson current is fixed by the no-flux
 convention: the current must die off where the state is silent, so the far-
@@ -37,7 +43,6 @@ from .grid import (
     spectral_divergence,
     spectral_gradient,
     spectral_inverse_laplacian,
-    to_position,
 )
 from .potentials import Free, Linear, Potential, _per_axis, interaction_source
 
@@ -50,12 +55,14 @@ class CurrentMethod(Enum):
 @dataclass(frozen=True)
 class CurrentField:
     """Real current components on the momentum grid, one per dof, each of one
-    frame or of a block of frames (read-only, adopted by `_readonly`)."""
+    frame or of a block of frames (read-only, adopted by `_readonly`). A Poisson
+    current keeps the interaction source it solves for; a closed-form one, None."""
 
     grid: GridSpec
     components: np.ndarray
     method: CurrentMethod
     time: float | np.ndarray = 0.0
+    source: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         comps = _readonly(self.components, np.float64)
@@ -63,6 +70,8 @@ class CurrentField:
         if comps.shape[:1] != (dof,) or comps.shape[comps.ndim - dof:] != self.grid.shape:
             raise ConfigurationError("current components must have shape (dof,) + grid.shape")
         object.__setattr__(self, "components", comps)
+        if self.source is not None:
+            object.__setattr__(self, "source", _readonly(self.source, np.float64))
 
     def divergence(self) -> np.ndarray:
         return spectral_divergence(self.components, self.grid, Representation.MOMENTUM)
@@ -96,7 +105,7 @@ def current_closed_form(potential: Potential, psi_p: ComplexField,
 
 
 EDGE_GAUGE_CELLS = 3
-VANISHING_DIVERGENCE = 1e-14  # ||div j|| below which a frame's current vanishes (Free)
+VANISHING_DIVERGENCE = 1e-14  # ||div j|| below which a frame's current vanishes (stationary)
 
 
 def current_poisson(source: np.ndarray, grid: GridSpec, time: float = 0.0) -> CurrentField:
@@ -113,40 +122,35 @@ def current_poisson(source: np.ndarray, grid: GridSpec, time: float = 0.0) -> Cu
         j = comps[0]
         edges = np.concatenate([j[..., :EDGE_GAUGE_CELLS], j[..., -EDGE_GAUGE_CELLS:]], axis=-1)
         comps = comps - edges.mean(axis=-1)[..., None]
-    return CurrentField(grid, _frozen(comps), CurrentMethod.POISSON, time)
+    return CurrentField(grid, _frozen(comps), CurrentMethod.POISSON, time, source)
 
 
 def current_for(
     potential: Potential,
-    psi_x: ComplexField | None,
+    psi_x: ComplexField,
     psi_p: ComplexField,
     method: CurrentMethod,
     grad: np.ndarray | None = None,
 ) -> CurrentField:
     """Dispatch on the configured current construction; `grad` as in `current_closed_form`.
-    Only the Poisson route reads psi_x, and transforms psi_p when it is None."""
+    Only the Poisson route reads psi_x, psi_p's transform."""
     if method is CurrentMethod.CLOSED_FORM:
         return current_closed_form(potential, psi_p, grad)
-    src = interaction_source(potential, to_position(psi_p) if psi_x is None else psi_x, psi_p)
-    return current_poisson(src, psi_p.grid, psi_p.time)
+    source = _frozen(interaction_source(potential, psi_x, psi_p))
+    return current_poisson(source, psi_p.grid, psi_p.time)
 
 
-def continuity_residual(
-    psi_p_before: ComplexField,
-    psi_p_after: ComplexField,
-    current_mid: CurrentField,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Relative L2 residual of (rho_after - rho_before)/dt + div j, and ||div j||,
-    one of each per frame.
+def continuity_residual(source: np.ndarray,
+                        current: CurrentField) -> tuple[np.ndarray, np.ndarray]:
+    """Relative L2 residual ||div j - I|| / ||div j|| of the current against the
+    interaction source I = -d|psi~|^2/dt, and ||div j||, one of each per frame.
 
     The residual is absolute when ||div j|| < VANISHING_DIVERGENCE.
     """
-    grid = psi_p_before.grid
+    grid = current.grid
     vol = grid.cell_volume(Representation.MOMENTUM)
-    drho = (psi_p_after.density() - psi_p_before.density()) / dt
-    div = current_mid.divergence()
-    num = np.sqrt(np.sum((drho + div) ** 2, axis=grid_axes(grid)) * vol)
+    div = current.divergence()
+    num = np.sqrt(np.sum((div - source) ** 2, axis=grid_axes(grid)) * vol)
     den = np.sqrt(np.sum(div**2, axis=grid_axes(grid)) * vol)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(den < VANISHING_DIVERGENCE, num, num / den), den

@@ -214,33 +214,3 @@ def total_energy(frame: Frame, potential: Potential, mass: float = 1.0) -> float
     e_pot = np.sum(v * frame.psi_x.density()) * grid.cell_volume(Representation.POSITION)
     return float(e_kin + e_pot)
 
-
-def continuity_probe(
-    psi_p: ComplexField,
-    potential: Potential,
-    dt: float,
-    mass: float = 1.0,
-) -> tuple[ComplexField, ComplexField]:
-    """psi~ at the midpoint and at t + dt, of a momentum state or a block of them.
-
-    Two steps of dt/2, the same as two one-step `propagate` calls, with no
-    position-space state: the Poisson current transforms the midpoint's. The
-    two half-steps compose to the full step up to O(dt^3), far below the
-    continuity tolerance; the midpoint state centers the finite difference.
-    """
-    if not dt > 0:
-        raise ConfigurationError(f"continuity probe dt must be positive, got {dt}")
-    grid = psi_p.grid
-    half = dt / 2.0
-    kin, kin_half, pot_phase = grid.derived(_step_phases, potential, mass, half)
-    plan = grid.derived(_transform_plan)
-
-    def step(vals: np.ndarray) -> np.ndarray:
-        if pot_phase is None:
-            return vals * np.exp(-1j * kin * half / grid.hbar)
-        return _strang_step(plan, vals, kin_half, pot_phase)
-
-    t_mid = psi_p.time + half
-    mid_p = ComplexField(grid, Representation.MOMENTUM, _frozen(step(psi_p.values)), t_mid)
-    after = ComplexField(grid, Representation.MOMENTUM, _frozen(step(mid_p.values)), t_mid + half)
-    return mid_p, after

@@ -250,8 +250,9 @@ class FrameBlock:
     transform of it, the momentum gradient of psi~, the readout field x(p),
     the configured current and the velocity j/|psi~|^2, all read-only.
     `current_of` gives the current of either construction, built at most
-    once per block; `position_at` and `current_at` give one frame's row of
-    the readout and of the configured current as read-only views.
+    once per block, and `source` the interaction source that the Poisson
+    current solves for; `position_at` and `current_at` give one frame's row
+    of the readout and of the configured current as read-only views.
     """
 
     def __init__(self, frames: list[Frame], potential: Potential, method: CurrentMethod):
@@ -272,6 +273,12 @@ class FrameBlock:
             self._currents[method] = current_for(self.potential, self.psi_x, self.psi_p, method,
                                                  self.grad)
         return self._currents[method]
+
+    @property
+    def source(self) -> np.ndarray:
+        """The frames' interaction source I = -d|psi~|^2/dt, which the Poisson current
+        keeps; a block that has not built that current builds it here."""
+        return self.current_of(CurrentMethod.POISSON).source
 
     def position_at(self, row: int) -> MaskedVectorField:
         return _frames(self.position, row)

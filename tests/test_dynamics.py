@@ -18,8 +18,8 @@ from momtraj import (
     to_momentum,
     total_energy,
 )
-from momtraj.dynamics import (PropagatorConfig, _step_phases, collect_frames, continuity_probe,
-                              momentum_block, propagate)
+from momtraj.dynamics import (PropagatorConfig, _step_phases, collect_frames, momentum_block,
+                              propagate)
 from momtraj.grid import BLOCK_POINTS, BOUNDARY_MASS_TOL, grid_1d, grid_2d, to_position
 from momtraj.states import coherent_state, gaussian_state
 from momtraj.trajectories import FrameBlock, velocity_field_dbb
@@ -202,13 +202,6 @@ def test_kinetic_phase_guard_reads_the_step_size_not_its_sign(grid512, dt):
         _step_phases(grid512, Harmonic(1.0, 1.0), 1.0, dt)
 
 
-@pytest.mark.parametrize("dt", [0.0, -2.0, float("nan")])
-def test_continuity_probe_rejects_a_step_that_is_not_positive(grid512, dt):
-    psi_p = to_momentum(gaussian_state(grid512))
-    with pytest.raises(ConfigurationError, match="dt must be positive"):
-        continuity_probe(psi_p, Harmonic(1.0, 1.0), dt)
-
-
 def test_unnormalized_state_rejected(grid512):
     vals = 2.0 * gaussian_state(grid512).values
     psi = ComplexField(grid512, Representation.POSITION, vals)
@@ -222,8 +215,6 @@ def test_mass_validation(grid2d):
         with pytest.raises(ConfigurationError, match="mass must be positive"):
             propagate(psi, Free(), PropagatorConfig(dt=1e-3, steps_per_frame=1), 1, mass)
         with pytest.raises(ConfigurationError, match="mass must be positive"):
-            continuity_probe(to_momentum(psi), Harmonic(1.0, 1.0), 1e-3, mass)
-        with pytest.raises(ConfigurationError, match="mass must be positive"):
             velocity_field_dbb(psi, mass)
 
 
@@ -232,36 +223,6 @@ def test_zero_steps_emit_only_the_initial_frame(grid512, pot):
     # the free path and the split-step path share one emission schedule
     frames = collect_frames(gaussian_state(grid512), pot, PropagatorConfig(1e-3, 10), 0)
     assert [fr.time for fr in frames] == [0.0]
-
-
-@pytest.mark.parametrize("pot", [Free(), Linear(2.0), Harmonic(1.0, 1.0)])
-def test_continuity_probe_equals_two_half_step_propagations(grid512, pot, monkeypatch):
-    # one probe of a block of frames equals, row by row and bit for bit, two
-    # half-step propagations of each frame
-    frames = collect_frames(coherent_state(grid512, 2.0), pot,
-                            PropagatorConfig(dt=1e-3, steps_per_frame=5), 10)
-    half = PropagatorConfig(dt=1e-3 / 2.0, steps_per_frame=1)
-    refs = []
-    for frame in frames:
-        mid_ref = propagate(frame.psi_p, pot, half, 1)
-        refs.append((mid_ref, propagate(mid_ref.psi_p, pot, half, 1).psi_p))
-    block = ComplexField(grid512, Representation.MOMENTUM,
-                         np.stack([fr.psi_p.values for fr in frames]),
-                         np.array([fr.time for fr in frames]))
-
-    calls = []
-    ifft = np.fft.ifft  # an inverse transform calls it once per grid axis
-    monkeypatch.setattr(np.fft, "ifft", lambda *a, **kw: calls.append(1) or ifft(*a, **kw))
-    mid_p, after = continuity_probe(block, pot, 1e-3)
-    # inverse transforms for the whole block: one per split step (Free has
-    # none); the probe keeps no position-space state
-    assert len(calls) == (0 if isinstance(pot, Free) else 2)
-    assert len(frames) == 3
-    mid_x = to_position(mid_p)  # what the Poisson current reads
-    for row, (mid_ref, after_ref) in enumerate(refs):
-        for got, want in ((mid_x, mid_ref.psi_x), (mid_p, mid_ref.psi_p), (after, after_ref)):
-            assert got.rep is want.rep and got.time[row] == want.time
-            assert got.values[row].tobytes() == want.values.tobytes()
 
 
 # -- block emission against the one-frame-at-a-time propagator -------------------------

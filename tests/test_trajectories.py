@@ -19,14 +19,13 @@ from momtraj import (
     spectral_inverse_laplacian,
     to_momentum,
 )
-from momtraj.currents import current_closed_form, current_for, current_poisson
+from momtraj.currents import continuity_residual, current_closed_form, current_for, current_poisson
 from momtraj.dynamics import Frame, PropagatorConfig, collect_frames
-from momtraj.ensemble import sample_momenta
+from momtraj.ensemble import grid_moments, sample_momenta
 from momtraj.grid import (GridAxis, GridSpec, MaskedVectorField, grid_1d, grid_2d,
                           local_position_field)
 from momtraj.grid import boundary_mass_fraction, node_mask, to_position
 from momtraj.states import coherent_state, gaussian_state, superposition_state
-from momtraj.scenarios import _grid_checks
 from momtraj.trajectories import (
     FrameBlock,
     Stencil,
@@ -724,17 +723,18 @@ def test_frame_fields_equal_the_separate_constructions_2d(grid2d, method):
     _assert_frame_fields_exact(frames, pot, method)
 
 
-def _block_arrays(block, pot):
-    """Per frame of `block`: every row view's arrays, both currents, and the
-    suite's continuity residual, its denominator and the grid moments."""
-    resid, den, moments = _grid_checks(block, pot, 1.0)
+def _block_arrays(block):
+    """Per frame of `block`: every row view's arrays, both currents, the source,
+    and the suite's continuity residual, its denominator and the grid moments."""
+    resid, den = continuity_residual(block.source, block.current_of(block.method))
+    moments = grid_moments(block.psi_x, block.psi_p, block.grad)
     out = []
     for row in range(len(block.frames)):
         position, velocity = block.position_at(row), _frames(block.velocity, row)
         out.append([block.grad[:, row], position.components, position.valid,
                     velocity.components, velocity.valid,
                     *(block.current_of(m).components[:, row] for m in CurrentMethod),
-                    resid[row], den[row], *(m[:, row] for m in moments)])
+                    block.source[row], resid[row], den[row], *(m[:, row] for m in moments)])
     return out
 
 
@@ -754,11 +754,11 @@ def test_frame_block_equals_single_frame_blocks(grid512, grid2d, pot, method, do
     else:
         frames = collect_frames(gaussian_state(grid2d, sigma=1.0, center=(1.0, -0.5)), pot,
                                 PropagatorConfig(dt=1e-3, steps_per_frame=10), 40)
-    whole = _block_arrays(FrameBlock(frames, pot, method), pot)
+    whole = _block_arrays(FrameBlock(frames, pot, method))
     assert len(whole) == len(frames) == (64 if dof == 1 else 5)
     for row, frame in enumerate(frames):
-        (single,) = _block_arrays(FrameBlock([frame], pot, method), pot)
-        assert len(single) == len(whole[row]) == 14
+        (single,) = _block_arrays(FrameBlock([frame], pot, method))
+        assert len(single) == len(whole[row]) == 15
         for got, want in zip(whole[row], single):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
