@@ -31,7 +31,7 @@ def main():
 
     grid = grid_1d(512, 40.0)
     psi = coherent_state(grid, args.displacement)
-    pot = Harmonic(1.0, 1.0)
+    pot = Harmonic(1.0)
     exact = coherent_exact(grid.positions(0), args.t_final, args.displacement)
 
     print(f"{'dt':>12} {'steps':>8} {'L2 error':>12} {'order':>7}")

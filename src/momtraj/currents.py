@@ -6,10 +6,8 @@ of `potentials`: the kinetic term is real and drops out. So div j = I, and
 the continuity residual of a frame is ||div j - I|| / ||div j||, with no step
 size. Two constructions of j are provided:
 
-* closed form, for every potential of the catalog:
-    Free            j = 0
-    Linear(c)       j_k = -c_k |psi~|^2
-    Harmonic(m, w)  j_k = m_k w_k^2 hbar Im(psi~* d psi~/dp_k)
+* closed form, for every potential V = sum_a c_a x_a + k_a x_a^2 / 2:
+    j_a = -c_a |psi~|^2 + k_a hbar Im(psi~* d psi~/dp_a)
   It goes through the momentum derivative and I through position space
   (F[V psi]), so the residual compares two independent routes.
 * Poisson route: solve laplacian(F) = I on the momentum grid and take
@@ -44,7 +42,7 @@ from .grid import (
     spectral_gradient,
     spectral_inverse_laplacian,
 )
-from .potentials import Free, Linear, Potential, _per_axis, interaction_source
+from .potentials import Potential, interaction_source
 
 
 class CurrentMethod(Enum):
@@ -79,28 +77,23 @@ class CurrentField:
 
 def current_closed_form(potential: Potential, psi_p: ComplexField,
                         grad: np.ndarray | None = None) -> CurrentField:
-    """Closed-form current of a Free, Linear or Harmonic potential; `grad`, psi_p's
-    `spectral_gradient`, is computed here when not given."""
+    """Closed-form current of a quadratic potential; `grad`, psi_p's `spectral_gradient`,
+    is computed here when a spring constant needs it and it is not given. A term whose
+    coefficient is zero is skipped, and an axis's first term is assigned, not added to
+    zero, so its signed zeros stand."""
     if psi_p.rep is not Representation.MOMENTUM:
         raise ConfigurationError("current construction expects a momentum-representation field")
     grid = psi_p.grid
-    if isinstance(potential, Free):
-        comps = np.zeros((grid.dof,) + psi_p.values.shape)
-    elif isinstance(potential, Linear):
-        cs = _per_axis(potential.c, grid.dof, "linear coefficients")
-        rho = psi_p.density()
-        comps = np.stack([-cs[a] * rho for a in range(grid.dof)])
-    else:
-        ms = _per_axis(potential.mass, grid.dof, "harmonic masses")
-        ws = _per_axis(potential.omega, grid.dof, "harmonic frequencies")
-        if grad is None:
-            grad = spectral_gradient(psi_p.values, grid, Representation.MOMENTUM)
-        comps = np.stack(
-            [
-                ms[a] * ws[a] ** 2 * grid.hbar * np.imag(np.conj(psi_p.values) * grad[a])
-                for a in range(grid.dof)
-            ]
-        )
+    rho = psi_p.density() if any(potential.c) else None
+    if grad is None and any(potential.k):
+        grad = spectral_gradient(psi_p.values, grid, Representation.MOMENTUM)
+    comps = np.zeros((grid.dof,) + psi_p.values.shape)
+    for a, c, k in potential.axes(grid.dof):
+        if c:
+            comps[a] = -c * rho
+        if k:
+            j = k * grid.hbar * np.imag(np.conj(psi_p.values) * grad[a])
+            comps[a] = comps[a] + j if c else j
     return CurrentField(grid, _frozen(comps), CurrentMethod.CLOSED_FORM, psi_p.time)
 
 

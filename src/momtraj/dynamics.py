@@ -6,7 +6,7 @@ One step of size dt applies
 
 with the kinetic factor diagonal in the momentum representation and the
 potential factor diagonal in the position representation. The scheme is
-exactly unitary on the grid and second-order accurate in dt. For a free
+exactly unitary on the grid and second-order accurate in dt. For a zero
 potential the kinetic phase alone is the exact propagator, so the loop skips
 the transforms entirely in that case.
 
@@ -35,7 +35,7 @@ from .grid import (
     to_momentum,
     to_position,
 )
-from .potentials import Free, Potential, evaluate_potential
+from .potentials import Potential, evaluate_potential
 
 NORM_TOL = 1e-6  # how far from 1 the norm of a state that must be normalized may be
 
@@ -106,8 +106,9 @@ def kinetic_energy_grid(grid, mass: float) -> np.ndarray:
 def _step_phases(grid, potential: Potential, mass: float, dt: float):
     """Kinetic energy grid and the phase factors of one step of size dt (read-only).
 
-    Returns (kin, kin_half, pot_phase); the two phases are None for a Free
-    potential, whose steps are exact phase multiplications by kin alone.
+    Returns (kin, kin_half, pot_phase); the two phases are None for a zero
+    potential, whose steps are exact phase multiplications by kin alone. Raises
+    ConfigurationError where the potential's phase is not finite on the grid.
     """
     kin = kinetic_energy_grid(grid, mass)
     max_phase = float(kin.max()) * abs(dt) / grid.hbar
@@ -116,10 +117,15 @@ def _step_phases(grid, potential: Potential, mass: float, dt: float):
             f"kinetic phase per step {max_phase:.3f} >= pi; reduce dt or the momentum extent"
         )
     kin.setflags(write=False)
-    if isinstance(potential, Free):
+    if potential.is_zero:
         return kin, None, None
     kin_half = np.exp(-0.5j * kin * dt / grid.hbar)
-    pot_phase = np.exp(-1j * evaluate_potential(potential, grid) * dt / grid.hbar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pot_phase = np.exp(-1j * evaluate_potential(potential, grid) * dt / grid.hbar)
+    if not np.isfinite(pot_phase).all():
+        raise ConfigurationError(
+            "the potential's phase per step is not finite on the grid; reduce its "
+            "coefficients or the grid extent")
     kin_half.setflags(write=False)
     pot_phase.setflags(write=False)
     return kin, kin_half, pot_phase

@@ -1,11 +1,12 @@
-"""Potential variants, their application, and the interaction source.
+"""The quadratic potential, its application, and the interaction source.
 
 The catalog is exactly the potentials with a momentum-space differential-
-operator form, the polynomials of degree <= 2:
+operator form, the polynomials of degree <= 2, each one per-axis sum:
 
-    Free     0          <->  0
-    Linear   c.x        <->  c . (i hbar d/dp)
-    Harmonic m w^2 x^2/2 <-> -(m w^2 hbar^2 / 2) d^2/dp^2   (per axis)
+    V(x) = sum_a c_a x_a + k_a x_a^2 / 2
+         <->  sum_a c_a (i hbar d/dp_a) - (k_a hbar^2 / 2) d^2/dp_a^2
+
+`Free()` builds c = k = 0, `Linear(c)` k = 0 and `Harmonic(k)` c = 0.
 
 The interaction source is the divergence source of the momentum-density
 continuity equation:
@@ -34,66 +35,58 @@ from .grid import (
 
 
 @dataclass(frozen=True)
-class Free:
-    pass
-
-
-@dataclass(frozen=True)
-class Linear:
-    """V(x) = sum_k c_k x_k."""
+class Potential:
+    """V(x) = sum_a c_a x_a + k_a x_a^2 / 2; c and k each hold 1 value (every
+    axis's) or one per axis."""
 
     c: tuple[float, ...]
+    k: tuple[float, ...]
 
-    def __init__(self, c: float | tuple[float, ...]):
-        object.__setattr__(self, "c", tuple(np.atleast_1d(np.asarray(c, dtype=float))))
+    def __post_init__(self) -> None:
+        for name in ("c", "k"):
+            values = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, tuple(values))
 
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.c) and not any(self.k)
 
-@dataclass(frozen=True)
-class Harmonic:
-    """V(x) = sum_k m_k w_k^2 x_k^2 / 2."""
-
-    mass: tuple[float, ...]
-    omega: tuple[float, ...]
-
-    def __init__(self, mass: float | tuple[float, ...], omega: float | tuple[float, ...]):
-        m = tuple(np.atleast_1d(np.asarray(mass, dtype=float)))
-        w = tuple(np.atleast_1d(np.asarray(omega, dtype=float)))
-        if any(v <= 0 for v in m) or any(v <= 0 for v in w):
-            raise ConfigurationError("harmonic potential requires mass > 0 and omega > 0")
-        object.__setattr__(self, "mass", m)
-        object.__setattr__(self, "omega", w)
-
-
-Potential = Free | Linear | Harmonic
+    def axes(self, dof: int) -> list[tuple[int, float, float]]:
+        """(a, c_a, k_a) of each axis a of a `dof`-axis grid."""
+        for name, values in (("linear coefficients", self.c), ("spring constants", self.k)):
+            if len(values) not in (1, dof):
+                raise ConfigurationError(
+                    f"{name} need 1 or {dof} per-axis values, got {len(values)}")
+        return [(a, self.c[a % len(self.c)], self.k[a % len(self.k)]) for a in range(dof)]
 
 
-def _per_axis(values: float | tuple[float, ...], dof: int, name: str) -> tuple[float, ...]:
-    """`values`, a scalar or 1 or `dof` of them, as a tuple of `dof` floats, one per axis."""
-    values = tuple(np.atleast_1d(np.asarray(values, dtype=float)))
-    if len(values) == 1:
-        return values * dof
-    if len(values) != dof:
-        raise ConfigurationError(f"{name} needs 1 or {dof} per-axis values, got {len(values)}")
-    return values
+def Free() -> Potential:
+    return Potential(0.0, 0.0)
+
+
+def Linear(c: float | tuple[float, ...]) -> Potential:
+    """V(x) = sum_a c_a x_a."""
+    return Potential(c, 0.0)
+
+
+def Harmonic(k: float | tuple[float, ...]) -> Potential:
+    """V(x) = sum_a k_a x_a^2 / 2, each spring constant k_a > 0 (m w^2 for a mass m
+    oscillating at w)."""
+    pot = Potential(0.0, k)
+    if not all(v > 0 for v in pot.k):
+        raise ConfigurationError(f"harmonic potential requires spring constants > 0, got {k}")
+    return pot
 
 
 def evaluate_potential(potential: Potential, grid: GridSpec) -> np.ndarray:
     """V sampled on the position grid."""
-    if isinstance(potential, Free):
-        return np.zeros(grid.shape)
-    if isinstance(potential, Linear):
-        cs = _per_axis(potential.c, grid.dof, "linear coefficients")
-        mesh = grid.mesh(Representation.POSITION)
-        out = np.zeros(grid.shape)
-        for a in range(grid.dof):
-            out = out + cs[a] * mesh[a]
-        return out
-    ms = _per_axis(potential.mass, grid.dof, "harmonic masses")
-    ws = _per_axis(potential.omega, grid.dof, "harmonic frequencies")
     mesh = grid.mesh(Representation.POSITION)
     out = np.zeros(grid.shape)
-    for a in range(grid.dof):
-        out = out + 0.5 * ms[a] * ws[a] ** 2 * mesh[a] ** 2
+    for a, c, k in potential.axes(grid.dof):
+        if c:
+            out = out + c * mesh[a]
+        if k:
+            out = out + 0.5 * k * mesh[a] ** 2
     return out
 
 
@@ -111,22 +104,14 @@ def apply_potential_momentum_operator(potential: Potential, psi_p: ComplexField)
     if psi_p.rep is not Representation.MOMENTUM:
         raise ConfigurationError("expected a momentum-representation field")
     grid = psi_p.grid
-    if isinstance(potential, Free):
-        return psi_p.with_values(np.zeros(grid.shape, dtype=np.complex128))
-    if isinstance(potential, Linear):
-        cs = _per_axis(potential.c, grid.dof, "linear coefficients")
-        grad = spectral_gradient(psi_p.values, grid, Representation.MOMENTUM)
-        out = np.zeros(grid.shape, dtype=np.complex128)
-        for a in range(grid.dof):
-            out += cs[a] * (1j * grid.hbar) * grad[a]
-        return psi_p.with_values(out)
-    ms = _per_axis(potential.mass, grid.dof, "harmonic masses")
-    ws = _per_axis(potential.omega, grid.dof, "harmonic frequencies")
     grad = spectral_gradient(psi_p.values, grid, Representation.MOMENTUM)
     out = np.zeros(grid.shape, dtype=np.complex128)
-    for a in range(grid.dof):
-        grad2 = spectral_gradient(grad[a], grid, Representation.MOMENTUM)[a]
-        out += -0.5 * ms[a] * ws[a] ** 2 * grid.hbar**2 * grad2
+    for a, c, k in potential.axes(grid.dof):
+        if c:
+            out += c * (1j * grid.hbar) * grad[a]
+        if k:
+            grad2 = spectral_gradient(grad[a], grid, Representation.MOMENTUM)[a]
+            out += -0.5 * k * grid.hbar**2 * grad2
     return psi_p.with_values(out)
 
 

@@ -196,12 +196,11 @@ CONTINUITY_TOL = 1e-4  # bound of the continuity residual
 
 
 def _robust_max_ratio(pairs: list[tuple[float, float]]) -> float:
-    den_max = max(d for _, d in pairs)
-    worst = 0.0
-    for num, den in pairs:
-        ref = max(den if den >= 1e-3 * den_max else den_max, VANISHING_SCALE_FLOOR)
-        worst = max(worst, num / ref)
-    return worst
+    """max of num / max(ref, VANISHING_SCALE_FLOOR) over (num, den) pairs, ref being den,
+    or the largest den where den is below 1e-3 of it. A NaN propagates."""
+    num, den = np.array(pairs).T
+    ref = np.maximum(np.where(den >= 1e-3 * den.max(), den, den.max()), VANISHING_SCALE_FLOOR)
+    return float(np.max(num / ref))
 
 
 @dataclass
@@ -218,9 +217,9 @@ class FrameSuite:
     of the configured current with the block's interaction source I, which
     the generator gives as -d|psi~|^2/dt at each frame. The cross-method check
     compares the two currents in 1d; in 2d only their divergences compare.
-    Under Free, I and both currents vanish, so neither check compares
-    anything: `add` records the pairs of each only under a potential other
-    than Free, cross-method's only in 1d, and `verdicts` reports each only
+    Under a zero potential, I and both currents vanish, so neither check
+    compares anything: `add` records the pairs of each only under a nonzero
+    potential, cross-method's only in 1d, and `verdicts` reports each only
     where its pairs were recorded. In 1d, where no trajectory can overtake
     another, each row counts `out_of_order_pairs`: the pairs of rows adjacent
     in frame 0's momentum order, both active, whose momenta are out of that
@@ -255,7 +254,7 @@ class FrameSuite:
         if self._order is not None:
             q, act = p[:, self._order, 0], active[:, self._order]
             disorder = ((np.diff(q, axis=1) < 0.0) & act[:, 1:] & act[:, :-1]).sum(axis=1).tolist()
-        checked = not isinstance(self.potential, Free)
+        checked = not self.potential.is_zero
         if checked:
             resids, dens = continuity_residual(block.source, block.current_of(block.method))
         cross = checked and block.psi_p.grid.dof == 1
@@ -354,12 +353,13 @@ def _worst(hist: EnsembleHistory, residual: Callable[[int], np.ndarray],
            frames: range | None = None, rows: np.ndarray | None = None) -> float:
     """max |residual(f)| over `frames` (every frame by default), at each frame f over
     the `rows` mask if given, else over the rows active at f. residual(f) holds
-    every row of frame f, so the rows outside the mask may hold anything."""
+    every row of frame f, so the rows outside the mask may hold anything. A NaN
+    propagates, and a frame whose mask is empty adds nothing."""
     worst = 0.0
     for f in range(len(hist.times)) if frames is None else frames:
         mask = hist.status[f] == TrajStatus.ACTIVE if rows is None else rows
-        worst = max(worst, float(np.abs(residual(f)[mask]).max()))
-    return worst
+        worst = np.abs(residual(f)[mask]).max(initial=worst)
+    return float(worst)
 
 
 # -- scenario: free particle ---------------------------------------------------------
@@ -642,15 +642,14 @@ def _run_collapse(config: ScenarioConfig, grid: GridSpec, potential: Potential) 
             j_br = weight * br.current_of(CurrentMethod.CLOSED_FORM).components[0, f]
             den = np.linalg.norm(j_br[supp])
             if den > 1e-12:
-                decomp_worst = max(decomp_worst,
-                                   float(np.linalg.norm((j_full - j_br)[supp]) / den))
+                decomp_worst = np.maximum(decomp_worst,
+                                          np.linalg.norm((j_full - j_br)[supp]) / den)
             act = (status[f] == TrajStatus.ACTIVE) & in_branch
             if act.any():
                 vals, ok, inside, _ = interpolate_masked(br.position_at(f), p_traj[f][act])
                 good = ok & inside
                 if good.any():
-                    track_worst = max(track_worst,
-                                      float(np.abs(x[f][act][good] - vals[good]).max()))
+                    track_worst = np.abs(x[f][act][good] - vals[good]).max(initial=track_worst)
 
             gap = silent & (np.abs(p) < config.delta_p / 2.0)
             if gap.any():
@@ -697,25 +696,25 @@ def _run_collapse(config: ScenarioConfig, grid: GridSpec, potential: Potential) 
 # -- scenario: harmonic coherent / ground state ------------------------------------------
 
 
-def _force_residual(hist: EnsembleHistory,
-                    restoring: Callable[[np.ndarray], np.ndarray | float]) -> float:
-    """max |dp/dt + restoring(x)| over the frames two or more from either end and
-    the rows active at the last frame, dp/dt by 5-point central differences;
-    `_worst` takes it frame by frame.
+def _force_residual(hist: EnsembleHistory, potential: Potential) -> float:
+    """max |dp/dt + dV/dx| = |dp/dt + c + k x| of the 1d `potential` over the frames
+    two or more from either end and the rows active at the last frame, dp/dt by
+    5-point central differences; `_worst` takes it frame by frame.
 
     Needs at least 5 frames, which run_scenario checks against
     ScenarioDef.min_frames before the run starts.
     """
+    [(_, c, k)] = potential.axes(1)
     p, x = hist.p[..., 0], hist.x[..., 0]
     twelve_dt = 12.0 * float(hist.times[1] - hist.times[0])
     return _worst(hist, lambda f: (p[f - 2] - 8.0 * p[f - 1] + 8.0 * p[f + 1] - p[f + 2])
-                  / twelve_dt + restoring(x[f]),
+                  / twelve_dt + (c + k * x[f]),
                   range(2, len(hist.times) - 2), hist.status[-1] == TrajStatus.ACTIVE)
 
 
-def _classical_force_verdicts(hist: EnsembleHistory, config: ScenarioConfig) -> list[Verdict]:
-    k = config.mass * config.omega**2
-    resid = _force_residual(hist, lambda x: k * x)
+def _classical_force_verdicts(hist: EnsembleHistory, config: ScenarioConfig,
+                              potential: Potential) -> list[Verdict]:
+    resid = _force_residual(hist, potential)
     out = [
         Verdict("classical-force-relation", resid <= 1e-4, resid, 1e-4,
                 "dp/dt = -m w^2 x along recorded histories",
@@ -739,15 +738,16 @@ def _run_harmonic(config: ScenarioConfig, grid: GridSpec, potential: Potential) 
                                              config.omega), potential)
 
     # the grid mean, which the suite computed at every frame, tracks the classical orbit
-    worst_mean = max(abs(row["moments"]["mean_grid"][0]
-                         - config.displacement * np.cos(config.omega * row["time"]))
-                     for row in suite.rows)
+    worst_mean = np.max([abs(row["moments"]["mean_grid"][0]
+                             - config.displacement * np.cos(config.omega * row["time"]))
+                         for row in suite.rows])
     verdicts = [
         Verdict("mean-tracks-classical-orbit", worst_mean <= 1e-5, worst_mean, 1e-5,
                 "the position expectation follows the classical oscillation",
                 "max |<x>(t) - x0 cos(w t)| over frames"),
     ]
-    return suite.result(verdicts + _classical_force_verdicts(suite.ensemble.history, config))
+    return suite.result(verdicts + _classical_force_verdicts(suite.ensemble.history, config,
+                                                             potential))
 
 
 # -- scenario: linear drift ----------------------------------------------------------------
@@ -757,7 +757,7 @@ def _run_linear(config: ScenarioConfig, grid: GridSpec, potential: Potential) ->
     suite = _simulate(config, gaussian_state(grid, sigma=config.sigma), potential)
     hist = suite.ensemble.history
     law = _worst(hist, lambda f: hist.p[f] - (hist.p[0] - config.linear_coeff * hist.times[f]))
-    force = _force_residual(hist, lambda x: config.linear_coeff)
+    force = _force_residual(hist, potential)
 
     verdicts = [
         Verdict("constant-force-momentum-law", law <= 1e-8, law, 1e-8,
@@ -841,7 +841,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
          ("grid_extent2", "environment axis extent (0: grid_extent)")),
     ),
     "collapse": ScenarioDef(
-        _run_collapse, 1, lambda c: Harmonic(c.mass, c.omega),
+        _run_collapse, 1, lambda c: Harmonic(c.mass * c.omega**2),
         {"delta_p": 18.0, "t_final": 0.4, "omega": 1.0},
         "Two separated momentum packets under a harmonic potential: branch-wise "
         "current decomposition, single-branch trajectory dependence, and the "
@@ -853,7 +853,7 @@ SCENARIOS: dict[str, ScenarioDef] = {
          ("histogram_bins", _BINS_DOC)),
     ),
     "harmonic-coherent": ScenarioDef(
-        _run_harmonic, 1, lambda c: Harmonic(c.mass, c.omega),
+        _run_harmonic, 1, lambda c: Harmonic(c.mass * c.omega**2),
         {"displacement": 2.0, "dt": float(np.pi / 3200.0), "t_final": float(np.pi),
          "steps_per_frame": 10},
         "Coherent state: equivariance under oscillation, classical-force relation, "

@@ -47,7 +47,7 @@ from .grid import (
     spectral_gradient,
     to_position,
 )
-from .potentials import Free, Potential
+from .potentials import Potential
 
 
 class TrajStatus(IntEnum):
@@ -392,10 +392,10 @@ def integrate_epstein(
     each block is recorded, with the index lo of its first frame and views of
     its frames' history rows, which it reads without changing.
     """
-    # Free takes the lerp: its zero field moves the same under the cubic, but the lerp
-    # frees each block before the next is built, where the cubic's look-ahead keeps up
+    # A zero potential takes the lerp: its zero field moves the same under the cubic, but
+    # the lerp frees each block before the next is built, where the cubic's look-ahead keeps up
     # to 3 live (one-frame blocks, as measurement's, raise the peak RSS by about 20 %).
-    stepper = _Stepper(p_initial, frames, not isinstance(potential, Free))
+    stepper = _Stepper(p_initial, frames, not potential.is_zero)
     x = np.full(stepper.q_hist.shape, np.nan)
     pending = []  # (lo, block) of the blocks with frames still to record, oldest first
     for lo, run in stepper.blocks:

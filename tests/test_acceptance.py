@@ -216,7 +216,7 @@ def test_criterion_09_propagator_quality():
         )
 
     steps = int(round(2 * np.pi / 1e-3))
-    fin = propagate(psi_c, Harmonic(1.0, 1.0),
+    fin = propagate(psi_c, Harmonic(1.0),
                     PropagatorConfig(dt=1e-3, steps_per_frame=steps), steps)
     fid = abs(np.sum(np.conj(fin.psi_x.values)
                      * coherent_exact(grid2.positions(0), steps * 1e-3))
@@ -225,7 +225,7 @@ def test_criterion_09_propagator_quality():
     errs = []
     for dt in (2e-3, 1e-3, 5e-4):
         n = int(round(1.6 / dt))
-        f = propagate(psi_c, Harmonic(1.0, 1.0), PropagatorConfig(dt=dt, steps_per_frame=n), n)
+        f = propagate(psi_c, Harmonic(1.0), PropagatorConfig(dt=dt, steps_per_frame=n), n)
         e = np.sqrt(np.sum(np.abs(f.psi_x.values - coherent_exact(grid2.positions(0), 1.6)) ** 2)
                     * grid2.spacing(0))
         errs.append(float(e))

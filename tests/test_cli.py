@@ -390,6 +390,7 @@ def test_bad_scenario_input_exits_two_before_running(tmp_path, capsys, argv, mes
     ("dt", "fast", "dt must be a number"),
     ("traj_csv_limit", "-3", "traj_csv_limit"),
     ("histogram_bins", "0", "histogram_bins"),
+    ("linear_coeff", "1e308", "phase per step is not finite"),  # V = c x overflows
 ])
 def test_bad_config_file_value_exits_two(tmp_path, capsys, key, value, message):
     cfg = default_config("linear-drift", n_samples=50)

@@ -50,11 +50,11 @@ def test_linear_current_is_minus_c_density(grid512):
 
 def test_harmonic_current_vanishes_for_real_profile(grid512):
     phi = momentum_state(grid512)  # real Gaussian: ground-state-like profile
-    j = current_closed_form(Harmonic(1.0, 1.0), phi)
+    j = current_closed_form(Harmonic(1.0), phi)
     assert np.abs(j.components[0]).max() <= 1e-14
 
 
-@pytest.mark.parametrize("pot", [Linear(2.0), Harmonic(1.0, 1.0)])
+@pytest.mark.parametrize("pot", [Linear(2.0), Harmonic(1.0)])
 def test_divergence_reproduces_source(grid512, pot):
     psi = gaussian_state(grid512, sigma=0.9, center=1.0, boost=-0.8)
     phi = to_momentum(psi)
@@ -74,7 +74,7 @@ def test_poisson_zero_source(grid512):
     assert j.method is CurrentMethod.POISSON
 
 
-@pytest.mark.parametrize("pot", [Linear(2.0), Harmonic(1.0, 1.0)])
+@pytest.mark.parametrize("pot", [Linear(2.0), Harmonic(1.0)])
 def test_poisson_equals_closed_form_1d(grid512, pot):
     psi = gaussian_state(grid512, sigma=1.0, center=1.2, boost=0.6)
     phi = to_momentum(psi)
@@ -95,7 +95,7 @@ def test_poisson_current_vanishes_at_edges(grid512):
 def test_poisson_divergence_reproduces_source_2d(grid2d):
     psi = gaussian_state(grid2d, sigma=1.0, center=(0.5, 0.0), boost=(0.0, 1.0))
     phi = to_momentum(psi)
-    pot = Harmonic((1.0, 1.0), (1.0, 1.5))
+    pot = Harmonic((1.0, 2.25))
     src = interaction_source(pot, psi, phi)
     jp = current_poisson(src, grid2d)
     div = jp.divergence()
@@ -106,7 +106,7 @@ def test_poisson_divergence_reproduces_source_2d(grid2d):
 def test_poisson_2d_is_curl_free(grid2d):
     psi = gaussian_state(grid2d, sigma=1.0, boost=(1.0, -0.5))
     phi = to_momentum(psi)
-    src = interaction_source(Harmonic((1.0, 1.0), (1.0, 1.0)), psi, phi)
+    src = interaction_source(Harmonic((1.0, 1.0)), psi, phi)
     jp = current_poisson(src, grid2d)
     d0 = spectral_gradient(jp.components[1], grid2d, Representation.MOMENTUM)[0]
     d1 = spectral_gradient(jp.components[0], grid2d, Representation.MOMENTUM)[1]
@@ -151,7 +151,7 @@ def test_continuity_free_particle(grid512):
 @pytest.mark.parametrize(
     "pot,state_kw",
     [
-        (Harmonic(1.0, 1.0), {"sigma": 1.0, "center": 2.0}),
+        (Harmonic(1.0), {"sigma": 1.0, "center": 2.0}),
         (Linear(2.0), {"sigma": 1.0}),
     ],
 )
@@ -197,7 +197,7 @@ def test_two_packet_current_decomposes_branchwise(grid512):
     b2 = g(-dp / 2, -1.5)
     full = ComplexField(grid512, Representation.MOMENTUM, (b1 + b2) / np.sqrt(2))
     branch = ComplexField(grid512, Representation.MOMENTUM, b1)
-    pot = Harmonic(1.0, 1.0)
+    pot = Harmonic(1.0)
     j_full = current_closed_form(pot, full).components[0]
     j_branch = 0.5 * current_closed_form(pot, branch).components[0]
 

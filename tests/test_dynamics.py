@@ -54,7 +54,7 @@ def test_coherent_state_oracle_is_consistent(grid512):
     # sanity for the test's own oracle: it must satisfy the dynamics too
     psi = coherent_state(grid512, 2.0)
     cfg = PropagatorConfig(dt=1e-3, steps_per_frame=100)
-    final = propagate(psi, Harmonic(1.0, 1.0), cfg, 700)
+    final = propagate(psi, Harmonic(1.0), cfg, 700)
     exact = coherent_exact(grid512.positions(0), 0.7, 2.0)
     assert np.abs(final.psi_x.values - exact).max() <= 1e-5
 
@@ -64,7 +64,7 @@ def test_coherent_period_fidelity(grid512):
     psi = coherent_state(grid512, x0)
     steps = int(round(2 * np.pi / 1e-3))
     cfg = PropagatorConfig(dt=1e-3, steps_per_frame=steps)
-    final = propagate(psi, Harmonic(1.0, 1.0), cfg, steps)
+    final = propagate(psi, Harmonic(1.0), cfg, steps)
     exact = coherent_exact(grid512.positions(0), steps * 1e-3, x0)
     dx = grid512.spacing(0)
     fidelity = abs(np.sum(np.conj(final.psi_x.values) * exact) * dx)
@@ -78,7 +78,7 @@ def test_strang_order_is_two(grid512):
     for dt in (2e-3, 1e-3, 5e-4):
         steps = int(round(T / dt))
         cfg = PropagatorConfig(dt=dt, steps_per_frame=steps)
-        final = propagate(psi, Harmonic(1.0, 1.0), cfg, steps)
+        final = propagate(psi, Harmonic(1.0), cfg, steps)
         exact = coherent_exact(grid512.positions(0), T, x0)
         errs.append(np.sqrt(np.sum(np.abs(final.psi_x.values - exact) ** 2)
                             * grid512.spacing(0)))
@@ -90,13 +90,13 @@ def test_strang_order_is_two(grid512):
 def test_norm_conservation_long_run(grid512):
     psi = coherent_state(grid512, 2.0)
     cfg = PropagatorConfig(dt=1e-3, steps_per_frame=10_000)
-    final = propagate(psi, Harmonic(1.0, 1.0), cfg, 10_000)
+    final = propagate(psi, Harmonic(1.0), cfg, 10_000)
     assert abs(final.psi_p.norm() - 1.0) <= 1e-10
 
 
 def test_energy_drift_small_step(grid512):
     # symmetric splitting: energy error is a bounded O(dt^2) oscillation
-    pot = Harmonic(1.0, 1.0)
+    pot = Harmonic(1.0)
     psi = coherent_state(grid512, 2.0)
     frames = collect_frames(psi, pot, PropagatorConfig(dt=1e-4, steps_per_frame=1500), 15_000)
     energies = [total_energy(fr, pot) for fr in frames]
@@ -105,7 +105,7 @@ def test_energy_drift_small_step(grid512):
 
 
 def test_energy_bounded_not_secular_default_step(grid512):
-    pot = Harmonic(1.0, 1.0)
+    pot = Harmonic(1.0)
     psi = coherent_state(grid512, 2.0)
     frames = collect_frames(psi, pot, PropagatorConfig(dt=1e-3, steps_per_frame=200), 12_000)
     energies = np.array([total_energy(fr, pot) for fr in frames])
@@ -199,7 +199,7 @@ def test_kinetic_phase_wrap_rejected(grid512):
 def test_kinetic_phase_guard_reads_the_step_size_not_its_sign(grid512, dt):
     # |kin.max() * dt| is about 257 pi on this grid either way
     with pytest.raises(ConfigurationError, match="kinetic phase per step"):
-        _step_phases(grid512, Harmonic(1.0, 1.0), 1.0, dt)
+        _step_phases(grid512, Harmonic(1.0), 1.0, dt)
 
 
 def test_unnormalized_state_rejected(grid512):
@@ -218,7 +218,7 @@ def test_mass_validation(grid2d):
             velocity_field_dbb(psi, mass)
 
 
-@pytest.mark.parametrize("pot", [Free(), Harmonic(1.0, 1.0)])
+@pytest.mark.parametrize("pot", [Free(), Harmonic(1.0)])
 def test_zero_steps_emit_only_the_initial_frame(grid512, pot):
     # the free path and the split-step path share one emission schedule
     frames = collect_frames(gaussian_state(grid512), pot, PropagatorConfig(1e-3, 10), 0)
@@ -282,11 +282,11 @@ def _reference_frames(psi, potential, config, n_steps):
 
 
 @pytest.mark.parametrize("grid, pot, steps_per_frame, n_steps", [
-    (grid_1d(512, 40.0), Harmonic(1.0, 1.0), 2, 300),  # 151 frames: blocks of 64, 64, 23
+    (grid_1d(512, 40.0), Harmonic(1.0), 2, 300),  # 151 frames: blocks of 64, 64, 23
     (grid_1d(512, 40.0), Free(), 3, 201),  # 68 frames: blocks of 64, 4
-    (grid_2d(64, 20.0), Harmonic(1.0, 1.0), 1, 20),  # blocks of 8 frames
+    (grid_2d(64, 20.0), Harmonic(1.0), 1, 20),  # blocks of 8 frames
     (grid_2d(256, 40.0), Free(), 2, 6),  # 2^16 points: products of 1 MiB, one frame a block
-    (grid_2d(256, 40.0), Harmonic(1.0, 1.0), 2, 6),
+    (grid_2d(256, 40.0), Harmonic(1.0), 2, 6),
 ])
 def test_block_emission_gives_the_one_frame_propagators_frames(grid, pot, steps_per_frame,
                                                                  n_steps):
@@ -310,7 +310,7 @@ def test_frame_psi_x_equals_its_row_of_every_batched_transform(grid, n_steps):
     # frames keep psi~ only; psi(x) derived from one row, from the frame's emission
     # block (FrameBlock's and a plain batched transform) or from the whole run's
     # stack (the guidance reference's) has the same bits
-    pot = Harmonic(1.0, 1.0)
+    pot = Harmonic(1.0)
     frames = collect_frames(coherent_state(grid, 1.0), pot, PropagatorConfig(1e-3, 2), n_steps)
     size = max(1, BLOCK_POINTS // grid.size)
     whole = to_position(momentum_block(frames)).values
@@ -328,7 +328,7 @@ def test_frames_retain_only_their_momentum_rows():
     # 3 emission blocks (16, 16, 8 frames); the warm-up run builds the grid's step
     # phases and transform plans, so the traced run retains its frames alone, and
     # reading each frame's psi_x keeps nothing
-    grid, pot = grid_1d(2048, 80.0), Harmonic(1.0, 1.0)
+    grid, pot = grid_1d(2048, 80.0), Harmonic(1.0)
     psi, cfg = coherent_state(grid, 1.0), PropagatorConfig(5e-4, 1)
     collect_frames(psi, pot, cfg, 39)
     tracemalloc.start()

@@ -1,5 +1,3 @@
-import typing
-
 import numpy as np
 import pytest
 
@@ -11,6 +9,7 @@ from momtraj import (
     Linear,
     Potential,
     Representation,
+    current_poisson,
     apply_potential,
     current_closed_form,
     evaluate_potential,
@@ -31,11 +30,19 @@ def kinetic_apply(psi_x, mass=1.0):
     return to_position(phi.with_values(p**2 / (2 * mass) * phi.values)).values
 
 
+# V = 1.3 x + 1.44 x^2 / 2: both terms of the quadratic potential at once
+MIXED = Potential(1.3, 1.44)
+
+
 def test_harmonic_rejects_bad_parameters():
-    with pytest.raises(ConfigurationError):
-        Harmonic(-1.0, 1.0)
-    with pytest.raises(ConfigurationError):
-        Harmonic(1.0, 0.0)
+    for k in (-1.0, 0.0, float("nan"), (1.0, 0.0)):
+        with pytest.raises(ConfigurationError, match="spring constants"):
+            Harmonic(k)
+
+
+def test_per_axis_values_must_match_the_grid(grid2d):
+    with pytest.raises(ConfigurationError, match="1 or 2 per-axis values"):
+        evaluate_potential(Linear((1.0, 2.0, 3.0)), grid2d)
 
 
 # -- apply_potential -----------------------------------------------------------------
@@ -56,7 +63,7 @@ def test_apply_linear_pointwise(grid512):
 
 def test_apply_harmonic_pointwise(grid512):
     psi = gaussian_state(grid512)
-    out = apply_potential(Harmonic(1.0, 1.0), psi)
+    out = apply_potential(Harmonic(1.0), psi)
     x = grid512.positions(0)
     assert np.abs(out.values - 0.5 * x**2 * psi.values).max() <= 1e-15
 
@@ -64,7 +71,7 @@ def test_apply_harmonic_pointwise(grid512):
 def test_harmonic_ground_state_eigenvalue(grid512):
     # (T + V) psi0 = (hbar w / 2) psi0 for the m = w = 1 oscillator
     psi0 = gaussian_state(grid512, sigma=1.0)
-    h_psi = kinetic_apply(psi0) + apply_potential(Harmonic(1.0, 1.0), psi0).values
+    h_psi = kinetic_apply(psi0) + apply_potential(Harmonic(1.0), psi0).values
     assert np.abs(h_psi - 0.5 * psi0.values).max() <= 1e-8
 
 
@@ -75,7 +82,7 @@ def test_apply_requires_position_rep(grid512):
 
 
 def test_evaluate_2d_harmonic(grid2d):
-    v = evaluate_potential(Harmonic((1.0, 2.0), (1.0, 0.5)), grid2d)
+    v = evaluate_potential(Harmonic((1.0, 0.5)), grid2d)
     x0, x1 = grid2d.mesh(Representation.POSITION)
     expected = 0.5 * x0**2 + 0.5 * 2.0 * 0.25 * x1**2
     assert np.abs(v - expected).max() <= 1e-12
@@ -102,7 +109,7 @@ def test_source_linear_matches_density_gradient(grid512):
 def test_source_is_real_and_balanced(grid512):
     psi = gaussian_state(grid512, sigma=1.2, center=1.0, boost=-0.5)
     phi = to_momentum(psi)
-    for pot in (Linear(2.0), Harmonic(1.0, 1.0)):
+    for pot in (Linear(2.0), Harmonic(1.0)):
         src = interaction_source(pot, psi, phi)
         assert np.isrealobj(src)
         vol = grid512.dual_spacing(0)
@@ -110,10 +117,9 @@ def test_source_is_real_and_balanced(grid512):
 
 
 def test_source_operator_route_agrees(grid512):
-    # one instance per member of the Potential alias: a potential added without a
-    # momentum operator form or a closed-form current fails here
-    pots = (Free(), Linear(1.3), Harmonic(1.0, 1.2))
-    assert tuple(type(pot) for pot in pots) == typing.get_args(Potential)
+    # zero, linear, harmonic and mixed coefficients: every potential has both an
+    # operator form and a closed-form current
+    pots = (Free(), Linear(1.3), Harmonic(1.44), MIXED)
     psi = gaussian_state(grid512, sigma=0.8, center=1.5, boost=0.7)
     phi = to_momentum(psi)
     for pot in pots:
@@ -128,10 +134,23 @@ def test_source_operator_route_agrees(grid512):
 def test_source_operator_route_agrees_2d(grid2d):
     psi = gaussian_state(grid2d, sigma=1.0, center=(0.5, -0.5), boost=(1.0, 0.0))
     phi = to_momentum(psi)
-    for pot in (Linear((1.0, -2.0)), Harmonic((1.0, 1.0), (1.0, 2.0))):
+    for pot in (Linear((1.0, -2.0)), Harmonic((1.0, 4.0)), MIXED):
         a = interaction_source(pot, psi, phi)
         b = interaction_source_operator(pot, phi)
         assert np.abs(a - b).max() <= 1e-8 * np.abs(a).max()
+
+
+def test_mixed_potential_routes_agree(grid512):
+    # c and k both nonzero: the closed-form current, the sum of the linear and
+    # harmonic ones, matches the Poisson current at the cross-method bound, and
+    # the position-space source matches the momentum-operator route
+    psi = gaussian_state(grid512, sigma=1.0, center=1.2, boost=0.6)
+    phi = to_momentum(psi)
+    src = interaction_source(MIXED, psi, phi)
+    jc = current_closed_form(MIXED, phi).components
+    jp = current_poisson(src, grid512).components
+    assert np.linalg.norm(jp - jc) / np.linalg.norm(jc) <= 1e-6
+    assert np.abs(src - interaction_source_operator(MIXED, phi)).max() <= 1e-8 * np.abs(src).max()
 
 
 def test_source_rejects_mismatched_time_stamps(grid512):
@@ -143,7 +162,7 @@ def test_source_rejects_mismatched_time_stamps(grid512):
 
 def test_source_continuity_finite_difference_oracle(grid512):
     # (|psi~(t+d)|^2 - |psi~(t-d)|^2) / 2d + I  ->  O(d^2)
-    for pot in (Linear(2.0), Harmonic(1.0, 1.0)):
+    for pot in (Linear(2.0), Harmonic(1.0)):
         psi = gaussian_state(grid512, sigma=1.0, center=1.0)
         delta = 1e-3
         cfg = PropagatorConfig(dt=delta, steps_per_frame=1)

@@ -20,6 +20,8 @@ from momtraj import (
     CurrentMethod,
     Free,
     Harmonic,
+    Linear,
+    Potential,
     Representation,
     default_config,
     grid_2d,
@@ -363,14 +365,17 @@ def test_force_checks_read_the_history_frame_by_frame():
     dpdt = ((p[:-4] - 8.0 * p[1:-3] + 8.0 * p[3:-1] - p[4:])
             / (12.0 * float(hist.times[1] - hist.times[0])))  # 5-point central differences
     cfg = default_config("harmonic-coherent", displacement=0.0, mass=1.5, omega=0.7)
-    k = cfg.mass * cfg.omega**2
+    k = cfg.mass * cfg.omega**2  # the registry's spring constant, bit for bit
+    pot = SCENARIOS["harmonic-coherent"].potential(cfg)
     measured = {v.name: v.measured for v in
-                momtraj.scenarios._classical_force_verdicts(hist, cfg)}
+                momtraj.scenarios._classical_force_verdicts(hist, cfg, pot)}
     assert measured == {"classical-force-relation": float(np.abs(dpdt + k * x[2:-2]).max()),
                         "ground-position-frozen": float(np.abs(x).max()),
                         "ground-momentum-frozen": float(np.abs(p - p[0]).max())}
-    linear = momtraj.scenarios._force_residual(hist, lambda x: 2.0)
+    linear = momtraj.scenarios._force_residual(hist, Linear(2.0))
     assert linear == float(np.abs(dpdt + 2.0).max())
+    mixed = momtraj.scenarios._force_residual(hist, Potential(2.0, k))
+    assert mixed == float(np.abs(dpdt + (2.0 + k * x[2:-2])).max())
 
     # the reduction's two masks: row 2 reads 10 + f at frames 0-3 and NaN once
     # retired, the other rows f / 10
@@ -384,6 +389,21 @@ def test_force_checks_read_the_history_frame_by_frame():
     assert worst(hist, residual, range(4, 7)) == 0.6
     assert worst(hist, residual, rows=always) == 0.6  # the last frame's mask: nowhere
     assert worst(hist, residual, range(2), always) == 0.1
+
+
+def test_run_level_reductions_propagate_nan_and_skip_empty_frames():
+    # 4 rows: frame 1 holds a NaN beside 100.0 and frame 2 has no active row
+    status = np.zeros((3, 4), dtype=np.int8)
+    status[2] = TrajStatus.LEFT_GRID
+    hist = momtraj.trajectories.EnsembleHistory(np.arange(3) * 0.1, np.zeros((3, 4, 1)), status)
+    rows = {0: [0.1, 0.1, 0.1, 0.1], 1: [np.nan, 100.0, 0.0, 0.0], 2: [5.0, 5.0, 5.0, 5.0]}
+    worst = momtraj.scenarios._worst
+    assert np.isnan(worst(hist, lambda f: np.array(rows[f]), range(2)))  # not 0.1
+    assert worst(hist, lambda f: np.array(rows[f]), range(0, 3, 2)) == 0.1
+    assert np.isnan(worst(hist, lambda f: np.array(rows[f])))
+    ratio = momtraj.scenarios._robust_max_ratio
+    assert np.isnan(ratio([(np.nan, 1.0), (1e-9, 1.0)]))
+    assert ratio([(1e-9, 1.0), (3e-9, 2.0)]) == 1.5e-9
 
 
 def test_suite_verdicts_read_the_stats_rows():
@@ -408,7 +428,7 @@ def test_cross_method_verdict_only_where_the_rows_compare_the_currents():
     # the suite reports no cross-method verdict, rather than a pass at 0.0
     cfg = ScenarioConfig(n_samples=50, seed=1, dt=1e-3, steps_per_frame=5, t_final=0.02)
     psi = gaussian_state(grid_2d(64, 20.0), sigma=1.0, center=(1.0, -0.5))
-    suite = momtraj.scenarios._simulate(cfg, psi, Harmonic(1.0, (1.0, 0.5)))
+    suite = momtraj.scenarios._simulate(cfg, psi, Harmonic((1.0, 0.25)))
     assert len(suite.rows) == 5
     assert not any("current_cross_method_rel" in row for row in suite.rows)
     names = [v.name for v in suite.verdicts()]
@@ -423,7 +443,7 @@ def test_continuity_verdict_checks_the_2d_currents(current):
     cfg = ScenarioConfig(n_samples=50, seed=1, dt=1e-3, steps_per_frame=5, t_final=0.02,
                          current=current)
     psi = gaussian_state(grid_2d(64, 20.0), sigma=1.0, center=(1.0, -0.5))
-    suite = momtraj.scenarios._simulate(cfg, psi, Harmonic(1.0, (1.0, 0.5)))
+    suite = momtraj.scenarios._simulate(cfg, psi, Harmonic((1.0, 0.25)))
     (continuity,) = [v for v in suite.verdicts() if v.name == "continuity-residual"]
     assert continuity.passed and continuity.measured <= 1e-9
 
@@ -450,7 +470,7 @@ def _count_source_builds(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("name", [n for n, d in sorted(SCENARIOS.items())
-                                  if isinstance(d.potential(default_config(n)), Free)])
+                                  if d.potential(default_config(n)).is_zero])
 def test_free_runs_report_no_continuity_verdict(monkeypatch, name):
     # under a zero potential I and j vanish and the residual would read 0.0,
     # comparing nothing: no row key, no verdict, and no source built
@@ -702,7 +722,7 @@ def test_out_of_order_pairs_count_the_overtakes_of_a_two_packet_state():
             + (0.99 - 0.16j) * gaussian_state(grid, 0.93, -0.16, 1.21).values)
     psi = ComplexField(grid, Representation.POSITION, vals).normalized()
     config = ScenarioConfig(n_samples=300, seed=1)
-    suite = momtraj.scenarios._simulate(config, psi, Harmonic(1.0, 1.04))
+    suite = momtraj.scenarios._simulate(config, psi, Harmonic(1.04**2))
     hist = suite.ensemble.history
     assert (hist.status == TrajStatus.ACTIVE).all()
     order = np.argsort(hist.p[0, :, 0])

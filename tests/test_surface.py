@@ -5,8 +5,6 @@ functions, classes and assignments. It then looks for the name in the code of
 src/, scripts/ and perfbench/, leaving out the package's __init__.py (which
 re-exports) and import statements: a read of the name, an attribute of that
 name, or a string equal to it (perfbench patches functions by name). A
-module-level union type alias (`Potential = A | B | C`) does not count as a
-reader of its members: a class that only an alias names is built nowhere. A
 name found nowhere is surface that only tests reach; give it a caller or
 delete it. TEST_ONLY lists the names kept on purpose, each with its reason.
 
@@ -50,20 +48,13 @@ def _public_definitions() -> dict[str, str]:
     return found
 
 
-def _is_union_alias(node: ast.stmt) -> bool:
-    return (isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp)
-            and isinstance(node.value.op, ast.BitOr))
-
-
 def _referenced_names() -> set[str]:
     refs = set()
     for tree in READERS:
         for path in tree.rglob("*.py"):
             if path == PACKAGE / "__init__.py":
                 continue
-            module = ast.parse(path.read_text())
-            module.body = [node for node in module.body if not _is_union_alias(node)]
-            for node in ast.walk(module):
+            for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     refs.add(node.id)
                 elif isinstance(node, ast.Attribute):

@@ -251,7 +251,7 @@ def test_step_epstein_linear_constant_force(grid512):
 
 def test_step_epstein_harmonic_ground_frozen_momentum(grid512):
     phi = momentum_state(grid512)  # real profile
-    hist = integrate_epstein(fixed_frames(phi, 1.0), Harmonic(1.0, 1.0), np.array([[0.8]]))
+    hist = integrate_epstein(fixed_frames(phi, 1.0), Harmonic(1.0), np.array([[0.8]]))
     assert abs(hist.p[-1, 0, 0] - 0.8) <= 1e-10
     assert abs(hist.x[-1, 0, 0]) <= 1e-9
 
@@ -408,7 +408,7 @@ def test_batch_momenta_leaving_the_grid_stay_retired(monkeypatch):
 
 
 def test_harmonic_coherent_classical_force_small(grid512):
-    pot = Harmonic(1.0, 1.0)
+    pot = Harmonic(1.0)
     psi = coherent_state(grid512, 2.0)
     frames = collect_frames(psi, pot, PropagatorConfig(dt=1e-3, steps_per_frame=10), 1000)
     p0 = np.array([[0.3], [-0.9], [1.4]])
@@ -426,7 +426,7 @@ def test_momentum_flow_of_psi_is_the_guidance_flow_of_its_momentum_wavefunction(
     # propagates as phi(x, t), and psi's momentum-flow trajectories p(t) are
     # phi's guidance trajectories x(t), with either current
     grid = grid_1d(512, np.sqrt(2 * np.pi * 512))
-    pot = Harmonic(1.0, 1.0)
+    pot = Harmonic(1.0)
     prop = PropagatorConfig(dt=np.pi / 3200, steps_per_frame=10)
     frames = collect_frames(coherent_state(grid, 2.0), pot, prop, 3200)
     phi = ComplexField(grid, Representation.POSITION, frames[0].psi_p.values)
@@ -441,7 +441,7 @@ def test_momentum_flow_of_psi_is_the_guidance_flow_of_its_momentum_wavefunction(
 
 def test_rows_do_not_depend_on_the_batch(grid512):
     # a row's arithmetic is its own: the batch's other rows must not change it
-    pot = Harmonic(1.0, 1.0)
+    pot = Harmonic(1.0)
     frames = collect_frames(coherent_state(grid512, 2.0), pot,
                             PropagatorConfig(dt=1e-3, steps_per_frame=10), 100)
     p0 = sample_momenta(frames[0].psi_p, 300, 5)
@@ -458,7 +458,7 @@ def test_trajectory_error_falls_fourth_order_with_the_frame_spacing(grid512):
     # against frames at every step on the shared frames: the time
     # interpolation's error in p falls about 16-fold per halving of the
     # frame spacing (12x and 14x here)
-    pot = Harmonic(1.0, 1.0)
+    pot = Harmonic(1.0)
     runs = {}
     for spf in (40, 20, 10, 1):
         frames = collect_frames(coherent_state(grid512, 2.0), pot,
@@ -525,7 +525,7 @@ def test_zero_field_step_equals_the_four_stage_step(grid512, monkeypatch):
     assert (status[43:46] == TrajStatus.FROZEN_AT_NODE).all()
 
 
-@pytest.mark.parametrize("pot", [Harmonic(1.0, 1.0), Free()], ids=["harmonic", "free"])
+@pytest.mark.parametrize("pot", [Harmonic(1.0), Free()], ids=["harmonic", "free"])
 def test_rows_the_readout_retires_leave_stage_1_a_subset(pot, monkeypatch):
     # momenta over the fringes of a commensurate superposition: the stencils
     # of about half of them touch an exact node at frame 0, where only the
@@ -541,11 +541,11 @@ def test_rows_the_readout_retires_leave_stage_1_a_subset(pot, monkeypatch):
     hist = integrate_epstein(frames, pot, p0)
     frozen = hist.status[0] == TrajStatus.FROZEN_AT_NODE
     assert 0 < frozen.sum() < len(p0) and not (hist.status[0] == TrajStatus.LEFT_GRID).any()
-    if isinstance(pot, Free):  # no point moves: the run's one stencil is the first readout's
+    if pot.is_zero:  # no point moves: the run's one stencil is the first readout's
         assert len(calls) == 1
     block = FrameBlock(frames, pot, CurrentMethod.CLOSED_FORM)
     assert_history_equals_the_per_interval_reference(
-        hist, lambda f: _frames(block.velocity, f), cubic=not isinstance(pot, Free))
+        hist, lambda f: _frames(block.velocity, f), cubic=not pot.is_zero)
     for f in range(len(frames)):
         active = hist.status[f] == TrajStatus.ACTIVE
         vals, ok, inside, _ = interp(block.position_at(f), hist.p[f][active])
@@ -592,7 +592,7 @@ def test_block_estimate_equals_the_per_interval_reference(case, monkeypatch):
     # 1d: 130 frames of 512 points come in blocks of 64, 64 and 2; 2d: one
     # 256 x 256 frame per block
     if case == "harmonic-130":
-        pot = Harmonic(1.0, 1.0)
+        pot = Harmonic(1.0)
         frames = collect_frames(coherent_state(grid_1d(512, 40.0), 2.0), pot,
                                 PropagatorConfig(dt=1e-3, steps_per_frame=2), 258)
         p0 = sample_momenta(frames[0].psi_p, 500, 9)
@@ -609,7 +609,7 @@ def test_block_estimate_equals_the_per_interval_reference(case, monkeypatch):
                                 500)
         p0 = np.linspace(-9.5, 2.0, 150)[:, None]
     else:
-        pot = Harmonic(1.0, (1.0, 0.5))
+        pot = Harmonic((1.0, 0.25))
         frames = collect_frames(gaussian_state(grid_2d(256, 40.0), sigma=1.0, center=(1.0, -0.5)),
                                 pot, PropagatorConfig(dt=1e-3, steps_per_frame=10), 40)
         p0 = sample_momenta(frames[0].psi_p, 200, 4)
@@ -708,7 +708,7 @@ def _assert_frame_fields_exact(frames, pot, method):
 
 
 @pytest.mark.parametrize("method", list(CurrentMethod))
-@pytest.mark.parametrize("pot", [Free(), Linear(2.0), Harmonic(1.0, 1.0)])
+@pytest.mark.parametrize("pot", [Free(), Linear(2.0), Harmonic(1.0)])
 def test_frame_fields_equal_the_separate_constructions(grid512, pot, method):
     prop = PropagatorConfig(dt=1e-3, steps_per_frame=50)
     frames = collect_frames(coherent_state(grid512, 2.0), pot, prop, 100)
@@ -717,7 +717,7 @@ def test_frame_fields_equal_the_separate_constructions(grid512, pot, method):
 
 @pytest.mark.parametrize("method", list(CurrentMethod))
 def test_frame_fields_equal_the_separate_constructions_2d(grid2d, method):
-    pot = Harmonic(1.0, (1.0, 0.5))
+    pot = Harmonic((1.0, 0.25))
     psi = gaussian_state(grid2d, sigma=1.0, center=(1.0, -0.5))
     frames = collect_frames(psi, pot, PropagatorConfig(dt=1e-3, steps_per_frame=20), 40)
     _assert_frame_fields_exact(frames, pot, method)
@@ -739,11 +739,11 @@ def _block_arrays(block):
 
 
 @pytest.mark.parametrize("pot,method,dof", [
-    (Harmonic(1.0, 1.0), CurrentMethod.CLOSED_FORM, 1),
-    (Harmonic(1.0, 1.0), CurrentMethod.POISSON, 1),
+    (Harmonic(1.0), CurrentMethod.CLOSED_FORM, 1),
+    (Harmonic(1.0), CurrentMethod.POISSON, 1),
     (Linear(2.0), CurrentMethod.CLOSED_FORM, 1),
     (Free(), CurrentMethod.CLOSED_FORM, 1),
-    (Harmonic(1.0, (1.0, 0.5)), CurrentMethod.POISSON, 2),
+    (Harmonic((1.0, 0.25)), CurrentMethod.POISSON, 2),
 ])
 def test_frame_block_equals_single_frame_blocks(grid512, grid2d, pot, method, dof):
     # 1d: a full block of 64 frames, whose arrays are large enough for numpy
@@ -765,7 +765,7 @@ def test_frame_block_equals_single_frame_blocks(grid512, grid2d, pot, method, do
 
 def test_frame_fields_come_in_blocks_of_block_points(grid512):
     # 64 frames of a 512-point grid share a block; frames of a 256 x 256 grid do not
-    pot = Harmonic(1.0, 1.0)
+    pot = Harmonic(1.0)
     frames = collect_frames(coherent_state(grid512, 2.0), pot,
                             PropagatorConfig(dt=1e-3, steps_per_frame=1), 69)
     blocks = []
@@ -793,7 +793,7 @@ def test_on_block_sees_every_frame_once_with_its_history_rows(dof):
     # 256 x 256 frame per block. The last start point lies off the grid and
     # retires at frame 0.
     if dof == 1:
-        grid, pot, n_steps, sizes = grid_1d(512, 40.0), Harmonic(1.0, 1.0), 129, [64, 64, 2]
+        grid, pot, n_steps, sizes = grid_1d(512, 40.0), Harmonic(1.0), 129, [64, 64, 2]
         p0 = np.array([[-1.0], [0.0], [0.7], [1.5], [99.0]])
     else:
         grid, pot, n_steps, sizes = grid_2d(256, 40.0), Linear((1.0, -0.5)), 2, [1, 1, 1]
